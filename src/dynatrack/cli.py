@@ -27,6 +27,7 @@ from .generator import ScenarioSpec, generate
 from .metrics import classify_events, summary_stats, total_consistency
 from .model import ClusteringSequence, parse_sequence, sequence_to_json_bytes
 from .oracle import brute_force_track
+from .relations import RelationCache
 from .resultdoc import (
     build_document,
     clustering_from_labels,
@@ -89,10 +90,11 @@ def cmd_sweep(args) -> int:
     if args.history_min > args.history_max:
         return _usage_error("--history-min must not exceed --history-max")
     seq = _load_input(args)
+    rels = RelationCache(seq)
     rows = []
     records = []
     for x in range(args.history_min, args.history_max + 1):
-        result = track(seq, x)
+        result = track(seq, x, relations=rels)
         stats = summary_stats(result)
         cons_all = total_consistency(result, "all_members")
         cons_res = total_consistency(result, "residents_only")

@@ -25,6 +25,11 @@ class SequencingError(DynatrackError, RuntimeError):
     """Snapshots were processed out of order against the tracking state."""
 
 
+class TrackingInvariantError(DynatrackError, AssertionError):
+    """The tracker broke an invariant of its own output, such as two
+    clusters of the newest snapshot carrying one dynamic-cluster id."""
+
+
 class GenerationError(DynatrackError, ValueError):
     """A scenario specification cannot be realised (e.g. an event would
     detach an empty or a complete cluster)."""

@@ -119,12 +119,6 @@ class MajorityRelations:
         self._tracer_refs = None
         self._mapper_refs = None
 
-    @classmethod
-    def from_counts(
-        cls, triples: list[tuple[int, int, int]], time_a: int, n_a: int, n_b: int
-    ) -> "MajorityRelations":
-        return cls(triples, time_a, n_a, n_b)
-
     @property
     def tracer(self) -> tuple[frozenset[int], ...]:
         if self._tracer is None:
@@ -214,7 +208,7 @@ class RelationCache:
                 )
             a = self._indexed[i]
             b = self._indexed[i + 1]
-            rel = MajorityRelations.from_counts(
+            rel = MajorityRelations(
                 pair_counts(a, b), i, a.n_clusters, b.n_clusters
             )
             self._pairs[i] = rel

@@ -107,36 +107,87 @@ def document_to_bytes(doc: dict) -> bytes:
     ).encode("utf-8")
 
 
+def _int(value, what: str) -> int:
+    if type(value) is not int:
+        raise SchemaError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def load_document(
     raw: bytes | str,
 ) -> tuple[ClusteringSequence, dict[ClusterRef, int], int]:
-    """Parse a result document back into (sequence, labels, history)."""
+    """Parse a result document back into (sequence, labels, history).
+
+    Besides field types, the document is checked against itself: the
+    `dcs` registry must list exactly the per-cluster `dc` values,
+    `snapshot_count` must match the snapshots, and the clusters of the
+    last snapshot must carry distinct ids (any tracking run gives them
+    distinct ids).
+    """
     try:
         doc = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"result document is not valid JSON: {exc.msg}") from exc
     if not isinstance(doc, dict):
         raise SchemaError("result document must be a JSON object")
-    if doc.get("schema") != SCHEMA_VERSION:
+    schema = doc.get("schema")
+    if type(schema) is not int or schema != SCHEMA_VERSION:
         raise SchemaError(
-            f"unsupported schema version {doc.get('schema')!r} "
+            f"unsupported schema version {schema!r} "
             f"(expected {SCHEMA_VERSION})"
         )
-    for key in ("history", "snapshots"):
+    for key in ("history", "snapshot_count", "snapshots", "dcs"):
         if key not in doc:
             raise SchemaError(f"result document is missing {key!r}")
+    history = _int(doc["history"], "history")
+    if history < 0:
+        raise SchemaError(f"history must be non-negative, got {history}")
     data = []
     labels_meta: list[str | None] = []
     dc_of: dict[ClusterRef, int] = {}
+    listed: dict[ClusterRef, int] = {}
     try:
         for t, entry in enumerate(doc["snapshots"]):
             row = []
             for a, cluster in enumerate(entry["clusters"]):
-                row.append(cluster["members"])
-                dc_of[ClusterRef(t, a)] = int(cluster["dc"])
+                members = cluster["members"]
+                if not isinstance(members, list):
+                    raise SchemaError(
+                        f"snapshot {t}: cluster {a}: members must be an array"
+                    )
+                row.append(members)
+                dc_of[ClusterRef(t, a)] = _int(
+                    cluster["dc"], f"snapshot {t}: cluster {a}: dc"
+                )
             data.append(row)
-            labels_meta.append(entry.get("label"))
-    except (KeyError, TypeError) as exc:
+            label = entry.get("label")
+            if label is not None and not isinstance(label, str):
+                raise SchemaError(f"snapshot {t}: label must be a string")
+            labels_meta.append(label)
+        for entry in doc["dcs"]:
+            for t, a in entry["clusters"]:
+                ref = ClusterRef(t, a)
+                if ref in listed:
+                    raise SchemaError(f"dcs: cluster ({t}, {a}) is listed twice")
+                listed[ref] = entry["id"]
+    except SchemaError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"malformed result document: {exc!r}") from exc
+    if listed != dc_of:
+        raise SchemaError("dcs registry does not match the clusters' dc values")
+    if _int(doc["snapshot_count"], "snapshot_count") != len(data):
+        raise SchemaError(
+            f"snapshot_count is {doc['snapshot_count']} "
+            f"but the document has {len(data)} snapshots"
+        )
+    if data:
+        last = len(data) - 1
+        ids = [dc_of[ClusterRef(last, a)] for a in range(len(data[last]))]
+        if len(set(ids)) != len(ids):
+            raise SchemaError(
+                f"snapshot {last}: several clusters of the last snapshot "
+                f"share one dc id"
+            )
     seq = sequence_from_lists(data, labels_meta)
-    return seq, dc_of, int(doc["history"])
+    return seq, dc_of, history

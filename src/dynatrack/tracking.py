@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .errors import SequencingError
+from .errors import SequencingError, TrackingInvariantError
 from .metrics import DcSeries, DynamicClustering
 from .model import ClusterRef, ClusteringSequence
 from .relations import RelationCache
@@ -227,7 +227,9 @@ def _search_source(
     chosen source); depth 0 means the target founds a new DC.
     """
     layers: list[frozenset[ClusterRef]] = [frozenset((ref,))]
-    full_matches: list[tuple[int, list[frozenset[ClusterRef]]]] = []
+    # walks[m] is the forward mapping walk from the admitted layers[m].
+    walks: list[list[frozenset[ClusterRef]]] = [[]]
+    full_matches: list[int] = []
     for k in range(1, min(ref.time, state.history) + 1):
         candidate = _trace_of(rels, layers[k - 1])
         if not candidate:
@@ -242,16 +244,23 @@ def _search_source(
             forward.append(path)
             if path <= layers[k - j]:
                 admitted = True
+                if path == layers[k - j]:
+                    # The rest of the walk is the one already taken from
+                    # that layer, and the layer is admitted, so stopping
+                    # here changes neither admission nor the full match.
+                    forward.extend(walks[k - j])
+                    break
         if not admitted:
             break
         layers.append(candidate)
+        walks.append(forward)
         if len(forward) == k and forward[-1] == layers[0]:
-            full_matches.append((k, forward))
-    for k, forward in reversed(full_matches):
+            full_matches.append(k)
+    for k in reversed(full_matches):
         source = layers[k]
         dcs = {state.labels[r] for r in source}
         if len(dcs) == 1:
-            return k, layers, forward
+            return k, layers, walks[k]
     return 0, layers, None
 
 
@@ -399,9 +408,9 @@ def process_snapshot(
                 TraceEvent(ref, n_star, dc, source, result.flow, result.marginals)
             )
     state.frontier = i
-    if __debug__:
-        frontier_dcs = [state.labels[ClusterRef(i, a)] for a in range(m)]
-        assert len(set(frontier_dcs)) == m, (
+    frontier_dcs = [state.labels[ClusterRef(i, a)] for a in range(m)]
+    if len(set(frontier_dcs)) != m:
+        raise TrackingInvariantError(
             f"frontier labels not injective at snapshot {i}: {frontier_dcs}"
         )
     return state
@@ -413,13 +422,19 @@ def track(
     *,
     orders: dict[int, Sequence[int]] | None = None,
     trace: list[TraceEvent] | None = None,
+    relations: RelationCache | None = None,
 ) -> DynamicClustering:
     """Dynamic clusters of a whole sequence with an x-step history.
 
     `orders` (per-snapshot processing permutations) and `trace` (audit
     event sink) are test hooks; defaults give the canonical run.
+    `relations` is a prebuilt cache of `seq`, so that runs over several
+    horizons build the relation tables once; by default a fresh one is
+    built. A cache of another sequence raises ValueError.
     """
-    rels = RelationCache(seq)
+    rels = RelationCache(seq) if relations is None else relations
+    if rels.seq is not seq:
+        raise ValueError("relations were built for a different sequence")
     state = new_state(seq, x, trace=trace is not None)
     for i in range(1, len(seq)):
         process_snapshot(

@@ -124,7 +124,7 @@ def test_criterion_5_structural_consistency(capfd):
         rels = RelationCache(seq)
         state = new_state(seq, x)
         for i in range(1, len(seq)):
-            # process_snapshot itself asserts injectivity; verify
+            # process_snapshot itself checks injectivity; verify
             # independently as well
             process_snapshot(state, seq, rels, i)
             frontier = [

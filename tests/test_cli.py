@@ -4,12 +4,23 @@ import json
 
 import pytest
 
+from dynatrack import cli, relations, tracking
 from dynatrack.cli import SWEEP_HEADER, main
 
 IDENTITY_FIXTURE = {
     "snapshots": [
         {"clusters": [["a", "b"], ["c"]]},
         {"clusters": [["a", "b"], ["c"]]},
+    ]
+}
+
+# t0: two ancestors, t1: their union, t2: a 1-step splinter, t3: reunion
+FIG_SPLINTER = {
+    "snapshots": [
+        {"clusters": [["1", "2", "3", "4"], ["5", "6"]]},
+        {"clusters": [["1", "2", "3", "4", "5", "6"]]},
+        {"clusters": [["1", "2", "3", "4"], ["5", "6"]]},
+        {"clusters": [["1", "2", "3", "4", "5", "6"]]},
     ]
 }
 
@@ -237,3 +248,131 @@ def test_version_flag(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert "dynatrack" in capsys.readouterr().out
+
+
+def test_sweep_equals_per_x_track_with_fresh_relations(tmp_path, monkeypatch):
+    spec = tmp_path / "scenario.json"
+    spec.write_text(json.dumps(SCENARIO | {"turnover": 0.2}))
+    seq = tmp_path / "seq.json"
+    assert main(["generate", "--spec", str(spec), "--output", str(seq)]) == 0
+    argv = ["sweep", "--input", str(seq), "--history-min", "0",
+            "--history-max", "6"]
+
+    builds = []
+    index_sequence = relations.index_sequence
+
+    def counted(seq):
+        builds.append(seq)
+        return index_sequence(seq)
+
+    monkeypatch.setattr(relations, "index_sequence", counted)
+    shared = [tmp_path / "shared.csv", tmp_path / "shared.json"]
+    assert main(argv + ["--output", str(shared[0]), "--json", str(shared[1])]) == 0
+    assert len(builds) == 1
+
+    def fresh_track(seq, x, **_kwargs):
+        return tracking.track(seq, x)
+
+    monkeypatch.setattr(cli, "track", fresh_track)
+    fresh = [tmp_path / "fresh.csv", tmp_path / "fresh.json"]
+    assert main(argv + ["--output", str(fresh[0]), "--json", str(fresh[1])]) == 0
+    # the second sweep builds its own unused cache, then one per x
+    assert len(builds) == 1 + 1 + 7
+    for a, b in zip(shared, fresh):
+        assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.fixture
+def result_doc(tmp_path):
+    seq = tmp_path / "seq.json"
+    seq.write_text(json.dumps({"snapshots": [
+        {"clusters": [["a", "b"], ["c", "d"], ["e"]]},
+        {"clusters": [["a", "b", "c", "d"], ["e"]]},
+        {"clusters": [["a", "b"], ["c", "d"], ["e"]]},
+    ]}))
+    out = tmp_path / "result.json"
+    assert main(["track", "--input", str(seq), "--history", "0",
+                 "--output", str(out)]) == 0
+    return out
+
+
+def _break_history(doc):
+    doc["history"] = "abc"
+
+
+def _break_schema_type(doc):
+    doc["schema"] = True
+
+
+def _break_dc_type(doc):
+    doc["snapshots"][0]["clusters"][0]["dc"] = "x"
+
+
+def _break_last_labels(doc):
+    # two clusters of the last snapshot share an id, dcs left as written
+    last = doc["snapshots"][-1]["clusters"]
+    last[1]["dc"] = last[0]["dc"]
+
+
+def _break_last_injectivity(doc):
+    # as above, with the dcs registry moved along
+    t = len(doc["snapshots"]) - 1
+    last = doc["snapshots"][t]["clusters"]
+    old, new = last[1]["dc"], last[0]["dc"]
+    last[1]["dc"] = new
+    registry = {entry["id"]: entry["clusters"] for entry in doc["dcs"]}
+    registry[old].remove([t, 1])
+    registry[new].append([t, 1])
+
+
+def _break_registry(doc):
+    doc["dcs"][0]["clusters"].pop()
+
+
+def _break_snapshot_count(doc):
+    doc["snapshot_count"] += 1
+
+
+def _break_members(doc):
+    doc["snapshots"][0]["clusters"][0]["members"] = "ab"
+
+
+@pytest.mark.parametrize("command", ["events", "render"])
+@pytest.mark.parametrize(
+    "breaker, message",
+    [
+        (_break_history, "history must be an integer"),
+        (_break_schema_type, "unsupported schema version True"),
+        (_break_dc_type, "dc must be an integer"),
+        (_break_last_labels, "dcs registry does not match"),
+        (_break_last_injectivity, "share one dc id"),
+        (_break_registry, "dcs registry does not match"),
+        (_break_snapshot_count, "snapshot_count is 4"),
+        (_break_members, "members must be an array"),
+    ],
+)
+def test_inconsistent_result_document_exits_2(
+    result_doc, capsys, command, breaker, message
+):
+    assert main([command, "--result", str(result_doc)]) == 0
+    capsys.readouterr()
+    doc = json.loads(result_doc.read_text())
+    breaker(doc)
+    result_doc.write_text(json.dumps(doc))
+    assert main([command, "--result", str(result_doc)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert err.count("\n") == 1
+
+
+def test_earlier_snapshot_may_repeat_a_dc(result_doc, tmp_path):
+    # a splinter absorbed into its group leaves one DC on two clusters of
+    # an earlier snapshot; that is a valid document
+    seq = tmp_path / "seq.json"
+    seq.write_text(json.dumps(FIG_SPLINTER))
+    assert main(["track", "--input", str(seq), "--history", "3",
+                 "--output", str(result_doc)]) == 0
+    doc = json.loads(result_doc.read_text())
+    dcs = [c["dc"] for c in doc["snapshots"][2]["clusters"]]
+    assert len(set(dcs)) < len(dcs)
+    assert main(["events", "--result", str(result_doc)]) == 0

@@ -10,8 +10,16 @@ from dynatrack.kernel import IndexedSnapshot
 from dynatrack.relations import index_sequence
 from dynatrack import sequence_from_lists
 
-compiled = pytest.importorskip(
-    "dynatrack._paircounts", reason="compiled kernel not built"
+try:
+    from dynatrack import _paircounts as compiled
+except ImportError:
+    compiled = None
+
+needs_compiled = pytest.mark.skipif(
+    compiled is None, reason="compiled kernel not built"
+)
+BACKENDS = [_paircounts_py.pair_counts] + (
+    [compiled.pair_counts] if compiled is not None else []
 )
 
 
@@ -59,6 +67,14 @@ def run_backend(fn, seq):
     return out
 
 
+def test_python_backend_matches_brute_force():
+    for seed in range(50):
+        rng = random.Random(seed)
+        seq = random_instance(rng)
+        assert run_backend(_paircounts_py.pair_counts, seq) == brute_counts(seq)
+
+
+@needs_compiled
 def test_backends_agree_and_match_brute_force():
     for seed in range(50):
         rng = random.Random(seed)
@@ -70,13 +86,14 @@ def test_backends_agree_and_match_brute_force():
 
 def test_empty_snapshot_pairs():
     seq = sequence_from_lists([[], [["a", "b"]], []])
-    assert run_backend(_paircounts_py.pair_counts, seq) == [[], []]
-    assert run_backend(compiled.pair_counts, seq) == [[], []]
+    for fn in BACKENDS:
+        assert run_backend(fn, seq) == [[], []]
 
 
 def test_disjoint_snapshots_have_no_counts():
     seq = sequence_from_lists([[["a"], ["b"]], [["x"], ["y"]]])
-    assert run_backend(compiled.pair_counts, seq) == [[]]
+    for fn in BACKENDS:
+        assert run_backend(fn, seq) == [[]]
 
 
 def test_kernel_facade_reports_backend():

@@ -1,13 +1,20 @@
 """Core tracking: paths, matches, source sets, flows, and whole runs."""
 
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from dynatrack import (
     ClusterRef,
+    PlannedEvent,
+    PlantedDc,
     RelationCache,
+    ScenarioSpec,
     find_source_set,
+    generate,
     identity_flow,
     is_bijective_match,
     mapping_path,
@@ -18,7 +25,8 @@ from dynatrack import (
     tracing_path,
     track,
 )
-from dynatrack.errors import SequencingError
+from dynatrack import tracking
+from dynatrack.errors import SequencingError, TrackingInvariantError
 from helpers import canonical, inject_one_shot_members, random_sequence, same_partition
 
 
@@ -294,6 +302,30 @@ class TestProcessSnapshot:
         with pytest.raises(ValueError):
             process_snapshot(state, seq, rels, 1, order=[0, 0])
 
+    def test_frontier_injectivity_checked_under_optimisation(self, tmp_path):
+        # Every new cluster is forced into DC 0, so the frontier check must
+        # fire; -O strips assert statements, not this check.
+        script = tmp_path / "broken.py"
+        script.write_text(
+            "from dynatrack import sequence_from_lists, track\n"
+            "from dynatrack.errors import TrackingInvariantError\n"
+            "from dynatrack.tracking import TrackingState\n"
+            "TrackingState._new_dc = lambda self, ref: self._assign(ref, 0) or 0\n"
+            "seq = sequence_from_lists([[['1']], [['8'], ['9']]])\n"
+            "try:\n"
+            "    track(seq, 1)\n"
+            "except TrackingInvariantError as exc:\n"
+            "    print('raised:', exc)\n"
+        )
+        src = Path(tracking.__file__).resolve().parent.parent
+        proc = subprocess.run(
+            [sys.executable, "-O", str(script)],
+            capture_output=True, text=True, timeout=60,
+            env={"PYTHONPATH": str(src)},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("raised: frontier labels not injective")
+
 
 class TestTrack:
     def test_single_snapshot(self):
@@ -385,3 +417,91 @@ class TestTrack:
         seq = sequence_from_lists([[["1"]]])
         with pytest.raises(ValueError):
             track(seq, -1)
+
+    def test_shared_relations_give_the_same_result(self):
+        for seed in range(30):
+            rng = random.Random(4000 + seed)
+            seq = random_sequence(rng, max_t=7)
+            rels = RelationCache(seq)
+            for x in range(len(seq)):
+                shared = track(seq, x, relations=rels)
+                fresh = track(seq, x)
+                assert shared.labels == fresh.labels
+                assert shared.dcs == fresh.dcs
+
+    def test_relations_of_another_sequence_rejected(self):
+        seq = sequence_from_lists([[["1"]], [["1"]]])
+        twin = sequence_from_lists([[["1"]], [["1"]]])
+        with pytest.raises(ValueError, match="different sequence"):
+            track(seq, 1, relations=RelationCache(twin))
+
+
+def reference_search_source(state, rels, ref):
+    """The literal O(x^2) source search: every depth walks forward from
+    scratch. The tracker's memoised search must return the same."""
+    layers = [frozenset((ref,))]
+    full_matches = []
+    for k in range(1, min(ref.time, state.history) + 1):
+        candidate = tracking._trace_of(rels, layers[k - 1])
+        if not candidate:
+            break
+        admitted = False
+        path = candidate
+        forward = []
+        for j in range(1, k + 1):
+            path = tracking._map_of(rels, path)
+            if not path:
+                break
+            forward.append(path)
+            if path <= layers[k - j]:
+                admitted = True
+        if not admitted:
+            break
+        layers.append(candidate)
+        if len(forward) == k and forward[-1] == layers[0]:
+            full_matches.append((k, forward))
+    for k, forward in reversed(full_matches):
+        source = layers[k]
+        dcs = {state.labels[r] for r in source}
+        if len(dcs) == 1:
+            return k, layers, forward
+    return 0, layers, None
+
+
+def search_instances():
+    for seed in range(60):
+        rng = random.Random(7000 + seed)
+        yield random_sequence(rng, max_t=9, max_members=16, max_clusters=4)
+    for seed in range(6):
+        spec = ScenarioSpec(
+            snapshots=12,
+            dcs=(PlantedDc(12, 0, 11), PlantedDc(9, 0, 8), PlantedDc(6, 3, 11)),
+            events=(
+                PlannedEvent("splinter", 0, start=2, duration=3, fraction=1 / 3),
+                PlannedEvent("transition", 1, start=4, duration=2, fraction=0.5),
+                PlannedEvent("split", 2, start=6, fraction=0.5),
+                PlannedEvent("merge", 1, start=8, into=0),
+            ),
+            turnover=0.1 * (seed % 3),
+            seed=seed,
+        )
+        yield generate(spec)[0]
+
+
+def test_memoised_search_equals_reference(monkeypatch):
+    memoised = tracking._search_source
+    depths = []
+
+    def checked(state, rels, ref):
+        got = memoised(state, rels, ref)
+        assert got == reference_search_source(state, rels, ref), ref
+        depths.append(len(got[1]) - 1)
+        return got
+
+    monkeypatch.setattr(tracking, "_search_source", checked)
+    for seq in search_instances():
+        rels = RelationCache(seq)
+        for x in range(len(seq) + 1):
+            track(seq, x, relations=rels)
+    # the instances reach deep tracing flows, where the memo is used
+    assert max(depths) >= 8
