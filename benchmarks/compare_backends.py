@@ -1,32 +1,20 @@
-#!/usr/bin/env python3
-"""Compare the compiled and pure-Python overlap kernels.
+"""Seeded churn sequences for timing experiments.
 
-Times the raw kernel on consecutive-snapshot pairs and a full tracking
-run under each backend, checks that both produce identical output, and
-prints a small table. Run from the repository root:
-
-    python benchmarks/compare_backends.py [--members N] [--snapshots T]
+`synthetic_sequence(T, N, G, seed)` starts N members round-robin in G
+clusters; at every step each member moves to a uniformly drawn cluster
+with probability 0.02. The benchmark in ``perfbench/`` builds its
+churn-wide input the same way and checks that both agree.
 """
 
 from __future__ import annotations
 
-import argparse
 import random
 import sys
-import time
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from dynatrack import sequence_from_lists, track  # noqa: E402
-from dynatrack import kernel  # noqa: E402
-from dynatrack import _paircounts_py  # noqa: E402
-from dynatrack.relations import index_sequence  # noqa: E402
-
-try:
-    from dynatrack import _paircounts as compiled
-except ImportError:
-    compiled = None
+from dynatrack import sequence_from_lists  # noqa: E402
 
 
 def synthetic_sequence(t_total, n_members, n_clusters, seed=0):
@@ -42,88 +30,3 @@ def synthetic_sequence(t_total, n_members, n_clusters, seed=0):
             clusters[c].append(f"m{m}")
         data.append([c for c in clusters if c])
     return sequence_from_lists(data)
-
-
-def run_kernel(idx, backend):
-    out = []
-    for a, b in zip(idx, idx[1:]):
-        if backend == "python":
-            out.append(
-                _paircounts_py.pair_counts(
-                    a.ids, a.clusters, b.ids, b.clusters, a.n_clusters, b.n_clusters
-                )
-            )
-        else:
-            ai, ac = a.buffers()
-            bi, bc = b.buffers()
-            out.append(
-                [
-                    tuple(t)
-                    for t in compiled.pair_counts(
-                        ai, ac, bi, bc, a.n_clusters, b.n_clusters
-                    )
-                ]
-            )
-    return out
-
-
-def timed(fn, repeats=3):
-    best = float("inf")
-    result = None
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        result = fn()
-        best = min(best, time.perf_counter() - t0)
-    return best, result
-
-
-def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--members", type=int, default=50_000)
-    parser.add_argument("--snapshots", type=int, default=50)
-    parser.add_argument("--clusters", type=int, default=100)
-    parser.add_argument("--history", type=int, default=3)
-    args = parser.parse_args()
-
-    if compiled is None:
-        print("compiled kernel not available; showing pure-Python numbers only")
-
-    print(
-        f"instance: T={args.snapshots} N={args.members} G={args.clusters} "
-        f"x={args.history}"
-    )
-    seq = synthetic_sequence(args.snapshots, args.members, args.clusters)
-    idx = index_sequence(seq)
-
-    t_py, out_py = timed(lambda: run_kernel(idx, "python"))
-    print(f"kernel  python : {t_py * 1e3:9.1f} ms")
-    if compiled is not None:
-        t_cy, out_cy = timed(lambda: run_kernel(idx, "cython"))
-        print(f"kernel  cython : {t_cy * 1e3:9.1f} ms   ({t_py / t_cy:5.1f}x)")
-        if out_cy != out_py:
-            print("ERROR: backends disagree on kernel output")
-            return 1
-
-    old = kernel._compiled
-    try:
-        kernel._compiled = None
-        t_track_py, res_py = timed(lambda: track(seq, args.history), repeats=2)
-        print(f"track   python : {t_track_py * 1e3:9.1f} ms")
-        if compiled is not None:
-            kernel._compiled = compiled
-            t_track_cy, res_cy = timed(lambda: track(seq, args.history), repeats=2)
-            print(
-                f"track   cython : {t_track_cy * 1e3:9.1f} ms   "
-                f"({t_track_py / t_track_cy:5.1f}x)"
-            )
-            if res_py.labels != res_cy.labels:
-                print("ERROR: backends disagree on tracking output")
-                return 1
-    finally:
-        kernel._compiled = old
-    print("backends agree on all outputs")
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -10,9 +10,12 @@ consistency, and renders alluvial diagrams.
 
 __version__ = "0.1.0"
 
+# The overlap kernel is plain Python; the name is kept for the scripts
+# and reports that record it.
+BACKEND = "python"
+
 from .alluvial import AlluvialLayout, build_layout, layout_to_svg
 from .generator import PlannedEvent, PlantedDc, ScenarioSpec, generate
-from .kernel import BACKEND
 from .metrics import (
     DcSeries,
     DynamicClustering,
@@ -20,6 +23,7 @@ from .metrics import (
     SummaryStats,
     autocorrelation,
     classify_events,
+    clustering_from_labels,
     summary_stats,
     total_consistency,
 )
@@ -35,7 +39,7 @@ from .model import (
     subsequence,
 )
 from .oracle import brute_force_track
-from .relations import MajorityRelations, RelationCache, fim, lift_to_set
+from .relations import MajorityRelations, RelationCache, lift
 from .resultdoc import build_document, canonical_labels, load_document
 from .tracking import (
     IdentityFlowResult,
@@ -67,6 +71,7 @@ __all__ = [
     "SummaryStats",
     "autocorrelation",
     "classify_events",
+    "clustering_from_labels",
     "summary_stats",
     "total_consistency",
     "ClusteringSequence",
@@ -81,8 +86,7 @@ __all__ = [
     "brute_force_track",
     "MajorityRelations",
     "RelationCache",
-    "fim",
-    "lift_to_set",
+    "lift",
     "build_document",
     "canonical_labels",
     "load_document",

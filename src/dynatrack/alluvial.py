@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 
 from .model import ClusterRef, ClusteringSequence
-from .relations import RelationCache
+from .relations import index_sequence, pair_counts
 
 __all__ = ["Block", "Flow", "AlluvialLayout", "build_layout", "layout_to_svg"]
 
@@ -87,13 +87,12 @@ def build_layout(
         columns.append(tuple(col))
         tops.append(col_tops)
 
-    rels = RelationCache(seq)
+    indexed = index_sequence(seq)
     flows: list[Flow] = []
     for i in range(len(seq) - 1):
-        pair = rels.pair(i)
         out_used = [0.0] * len(seq.snapshots[i])
         in_used = [0.0] * len(seq.snapshots[i + 1])
-        for (a, b), magnitude in sorted(pair.counts.items()):
+        for a, b, magnitude in pair_counts(indexed[i], indexed[i + 1]):
             src_y = tops[i][a] + out_used[a]
             dst_y = tops[i + 1][b] + in_used[b]
             out_used[a] += magnitude

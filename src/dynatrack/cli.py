@@ -24,16 +24,16 @@ from .errors import (
     SequenceValidationError,
 )
 from .generator import ScenarioSpec, generate
-from .metrics import classify_events, summary_stats, total_consistency
+from .metrics import (
+    classify_events,
+    clustering_from_labels,
+    summary_stats,
+    total_consistency,
+)
 from .model import ClusteringSequence, parse_sequence, sequence_to_json_bytes
 from .oracle import brute_force_track
 from .relations import RelationCache
-from .resultdoc import (
-    build_document,
-    clustering_from_labels,
-    document_to_bytes,
-    load_document,
-)
+from .resultdoc import build_document, document_to_bytes, load_document
 from .tracking import track
 
 SWEEP_HEADER = (
@@ -93,11 +93,19 @@ def cmd_sweep(args) -> int:
     rels = RelationCache(seq)
     rows = []
     records = []
+    # The search depth of a target at snapshot t is min(t, x) <= T - 1, so
+    # every x >= T - 1 gives the labels, and the numbers, of x = T - 1.
+    scores: dict[int, tuple] = {}
     for x in range(args.history_min, args.history_max + 1):
-        result = track(seq, x, relations=rels)
-        stats = summary_stats(result)
-        cons_all = total_consistency(result, "all_members")
-        cons_res = total_consistency(result, "residents_only")
+        depth = min(x, len(seq) - 1)
+        if depth not in scores:
+            result = track(seq, x, relations=rels)
+            scores[depth] = (
+                summary_stats(result),
+                total_consistency(result, "all_members"),
+                total_consistency(result, "residents_only"),
+            )
+        stats, cons_all, cons_res = scores[depth]
         rows.append(
             f"{x},{stats.dc_count},"
             f"{stats.mean_lifespan if stats.mean_lifespan is not None else ''},"

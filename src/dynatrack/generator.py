@@ -28,6 +28,18 @@ __all__ = ["PlantedDc", "PlannedEvent", "ScenarioSpec", "generate"]
 EVENT_KINDS = ("splinter", "transition", "split", "merge")
 
 
+def _int(value, what: str) -> int:
+    if type(value) is not int:
+        raise GenerationError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _number(value, what: str) -> float:
+    if type(value) not in (int, float):
+        raise GenerationError(f"{what} must be a number, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class PlantedDc:
     """A planted group: initial size and inclusive lifespan interval."""
@@ -113,26 +125,30 @@ class ScenarioSpec:
     def from_json_dict(cls, doc: dict) -> "ScenarioSpec":
         try:
             dcs = tuple(
-                PlantedDc(size=d["size"], start=d["start"], end=d["end"])
+                PlantedDc(
+                    size=_int(d["size"], "size"),
+                    start=_int(d["start"], "start"),
+                    end=_int(d["end"], "end"),
+                )
                 for d in doc["dcs"]
             )
             events = tuple(
                 PlannedEvent(
                     kind=e["kind"],
-                    dc=e["dc"],
-                    start=e["start"],
-                    duration=e.get("duration", 1),
-                    fraction=e.get("fraction", 0.5),
-                    into=e.get("into"),
+                    dc=_int(e["dc"], "dc"),
+                    start=_int(e["start"], "start"),
+                    duration=_int(e.get("duration", 1), "duration"),
+                    fraction=_number(e.get("fraction", 0.5), "fraction"),
+                    into=None if e.get("into") is None else _int(e["into"], "into"),
                 )
                 for e in doc.get("events", [])
             )
             spec = cls(
-                snapshots=doc["snapshots"],
+                snapshots=_int(doc["snapshots"], "snapshots"),
                 dcs=dcs,
                 events=events,
-                turnover=doc.get("turnover", 0.0),
-                seed=doc.get("seed", 0),
+                turnover=_number(doc.get("turnover", 0.0), "turnover"),
+                seed=_int(doc.get("seed", 0), "seed"),
             )
         except (KeyError, TypeError) as exc:
             raise GenerationError(f"bad scenario document: {exc}") from exc
@@ -145,6 +161,8 @@ class ScenarioSpec:
             doc = json.loads(text)
         except json.JSONDecodeError as exc:
             raise GenerationError(f"scenario is not valid JSON: {exc.msg}") from exc
+        except RecursionError:
+            raise GenerationError("scenario is nested too deeply") from None
         return cls.from_json_dict(doc)
 
     def to_json_dict(self) -> dict:

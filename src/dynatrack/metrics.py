@@ -17,6 +17,7 @@ from .model import ClusterRef, ClusteringSequence
 __all__ = [
     "DcSeries",
     "DynamicClustering",
+    "clustering_from_labels",
     "LifecycleEvent",
     "classify_events",
     "autocorrelation",
@@ -59,6 +60,39 @@ class DynamicClustering:
             if m:
                 out.update(m)
         return frozenset(out)
+
+
+def clustering_from_labels(
+    seq: ClusteringSequence, labels: dict[ClusterRef, int], x: int
+) -> DynamicClustering:
+    """Full result from a bare cluster-to-id association.
+
+    DCs are keyed in ascending id order, which is the order that sums
+    over them (such as `total_consistency`) run in.
+    """
+    times: dict[int, dict[int, list[int]]] = {}
+    for ref, dc in labels.items():
+        times.setdefault(dc, {}).setdefault(ref.time, []).append(ref.cluster)
+    dcs: dict[int, DcSeries] = {}
+    for dc_id in sorted(times):
+        by_time = times[dc_id]
+        presence = tuple(sorted(by_time))
+        members_by_time = {}
+        for t in presence:
+            clusters = seq.snapshots[t].clusters
+            alphas = by_time[t]
+            # Sharing a lone cluster's member set saves a copy per DC and time.
+            members_by_time[t] = (
+                clusters[alphas[0]]
+                if len(alphas) == 1
+                else frozenset().union(*(clusters[a] for a in alphas))
+            )
+        dcs[dc_id] = DcSeries(
+            presence=presence,
+            clusters_by_time={t: tuple(sorted(by_time[t])) for t in presence},
+            members_by_time=members_by_time,
+        )
+    return DynamicClustering(labels=dict(labels), dcs=dcs, x_used=x)
 
 
 @dataclass(frozen=True)

@@ -129,6 +129,8 @@ def _parse_json(text: str) -> ClusteringSequence:
         raise ParseError(
             f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except RecursionError:
+        raise ParseError("JSON input is nested too deeply") from None
     if not isinstance(doc, dict) or "snapshots" not in doc:
         raise ParseError('top-level JSON object must contain a "snapshots" array')
     raw_snaps = doc["snapshots"]

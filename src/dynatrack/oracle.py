@@ -16,7 +16,7 @@ minimal. A violation raises OracleInvariantError.
 from __future__ import annotations
 
 from .errors import OracleInvariantError, OracleSizeError
-from .metrics import DcSeries, DynamicClustering
+from .metrics import DynamicClustering, clustering_from_labels
 from .model import ClusterRef, ClusteringSequence
 
 __all__ = ["brute_force_track", "MAX_SNAPSHOTS", "MAX_TOTAL_CLUSTERS"]
@@ -188,32 +188,19 @@ def brute_force_track(
                 assign(r, dc)
             event_groups.append(group)
 
-    registry: dict[int, dict[int, set[int]]] = {}
-    for ref, dc in labels.items():
-        registry.setdefault(dc, {}).setdefault(ref.time, set()).add(ref.cluster)
-
+    result = clustering_from_labels(seq, labels, x)
     if check_minimality:
-        _audit_minimality(registry, event_groups, labels)
-
-    dcs: dict[int, DcSeries] = {}
-    for dc_id, times in registry.items():
-        presence = tuple(sorted(times))
-        dcs[dc_id] = DcSeries(
-            presence=presence,
-            clusters_by_time={t: tuple(sorted(times[t])) for t in presence},
-            members_by_time={
-                t: frozenset().union(*(members[t][a] for a in times[t]))
-                for t in presence
-            },
-        )
-    return DynamicClustering(labels=dict(labels), dcs=dcs, x_used=x)
+        _audit_minimality(result.dcs, event_groups)
+    return result
 
 
-def _audit_minimality(registry, event_groups, labels) -> None:
+def _audit_minimality(dcs, event_groups) -> None:
     """Each DC must stay connected through the events that built it."""
-    for dc_id, times in registry.items():
+    for dc_id, series in dcs.items():
         refs = {
-            ClusterRef(t, a) for t, alphas in times.items() for a in alphas
+            ClusterRef(t, a)
+            for t, alphas in series.clusters_by_time.items()
+            for a in alphas
         }
         if len(refs) <= 1:
             continue

@@ -17,49 +17,55 @@ unaffected by members that appear in a single snapshot.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable
+from typing import Collection, Sequence
 
-from .kernel import IndexedSnapshot, pair_counts
 from .model import ClusterRef, ClusteringSequence
 
 __all__ = [
-    "fim",
     "MajorityRelations",
     "RelationCache",
-    "lift_to_set",
     "index_sequence",
+    "lift",
+    "pair_counts",
 ]
 
 
-def fim(
-    a: Iterable[str],
-    b: Iterable[str],
-    residents: Iterable[str],
-    kind: str = "symmetric",
-) -> float | None:
-    """Fraction of identical members between two clusters.
+def index_sequence(seq: ClusteringSequence) -> list[dict[int, int]]:
+    """Per snapshot, the cluster index of every member, keyed by member code.
 
-    kind selects the denominator: "symmetric" divides the intersection by
-    the union, "forward" by `a`, "backward" by `b`; each denominator is
-    first restricted to `residents`. Pass the full member universe as
-    `residents` for the unrestricted variants. Returns None when the
-    denominator is empty (callers treat that as "no relation").
+    Member IDs are interned to integer codes once for the whole sequence.
     """
-    a = frozenset(a)
-    b = frozenset(b)
-    res = frozenset(residents)
-    shared = len(a & b)
-    if kind == "symmetric":
-        denom = len((a | b) & res)
-    elif kind == "forward":
-        denom = len(a & res)
-    elif kind == "backward":
-        denom = len(b & res)
-    else:
-        raise ValueError(f"unknown fim kind {kind!r}")
-    if denom == 0:
-        return None
-    return shared / denom
+    intern: dict[str, int] = {}
+    out = []
+    for snap in seq.snapshots:
+        where: dict[int, int] = {}
+        for alpha, members in enumerate(snap.clusters):
+            for m in members:
+                code = intern.get(m)
+                if code is None:
+                    code = intern[m] = len(intern)
+                where[code] = alpha
+        out.append(where)
+    return out
+
+
+def pair_counts(
+    a: dict[int, int], b: dict[int, int]
+) -> list[tuple[int, int, int]]:
+    """Shared-member counts between the clusters of two indexed snapshots.
+
+    Returns (cluster_a, cluster_b, count) triples sorted lexicographically,
+    non-zero counts only. Members present in one snapshot only never
+    produce a triple, which is what makes the relations turnover-robust.
+    """
+    counts: dict[tuple[int, int], int] = {}
+    where = b.get
+    for m, ca in a.items():
+        cb = where(m)
+        if cb is not None:
+            key = (ca, cb)
+            counts[key] = counts.get(key, 0) + 1
+    return sorted((ca, cb, n) for (ca, cb), n in counts.items())
 
 
 def _argmax_sets(
@@ -81,10 +87,9 @@ class MajorityRelations:
 
     Cluster indices are local to their snapshot; `counts` holds the raw
     shared-member counts for every overlapping pair. The *_refs tables
-    carry the same relations as ready-made ClusterRef sets so multi-step
-    walks need no per-query set construction. The inverse relations
-    (tracer, mapper) are derived on first use; only multi-step matches
-    ever need them.
+    carry the same relations as ready-made ClusterRef sets, indexed by
+    cluster, for `lift`. The inverse relations (tracer, mapper) are
+    derived on first use; only multi-step matches ever need them.
     """
 
     __slots__ = (
@@ -158,33 +163,6 @@ class MajorityRelations:
         return self._mapper_refs
 
 
-def index_sequence(seq: ClusteringSequence) -> list[IndexedSnapshot]:
-    """Columnar integer view of a sequence for the overlap kernel.
-
-    Member IDs are interned to integers once for the whole sequence.
-    """
-    intern: dict[str, int] = {}
-    out = []
-    for snap in seq.snapshots:
-        pairs: list[tuple[int, int]] = []
-        for alpha, members in enumerate(snap.clusters):
-            for m in members:
-                code = intern.get(m)
-                if code is None:
-                    code = len(intern)
-                    intern[m] = code
-                pairs.append((code, alpha))
-        pairs.sort()
-        out.append(
-            IndexedSnapshot(
-                n_clusters=len(snap.clusters),
-                ids=[p[0] for p in pairs],
-                clusters=[p[1] for p in pairs],
-            )
-        )
-    return out
-
-
 class RelationCache:
     """Lazily built per-pair majority relations for a whole sequence.
 
@@ -200,67 +178,32 @@ class RelationCache:
 
     def pair(self, i: int) -> MajorityRelations:
         """Relations between snapshot i and snapshot i+1."""
-        rel = self._pairs[i] if 0 <= i < self.t_total - 1 else None
+        if not (0 <= i < self.t_total - 1):
+            raise IndexError(f"pair index out of range (T={self.t_total}, got {i})")
+        rel = self._pairs[i]
         if rel is None:
-            if not (0 <= i < self.t_total - 1):
-                raise IndexError(
-                    f"pair index out of range (T={self.t_total}, got {i})"
-                )
-            a = self._indexed[i]
-            b = self._indexed[i + 1]
-            rel = MajorityRelations(
-                pair_counts(a, b), i, a.n_clusters, b.n_clusters
+            rel = self._pairs[i] = MajorityRelations(
+                pair_counts(self._indexed[i], self._indexed[i + 1]),
+                i,
+                len(self.seq.snapshots[i]),
+                len(self.seq.snapshots[i + 1]),
             )
-            self._pairs[i] = rel
         return rel
 
-    def _check(self, ref: ClusterRef) -> None:
-        if not (0 <= ref.time < len(self.seq)):
-            raise IndexError(f"snapshot index out of range: {ref}")
-        if not (0 <= ref.cluster < len(self.seq.snapshots[ref.time])):
-            raise IndexError(f"cluster index out of range: {ref}")
 
-    def mapping_set(self, ref: ClusterRef) -> frozenset[ClusterRef]:
-        """Majority clusters one step forward; empty if none share members."""
-        self._check(ref)
-        if ref.time + 1 >= self.t_total:
-            raise IndexError(f"no snapshot after {ref.time}")
-        return self.pair(ref.time).mapping_refs[ref.cluster]
-
-    def tracing_set(self, ref: ClusterRef) -> frozenset[ClusterRef]:
-        """Majority clusters one step backward; empty if none share members."""
-        self._check(ref)
-        if ref.time == 0:
-            raise IndexError("no snapshot before 0")
-        return self.pair(ref.time - 1).tracing_refs[ref.cluster]
-
-    def tracer_set(self, ref: ClusterRef) -> frozenset[ClusterRef]:
-        """Clusters one step forward whose tracing set is exactly {ref}."""
-        self._check(ref)
-        if ref.time + 1 >= self.t_total:
-            raise IndexError(f"no snapshot after {ref.time}")
-        return self.pair(ref.time).tracer_refs[ref.cluster]
-
-    def mapper_set(self, ref: ClusterRef) -> frozenset[ClusterRef]:
-        """Clusters one step backward whose mapping set is exactly {ref}."""
-        self._check(ref)
-        if ref.time == 0:
-            raise IndexError("no snapshot before 0")
-        return self.pair(ref.time - 1).mapper_refs[ref.cluster]
-
-    def count(self, a: ClusterRef, b: ClusterRef) -> int:
-        """Shared-member count between a cluster and one at the next snapshot."""
-        if b.time != a.time + 1:
-            raise ValueError("count is defined for consecutive snapshots only")
-        return self.pair(a.time).counts.get((a.cluster, b.cluster), 0)
-
-
-def lift_to_set(
-    relation: Callable[[ClusterRef], frozenset[ClusterRef]],
-    refs: Iterable[ClusterRef],
+def lift(
+    table: Sequence[frozenset[ClusterRef]], refs: Collection[ClusterRef]
 ) -> frozenset[ClusterRef]:
-    """Apply a per-cluster relation to a set of clusters: union of images."""
+    """Union of `table[r.cluster]` over `refs`.
+
+    `table` is one relation of one snapshot pair, such as
+    `rels.pair(t).mapping_refs` for a step forward from snapshot t, and
+    every ref must sit at the snapshot the table is indexed by.
+    """
+    if len(refs) == 1:
+        for r in refs:
+            return table[r.cluster]
     out: set[ClusterRef] = set()
-    for ref in refs:
-        out.update(relation(ref))
+    for r in refs:
+        out.update(table[r.cluster])
     return frozenset(out)

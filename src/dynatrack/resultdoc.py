@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 
 from .errors import SchemaError
-from .metrics import DcSeries, DynamicClustering
+from .metrics import DynamicClustering, clustering_from_labels
 from .model import ClusterRef, ClusteringSequence, sequence_from_lists
 
 __all__ = [
@@ -40,30 +40,6 @@ def canonical_labels(
             mapping[dc] = len(mapping)
         out[ref] = mapping[dc]
     return out
-
-
-def clustering_from_labels(
-    seq: ClusteringSequence, labels: dict[ClusterRef, int], x: int
-) -> DynamicClustering:
-    """Rebuild a full result from a bare cluster-to-id association."""
-    times: dict[int, dict[int, set[int]]] = {}
-    for ref, dc in labels.items():
-        times.setdefault(dc, {}).setdefault(ref.time, set()).add(ref.cluster)
-    dcs = {}
-    for dc_id, by_time in times.items():
-        presence = tuple(sorted(by_time))
-        members_by_time = {}
-        for t in presence:
-            members: set[str] = set()
-            for alpha in by_time[t]:
-                members.update(seq.snapshots[t].clusters[alpha])
-            members_by_time[t] = frozenset(members)
-        dcs[dc_id] = DcSeries(
-            presence=presence,
-            clusters_by_time={t: tuple(sorted(by_time[t])) for t in presence},
-            members_by_time=members_by_time,
-        )
-    return DynamicClustering(labels=dict(labels), dcs=dcs, x_used=x)
 
 
 def build_document(
@@ -128,6 +104,8 @@ def load_document(
         doc = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"result document is not valid JSON: {exc.msg}") from exc
+    except RecursionError:
+        raise SchemaError("result document is nested too deeply") from None
     if not isinstance(doc, dict):
         raise SchemaError("result document must be a JSON object")
     schema = doc.get("schema")

@@ -28,9 +28,9 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .errors import SequencingError, TrackingInvariantError
-from .metrics import DcSeries, DynamicClustering
+from .metrics import DynamicClustering, clustering_from_labels
 from .model import ClusterRef, ClusteringSequence
-from .relations import RelationCache
+from .relations import RelationCache, lift
 
 __all__ = [
     "tracing_path",
@@ -55,8 +55,8 @@ def tracing_path(
     if n < 0 or n > ref.time:
         raise IndexError(f"depth {n} out of range for cluster at time {ref.time}")
     layer = frozenset((ref,))
-    for _ in range(n):
-        layer = _trace_of(rels, layer)
+    for k in range(1, n + 1):
+        layer = lift(rels.pair(ref.time - k).tracing_refs, layer)
         if not layer:
             return layer
     return layer
@@ -65,7 +65,10 @@ def tracing_path(
 def mapping_path(
     rels: RelationCache, refs: Iterable[ClusterRef], n: int
 ) -> frozenset[ClusterRef]:
-    """n-fold set-lifted mapping set of a cluster set; the set itself for n=0."""
+    """n-fold set-lifted mapping set of a cluster set; the set itself for n=0.
+
+    The clusters must all sit at one snapshot.
+    """
     layer = frozenset(refs)
     if n < 0:
         raise IndexError(f"negative depth {n}")
@@ -76,73 +79,11 @@ def mapping_path(
         raise IndexError(
             f"depth {n} out of range for clusters at time {t} (T={len(rels.seq)})"
         )
-    for _ in range(n):
-        layer = _map_of(rels, layer)
+    for k in range(n):
+        layer = lift(rels.pair(t + k).mapping_refs, layer)
         if not layer:
             return layer
     return layer
-
-
-# The lifted one-step walks below assume a homogeneous layer (all refs at
-# one time point), which every caller guarantees; fetching the pair table
-# once per layer keeps multi-step walks cheap.
-
-
-def _pair(rels, i):
-    rel = rels._pairs[i] if 0 <= i < rels.t_total - 1 else None
-    return rel if rel is not None else rels.pair(i)
-
-
-def _trace_of(rels, refs: frozenset[ClusterRef]) -> frozenset[ClusterRef]:
-    if not refs:
-        return refs
-    first = next(iter(refs))
-    table = _pair(rels, first.time - 1).tracing_refs
-    if len(refs) == 1:
-        return table[first.cluster]
-    out: set[ClusterRef] = set()
-    for r in refs:
-        out.update(table[r.cluster])
-    return frozenset(out)
-
-
-def _map_of(rels, refs: frozenset[ClusterRef]) -> frozenset[ClusterRef]:
-    if not refs:
-        return refs
-    first = next(iter(refs))
-    table = _pair(rels, first.time).mapping_refs
-    if len(refs) == 1:
-        return table[first.cluster]
-    out: set[ClusterRef] = set()
-    for r in refs:
-        out.update(table[r.cluster])
-    return frozenset(out)
-
-
-def _tracer_of(rels, refs: frozenset[ClusterRef]) -> frozenset[ClusterRef]:
-    if not refs:
-        return refs
-    first = next(iter(refs))
-    table = _pair(rels, first.time).tracer_refs
-    if len(refs) == 1:
-        return table[first.cluster]
-    out: set[ClusterRef] = set()
-    for r in refs:
-        out.update(table[r.cluster])
-    return frozenset(out)
-
-
-def _mapper_of(rels, refs: frozenset[ClusterRef]) -> frozenset[ClusterRef]:
-    if not refs:
-        return refs
-    first = next(iter(refs))
-    table = _pair(rels, first.time - 1).mapper_refs
-    if len(refs) == 1:
-        return table[first.cluster]
-    out: set[ClusterRef] = set()
-    for r in refs:
-        out.update(table[r.cluster])
-    return frozenset(out)
 
 
 def is_bijective_match(rels: RelationCache, ref: ClusterRef, n: int) -> bool:
@@ -226,19 +167,20 @@ def _search_source(
     Returns (depth, tracing-flow layers, forward mapping path of the
     chosen source); depth 0 means the target founds a new DC.
     """
+    t = ref.time
     layers: list[frozenset[ClusterRef]] = [frozenset((ref,))]
     # walks[m] is the forward mapping walk from the admitted layers[m].
     walks: list[list[frozenset[ClusterRef]]] = [[]]
     full_matches: list[int] = []
-    for k in range(1, min(ref.time, state.history) + 1):
-        candidate = _trace_of(rels, layers[k - 1])
+    for k in range(1, min(t, state.history) + 1):
+        candidate = lift(rels.pair(t - k).tracing_refs, layers[k - 1])
         if not candidate:
             break
         admitted = False
         path = candidate
         forward: list[frozenset[ClusterRef]] = []
         for j in range(1, k + 1):
-            path = _map_of(rels, path)
+            path = lift(rels.pair(t - k + j - 1).mapping_refs, path)
             if not path:
                 break
             forward.append(path)
@@ -313,6 +255,7 @@ def identity_flow(
     The two private arguments let the snapshot pass hand over walk layers
     it already computed; results are identical either way.
     """
+    t = ref.time
     flow: list[set[ClusterRef]] = [set() for _ in range(n_star + 1)]
     if _tf_layers is not None:
         for o in range(n_star + 1):
@@ -321,7 +264,7 @@ def identity_flow(
         layer = frozenset((ref,))
         flow[0].update(layer)
         for o in range(1, n_star + 1):
-            layer = _trace_of(rels, layer)
+            layer = lift(rels.pair(t - o).tracing_refs, layer)
             flow[o].update(layer)
     flow[n_star].update(source_set)
     if _mf_path is not None:
@@ -330,22 +273,22 @@ def identity_flow(
     else:
         layer = source_set
         for j in range(1, n_star + 1):
-            layer = _map_of(rels, layer)
+            layer = lift(rels.pair(t - n_star + j - 1).mapping_refs, layer)
             flow[n_star - j].update(layer)
 
     marginals: set[ClusterRef] = set()
     if n_star >= 2:
         mapper_layers: list[frozenset[ClusterRef]] = []
         layer = frozenset((ref,))
-        for _ in range(n_star - 1):
-            layer = _mapper_of(rels, layer)
+        for o in range(1, n_star):
+            layer = lift(rels.pair(t - o).mapper_refs, layer)
             mapper_layers.append(layer)
             if not layer:
                 break
         tracer_by_offset: dict[int, frozenset[ClusterRef]] = {}
         layer = source_set
         for s in range(1, n_star):
-            layer = _tracer_of(rels, layer)
+            layer = lift(rels.pair(t - n_star + s - 1).tracer_refs, layer)
             if not layer:
                 break
             tracer_by_offset[n_star - s] = layer
@@ -447,21 +390,4 @@ def track(
 
 def finalize(state: TrackingState, seq: ClusteringSequence) -> DynamicClustering:
     """Freeze a tracking state into an immutable result."""
-    dcs: dict[int, DcSeries] = {}
-    for dc_id, times in state.registry.items():
-        presence = tuple(sorted(times))
-        clusters_by_time = {t: tuple(sorted(times[t])) for t in presence}
-        members_by_time = {}
-        for t in presence:
-            members: set[str] = set()
-            for alpha in times[t]:
-                members.update(seq.snapshots[t].clusters[alpha])
-            members_by_time[t] = frozenset(members)
-        dcs[dc_id] = DcSeries(
-            presence=presence,
-            clusters_by_time=clusters_by_time,
-            members_by_time=members_by_time,
-        )
-    return DynamicClustering(
-        labels=dict(state.labels), dcs=dcs, x_used=state.history
-    )
+    return clustering_from_labels(seq, state.labels, state.history)

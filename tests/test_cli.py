@@ -197,6 +197,50 @@ def test_generate_bad_spec_exits_2(tmp_path, capsys):
     assert main(["generate", "--spec", str(spec)]) == 2
 
 
+def test_generate_spec_number_types_exit_2(tmp_path, capsys):
+    spec = tmp_path / "scenario.json"
+    for bad, message in [
+        ({"dcs": [{"size": 1e9, "start": 0, "end": 5}]}, "size must be an integer"),
+        ({"snapshots": True}, "snapshots must be an integer"),
+        ({"seed": "7"}, "seed must be an integer"),
+        ({"turnover": "0.1"}, "turnover must be a number"),
+        ({"events": [SCENARIO["events"][0] | {"fraction": False}]},
+         "fraction must be a number"),
+        ({"events": [SCENARIO["events"][0] | {"duration": 2.0}]},
+         "duration must be an integer"),
+    ]:
+        spec.write_text(json.dumps(SCENARIO | bad))
+        assert main(["generate", "--spec", str(spec)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert err.count("\n") == 1
+
+
+DEEP = "[" * 100_000 + "]" * 100_000
+
+
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        (["track", "--history", "1", "--input"], '{"snapshots":' + DEEP + "}"),
+        (["oracle", "--history", "1", "--input"], '{"snapshots":' + DEEP + "}"),
+        (["sweep", "--history-min", "0", "--history-max", "1", "--input"],
+         '{"snapshots":' + DEEP + "}"),
+        (["events", "--result"], DEEP),
+        (["render", "--result"], DEEP),
+        (["generate", "--spec"], DEEP),
+    ],
+    ids=["track", "oracle", "sweep", "events", "render", "generate"],
+)
+def test_deeply_nested_json_exits_2(tmp_path, capsys, argv, text):
+    path = tmp_path / "deep.json"
+    path.write_text(text)
+    assert main(argv + [str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "nested too deeply" in err
+    assert err.count("\n") == 1
+
+
 def test_sweep_csv_and_flags(tmp_path, capsys):
     seq = tmp_path / "seq.json"
     seq.write_text(
@@ -250,13 +294,21 @@ def test_version_flag(capsys):
     assert "dynatrack" in capsys.readouterr().out
 
 
-def test_sweep_equals_per_x_track_with_fresh_relations(tmp_path, monkeypatch):
-    spec = tmp_path / "scenario.json"
-    spec.write_text(json.dumps(SCENARIO | {"turnover": 0.2}))
+@pytest.mark.parametrize(
+    "snapshots, x_max, tracks",
+    [(None, 6, 6), ([{"clusters": [["a", "b"], ["c"]]}], 3, 1)],
+    ids=["generated", "one-snapshot"],
+)
+def test_sweep_equals_per_x_track_with_fresh_relations(
+    tmp_path, monkeypatch, snapshots, x_max, tracks
+):
     seq = tmp_path / "seq.json"
-    assert main(["generate", "--spec", str(spec), "--output", str(seq)]) == 0
-    argv = ["sweep", "--input", str(seq), "--history-min", "0",
-            "--history-max", "6"]
+    if snapshots is None:
+        spec = tmp_path / "scenario.json"
+        spec.write_text(json.dumps(SCENARIO | {"turnover": 0.2}))
+        assert main(["generate", "--spec", str(spec), "--output", str(seq)]) == 0
+    else:
+        seq.write_text(json.dumps({"snapshots": snapshots}))
 
     builds = []
     index_sequence = relations.index_sequence
@@ -265,21 +317,43 @@ def test_sweep_equals_per_x_track_with_fresh_relations(tmp_path, monkeypatch):
         builds.append(seq)
         return index_sequence(seq)
 
+    xs = []
+
+    def counted_track(seq, x, **kwargs):
+        xs.append(x)
+        return tracking.track(seq, x, **kwargs)
+
     monkeypatch.setattr(relations, "index_sequence", counted)
-    shared = [tmp_path / "shared.csv", tmp_path / "shared.json"]
-    assert main(argv + ["--output", str(shared[0]), "--json", str(shared[1])]) == 0
+    monkeypatch.setattr(cli, "track", counted_track)
+
+    def sweep(x_min, x_max, name):
+        paths = [tmp_path / f"{name}.csv", tmp_path / f"{name}.json"]
+        assert main(
+            ["sweep", "--input", str(seq), "--history-min", str(x_min),
+             "--history-max", str(x_max),
+             "--output", str(paths[0]), "--json", str(paths[1])]
+        ) == 0
+        return [path.read_text() for path in paths]
+
+    shared_csv, shared_json = sweep(0, x_max, "shared")
+    # one relation build; one track per x below T, none at x >= T, whose
+    # labels are those of x = T - 1
     assert len(builds) == 1
+    assert xs == list(range(tracks))
 
-    def fresh_track(seq, x, **_kwargs):
-        return tracking.track(seq, x)
-
-    monkeypatch.setattr(cli, "track", fresh_track)
-    fresh = [tmp_path / "fresh.csv", tmp_path / "fresh.json"]
-    assert main(argv + ["--output", str(fresh[0]), "--json", str(fresh[1])]) == 0
-    # the second sweep builds its own unused cache, then one per x
-    assert len(builds) == 1 + 1 + 7
-    for a, b in zip(shared, fresh):
-        assert a.read_bytes() == b.read_bytes()
+    # Reference: one sweep per x, each with fresh relations and its own
+    # track at that x.
+    rows, records = [], []
+    head, tail = '{"schema":1,"sweep":[', "]}\n"
+    for x in range(x_max + 1):
+        csv_text, json_text = sweep(x, x, f"x{x}")
+        rows.append(csv_text.splitlines()[1])
+        assert json_text.startswith(head) and json_text.endswith(tail)
+        records.append(json_text[len(head):-len(tail)])
+    assert len(builds) == 1 + x_max + 1
+    assert xs[tracks:] == list(range(x_max + 1))
+    assert shared_csv == SWEEP_HEADER + "\n" + "\n".join(rows) + "\n"
+    assert shared_json == head + ",".join(records) + tail
 
 
 @pytest.fixture

@@ -1,26 +1,9 @@
-"""Backend equivalence and correctness of the overlap kernel."""
+"""Correctness of the overlap kernel against literal set intersections."""
 
 import random
 
-import pytest
-
-from dynatrack import kernel
-from dynatrack import _paircounts_py
-from dynatrack.kernel import IndexedSnapshot
-from dynatrack.relations import index_sequence
 from dynatrack import sequence_from_lists
-
-try:
-    from dynatrack import _paircounts as compiled
-except ImportError:
-    compiled = None
-
-needs_compiled = pytest.mark.skipif(
-    compiled is None, reason="compiled kernel not built"
-)
-BACKENDS = [_paircounts_py.pair_counts] + (
-    [compiled.pair_counts] if compiled is not None else []
-)
+from dynatrack.relations import index_sequence, pair_counts
 
 
 def brute_counts(seq):
@@ -51,61 +34,22 @@ def random_instance(rng):
     return sequence_from_lists(data)
 
 
-def run_backend(fn, seq):
+def kernel_counts(seq):
     idx = index_sequence(seq)
-    out = []
-    for i in range(len(seq) - 1):
-        a, b = idx[i], idx[i + 1]
-        if fn is _paircounts_py.pair_counts:
-            out.append(fn(a.ids, a.clusters, b.ids, b.clusters, a.n_clusters, b.n_clusters))
-        else:
-            ai, ac = a.buffers()
-            bi, bc = b.buffers()
-            out.append(
-                [tuple(t) for t in fn(ai, ac, bi, bc, a.n_clusters, b.n_clusters)]
-            )
-    return out
+    return [pair_counts(a, b) for a, b in zip(idx, idx[1:])]
 
 
-def test_python_backend_matches_brute_force():
+def test_pair_counts_match_brute_force():
     for seed in range(50):
-        rng = random.Random(seed)
-        seq = random_instance(rng)
-        assert run_backend(_paircounts_py.pair_counts, seq) == brute_counts(seq)
-
-
-@needs_compiled
-def test_backends_agree_and_match_brute_force():
-    for seed in range(50):
-        rng = random.Random(seed)
-        seq = random_instance(rng)
-        expected = brute_counts(seq)
-        assert run_backend(_paircounts_py.pair_counts, seq) == expected
-        assert run_backend(compiled.pair_counts, seq) == expected
+        seq = random_instance(random.Random(seed))
+        assert kernel_counts(seq) == brute_counts(seq)
 
 
 def test_empty_snapshot_pairs():
     seq = sequence_from_lists([[], [["a", "b"]], []])
-    for fn in BACKENDS:
-        assert run_backend(fn, seq) == [[], []]
+    assert kernel_counts(seq) == [[], []]
 
 
 def test_disjoint_snapshots_have_no_counts():
     seq = sequence_from_lists([[["a"], ["b"]], [["x"], ["y"]]])
-    for fn in BACKENDS:
-        assert run_backend(fn, seq) == [[]]
-
-
-def test_kernel_facade_reports_backend():
-    assert kernel.BACKEND in ("cython", "python")
-    a = IndexedSnapshot(n_clusters=1, ids=[0, 1], clusters=[0, 0])
-    b = IndexedSnapshot(n_clusters=2, ids=[1, 2], clusters=[0, 1])
-    assert kernel.pair_counts(a, b) == [(0, 0, 1)]
-
-
-def test_oversized_cluster_grids_take_sparse_path(monkeypatch):
-    # grids above the dense-cell limit must not allocate the dense matrix
-    monkeypatch.setattr(kernel, "DENSE_CELL_LIMIT", 1)
-    a = IndexedSnapshot(n_clusters=2, ids=[0, 1], clusters=[0, 1])
-    b = IndexedSnapshot(n_clusters=2, ids=[0, 1], clusters=[1, 0])
-    assert kernel.pair_counts(a, b) == [(0, 1, 1), (1, 0, 1)]
+    assert kernel_counts(seq) == [[]]

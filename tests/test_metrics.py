@@ -8,6 +8,7 @@ import pytest
 from dynatrack import (
     autocorrelation,
     classify_events,
+    clustering_from_labels,
     sequence_from_lists,
     summary_stats,
     total_consistency,
@@ -30,6 +31,39 @@ def single_dc(member_sets, start=0):
     )
     labels = {ClusterRef(t, 0): 0 for t in presence}
     return DynamicClustering(labels=labels, dcs={0: series}, x_used=1)
+
+
+def test_clustering_from_labels_groups_members_by_dc_in_id_order():
+    # A splinter absorbed at x=3 leaves one DC on two clusters of t2.
+    seq = sequence_from_lists(
+        [
+            [["1", "2", "3"], ["4", "5", "6"]],
+            [["1", "2", "3", "4", "5", "6"]],
+            [["1", "2", "3", "4"], ["5", "6"]],
+            [["1", "2", "3", "4", "5", "6"]],
+        ]
+    )
+    shuffled = list(track(seq, 3).labels.items())
+    random.Random(0).shuffle(shuffled)
+    labels = dict(shuffled)
+    result = clustering_from_labels(seq, labels, 3)
+    assert list(result.dcs) == sorted(set(labels.values()))
+    assert result.labels == labels and result.x_used == 3
+    assert any(
+        len(alphas) > 1
+        for series in result.dcs.values()
+        for alphas in series.clusters_by_time.values()
+    )
+    for dc_id, series in result.dcs.items():
+        refs = sorted(ref for ref, dc in labels.items() if dc == dc_id)
+        assert series.presence == tuple(sorted({r.time for r in refs}))
+        for t in series.presence:
+            alphas = tuple(r.cluster for r in refs if r.time == t)
+            assert series.clusters_by_time[t] == alphas
+            members = set()
+            for a in alphas:
+                members |= seq.snapshots[t].clusters[a]
+            assert series.members_by_time[t] == members
 
 
 class TestAutocorrelation:

@@ -1,51 +1,15 @@
-"""fim similarities and the four majority-relation sets."""
+"""The four majority-relation sets and their lift to cluster sets."""
 
 import random
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
-from dynatrack import (
-    ClusterRef,
-    RelationCache,
-    fim,
-    lift_to_set,
-    residents,
-    sequence_from_lists,
-)
+from dynatrack import ClusterRef, RelationCache, lift, sequence_from_lists
 from helpers import random_sequence
 
 
 def refs(time, *clusters):
     return frozenset(ClusterRef(time, c) for c in clusters)
-
-
-class TestFim:
-    def test_mixed_overlap(self):
-        a, b = {"1", "2", "3"}, {"2", "3", "4"}
-        res = {"1", "2", "3", "4"}
-        assert fim(a, b, res, "symmetric") == 0.5
-        assert fim(a, b, res, "forward") == pytest.approx(2 / 3)
-        assert fim(a, b, res, "backward") == pytest.approx(2 / 3)
-
-    def test_identical_resident_clusters(self):
-        a = {"1", "2"}
-        for kind in ("symmetric", "forward", "backward"):
-            assert fim(a, a, a, kind) == 1.0
-
-    def test_disjoint(self):
-        res = {"1", "2", "3"}
-        for kind in ("symmetric", "forward", "backward"):
-            assert fim({"1", "2"}, {"3"}, res, kind) == 0.0
-
-    def test_empty_denominator_is_none(self):
-        # no member of `a` is resident
-        assert fim({"1"}, {"2"}, {"2"}, "forward") is None
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            fim({"1"}, {"1"}, {"1"}, "sideways")
 
 
 class TestMajoritySets:
@@ -55,71 +19,71 @@ class TestMajoritySets:
             [[["1", "2", "3"]], [["1", "2", "4"], ["3", "5"]]]
         )
         rels = RelationCache(seq)
-        assert rels.mapping_set(ClusterRef(0, 0)) == refs(1, 0)
+        assert rels.pair(0).mapping_refs[0] == refs(1, 0)
 
     def test_mapping_tie_yields_both(self):
         seq = sequence_from_lists([[["1", "2"]], [["1"], ["2"]]])
         rels = RelationCache(seq)
-        assert rels.mapping_set(ClusterRef(0, 0)) == refs(1, 0, 1)
+        assert rels.pair(0).mapping_refs[0] == refs(1, 0, 1)
 
     def test_mapping_no_residents_empty(self):
         seq = sequence_from_lists([[["1", "2"]], [["3", "4"]]])
         rels = RelationCache(seq)
-        assert rels.mapping_set(ClusterRef(0, 0)) == frozenset()
+        assert rels.pair(0).mapping_refs[0] == frozenset()
 
     def test_tracing_mirrors_mapping(self):
         seq = sequence_from_lists(
             [[["1", "2", "4"], ["3", "5"]], [["1", "2", "3"]]]
         )
         rels = RelationCache(seq)
-        assert rels.tracing_set(ClusterRef(1, 0)) == refs(0, 0)
+        assert rels.pair(0).tracing_refs[0] == refs(0, 0)
 
     def test_tracing_new_members_empty(self):
         seq = sequence_from_lists([[["1"]], [["9", "8"]]])
         rels = RelationCache(seq)
-        assert rels.tracing_set(ClusterRef(1, 0)) == frozenset()
+        assert rels.pair(0).tracing_refs[0] == frozenset()
 
     def test_tracing_tie(self):
         seq = sequence_from_lists([[["1"], ["2"]], [["1", "2"]]])
         rels = RelationCache(seq)
-        assert rels.tracing_set(ClusterRef(1, 0)) == refs(0, 0, 1)
+        assert rels.pair(0).tracing_refs[0] == refs(0, 0, 1)
 
     def test_tracer_collects_unique_tracers(self):
         # A={1,2,3} at t0; C={1,2}, D={3} both trace uniquely to A
         seq = sequence_from_lists([[["1", "2", "3"]], [["1", "2"], ["3"]]])
         rels = RelationCache(seq)
-        assert rels.tracer_set(ClusterRef(0, 0)) == refs(1, 0, 1)
+        assert rels.pair(0).tracer_refs[0] == refs(1, 0, 1)
 
     def test_tied_tracing_disqualifies_tracer(self):
         # h={1,2} traces to both A={1} and B={2}: not in tracer set of A
         seq = sequence_from_lists([[["1"], ["2"]], [["1", "2"]]])
         rels = RelationCache(seq)
-        assert rels.tracer_set(ClusterRef(0, 0)) == frozenset()
-        assert rels.tracer_set(ClusterRef(0, 1)) == frozenset()
+        assert rels.pair(0).tracer_refs[0] == frozenset()
+        assert rels.pair(0).tracer_refs[1] == frozenset()
 
     def test_tracer_empty_when_nothing_traces(self):
         seq = sequence_from_lists([[["1"]], [["2"]]])
         rels = RelationCache(seq)
-        assert rels.tracer_set(ClusterRef(0, 0)) == frozenset()
+        assert rels.pair(0).tracer_refs[0] == frozenset()
 
     def test_mapper_duals(self):
         # time-reversed tracer cases
         seq = sequence_from_lists([[["1", "2"], ["3"]], [["1", "2", "3"]]])
         rels = RelationCache(seq)
-        assert rels.mapper_set(ClusterRef(1, 0)) == refs(0, 0, 1)
+        assert rels.pair(0).mapper_refs[0] == refs(0, 0, 1)
         tie = sequence_from_lists([[["1", "2"]], [["1"], ["2"]]])
         rels2 = RelationCache(tie)
-        assert rels2.mapper_set(ClusterRef(1, 0)) == frozenset()
+        assert rels2.pair(0).mapper_refs[0] == frozenset()
 
     def test_range_errors(self):
         seq = sequence_from_lists([[["1"]], [["1"]]])
         rels = RelationCache(seq)
         with pytest.raises(IndexError):
-            rels.mapping_set(ClusterRef(1, 0))
+            rels.pair(1).mapping_refs[0]
         with pytest.raises(IndexError):
-            rels.tracing_set(ClusterRef(0, 0))
+            rels.pair(-1).tracing_refs[0]
         with pytest.raises(IndexError):
-            rels.mapping_set(ClusterRef(0, 5))
+            rels.pair(0).mapping_refs[5]
 
 
 class TestLift:
@@ -127,7 +91,8 @@ class TestLift:
         seq = sequence_from_lists([[["1", "2", "3"]], [["1", "2", "4"], ["3", "5"]]])
         rels = RelationCache(seq)
         a = ClusterRef(0, 0)
-        assert lift_to_set(rels.mapping_set, [a]) == rels.mapping_set(a)
+        table = rels.pair(0).mapping_refs
+        assert lift(table, [a]) == table[a.cluster]
 
     def test_union_of_images(self):
         # ms(A)={C}, ms(B)={C,D} -> lift({A,B}) = {C,D}
@@ -135,13 +100,19 @@ class TestLift:
             [[["1", "2"], ["3", "4"]], [["1", "2", "3"], ["4"]]]
         )
         rels = RelationCache(seq)
-        lifted = lift_to_set(rels.mapping_set, refs(0, 0, 1))
+        lifted = lift(rels.pair(0).mapping_refs, refs(0, 0, 1))
         assert lifted == refs(1, 0, 1)
+
+    def test_backward_step_reads_the_earlier_pair(self):
+        # ts(C)={A,B} at t0, lifted over {C} at t1 through pair 0
+        seq = sequence_from_lists([[["1"], ["2"]], [["1", "2"]]])
+        rels = RelationCache(seq)
+        assert lift(rels.pair(0).tracing_refs, refs(1, 0)) == refs(0, 0, 1)
 
     def test_empty_set(self):
         seq = sequence_from_lists([[["1"]], [["1"]]])
         rels = RelationCache(seq)
-        assert lift_to_set(rels.mapping_set, frozenset()) == frozenset()
+        assert lift(rels.pair(0).mapping_refs, frozenset()) == frozenset()
 
 
 def relation_tables(seq):
@@ -168,30 +139,15 @@ def test_relations_invariant_under_one_shot_members():
         assert relation_tables(seq) == relation_tables(injected)
 
 
-@given(st.integers(0, 10_000))
-def test_fim_bounds_and_forward_sum(seed):
-    rng = random.Random(seed)
-    seq = random_sequence(rng, max_t=3)
-    for i in range(len(seq) - 1):
-        res = residents(seq, i, i + 1)
-        for a_members in seq.snapshots[i].clusters:
-            total = 0.0
-            for b_members in seq.snapshots[i + 1].clusters:
-                v = fim(a_members, b_members, res, "forward")
-                if v is not None:
-                    assert 0.0 <= v <= 1.0
-                    total += v
-            assert total <= 1.0 + 1e-12
-
-
 def test_tracer_iff_singleton_tracing():
     for seed in range(20):
         seq = random_sequence(random.Random(seed))
         rels = RelationCache(seq)
         for i in range(len(seq) - 1):
             for a in range(len(seq.snapshots[i])):
-                tr = rels.tracer_set(ClusterRef(i, a))
+                pair = rels.pair(i)
+                tr = pair.tracer_refs[a]
                 for b in range(len(seq.snapshots[i + 1])):
                     g = ClusterRef(i + 1, b)
-                    expected = rels.tracing_set(g) == frozenset((ClusterRef(i, a),))
+                    expected = pair.tracing_refs[b] == frozenset((ClusterRef(i, a),))
                     assert (g in tr) == expected

@@ -17,6 +17,7 @@ from dynatrack import (
     generate,
     identity_flow,
     is_bijective_match,
+    lift,
     mapping_path,
     new_state,
     process_snapshot,
@@ -429,6 +430,15 @@ class TestTrack:
                 assert shared.labels == fresh.labels
                 assert shared.dcs == fresh.dcs
 
+    def test_history_beyond_the_last_snapshot_changes_nothing(self):
+        # the search depth of a target at time t is min(t, x) <= T - 1
+        for seed in range(20):
+            seq = random_sequence(random.Random(5000 + seed))
+            rels = RelationCache(seq)
+            last = track(seq, len(seq) - 1, relations=rels)
+            for x in range(len(seq), len(seq) + 3):
+                assert track(seq, x, relations=rels).labels == last.labels
+
     def test_relations_of_another_sequence_rejected(self):
         seq = sequence_from_lists([[["1"]], [["1"]]])
         twin = sequence_from_lists([[["1"]], [["1"]]])
@@ -439,17 +449,18 @@ class TestTrack:
 def reference_search_source(state, rels, ref):
     """The literal O(x^2) source search: every depth walks forward from
     scratch. The tracker's memoised search must return the same."""
+    t = ref.time
     layers = [frozenset((ref,))]
     full_matches = []
-    for k in range(1, min(ref.time, state.history) + 1):
-        candidate = tracking._trace_of(rels, layers[k - 1])
+    for k in range(1, min(t, state.history) + 1):
+        candidate = lift(rels.pair(t - k).tracing_refs, layers[k - 1])
         if not candidate:
             break
         admitted = False
         path = candidate
         forward = []
         for j in range(1, k + 1):
-            path = tracking._map_of(rels, path)
+            path = lift(rels.pair(t - k + j - 1).mapping_refs, path)
             if not path:
                 break
             forward.append(path)
