@@ -68,99 +68,109 @@ def pair_counts(
     return sorted((ca, cb, n) for (ca, cb), n in counts.items())
 
 
-def _argmax_sets(
-    by_source: dict[int, list[tuple[int, int]]], n_source: int
-) -> tuple[frozenset[int], ...]:
-    out = []
-    for s in range(n_source):
-        pairs = by_source.get(s)
-        if not pairs:
-            out.append(frozenset())
-            continue
-        best = max(n for _, n in pairs)
-        out.append(frozenset(t for t, n in pairs if n == best))
-    return tuple(out)
-
-
 class MajorityRelations:
     """All majority relations between snapshot i and snapshot i+1.
 
-    Cluster indices are local to their snapshot; `counts` holds the raw
-    shared-member counts for every overlapping pair. The *_refs tables
-    carry the same relations as ready-made ClusterRef sets, indexed by
-    cluster, for `lift`. The inverse relations (tracer, mapper) are
-    derived on first use; only multi-step matches ever need them.
+    Cluster indices are local to their snapshot; `triples` holds the raw
+    shared-member counts for every overlapping pair, as `pair_counts`
+    returns them, and `counts` gives them as a dict. The relations are
+    kept as ready-made ClusterRef sets indexed by cluster (the *_refs
+    tables), for `lift`; every one-cluster set among them is that
+    cluster's unit set from the cache, shared rather than copied.
+    `mapping` and friends give the same relations as sets of cluster
+    indices. The inverse relations (tracer, mapper) are derived on first
+    use; only multi-step matches ever need them.
     """
 
     __slots__ = (
-        "time_a", "n_a", "n_b", "counts", "mapping", "tracing",
-        "mapping_refs", "tracing_refs",
-        "_tracer", "_mapper", "_tracer_refs", "_mapper_refs",
+        "units_a", "units_b", "triples", "mapping_refs", "tracing_refs",
+        "_tracer_refs", "_mapper_refs",
     )
 
-    def __init__(self, triples, time_a, n_a, n_b):
-        by_a: dict[int, list[tuple[int, int]]] = {}
-        by_b: dict[int, list[tuple[int, int]]] = {}
-        counts: dict[tuple[int, int], int] = {}
+    def __init__(self, triples, units_a, units_b):
+        # units_a and units_b hold the unit set {ClusterRef} of every
+        # cluster of the two snapshots, by cluster index. One pass over the
+        # sorted triples keeps, per cluster on each side, the partners at
+        # the running maximum count in triple order. Every count is
+        # positive, so a cluster's first triple always replaces its empty
+        # placeholder.
+        best_a = [0] * len(units_a)
+        best_b = [0] * len(units_b)
+        mapping: list = [()] * len(units_a)
+        tracing: list = [()] * len(units_b)
         for ca, cb, n in triples:
-            counts[(ca, cb)] = n
-            by_a.setdefault(ca, []).append((cb, n))
-            by_b.setdefault(cb, []).append((ca, n))
-        self.time_a = time_a
-        self.n_a = n_a
-        self.n_b = n_b
-        self.counts = counts
-        self.mapping = _argmax_sets(by_a, n_a)
-        self.tracing = _argmax_sets(by_b, n_b)
-        t_b = time_a + 1
-        self.mapping_refs = tuple(
-            frozenset(ClusterRef(t_b, b) for b in s) for s in self.mapping
-        )
-        self.tracing_refs = tuple(
-            frozenset(ClusterRef(time_a, a) for a in s) for s in self.tracing
-        )
-        self._tracer = None
-        self._mapper = None
+            if n > best_a[ca]:
+                best_a[ca] = n
+                mapping[ca] = [units_b[cb]]
+            elif n == best_a[ca]:
+                mapping[ca].append(units_b[cb])
+            if n > best_b[cb]:
+                best_b[cb] = n
+                tracing[cb] = [units_a[ca]]
+            elif n == best_b[cb]:
+                tracing[cb].append(units_a[ca])
+        self.units_a = units_a
+        self.units_b = units_b
+        self.triples = triples
+        self.mapping_refs = tuple(map(_union, mapping))
+        self.tracing_refs = tuple(map(_union, tracing))
         self._tracer_refs = None
         self._mapper_refs = None
 
     @property
+    def counts(self) -> dict[tuple[int, int], int]:
+        return {(ca, cb): n for ca, cb, n in self.triples}
+
+    @property
+    def mapping(self) -> tuple[frozenset[int], ...]:
+        return _clusters(self.mapping_refs)
+
+    @property
+    def tracing(self) -> tuple[frozenset[int], ...]:
+        return _clusters(self.tracing_refs)
+
+    @property
     def tracer(self) -> tuple[frozenset[int], ...]:
-        if self._tracer is None:
-            lists: list[list[int]] = [[] for _ in range(self.n_a)]
-            for b, sources in enumerate(self.tracing):
-                if len(sources) == 1:
-                    lists[next(iter(sources))].append(b)
-            self._tracer = tuple(frozenset(l) for l in lists)
-        return self._tracer
+        return _clusters(self.tracer_refs)
 
     @property
     def mapper(self) -> tuple[frozenset[int], ...]:
-        if self._mapper is None:
-            lists: list[list[int]] = [[] for _ in range(self.n_b)]
-            for a, targets in enumerate(self.mapping):
-                if len(targets) == 1:
-                    lists[next(iter(targets))].append(a)
-            self._mapper = tuple(frozenset(l) for l in lists)
-        return self._mapper
+        return _clusters(self.mapper_refs)
 
     @property
     def tracer_refs(self) -> tuple[frozenset[ClusterRef], ...]:
         if self._tracer_refs is None:
-            t_b = self.time_a + 1
-            self._tracer_refs = tuple(
-                frozenset(ClusterRef(t_b, b) for b in s) for s in self.tracer
+            self._tracer_refs = _inverse(
+                self.tracing_refs, self.units_b, len(self.units_a)
             )
         return self._tracer_refs
 
     @property
     def mapper_refs(self) -> tuple[frozenset[ClusterRef], ...]:
         if self._mapper_refs is None:
-            self._mapper_refs = tuple(
-                frozenset(ClusterRef(self.time_a, a) for a in s)
-                for s in self.mapper
+            self._mapper_refs = _inverse(
+                self.mapping_refs, self.units_a, len(self.units_b)
             )
         return self._mapper_refs
+
+
+def _inverse(table, units, n):
+    """Per cluster of the other side (n of them), the clusters `units[c]`
+    whose set `table[c]` is exactly that cluster."""
+    lists: list[list[frozenset[ClusterRef]]] = [[] for _ in range(n)]
+    for c, sets in enumerate(table):
+        if len(sets) == 1:
+            lists[next(iter(sets)).cluster].append(units[c])
+    return tuple(map(_union, lists))
+
+
+def _union(units):
+    """One set of the clusters in `units`, sharing a lone unit set."""
+    return units[0] if len(units) == 1 else frozenset().union(*units)
+
+
+def _clusters(table):
+    return tuple(frozenset(r.cluster for r in refs) for refs in table)
 
 
 class RelationCache:
@@ -174,6 +184,16 @@ class RelationCache:
         self.seq = seq
         self.t_total = len(seq)
         self._indexed = index_sequence(seq)
+        # One shared ClusterRef and unit set {ClusterRef} per cluster, by
+        # snapshot and cluster index; every one-cluster relation set is
+        # one of these unit sets.
+        self.refs = [
+            tuple(ClusterRef(t, a) for a in range(len(snap)))
+            for t, snap in enumerate(seq.snapshots)
+        ]
+        self.units = [
+            tuple(frozenset((r,)) for r in refs) for refs in self.refs
+        ]
         self._pairs: list[MajorityRelations | None] = [None] * (len(seq) - 1)
 
     def pair(self, i: int) -> MajorityRelations:
@@ -184,9 +204,8 @@ class RelationCache:
         if rel is None:
             rel = self._pairs[i] = MajorityRelations(
                 pair_counts(self._indexed[i], self._indexed[i + 1]),
-                i,
-                len(self.seq.snapshots[i]),
-                len(self.seq.snapshots[i + 1]),
+                self.units[i],
+                self.units[i + 1],
             )
         return rel
 

@@ -168,19 +168,20 @@ def _search_source(
     chosen source); depth 0 means the target founds a new DC.
     """
     t = ref.time
-    layers: list[frozenset[ClusterRef]] = [frozenset((ref,))]
+    pair = rels.pair
+    layers: list[frozenset[ClusterRef]] = [rels.units[t][ref.cluster]]
     # walks[m] is the forward mapping walk from the admitted layers[m].
     walks: list[list[frozenset[ClusterRef]]] = [[]]
     full_matches: list[int] = []
     for k in range(1, min(t, state.history) + 1):
-        candidate = lift(rels.pair(t - k).tracing_refs, layers[k - 1])
+        candidate = lift(pair(t - k).tracing_refs, layers[k - 1])
         if not candidate:
             break
         admitted = False
         path = candidate
         forward: list[frozenset[ClusterRef]] = []
         for j in range(1, k + 1):
-            path = lift(rels.pair(t - k + j - 1).mapping_refs, path)
+            path = lift(pair(t - k + j - 1).mapping_refs, path)
             if not path:
                 break
             forward.append(path)
@@ -198,10 +199,9 @@ def _search_source(
         walks.append(forward)
         if len(forward) == k and forward[-1] == layers[0]:
             full_matches.append(k)
+    dc_of = state.labels.__getitem__
     for k in reversed(full_matches):
-        source = layers[k]
-        dcs = {state.labels[r] for r in source}
-        if len(dcs) == 1:
+        if len(set(map(dc_of, layers[k]))) == 1:
             return k, layers, walks[k]
     return 0, layers, None
 
@@ -325,8 +325,10 @@ def process_snapshot(
         order = range(m)
     elif sorted(order) != list(range(m)):
         raise ValueError(f"order must be a permutation of range({m})")
+    refs = rels.refs[i]
+    labels = state.labels
     for alpha in order:
-        ref = ClusterRef(i, alpha)
+        ref = refs[alpha]
         n_star, layers, forward = _search_source(state, rels, ref)
         source = layers[n_star]
         if n_star == 0:
@@ -336,7 +338,12 @@ def process_snapshot(
                     TraceEvent(ref, 0, dc, source, (source,), frozenset())
                 )
             continue
-        dc = state.labels[next(iter(source))]
+        dc = labels[next(iter(source))]
+        if n_star == 1 and state.trace is None:
+            # A one-step flow is the target plus its source, which already
+            # carries dc, and it encloses no marginals.
+            state._assign(ref, dc)
+            continue
         result = identity_flow(
             rels, ref, n_star, source,
             _tf_layers=layers[: n_star + 1], _mf_path=forward,
@@ -351,7 +358,7 @@ def process_snapshot(
                 TraceEvent(ref, n_star, dc, source, result.flow, result.marginals)
             )
     state.frontier = i
-    frontier_dcs = [state.labels[ClusterRef(i, a)] for a in range(m)]
+    frontier_dcs = [labels[ref] for ref in refs]
     if len(set(frontier_dcs)) != m:
         raise TrackingInvariantError(
             f"frontier labels not injective at snapshot {i}: {frontier_dcs}"

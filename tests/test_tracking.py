@@ -439,6 +439,24 @@ class TestTrack:
             for x in range(len(seq), len(seq) + 3):
                 assert track(seq, x, relations=rels).labels == last.labels
 
+    def test_untraced_one_step_matches_label_like_traced_runs(self):
+        # Untraced runs label a one-step match without assembling its
+        # identity flow; traced runs assemble every flow.
+        one_step = 0
+        for seed in range(40):
+            seq = random_sequence(random.Random(6000 + seed))
+            rels = RelationCache(seq)
+            for x in range(1, 4):
+                plain = new_state(seq, x)
+                traced = new_state(seq, x, trace=True)
+                for i in range(1, len(seq)):
+                    process_snapshot(plain, seq, rels, i)
+                    process_snapshot(traced, seq, rels, i)
+                    assert plain.labels == traced.labels
+                    assert plain.registry == traced.registry
+                one_step += sum(ev.n_star == 1 for ev in traced.trace)
+        assert one_step > 0
+
     def test_relations_of_another_sequence_rejected(self):
         seq = sequence_from_lists([[["1"]], [["1"]]])
         twin = sequence_from_lists([[["1"]], [["1"]]])
