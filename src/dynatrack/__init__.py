@@ -39,7 +39,7 @@ from .model import (
     subsequence,
 )
 from .oracle import brute_force_track
-from .relations import MajorityRelations, RelationCache, lift
+from .relations import MajorityRelations, RelationCache
 from .resultdoc import build_document, canonical_labels, load_document
 from .tracking import (
     IdentityFlowResult,
@@ -86,7 +86,6 @@ __all__ = [
     "brute_force_track",
     "MajorityRelations",
     "RelationCache",
-    "lift",
     "build_document",
     "canonical_labels",
     "load_document",

@@ -25,7 +25,6 @@ __all__ = [
     "MajorityRelations",
     "RelationCache",
     "index_sequence",
-    "lift",
     "pair_counts",
 ]
 
@@ -76,10 +75,9 @@ class MajorityRelations:
     returns them, and `counts` gives them as a dict. The relations are
     kept as ready-made ClusterRef sets indexed by cluster (the *_refs
     tables), for `lift`; every one-cluster set among them is that
-    cluster's unit set from the cache, shared rather than copied.
-    `mapping` and friends give the same relations as sets of cluster
-    indices. The inverse relations (tracer, mapper) are derived on first
-    use; only multi-step matches ever need them.
+    cluster's unit set from the cache, shared rather than copied. The
+    inverse relations (tracer, mapper) are derived on first use; only
+    multi-step matches ever need them.
     """
 
     __slots__ = (
@@ -122,22 +120,6 @@ class MajorityRelations:
         return {(ca, cb): n for ca, cb, n in self.triples}
 
     @property
-    def mapping(self) -> tuple[frozenset[int], ...]:
-        return _clusters(self.mapping_refs)
-
-    @property
-    def tracing(self) -> tuple[frozenset[int], ...]:
-        return _clusters(self.tracing_refs)
-
-    @property
-    def tracer(self) -> tuple[frozenset[int], ...]:
-        return _clusters(self.tracer_refs)
-
-    @property
-    def mapper(self) -> tuple[frozenset[int], ...]:
-        return _clusters(self.mapper_refs)
-
-    @property
     def tracer_refs(self) -> tuple[frozenset[ClusterRef], ...]:
         if self._tracer_refs is None:
             self._tracer_refs = _inverse(
@@ -167,10 +149,6 @@ def _inverse(table, units, n):
 def _union(units):
     """One set of the clusters in `units`, sharing a lone unit set."""
     return units[0] if len(units) == 1 else frozenset().union(*units)
-
-
-def _clusters(table):
-    return tuple(frozenset(r.cluster for r in refs) for refs in table)
 
 
 class RelationCache:
@@ -217,7 +195,9 @@ def lift(
 
     `table` is one relation of one snapshot pair, such as
     `rels.pair(t).mapping_refs` for a step forward from snapshot t, and
-    every ref must sit at the snapshot the table is indexed by.
+    every ref must sit at the snapshot the table is indexed by. Nothing
+    checks that, since the tracker's inner loops call this; the public
+    walks `tracing_path` and `mapping_path` check their input.
     """
     if len(refs) == 1:
         for r in refs:

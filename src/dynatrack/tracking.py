@@ -52,6 +52,7 @@ def tracing_path(
     rels: RelationCache, ref: ClusterRef, n: int
 ) -> frozenset[ClusterRef]:
     """n-fold set-lifted tracing set of a cluster; {ref} for n=0."""
+    _check_at(rels, (ref,), ref.time)
     if n < 0 or n > ref.time:
         raise IndexError(f"depth {n} out of range for cluster at time {ref.time}")
     layer = frozenset((ref,))
@@ -75,6 +76,7 @@ def mapping_path(
     if not layer:
         return layer
     t = max(r.time for r in layer)
+    _check_at(rels, layer, t)
     if t + n >= len(rels.seq):
         raise IndexError(
             f"depth {n} out of range for clusters at time {t} (T={len(rels.seq)})"
@@ -84,6 +86,16 @@ def mapping_path(
         if not layer:
             return layer
     return layer
+
+
+def _check_at(
+    rels: RelationCache, refs: Iterable[ClusterRef], t: int
+) -> None:
+    """Raise IndexError unless every ref is a cluster of snapshot t."""
+    m = len(rels.refs[t]) if 0 <= t < rels.t_total else 0
+    for r in refs:
+        if r.time != t or not 0 <= r.cluster < m:
+            raise IndexError(f"{r} is not a cluster of snapshot {t}")
 
 
 def is_bijective_match(rels: RelationCache, ref: ClusterRef, n: int) -> bool:
@@ -109,35 +121,22 @@ class TraceEvent:
 
 @dataclass
 class TrackingState:
-    """Mutable per-run state: labels, registry, id counter, frontier.
+    """Mutable per-run state: labels, id counter, frontier.
 
-    labels maps every cluster of processed snapshots to its DC id;
-    registry is the exact inverse (dc id -> time -> cluster indices).
-    Mutated strictly sequentially, one snapshot and one target at a time.
+    labels maps every cluster of processed snapshots to its DC id; a DC
+    whose clusters have all been relabelled no longer appears in it, and
+    `finalize` drops it. Mutated strictly sequentially, one snapshot and
+    one target at a time.
     """
 
     history: int
     labels: dict[ClusterRef, int] = field(default_factory=dict)
-    registry: dict[int, dict[int, set[int]]] = field(default_factory=dict)
     next_dc_id: int = 0
     frontier: int = -1
     trace: list[TraceEvent] | None = None
 
     def _assign(self, ref: ClusterRef, dc: int) -> None:
-        old = self.labels.get(ref)
-        if old == dc:
-            return
-        if old is not None:
-            times = self.registry[old]
-            times[ref.time].discard(ref.cluster)
-            if not times[ref.time]:
-                del times[ref.time]
-            if not times:
-                # A DC whose registry empties never existed as a
-                # persistent structure; drop it entirely.
-                del self.registry[old]
         self.labels[ref] = dc
-        self.registry.setdefault(dc, {}).setdefault(ref.time, set()).add(ref.cluster)
 
     def _new_dc(self, ref: ClusterRef) -> int:
         dc = self.next_dc_id
@@ -339,10 +338,14 @@ def process_snapshot(
                 )
             continue
         dc = labels[next(iter(source))]
-        if n_star == 1 and state.trace is None:
+        if n_star == 1:
             # A one-step flow is the target plus its source, which already
             # carries dc, and it encloses no marginals.
             state._assign(ref, dc)
+            if state.trace is not None:
+                state.trace.append(
+                    TraceEvent(ref, 1, dc, source, (layers[0], source), frozenset())
+                )
             continue
         result = identity_flow(
             rels, ref, n_star, source,

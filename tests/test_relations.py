@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from dynatrack import ClusterRef, RelationCache, lift, sequence_from_lists
+from dynatrack import ClusterRef, RelationCache, sequence_from_lists
+from dynatrack.relations import lift
 from helpers import random_sequence
 
 
@@ -120,7 +121,9 @@ def relation_tables(seq):
     tables = []
     for i in range(len(seq) - 1):
         pair = rels.pair(i)
-        tables.append((pair.mapping, pair.tracing, pair.tracer, pair.mapper))
+        tables.append(
+            (pair.mapping_refs, pair.tracing_refs, pair.tracer_refs, pair.mapper_refs)
+        )
     return tables
 
 
