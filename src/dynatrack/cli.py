@@ -95,17 +95,13 @@ def cmd_sweep(args) -> int:
     records = []
     # The search depth of a target at snapshot t is min(t, x) <= T - 1, so
     # every x >= T - 1 gives the labels, and the numbers, of x = T - 1.
-    scores: dict[int, tuple] = {}
-    for x in range(args.history_min, args.history_max + 1):
-        depth = min(x, len(seq) - 1)
-        if depth not in scores:
-            result = track(seq, x, relations=rels)
-            scores[depth] = (
-                summary_stats(result),
-                total_consistency(result, "all_members"),
-                total_consistency(result, "residents_only"),
-            )
-        stats, cons_all, cons_res = scores[depth]
+    # The rows stop at the first x where that holds.
+    last = min(args.history_max, max(args.history_min, len(seq) - 1))
+    for x in range(args.history_min, last + 1):
+        result = track(seq, x, relations=rels)
+        stats = summary_stats(result)
+        cons_all = total_consistency(result, "all_members")
+        cons_res = total_consistency(result, "residents_only")
         rows.append(
             f"{x},{stats.dc_count},"
             f"{stats.mean_lifespan if stats.mean_lifespan is not None else ''},"
@@ -130,6 +126,12 @@ def cmd_sweep(args) -> int:
             {"schema": 1, "sweep": records}, sort_keys=True, separators=(",", ":")
         )
         _write(args.json, (payload + "\n").encode("utf-8"))
+    if args.history_max > last:
+        print(
+            f"every x > {last} gives the row of x = {last} "
+            f"(the search depth is at most T - 1 = {len(seq) - 1})",
+            file=sys.stderr,
+        )
     for key in ("consistency_all", "consistency_resident"):
         defined = [r for r in records if r[key] is not None]
         if defined:

@@ -27,6 +27,13 @@ __all__ = ["PlantedDc", "PlannedEvent", "ScenarioSpec", "generate"]
 
 EVENT_KINDS = ("splinter", "transition", "split", "merge")
 
+# Resource caps on a scenario: at most this many snapshots, and at most
+# this many planted member-snapshots, the sum of size * lifespan over the
+# planted groups (the largest documented workload, 50k members over 50
+# snapshots, has 2.5 million).
+MAX_SNAPSHOTS = 10_000
+MAX_MEMBER_SNAPSHOTS = 10_000_000
+
 
 def _int(value, what: str) -> int:
     if type(value) is not int:
@@ -77,6 +84,10 @@ class ScenarioSpec:
     def validate(self) -> None:
         if self.snapshots < 1:
             raise GenerationError("need at least one snapshot")
+        if self.snapshots > MAX_SNAPSHOTS:
+            raise GenerationError(
+                f"at most {MAX_SNAPSHOTS} snapshots, got {self.snapshots}"
+            )
         if not (0.0 <= self.turnover < 1.0):
             raise GenerationError(f"turnover must be in [0,1), got {self.turnover}")
         for idx, dc in enumerate(self.dcs):
@@ -84,6 +95,12 @@ class ScenarioSpec:
                 raise GenerationError(f"dc {idx}: size must be positive")
             if not (0 <= dc.start <= dc.end < self.snapshots):
                 raise GenerationError(f"dc {idx}: lifespan outside the sequence")
+        planted = sum(dc.size * (dc.end - dc.start + 1) for dc in self.dcs)
+        if planted > MAX_MEMBER_SNAPSHOTS:
+            raise GenerationError(
+                f"at most {MAX_MEMBER_SNAPSHOTS} planted member-snapshots "
+                f"(size times lifespan, summed over dcs), got {planted}"
+            )
         for ev in self.events:
             if ev.kind not in EVENT_KINDS:
                 raise GenerationError(f"unknown event kind {ev.kind!r}")
@@ -161,6 +178,8 @@ class ScenarioSpec:
             doc = json.loads(text)
         except json.JSONDecodeError as exc:
             raise GenerationError(f"scenario is not valid JSON: {exc.msg}") from exc
+        except UnicodeDecodeError as exc:
+            raise GenerationError(f"scenario is not valid text: {exc}") from exc
         except RecursionError:
             raise GenerationError("scenario is nested too deeply") from None
         return cls.from_json_dict(doc)

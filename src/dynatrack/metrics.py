@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from statistics import fmean
 
+from . import relations
 from .model import ClusterRef, ClusteringSequence
 
 __all__ = [
@@ -46,29 +47,53 @@ class DcSeries:
 
 @dataclass(frozen=True)
 class DynamicClustering:
-    """Final association of every cluster to a dynamic-cluster id."""
+    """Final association of every cluster to a dynamic-cluster id.
+
+    `seq` is the labelled sequence. `pair_triples[i]` holds the
+    shared-member count triples between snapshot i and i+1, as
+    `relations.pair_counts` returns them, or None where no table was
+    built; a tracked result shares the tables its relation cache built.
+    Neither takes part in comparisons.
+    """
 
     labels: dict[ClusterRef, int]
     dcs: dict[int, DcSeries]
     x_used: int
+    seq: ClusteringSequence | None = field(default=None, compare=False, repr=False)
+    pair_triples: list[list[tuple[int, int, int]] | None] | None = field(
+        default=None, compare=False, repr=False
+    )
 
-    def members_at(self, i: int) -> frozenset[str]:
-        """All members present at snapshot i (union over DCs)."""
-        out: set[str] = set()
-        for series in self.dcs.values():
-            m = series.members_by_time.get(i)
-            if m:
-                out.update(m)
-        return frozenset(out)
+    def counts_between(self, i: int) -> list[tuple[int, int, int]]:
+        """Count triples between snapshot i and i+1.
+
+        Tables missing from `pair_triples` are computed from `seq` on
+        first use, all at once, and kept on the result.
+        """
+        tables = self.pair_triples
+        if tables is None or tables[i] is None:
+            if self.seq is None:
+                raise ValueError("the result does not carry its sequence")
+            tables = list(tables or [None] * (len(self.seq) - 1))
+            indexed = relations.index_sequence(self.seq)
+            for j, table in enumerate(tables):
+                if table is None:
+                    tables[j] = relations.pair_counts(indexed[j], indexed[j + 1])
+            object.__setattr__(self, "pair_triples", tables)
+        return tables[i]
 
 
 def clustering_from_labels(
-    seq: ClusteringSequence, labels: dict[ClusterRef, int], x: int
+    seq: ClusteringSequence,
+    labels: dict[ClusterRef, int],
+    x: int,
+    pair_triples: list[list[tuple[int, int, int]] | None] | None = None,
 ) -> DynamicClustering:
     """Full result from a bare cluster-to-id association.
 
     DCs are keyed in ascending id order, which is the order that sums
-    over them (such as `total_consistency`) run in.
+    over them (such as `total_consistency`) run in. `pair_triples` hands
+    on count tables already built for `seq` (see `DynamicClustering`).
     """
     times: dict[int, dict[int, list[int]]] = {}
     for ref, dc in labels.items():
@@ -92,7 +117,9 @@ def clustering_from_labels(
             clusters_by_time={t: tuple(sorted(by_time[t])) for t in presence},
             members_by_time=members_by_time,
         )
-    return DynamicClustering(labels=dict(labels), dcs=dcs, x_used=x)
+    return DynamicClustering(
+        labels=dict(labels), dcs=dcs, x_used=x, seq=seq, pair_triples=pair_triples
+    )
 
 
 @dataclass(frozen=True)
@@ -229,31 +256,63 @@ def total_consistency(
     "residents_only" restricts each pair's denominator to the members
     present in both snapshots system-wide, so members entering or leaving
     the dataset do not dilute the score.
+
+    Every count comes from the snapshot pair's shared-member table, with
+    the DC's clusters A at i and B at i+1: |A∩B| is the sum of the cells
+    over A × B, and |A∪B| = |A| + |B| - |A∩B|. Because A holds only
+    members present at i and B only members present at i+1, the resident
+    union is (row sums over A) + (column sums over B) - |A∩B|. The
+    residents are those of the snapshots, so the result is expected to
+    label every cluster and to carry its sequence, as the results of
+    `clustering_from_labels` do; one without tables or `seq` raises
+    ValueError.
     """
     if mode not in ("all_members", "residents_only"):
         raise ValueError(f"unknown consistency mode {mode!r}")
-    system: dict[int, frozenset[str]] = {}
+    resident = mode == "residents_only"
+    # Per snapshot pair: count cells, row sums, column sums.
+    lookups: dict[int, tuple[dict, dict, dict]] = {}
 
-    def members_at(i: int) -> frozenset[str]:
-        if i not in system:
-            system[i] = result.members_at(i)
-        return system[i]
+    def lookup(i: int) -> tuple[dict, dict, dict]:
+        found = lookups.get(i)
+        if found is None:
+            cells: dict[tuple[int, int], int] = {}
+            rows: dict[int, int] = {}
+            cols: dict[int, int] = {}
+            for ca, cb, n in result.counts_between(i):
+                cells[ca, cb] = n
+                rows[ca] = rows.get(ca, 0) + n
+                cols[cb] = cols.get(cb, 0) + n
+            found = lookups[i] = (cells, rows, cols)
+        return found
 
     total = 0.0
     pairs = 0
     for series in result.dcs.values():
-        for j in range(len(series.presence) - 1):
-            i, nxt = series.presence[j], series.presence[j + 1]
+        presence = series.presence
+        for j in range(len(presence) - 1):
+            i, nxt = presence[j], presence[j + 1]
             if nxt != i + 1:
                 continue
-            a = series.members_by_time[i]
-            b = series.members_by_time[nxt]
-            union = a | b
-            if mode == "residents_only":
-                union = union & members_at(i) & members_at(nxt)
+            cells, rows, cols = lookup(i)
+            a = series.clusters_by_time[i]
+            b = series.clusters_by_time[nxt]
+            shared = sum(cells.get((ca, cb), 0) for ca in a for cb in b)
+            if resident:
+                union = (
+                    sum(rows.get(ca, 0) for ca in a)
+                    + sum(cols.get(cb, 0) for cb in b)
+                    - shared
+                )
+            else:
+                union = (
+                    len(series.members_by_time[i])
+                    + len(series.members_by_time[nxt])
+                    - shared
+                )
             pairs += 1
             if union:
-                total += len(a & b) / len(union)
+                total += shared / union
     if pairs == 0:
         return None
     return total / pairs

@@ -154,8 +154,16 @@ def _parse_json(text: str) -> ClusteringSequence:
     return sequence_from_lists(data, labels)
 
 
-def _parse_csv(text: str) -> ClusteringSequence:
+def _csv_rows(text: str) -> Iterable[list[str]]:
     reader = csv.reader(io.StringIO(text))
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise ParseError(f"CSV line {reader.line_num}: {exc}") from None
+
+
+def _parse_csv(text: str) -> ClusteringSequence:
+    reader = _csv_rows(text)
     try:
         header = next(reader)
     except StopIteration:
@@ -181,23 +189,31 @@ def _parse_csv(text: str) -> ClusteringSequence:
         by_time.setdefault(t, {}).setdefault(cluster, []).append(member)
     if not by_time:
         raise ParseError("CSV contains no data rows")
-    t_max = max(by_time)
-    missing = [t for t in range(t_max + 1) if t not in by_time]
-    if missing:
+    missing = _first_gap(by_time)
+    if missing is not None:
         raise SequenceValidationError(
-            f"snapshot indices have gaps: missing t={missing[0]}"
+            f"snapshot indices have gaps: missing t={missing}"
         )
     data = []
-    for t in range(t_max + 1):
+    for t in range(len(by_time)):
         clusters_for_t = by_time[t]
-        c_max = max(clusters_for_t)
-        gaps = [c for c in range(c_max + 1) if c not in clusters_for_t]
-        if gaps:
+        gap = _first_gap(clusters_for_t)
+        if gap is not None:
             raise SequenceValidationError(
-                f"snapshot {t}: cluster indices have gaps: missing cluster={gaps[0]}"
+                f"snapshot {t}: cluster indices have gaps: missing cluster={gap}"
             )
-        data.append([clusters_for_t[c] for c in range(c_max + 1)])
+        data.append([clusters_for_t[c] for c in range(len(clusters_for_t))])
     return sequence_from_lists(data)
+
+
+def _first_gap(keys: dict[int, object]) -> int | None:
+    """The smallest index missing from non-negative `keys`, if one is.
+
+    It is at most len(keys), so a huge index in the input costs nothing.
+    """
+    if max(keys) == len(keys) - 1:
+        return None
+    return next(i for i in range(len(keys) + 1) if i not in keys)
 
 
 def parse_sequence(source: bytes | str, fmt: str = "json") -> ClusteringSequence:

@@ -187,6 +187,10 @@ class RelationCache:
             )
         return rel
 
+    def pair_triples(self) -> list[list[tuple[int, int, int]] | None]:
+        """The count triples of every pair built so far, None for the rest."""
+        return [None if rel is None else rel.triples for rel in self._pairs]
+
 
 def lift(
     table: Sequence[frozenset[ClusterRef]], refs: Collection[ClusterRef]

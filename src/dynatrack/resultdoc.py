@@ -104,6 +104,8 @@ def load_document(
         doc = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"result document is not valid JSON: {exc.msg}") from exc
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"result document is not valid text: {exc}") from exc
     except RecursionError:
         raise SchemaError("result document is nested too deeply") from None
     if not isinstance(doc, dict):

@@ -125,8 +125,9 @@ class TrackingState:
 
     labels maps every cluster of processed snapshots to its DC id; a DC
     whose clusters have all been relabelled no longer appears in it, and
-    `finalize` drops it. Mutated strictly sequentially, one snapshot and
-    one target at a time.
+    `finalize` drops it. relations is the cache every snapshot was
+    processed with. Mutated strictly sequentially, one snapshot and one
+    target at a time.
     """
 
     history: int
@@ -134,6 +135,7 @@ class TrackingState:
     next_dc_id: int = 0
     frontier: int = -1
     trace: list[TraceEvent] | None = None
+    relations: RelationCache | None = field(default=None, repr=False)
 
     def _assign(self, ref: ClusterRef, dc: int) -> None:
         self.labels[ref] = dc
@@ -314,6 +316,9 @@ def process_snapshot(
     `order` overrides the canonical ascending processing order of the
     snapshot's clusters; the output is invariant under permutations (a
     property the test suite checks), so this exists for those tests.
+    Every snapshot of a run is processed with the same relation cache,
+    which `finalize` takes its count tables from; another cache raises
+    ValueError.
     """
     if state.frontier != i - 1:
         raise SequencingError(
@@ -324,6 +329,10 @@ def process_snapshot(
         order = range(m)
     elif sorted(order) != list(range(m)):
         raise ValueError(f"order must be a permutation of range({m})")
+    if state.relations is None:
+        state.relations = rels
+    elif state.relations is not rels:
+        raise ValueError("earlier snapshots were processed with another cache")
     refs = rels.refs[i]
     labels = state.labels
     for alpha in order:
@@ -399,5 +408,17 @@ def track(
 
 
 def finalize(state: TrackingState, seq: ClusteringSequence) -> DynamicClustering:
-    """Freeze a tracking state into an immutable result."""
-    return clustering_from_labels(seq, state.labels, state.history)
+    """Freeze a tracking state into an immutable result.
+
+    The result shares the count tables of the state's relation cache,
+    not the cache itself. A cache of another sequence raises ValueError.
+    """
+    rels = state.relations
+    if rels is not None and rels.seq is not seq:
+        raise ValueError("relations were built for a different sequence")
+    return clustering_from_labels(
+        seq,
+        state.labels,
+        state.history,
+        None if rels is None else rels.pair_triples(),
+    )

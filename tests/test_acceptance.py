@@ -5,6 +5,7 @@ complete. Criterion 8 is a wall-clock scaling check and takes the longest
 (well under its five-minute budget).
 """
 
+import gc
 import random
 import time
 import xml.etree.ElementTree as ET
@@ -18,6 +19,7 @@ from dynatrack import (
     ScenarioSpec,
     brute_force_track,
     build_layout,
+    clustering_from_labels,
     generate,
     layout_to_svg,
     new_state,
@@ -27,7 +29,6 @@ from dynatrack import (
     total_consistency,
     track,
 )
-from dynatrack.metrics import DcSeries, DynamicClustering
 from dynatrack.relations import RelationCache
 from dynatrack.resultdoc import canonical_labels
 from helpers import canonical, inject_one_shot_members, random_sequence, same_partition
@@ -139,32 +140,19 @@ def test_criterion_5_structural_consistency(capfd):
 
 def test_criterion_6_consistency_metric(capfd):
     def one_dc(member_sets):
-        presence = tuple(range(len(member_sets)))
-        series = DcSeries(
-            presence=presence,
-            clusters_by_time={t: (0,) for t in presence},
-            members_by_time={
-                t: frozenset(ms) for t, ms in zip(presence, member_sets)
-            },
-        )
-        return DynamicClustering(
-            labels={ClusterRef(t, 0): 0 for t in presence},
-            dcs={0: series},
-            x_used=1,
-        )
+        seq = sequence_from_lists([[ms] for ms in member_sets])
+        labels = {ClusterRef(t, 0): 0 for t in range(len(member_sets))}
+        return clustering_from_labels(seq, labels, 1)
 
     single = one_dc([{"1", "2"}, {"1", "2"}, {"1", "3"}])
     assert total_consistency(single) == pytest.approx(2 / 3, abs=1e-12)
 
-    stable = DcSeries(
-        presence=(0, 1, 2),
-        clusters_by_time={t: (1,) for t in range(3)},
-        members_by_time={t: frozenset(("x", "y")) for t in range(3)},
+    # the same DC plus a stable one as cluster 1 of every snapshot
+    seq = sequence_from_lists(
+        [[ms, {"x", "y"}] for ms in ({"1", "2"}, {"1", "2"}, {"1", "3"})]
     )
-    combined = DynamicClustering(
-        labels={**single.labels, **{ClusterRef(t, 1): 1 for t in range(3)}},
-        dcs={0: single.dcs[0], 1: stable},
-        x_used=1,
+    combined = clustering_from_labels(
+        seq, {ClusterRef(t, a): a for t in range(3) for a in (0, 1)}, 1
     )
     assert total_consistency(combined) == pytest.approx(5 / 6, abs=1e-12)
 
@@ -238,7 +226,9 @@ def scaling_ratios(x=1, g=10, rounds=8, batch=3):
     order of sizes rotates between rounds and a warm-up pass precedes
     timing, so scheduler noise and load drift spread across sizes instead
     of biasing one of them. Ratios come from per-size medians over the
-    rounds, which shrugs off individual throttled rounds.
+    rounds, which shrugs off individual throttled rounds. The inputs are
+    moved to the permanent generation once built, so the full collections
+    that fall in a timed window do not walk the other sizes' inputs.
     """
     from statistics import median
 
@@ -247,15 +237,20 @@ def scaling_ratios(x=1, g=10, rounds=8, batch=3):
         ("double_t", benchmark_sequence(400, 1000, g, seed=1)),
         ("double_n", benchmark_sequence(200, 2000, g, seed=1)),
     ]
-    for _, seq in sizes:
-        track(seq, x)
-    times: dict[str, list[float]] = {name: [] for name, _ in sizes}
-    for r in range(rounds):
-        for name, seq in sizes[r % 3:] + sizes[: r % 3]:
-            t0 = time.perf_counter()
-            for _ in range(batch):
-                track(seq, x)
-            times[name].append(time.perf_counter() - t0)
+    gc.collect()
+    gc.freeze()
+    try:
+        for _, seq in sizes:
+            track(seq, x)
+        times: dict[str, list[float]] = {name: [] for name, _ in sizes}
+        for r in range(rounds):
+            for name, seq in sizes[r % 3:] + sizes[: r % 3]:
+                t0 = time.perf_counter()
+                for _ in range(batch):
+                    track(seq, x)
+                times[name].append(time.perf_counter() - t0)
+    finally:
+        gc.unfreeze()
     med = {name: median(v) for name, v in times.items()}
     return (
         med["double_t"] / med["base"],

@@ -216,6 +216,53 @@ def test_generate_spec_number_types_exit_2(tmp_path, capsys):
         assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ({"snapshots": 10**9}, "at most 10000 snapshots, got 1000000000"),
+        ({"dcs": [{"size": 10**9, "start": 0, "end": 5}]},
+         "at most 10000000 planted member-snapshots"),
+        # many groups, each small, add up past the cap too
+        ({"snapshots": 1000, "events": [],
+          "dcs": [{"size": 2000, "start": 0, "end": 999}] * 6},
+         "got 12000000"),
+    ],
+    ids=["snapshots", "size", "sum"],
+)
+def test_generate_spec_caps_exit_2(tmp_path, capsys, bad, message):
+    spec = tmp_path / "scenario.json"
+    spec.write_text(json.dumps(SCENARIO | bad))
+    assert main(["generate", "--spec", str(spec)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv, data, message",
+    [
+        (["events", "--result"], b"\x80", "result document is not valid text"),
+        (["render", "--result"], b"\x80", "result document is not valid text"),
+        (["generate", "--spec"], b"\x80", "scenario is not valid text"),
+        (["track", "--history", "1", "--format", "csv", "--input"], b"\r0",
+         "CSV line 1: new-line character"),
+        # the first missing index is reported without counting up to 10**12
+        (["track", "--history", "1", "--format", "csv", "--input"],
+         b"t,member,cluster\n1000000000000,a,0\n", "missing t=0"),
+        (["track", "--history", "1", "--format", "csv", "--input"],
+         b"t,member,cluster\n0,a,1000000000000\n", "missing cluster=0"),
+    ],
+    ids=["events", "render", "generate", "csv-newline", "csv-time", "csv-cluster"],
+)
+def test_odd_input_bytes_exit_2(tmp_path, capsys, argv, data, message):
+    path = tmp_path / "input"
+    path.write_bytes(data)
+    assert main(argv + [str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert err.count("\n") == 1
+
+
 DEEP = "[" * 100_000 + "]" * 100_000
 
 
@@ -295,12 +342,12 @@ def test_version_flag(capsys):
 
 
 @pytest.mark.parametrize(
-    "snapshots, x_max, tracks",
-    [(None, 6, 6), ([{"clusters": [["a", "b"], ["c"]]}], 3, 1)],
+    "snapshots, x_max, last",
+    [(None, 6, 5), ([{"clusters": [["a", "b"], ["c"]]}], 3, 0)],
     ids=["generated", "one-snapshot"],
 )
 def test_sweep_equals_per_x_track_with_fresh_relations(
-    tmp_path, monkeypatch, snapshots, x_max, tracks
+    tmp_path, monkeypatch, capsys, snapshots, x_max, last
 ):
     seq = tmp_path / "seq.json"
     if snapshots is None:
@@ -335,14 +382,16 @@ def test_sweep_equals_per_x_track_with_fresh_relations(
         ) == 0
         return [path.read_text() for path in paths]
 
+    capsys.readouterr()
     shared_csv, shared_json = sweep(0, x_max, "shared")
-    # one relation build; one track per x below T, none at x >= T, whose
-    # labels are those of x = T - 1
+    # x = last = T - 1 saturates the search depth: the rows stop there, and
+    # one relation build (consistency included) serves one track per row
     assert len(builds) == 1
-    assert xs == list(range(tracks))
+    assert xs == list(range(last + 1))
+    assert f"every x > {last} gives the row of x = {last}" in capsys.readouterr().err
 
     # Reference: one sweep per x, each with fresh relations and its own
-    # track at that x.
+    # track at that x; past the last row, the row of x = last.
     rows, records = [], []
     head, tail = '{"schema":1,"sweep":[', "]}\n"
     for x in range(x_max + 1):
@@ -351,9 +400,32 @@ def test_sweep_equals_per_x_track_with_fresh_relations(
         assert json_text.startswith(head) and json_text.endswith(tail)
         records.append(json_text[len(head):-len(tail)])
     assert len(builds) == 1 + x_max + 1
-    assert xs[tracks:] == list(range(x_max + 1))
-    assert shared_csv == SWEEP_HEADER + "\n" + "\n".join(rows) + "\n"
-    assert shared_json == head + ",".join(records) + tail
+    assert xs[last + 1:] == list(range(x_max + 1))
+    assert shared_csv == SWEEP_HEADER + "\n" + "\n".join(rows[: last + 1]) + "\n"
+    assert shared_json == head + ",".join(records[: last + 1]) + tail
+    saturated = json.loads(records[last])
+    for x in range(last + 1, x_max + 1):
+        assert rows[x] == f"{x}," + rows[last].split(",", 1)[1]
+        assert json.loads(records[x]) == saturated | {"x": x}
+
+
+def test_sweep_stops_at_saturation(tmp_path, capsys):
+    seq = tmp_path / "seq.json"
+    seq.write_text(json.dumps(IDENTITY_FIXTURE))
+    out = tmp_path / "sweep.csv"
+    records = tmp_path / "sweep.json"
+    assert main(
+        ["sweep", "--input", str(seq), "--history-min", "0",
+         "--history-max", "1000000", "--output", str(out),
+         "--json", str(records)]
+    ) == 0
+    lines = out.read_text().splitlines()
+    assert lines[0] == SWEEP_HEADER
+    assert [line.split(",", 1)[0] for line in lines[1:]] == ["0", "1"]
+    assert [r["x"] for r in json.loads(records.read_text())["sweep"]] == [0, 1]
+    err = capsys.readouterr().err
+    assert "every x > 1 gives the row of x = 1" in err
+    assert len(err) < 500
 
 
 @pytest.fixture

@@ -13,6 +13,7 @@ from dynatrack import (
     track,
 )
 from dynatrack.errors import GenerationError
+from dynatrack.generator import MAX_MEMBER_SNAPSHOTS, MAX_SNAPSHOTS
 from helpers import canonical
 
 
@@ -149,6 +150,20 @@ def test_event_outside_lifespan_rejected():
     with pytest.raises(GenerationError, match="lifespan"):
         simple_spec(
             events=(PlannedEvent("splinter", 0, start=4, duration=3, fraction=0.5),)
+        ).validate()
+
+
+def test_caps_hold_at_their_limits():
+    # validated only: generating these would take minutes
+    top = MAX_SNAPSHOTS
+    size = MAX_MEMBER_SNAPSHOTS // top
+    simple_spec(snapshots=top, dcs=(PlantedDc(size, 0, top - 1),)).validate()
+    with pytest.raises(GenerationError, match="snapshots"):
+        simple_spec(snapshots=top + 1, dcs=()).validate()
+    with pytest.raises(GenerationError, match="member-snapshots"):
+        simple_spec(
+            snapshots=top,
+            dcs=(PlantedDc(size, 0, top - 1), PlantedDc(1, 0, 0)),
         ).validate()
 
 

@@ -6,31 +6,71 @@ from fractions import Fraction
 import pytest
 
 from dynatrack import (
+    PlannedEvent,
+    PlantedDc,
+    RelationCache,
+    ScenarioSpec,
     autocorrelation,
     classify_events,
     clustering_from_labels,
+    generate,
+    relations,
     sequence_from_lists,
     summary_stats,
     total_consistency,
     track,
 )
-from dynatrack.metrics import DcSeries, DynamicClustering
 from dynatrack.model import ClusterRef
 from helpers import random_sequence
 
 
-def single_dc(member_sets, start=0):
-    """DynamicClustering with one DC present at consecutive snapshots."""
-    presence = tuple(range(start, start + len(member_sets)))
-    series = DcSeries(
-        presence=presence,
-        clusters_by_time={t: (0,) for t in presence},
-        members_by_time={
-            t: frozenset(ms) for t, ms in zip(presence, member_sets)
-        },
+def labelled(data, labels):
+    """Result of `labels` ({(t, cluster): dc}) on the sequence `data`."""
+    seq = sequence_from_lists(data)
+    return clustering_from_labels(
+        seq, {ClusterRef(t, a): dc for (t, a), dc in labels.items()}, 1
     )
-    labels = {ClusterRef(t, 0): 0 for t in presence}
-    return DynamicClustering(labels=labels, dcs={0: series}, x_used=1)
+
+
+def single_dc(member_sets):
+    """Result with one DC, one cluster per snapshot."""
+    return labelled(
+        [[ms] for ms in member_sets], {(t, 0): 0 for t in range(len(member_sets))}
+    )
+
+
+def reference_total_consistency(result, mode="all_members"):
+    """The consistency of `result` computed on member string sets."""
+    if mode not in ("all_members", "residents_only"):
+        raise ValueError(f"unknown consistency mode {mode!r}")
+    system: dict[int, frozenset[str]] = {}
+
+    def members_at(i):
+        if i not in system:
+            out = set()
+            for series in result.dcs.values():
+                out.update(series.members_by_time.get(i, ()))
+            system[i] = frozenset(out)
+        return system[i]
+
+    total = 0.0
+    pairs = 0
+    for series in result.dcs.values():
+        for j in range(len(series.presence) - 1):
+            i, nxt = series.presence[j], series.presence[j + 1]
+            if nxt != i + 1:
+                continue
+            a = series.members_by_time[i]
+            b = series.members_by_time[nxt]
+            union = a | b
+            if mode == "residents_only":
+                union = union & members_at(i) & members_at(nxt)
+            pairs += 1
+            if union:
+                total += len(a & b) / len(union)
+    if pairs == 0:
+        return None
+    return total / pairs
 
 
 def test_clustering_from_labels_groups_members_by_dc_in_id_order():
@@ -80,17 +120,38 @@ class TestAutocorrelation:
         assert autocorrelation(dc, 0) == 0.0
 
     def test_gap_pair_is_excluded(self):
-        series = DcSeries(
-            presence=(0, 2),
-            clusters_by_time={0: (0,), 2: (0,)},
-            members_by_time={0: frozenset("a"), 2: frozenset("a")},
-        )
-        assert autocorrelation(series, 0) is None
+        result = labelled([[{"a"}], [{"b"}], [{"a"}]], {(0, 0): 0, (1, 0): 1, (2, 0): 0})
+        assert result.dcs[0].presence == (0, 2)
+        assert autocorrelation(result.dcs[0], 0) is None
 
     def test_bad_index(self):
         dc = single_dc([{"1"}, {"1"}]).dcs[0]
         with pytest.raises(IndexError):
             autocorrelation(dc, 1)
+
+
+def consistency_instances():
+    """Tracked results over random sequences and generated scenarios."""
+    for seed in range(40):
+        seq = random_sequence(random.Random(9000 + seed), max_t=8)
+        for x in range(5):
+            yield track(seq, x)
+    for seed in range(4):
+        spec = ScenarioSpec(
+            snapshots=10,
+            dcs=(PlantedDc(12, 0, 9), PlantedDc(9, 0, 7), PlantedDc(6, 2, 9)),
+            events=(
+                PlannedEvent("splinter", 0, start=2, duration=3, fraction=1 / 3),
+                PlannedEvent("transition", 1, start=3, duration=2, fraction=0.5),
+                PlannedEvent("split", 2, start=5, fraction=0.5),
+                PlannedEvent("merge", 1, start=7, into=0),
+            ),
+            turnover=0.1 + 0.1 * seed,
+            seed=seed,
+        )
+        seq = generate(spec)[0]
+        for x in range(5):
+            yield track(seq, x)
 
 
 class TestTotalConsistency:
@@ -103,37 +164,18 @@ class TestTotalConsistency:
 
     def test_undefined_when_no_pairs(self):
         # every DC lives a single snapshot
-        labels = {ClusterRef(0, 0): 0, ClusterRef(1, 0): 1}
-        dcs = {
-            0: DcSeries((0,), {0: (0,)}, {0: frozenset("a")}),
-            1: DcSeries((1,), {1: (0,)}, {1: frozenset("b")}),
-        }
-        result = DynamicClustering(labels=labels, dcs=dcs, x_used=1)
+        result = labelled([[{"a"}], [{"b"}]], {(0, 0): 0, (1, 0): 1})
         assert total_consistency(result) is None
         assert total_consistency(result, "residents_only") is None
 
     def test_two_dc_hand_value(self):
         # one DC stable over 3 snapshots (two 1.0 pairs), one as in the
         # single-DC case (1.0 and 1/3): (2 + 1 + 1/3) / 4 = 5/6
-        stable = DcSeries(
-            presence=(0, 1, 2),
-            clusters_by_time={t: (1,) for t in range(3)},
-            members_by_time={t: frozenset(("x", "y")) for t in range(3)},
+        varying = ({"1", "2"}, {"1", "2"}, {"1", "3"})
+        result = labelled(
+            [[ms, {"x", "y"}] for ms in varying],
+            {(t, a): a for t in range(3) for a in (0, 1)},
         )
-        varying = DcSeries(
-            presence=(0, 1, 2),
-            clusters_by_time={t: (0,) for t in range(3)},
-            members_by_time={
-                0: frozenset(("1", "2")),
-                1: frozenset(("1", "2")),
-                2: frozenset(("1", "3")),
-            },
-        )
-        labels = {}
-        for t in range(3):
-            labels[ClusterRef(t, 0)] = 0
-            labels[ClusterRef(t, 1)] = 1
-        result = DynamicClustering(labels=labels, dcs={0: varying, 1: stable}, x_used=1)
         expected = float((2 * Fraction(1) + Fraction(1) + Fraction(1, 3)) / 4)
         assert total_consistency(result) == pytest.approx(expected, abs=1e-12)
         assert total_consistency(result) == pytest.approx(5 / 6, abs=1e-12)
@@ -151,20 +193,9 @@ class TestTotalConsistency:
 
     def test_resident_mode_uses_system_wide_residents(self):
         # member 2 moves to another DC: still resident, still a defect
-        labels = {
-            ClusterRef(0, 0): 0,
-            ClusterRef(1, 0): 0,
-            ClusterRef(1, 1): 1,
-        }
-        dcs = {
-            0: DcSeries(
-                (0, 1),
-                {0: (0,), 1: (0,)},
-                {0: frozenset(("1", "2")), 1: frozenset(("1",))},
-            ),
-            1: DcSeries((1,), {1: (1,)}, {1: frozenset(("2",))}),
-        }
-        result = DynamicClustering(labels=labels, dcs=dcs, x_used=1)
+        result = labelled(
+            [[{"1", "2"}], [{"1"}, {"2"}]], {(0, 0): 0, (1, 0): 0, (1, 1): 1}
+        )
         assert total_consistency(result, "residents_only") == pytest.approx(0.5)
 
     def test_bounds_and_mode_ordering_on_random_runs(self):
@@ -179,6 +210,52 @@ class TestTotalConsistency:
             vr = total_consistency(result, "residents_only")
             if va is not None and vr is not None:
                 assert vr >= va - 1e-12
+
+    def test_equals_string_set_reference_exactly(self):
+        defined = apart = multi = 0
+        for result in consistency_instances():
+            # a copy without the tracker's tables computes its own
+            rebuilt = clustering_from_labels(result.seq, result.labels, result.x_used)
+            values = []
+            for mode in ("all_members", "residents_only"):
+                expected = reference_total_consistency(result, mode)
+                assert total_consistency(result, mode) == expected
+                assert total_consistency(rebuilt, mode) == expected
+                values.append(expected)
+            defined += values[0] is not None
+            apart += values[0] != values[1]
+            multi += any(
+                len(alphas) > 1
+                for series in result.dcs.values()
+                for alphas in series.clusters_by_time.values()
+            )
+        # the instances score, tell the modes apart and hold DCs that span
+        # several clusters of one snapshot
+        assert defined > 100 and apart > 50 and multi > 10
+
+    def test_reads_the_tables_of_the_cache_it_was_tracked_with(self, monkeypatch):
+        builds = []
+        index_sequence = relations.index_sequence
+
+        def counted(seq):
+            builds.append(seq)
+            return index_sequence(seq)
+
+        monkeypatch.setattr(relations, "index_sequence", counted)
+        seq = random_sequence(random.Random(5), max_t=8)
+        rels = RelationCache(seq)
+        results = [track(seq, x, relations=rels) for x in range(4)]
+        for result in results:
+            total_consistency(result, "all_members")
+            total_consistency(result, "residents_only")
+        assert len(builds) == 1
+        # a result without tables indexes the sequence once and keeps them
+        rebuilt = clustering_from_labels(seq, results[2].labels, 2)
+        for mode in ("all_members", "residents_only", "all_members"):
+            assert total_consistency(rebuilt, mode) == total_consistency(
+                results[2], mode
+            )
+        assert len(builds) == 2
 
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
@@ -273,19 +350,10 @@ class TestSummaryStats:
     def test_weighted_mean_hand_value(self):
         # lifespans 1 and 3, per-snapshot sizes 10 and 1:
         # mean 2, weighted (10*1*1 + 3*1*3) / 13 = 19/13
-        big = DcSeries(
-            presence=(0,),
-            clusters_by_time={0: (0,)},
-            members_by_time={0: frozenset(f"m{i}" for i in range(10))},
+        result = labelled(
+            [[{f"m{i}" for i in range(10)}, {"z"}], [{"z"}], [{"z"}]],
+            {(0, 0): 0, (0, 1): 1, (1, 0): 1, (2, 0): 1},
         )
-        small = DcSeries(
-            presence=(0, 1, 2),
-            clusters_by_time={t: (1,) for t in range(3)},
-            members_by_time={t: frozenset(("z",)) for t in range(3)},
-        )
-        labels = {ClusterRef(0, 0): 0, ClusterRef(0, 1): 1,
-                  ClusterRef(1, 1): 1, ClusterRef(2, 1): 1}
-        result = DynamicClustering(labels=labels, dcs={0: big, 1: small}, x_used=1)
         stats = summary_stats(result)
         assert stats.dc_count == 2
         assert stats.mean_lifespan == 2
@@ -295,7 +363,7 @@ class TestSummaryStats:
         assert stats.lifespan_histogram == {1: 1, 3: 1}
 
     def test_empty_registry(self):
-        result = DynamicClustering(labels={}, dcs={}, x_used=1)
+        result = labelled([[]], {})
         stats = summary_stats(result)
         assert stats.dc_count == 0
         assert stats.lifespan_histogram == {}

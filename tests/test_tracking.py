@@ -1,8 +1,10 @@
 """Core tracking: paths, matches, source sets, flows, and whole runs."""
 
+import gc
 import random
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -13,6 +15,7 @@ from dynatrack import (
     PlantedDc,
     RelationCache,
     ScenarioSpec,
+    finalize,
     find_source_set,
     generate,
     identity_flow,
@@ -461,6 +464,32 @@ class TestTrack:
         twin = sequence_from_lists([[["1"]], [["1"]]])
         with pytest.raises(ValueError, match="different sequence"):
             track(seq, 1, relations=RelationCache(twin))
+
+    def test_one_cache_per_run(self):
+        seq = sequence_from_lists([[["1", "2"]], [["1"], ["2"]], [["1", "2"]]])
+        state = new_state(seq, 2)
+        process_snapshot(state, seq, RelationCache(seq), 1)
+        with pytest.raises(ValueError, match="another cache"):
+            process_snapshot(state, seq, RelationCache(seq), 2)
+        twin = sequence_from_lists([[["1", "2"]], [["1"], ["2"]], [["1", "2"]]])
+        with pytest.raises(ValueError, match="different sequence"):
+            finalize(state, twin)
+
+    def test_result_shares_the_count_tables_not_the_cache(self):
+        seq = sequence_from_lists(
+            [[["1", "2", "3"], ["4"]], [["1", "2"], ["3", "4"]], [["1", "2", "3", "4"]]]
+        )
+        rels = RelationCache(seq)
+        result = track(seq, 2, relations=rels)
+        assert all(
+            got is rels.pair(i).triples for i, got in enumerate(result.pair_triples)
+        )
+        # x = 0 builds no table, and the result has none to share
+        assert track(seq, 0).pair_triples == [None] * (len(seq) - 1)
+        cache = weakref.ref(rels)
+        del rels
+        gc.collect()
+        assert cache() is None and result.seq is seq
 
 
 def reference_search_source(state, rels, ref):
