@@ -10,6 +10,7 @@ Output is plain SVG 1.1, byte-identical for identical inputs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 
 from .model import ClusterRef, ClusteringSequence
@@ -124,6 +125,8 @@ def layout_to_svg(
     """Standalone SVG 1.1 document for a layout.
 
     Columns are `3 * block_width` apart; one member is `unit` pixels tall.
+    Raises OverflowError when the diagram is too large for float
+    coordinates.
     """
     span = 3.0 * block_width
     n_cols = len(layout.blocks)
@@ -136,6 +139,12 @@ def layout_to_svg(
         default=0.0,
     )
     width = n_cols * block_width + max(n_cols - 1, 0) * span
+    # Every coordinate written, and every sum taken to find one, is at most
+    # twice the width or the height.
+    if not math.isfinite(2.0 * (width + height)):
+        raise OverflowError(
+            f"the diagram's extent ({width!r} x {height!r}) overflows a float"
+        )
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         (

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -161,9 +162,16 @@ def cmd_events(args) -> int:
 
 
 def cmd_render(args) -> int:
+    if not (math.isfinite(args.block_width) and args.block_width > 0):
+        return _usage_error("--block-width must be a finite number > 0")
+    if not (math.isfinite(args.gap) and args.gap >= 0):
+        return _usage_error("--gap must be a finite number >= 0")
     seq, labels, _x = load_document(_read(args.result))
     layout = build_layout(seq, labels, gap=args.gap)
-    svg = layout_to_svg(layout, block_width=args.block_width)
+    try:
+        svg = layout_to_svg(layout, block_width=args.block_width)
+    except OverflowError as exc:
+        return _usage_error(f"--gap or --block-width too large: {exc}")
     _write(args.output, svg.encode("utf-8"))
     if args.layout_json:
         payload = json.dumps(
@@ -251,10 +259,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", help="SVG path (default: stdout)")
     p.add_argument("--layout-json", help="also write the layout as JSON")
     p.add_argument(
-        "--block-width", type=float, default=20.0, help="block width in px"
+        "--block-width", type=float, default=20.0, help="block width in px (> 0)"
     )
     p.add_argument(
-        "--gap", type=float, default=2.0, help="vertical gap between blocks"
+        "--gap", type=float, default=2.0, help="vertical gap between blocks (>= 0)"
     )
     p.set_defaults(func=cmd_render)
 

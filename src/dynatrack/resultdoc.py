@@ -145,11 +145,14 @@ def load_document(
                 raise SchemaError(f"snapshot {t}: label must be a string")
             labels_meta.append(label)
         for entry in doc["dcs"]:
+            dc = _int(entry["id"], "dcs: id")
             for t, a in entry["clusters"]:
-                ref = ClusterRef(t, a)
+                ref = ClusterRef(
+                    _int(t, "dcs: snapshot index"), _int(a, "dcs: cluster index")
+                )
                 if ref in listed:
                     raise SchemaError(f"dcs: cluster ({t}, {a}) is listed twice")
-                listed[ref] = entry["id"]
+                listed[ref] = dc
     except SchemaError:
         raise
     except (KeyError, TypeError, ValueError) as exc:

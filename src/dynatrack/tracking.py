@@ -16,10 +16,14 @@ full mapping path returns exactly to the target cluster, scanned deepest
 first; a candidate qualifies when its clusters all carry one dynamic
 cluster id under the labels current at processing time.
 
-Marginalised clusters are found in one pass per target instead of
-iterating embedded flows: walk the mapper sets back from the target and
-the tracer sets forward from the source set; whatever lies in both walks
-but not on the identity flow is re-assigned to the embedding DC.
+The identity flow of a match is read off the search's own walks: its
+layer o steps back is the tracing layer there plus the forward mapping
+walk from the source at that step. Marginalised clusters are found in one
+pass per target instead of iterating embedded flows: walk the mapper sets
+back from the target and the tracer sets forward from the source set;
+whatever lies in both walks but not on the identity flow is re-assigned
+to the embedding DC. The tracer walk is taken only when the mapper walk
+leaves the flow, since nothing else can be marginal.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from typing import Iterable, Sequence
 from .errors import SequencingError, TrackingInvariantError
 from .metrics import DynamicClustering, clustering_from_labels
 from .model import ClusterRef, ClusteringSequence
-from .relations import RelationCache, lift
+from .relations import MajorityRelations, RelationCache, lift
 
 __all__ = [
     "tracing_path",
@@ -137,13 +141,10 @@ class TrackingState:
     trace: list[TraceEvent] | None = None
     relations: RelationCache | None = field(default=None, repr=False)
 
-    def _assign(self, ref: ClusterRef, dc: int) -> None:
-        self.labels[ref] = dc
-
     def _new_dc(self, ref: ClusterRef) -> int:
         dc = self.next_dc_id
         self.next_dc_id += 1
-        self._assign(ref, dc)
+        self.labels[ref] = dc
         return dc
 
 
@@ -162,37 +163,49 @@ def new_state(
 
 def _search_source(
     state: TrackingState, rels: RelationCache, ref: ClusterRef
-) -> tuple[int, list[frozenset[ClusterRef]], list[frozenset[ClusterRef]] | None]:
+) -> tuple[
+    int,
+    list[frozenset[ClusterRef]],
+    list[frozenset[ClusterRef]] | None,
+    list[MajorityRelations | None],
+]:
     """Shared engine behind find_source_set and the snapshot pass.
 
-    Returns (depth, tracing-flow layers, forward mapping path of the
-    chosen source); depth 0 means the target founds a new DC.
+    Returns (depth, tracing-flow layers, forward mapping walk of the
+    chosen source, pair tables); depth 0 means the target founds a new DC
+    and the walk is None. tables[k] holds the relations between the
+    snapshots k and k - 1 steps before the target, for every k the search
+    stepped back to.
     """
     t = ref.time
     pair = rels.pair
+    tables: list[MajorityRelations | None] = [None]
     layers: list[frozenset[ClusterRef]] = [rels.units[t][ref.cluster]]
     # walks[m] is the forward mapping walk from the admitted layers[m].
     walks: list[list[frozenset[ClusterRef]]] = [[]]
     full_matches: list[int] = []
     for k in range(1, min(t, state.history) + 1):
-        candidate = lift(pair(t - k).tracing_refs, layers[k - 1])
+        table = pair(t - k)
+        tables.append(table)
+        candidate = lift(table.tracing_refs, layers[k - 1])
         if not candidate:
             break
         admitted = False
         path = candidate
         forward: list[frozenset[ClusterRef]] = []
-        for j in range(1, k + 1):
-            path = lift(pair(t - k + j - 1).mapping_refs, path)
+        for j in range(k, 0, -1):
+            # Step from k - j to k - j + 1 snapshots after the candidate.
+            path = lift(tables[j].mapping_refs, path)
             if not path:
                 break
             forward.append(path)
-            if path <= layers[k - j]:
+            if path <= layers[j - 1]:
                 admitted = True
-                if path == layers[k - j]:
+                if path == layers[j - 1]:
                     # The rest of the walk is the one already taken from
                     # that layer, and the layer is admitted, so stopping
                     # here changes neither admission nor the full match.
-                    forward.extend(walks[k - j])
+                    forward.extend(walks[j - 1])
                     break
         if not admitted:
             break
@@ -203,8 +216,8 @@ def _search_source(
     dc_of = state.labels.__getitem__
     for k in reversed(full_matches):
         if len(set(map(dc_of, layers[k]))) == 1:
-            return k, layers, walks[k]
-    return 0, layers, None
+            return k, layers, walks[k], tables
+    return 0, layers, None, tables
 
 
 def find_source_set(
@@ -215,7 +228,7 @@ def find_source_set(
     Returns (depth, source set); depth 0 with {ref} itself means no
     qualifying earlier set exists and the target founds a new DC.
     """
-    n_star, layers, _forward = _search_source(state, rels, ref)
+    n_star, layers, _forward, _tables = _search_source(state, rels, ref)
     return n_star, layers[n_star]
 
 
@@ -248,60 +261,76 @@ def identity_flow(
     ref: ClusterRef,
     n_star: int,
     source_set: frozenset[ClusterRef],
-    _tf_layers: Sequence[frozenset[ClusterRef]] | None = None,
-    _mf_path: Sequence[frozenset[ClusterRef]] | None = None,
 ) -> IdentityFlowResult:
-    """Assemble the identity flow and the marginalised clusters.
-
-    The two private arguments let the snapshot pass hand over walk layers
-    it already computed; results are identical either way.
-    """
+    """Assemble the identity flow and the marginalised clusters."""
     t = ref.time
-    flow: list[set[ClusterRef]] = [set() for _ in range(n_star + 1)]
-    if _tf_layers is not None:
-        for o in range(n_star + 1):
-            flow[o].update(_tf_layers[o])
-    else:
-        layer = frozenset((ref,))
-        flow[0].update(layer)
-        for o in range(1, n_star + 1):
-            layer = lift(rels.pair(t - o).tracing_refs, layer)
-            flow[o].update(layer)
-    flow[n_star].update(source_set)
-    if _mf_path is not None:
-        for j in range(1, n_star + 1):
-            flow[n_star - j].update(_mf_path[j - 1])
-    else:
-        layer = source_set
-        for j in range(1, n_star + 1):
-            layer = lift(rels.pair(t - n_star + j - 1).mapping_refs, layer)
-            flow[n_star - j].update(layer)
-
-    marginals: set[ClusterRef] = set()
-    if n_star >= 2:
-        mapper_layers: list[frozenset[ClusterRef]] = []
-        layer = frozenset((ref,))
-        for o in range(1, n_star):
-            layer = lift(rels.pair(t - o).mapper_refs, layer)
-            mapper_layers.append(layer)
-            if not layer:
-                break
-        tracer_by_offset: dict[int, frozenset[ClusterRef]] = {}
-        layer = source_set
-        for s in range(1, n_star):
-            layer = lift(rels.pair(t - n_star + s - 1).tracer_refs, layer)
-            if not layer:
-                break
-            tracer_by_offset[n_star - s] = layer
-        for o, mapper_layer in enumerate(mapper_layers, start=1):
-            both = mapper_layer & tracer_by_offset.get(o, frozenset())
-            marginals.update(both - flow[o])
+    tables = [None] + [rels.pair(t - o) for o in range(1, n_star + 1)]
+    layers = [frozenset((ref,))]
+    for o in range(1, n_star + 1):
+        layers.append(lift(tables[o].tracing_refs, layers[-1]))
+    forward = []
+    layer = source_set
+    for o in range(n_star, 0, -1):
+        layer = lift(tables[o].mapping_refs, layer)
+        forward.append(layer)
     return IdentityFlowResult(
         n_star=n_star,
         source_set=source_set,
-        flow=tuple(frozenset(layer) for layer in flow),
-        marginals=frozenset(marginals),
+        flow=_flow(layers, forward, source_set),
+        marginals=_marginals(tables, layers, forward, source_set),
     )
+
+
+def _flow(
+    layers: Sequence[frozenset[ClusterRef]],
+    forward: Sequence[frozenset[ClusterRef]],
+    source: frozenset[ClusterRef],
+) -> tuple[frozenset[ClusterRef], ...]:
+    """flow[o] of a depth-n flow, from the tracing layers o steps back from
+    the target (layers[0..n]) and the forward mapping walk from the source
+    (forward[0..n-1]; forward[j] lies n - j - 1 steps back)."""
+    n = len(forward)
+    return tuple(layers[o] | forward[n - o - 1] for o in range(n)) + (
+        layers[n] | source,
+    )
+
+
+def _marginals(
+    tables: Sequence[MajorityRelations | None],
+    layers: Sequence[frozenset[ClusterRef]],
+    forward: Sequence[frozenset[ClusterRef]],
+    source: frozenset[ClusterRef],
+) -> frozenset[ClusterRef]:
+    """Clusters enclosed by a depth-n flow that are not on it.
+
+    Arguments as for `_flow`; tables[o] holds the relations of the pair o
+    steps back from the target, for o = 1..n. A marginal o steps back
+    lies in the target's o-step mapper walk and outside flow[o]; only when
+    some mapper layer leaves the flow is the tracer walk from the source
+    taken, to keep those clusters that it reaches too.
+    """
+    n = len(forward)
+    outside: dict[int, frozenset[ClusterRef]] = {}
+    layer = layers[0]
+    for o in range(1, n):
+        layer = lift(tables[o].mapper_refs, layer)
+        if not layer:
+            break
+        if not layer <= layers[o]:
+            rest = layer - layers[o] - forward[n - o - 1]
+            if rest:
+                outside[o] = rest
+    if not outside:
+        return frozenset()
+    marginals: set[ClusterRef] = set()
+    layer = source
+    for o in range(n - 1, min(outside) - 1, -1):
+        layer = lift(tables[o + 1].tracer_refs, layer)
+        if not layer:
+            break
+        if o in outside:
+            marginals.update(outside[o] & layer)
+    return frozenset(marginals)
 
 
 def process_snapshot(
@@ -337,7 +366,7 @@ def process_snapshot(
     labels = state.labels
     for alpha in order:
         ref = refs[alpha]
-        n_star, layers, forward = _search_source(state, rels, ref)
+        n_star, layers, forward, tables = _search_source(state, rels, ref)
         source = layers[n_star]
         if n_star == 0:
             dc = state._new_dc(ref)
@@ -346,28 +375,25 @@ def process_snapshot(
                     TraceEvent(ref, 0, dc, source, (source,), frozenset())
                 )
             continue
+        # The source carries dc, and a full match walks forward back to
+        # exactly the target, so flow[0] is {ref} and flow[n_star] the
+        # source; the layers between take dc, and so do the marginals.
         dc = labels[next(iter(source))]
-        if n_star == 1:
-            # A one-step flow is the target plus its source, which already
-            # carries dc, and it encloses no marginals.
-            state._assign(ref, dc)
-            if state.trace is not None:
-                state.trace.append(
-                    TraceEvent(ref, 1, dc, source, (layers[0], source), frozenset())
-                )
-            continue
-        result = identity_flow(
-            rels, ref, n_star, source,
-            _tf_layers=layers[: n_star + 1], _mf_path=forward,
-        )
-        for layer in result.flow:
-            for r in layer:
-                state._assign(r, dc)
-        for r in result.marginals:
-            state._assign(r, dc)
+        labels[ref] = dc
+        for o in range(1, n_star):
+            for r in layers[o]:
+                labels[r] = dc
+            for r in forward[n_star - o - 1]:
+                labels[r] = dc
+        marginals = _marginals(tables, layers, forward, source)
+        for r in marginals:
+            labels[r] = dc
         if state.trace is not None:
             state.trace.append(
-                TraceEvent(ref, n_star, dc, source, result.flow, result.marginals)
+                TraceEvent(
+                    ref, n_star, dc, source,
+                    _flow(layers, forward, source), marginals,
+                )
             )
     state.frontier = i
     frontier_dcs = [labels[ref] for ref in refs]

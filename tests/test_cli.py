@@ -163,6 +163,41 @@ def test_render_deterministic_bytes(identity_input, tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+@pytest.mark.parametrize(
+    "option, message",
+    [
+        ("--block-width=nan", "--block-width must be a finite number > 0"),
+        ("--block-width=inf", "--block-width must be a finite number > 0"),
+        ("--block-width=-inf", "--block-width must be a finite number > 0"),
+        ("--block-width=0", "--block-width must be a finite number > 0"),
+        ("--block-width=-3", "--block-width must be a finite number > 0"),
+        ("--gap=nan", "--gap must be a finite number >= 0"),
+        ("--gap=inf", "--gap must be a finite number >= 0"),
+        ("--gap=-inf", "--gap must be a finite number >= 0"),
+        ("--gap=-50", "--gap must be a finite number >= 0"),
+        # finite, but the columns or the stacked blocks overflow a float
+        ("--block-width=1e308", "overflows a float"),
+        ("--gap=1e308", "overflows a float"),
+    ],
+)
+def test_render_bad_geometry_exits_2(result_doc, tmp_path, capsys, option, message):
+    svg = tmp_path / "diagram.svg"
+    code = main(["render", "--result", str(result_doc), "--output", str(svg), option])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert err.count("\n") == 1
+    assert not svg.exists()
+
+
+def test_render_zero_gap_and_thin_blocks(result_doc, tmp_path):
+    svg = tmp_path / "diagram.svg"
+    assert main(["render", "--result", str(result_doc), "--output", str(svg),
+                 "--gap", "0", "--block-width", "0.5"]) == 0
+    text = svg.read_text()
+    assert 'width="0.50"' in text and "nan" not in text and "inf" not in text
+
+
 SCENARIO = {
     "snapshots": 6,
     "seed": 7,
@@ -483,6 +518,17 @@ def _break_members(doc):
     doc["snapshots"][0]["clusters"][0]["members"] = "ab"
 
 
+def _break_registry_id_type(doc):
+    # true == 1 and hashes alike, so only a type check tells them apart
+    entry = next(e for e in doc["dcs"] if e["id"] == 1)
+    entry["id"] = True
+
+
+def _break_registry_coordinate_type(doc):
+    # [0.0, 0] == [0, 0], and the ClusterRefs built from them are equal
+    doc["dcs"][0]["clusters"][0][0] = 0.0
+
+
 @pytest.mark.parametrize("command", ["events", "render"])
 @pytest.mark.parametrize(
     "breaker, message",
@@ -495,6 +541,9 @@ def _break_members(doc):
         (_break_registry, "dcs registry does not match"),
         (_break_snapshot_count, "snapshot_count is 4"),
         (_break_members, "members must be an array"),
+        (_break_registry_id_type, "dcs: id must be an integer, got True"),
+        (_break_registry_coordinate_type,
+         "dcs: snapshot index must be an integer, got 0.0"),
     ],
 )
 def test_inconsistent_result_document_exits_2(

@@ -169,3 +169,20 @@ def test_any_result_document(workdir, document, data):
 @given(data=any_bytes(encoded(mutated(SPEC, spec_values)), spec_values))
 def test_any_scenario_spec(workdir, data):
     run(workdir, data, ["generate", "--spec", "{in}", "--output", "{out}"])
+
+
+@fuzz
+@given(option=st.sampled_from(["--gap", "--block-width"]), value=st.floats())
+def test_any_render_geometry(workdir, document, option, value):
+    # Any float, nan, infinities and negatives included; the `=` form lets
+    # argparse take a value such as "-inf" that starts with a dash.
+    source = workdir / "doc.json"
+    source.write_text(json.dumps(document))
+    svg = workdir / "render.svg"
+    svg.unlink(missing_ok=True)
+    code = main(["render", "--result", str(source), "--output", str(svg),
+                 f"{option}={value!r}"])
+    assert code in (0, 2)
+    if code == 0:
+        text = svg.read_text()
+        assert "nan" not in text and "inf" not in text

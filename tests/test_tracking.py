@@ -11,6 +11,7 @@ import pytest
 
 from dynatrack import (
     ClusterRef,
+    brute_force_track,
     PlannedEvent,
     PlantedDc,
     RelationCache,
@@ -30,6 +31,7 @@ from dynatrack import (
 )
 from dynatrack import tracking
 from dynatrack.errors import SequencingError, TrackingInvariantError
+from dynatrack.oracle import MAX_SNAPSHOTS, MAX_TOTAL_CLUSTERS
 from dynatrack.relations import lift
 from helpers import canonical, inject_one_shot_members, random_sequence, same_partition
 
@@ -328,7 +330,7 @@ class TestProcessSnapshot:
             "from dynatrack import sequence_from_lists, track\n"
             "from dynatrack.errors import TrackingInvariantError\n"
             "from dynatrack.tracking import TrackingState\n"
-            "TrackingState._new_dc = lambda self, ref: self._assign(ref, 0) or 0\n"
+            "TrackingState._new_dc = lambda self, ref: self.labels.__setitem__(ref, 0) or 0\n"
             "seq = sequence_from_lists([[['1']], [['8'], ['9']]])\n"
             "try:\n"
             "    track(seq, 1)\n"
@@ -551,7 +553,11 @@ def test_memoised_search_equals_reference(monkeypatch):
 
     def checked(state, rels, ref):
         got = memoised(state, rels, ref)
-        assert got == reference_search_source(state, rels, ref), ref
+        assert got[:3] == reference_search_source(state, rels, ref), ref
+        tables = got[3]
+        assert tables[0] is None
+        assert all(tables[k] is rels.pair(ref.time - k) for k in range(1, len(tables)))
+        assert len(tables) >= len(got[1])
         depths.append(len(got[1]) - 1)
         return got
 
@@ -562,3 +568,50 @@ def test_memoised_search_equals_reference(monkeypatch):
             track(seq, x, relations=rels)
     # the instances reach deep tracing flows, where the memo is used
     assert max(depths) >= 8
+
+
+def relabel_instances():
+    for seed in range(40):
+        rng = random.Random(9000 + seed)
+        yield random_sequence(rng, max_t=8, max_members=16, max_clusters=5)
+    for seed in range(8):
+        spec = ScenarioSpec(
+            snapshots=8,
+            dcs=(PlantedDc(10, 0, 7), PlantedDc(8, 0, 7), PlantedDc(6, 1, 7)),
+            events=(
+                PlannedEvent("splinter", 0, start=2, duration=1 + seed % 3,
+                             fraction=0.3),
+                PlannedEvent("transition", 1, start=3, duration=2 + seed % 2,
+                             fraction=0.5),
+                PlannedEvent("splinter", 2, start=4, duration=2, fraction=0.4),
+            ),
+            turnover=0.05 * (seed % 4),
+            seed=seed,
+        )
+        yield generate(spec)[0]
+
+
+def test_relabel_from_the_search_walk_matches_traced_runs_and_the_oracle():
+    # Untraced and traced runs relabel along one path; both must give the
+    # oracle's labels, which it finds from member sets alone. The instances
+    # must reach flows whose tracer walk finds marginals.
+    marginals = 0
+    oracle_checks = 0
+    for seq in relabel_instances():
+        small = (
+            len(seq) <= MAX_SNAPSHOTS
+            and sum(len(s) for s in seq.snapshots) <= MAX_TOTAL_CLUSTERS
+        )
+        rels = RelationCache(seq)
+        for x in range(len(seq) + 1):
+            events = []
+            plain = track(seq, x, relations=rels)
+            traced = track(seq, x, trace=events)
+            assert plain.labels == traced.labels
+            marginals += sum(len(ev.marginals) for ev in events)
+            if small:
+                reference = brute_force_track(seq, x)
+                assert same_partition(seq, plain.labels, reference.labels), x
+                oracle_checks += 1
+    assert marginals > 0
+    assert oracle_checks > 300
