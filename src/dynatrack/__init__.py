@@ -21,7 +21,6 @@ from .metrics import (
     DynamicClustering,
     LifecycleEvent,
     SummaryStats,
-    autocorrelation,
     classify_events,
     clustering_from_labels,
     summary_stats,
@@ -32,7 +31,6 @@ from .model import (
     ClusterRef,
     Snapshot,
     parse_sequence,
-    residents,
     sequence_from_lists,
     sequence_to_json_bytes,
     sequence_to_json_dict,
@@ -69,7 +67,6 @@ __all__ = [
     "DynamicClustering",
     "LifecycleEvent",
     "SummaryStats",
-    "autocorrelation",
     "classify_events",
     "clustering_from_labels",
     "summary_stats",
@@ -78,7 +75,6 @@ __all__ = [
     "ClusterRef",
     "Snapshot",
     "parse_sequence",
-    "residents",
     "sequence_from_lists",
     "sequence_to_json_bytes",
     "sequence_to_json_dict",

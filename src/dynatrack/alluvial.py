@@ -11,7 +11,7 @@ Output is plain SVG 1.1, byte-identical for identical inputs.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 from .model import ClusterRef, ClusteringSequence
 from .relations import index_sequence, pair_counts
@@ -52,8 +52,20 @@ class AlluvialLayout:
 
     def to_json_dict(self) -> dict:
         return {
-            "blocks": [[asdict(b) for b in col] for col in self.blocks],
-            "flows": [asdict(f) for f in self.flows],
+            "blocks": [
+                [
+                    {"time": b.time, "cluster": b.cluster, "dc": b.dc,
+                     "size": b.size, "y": b.y}
+                    for b in col
+                ]
+                for col in self.blocks
+            ],
+            "flows": [
+                {"time": f.time, "src_cluster": f.src_cluster,
+                 "dst_cluster": f.dst_cluster, "magnitude": f.magnitude,
+                 "src_y": f.src_y, "dst_y": f.dst_y}
+                for f in self.flows
+            ],
             "gap": self.gap,
         }
 

@@ -8,7 +8,6 @@ usage), 1 (anything else).
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import sys
@@ -148,9 +147,16 @@ def cmd_sweep(args) -> int:
 def cmd_events(args) -> int:
     seq, labels, x = load_document(_read(args.result))
     result = clustering_from_labels(seq, labels, x)
-    events = [dataclasses.asdict(ev) for ev in classify_events(result, seq)]
-    for entry in events:
-        entry["related"] = list(entry["related"])
+    events = [
+        {
+            "kind": ev.kind,
+            "time": ev.time,
+            "dc": ev.dc,
+            "related": list(ev.related),
+            "delta": ev.delta,
+        }
+        for ev in classify_events(result, seq)
+    ]
     payload = json.dumps(
         {"schema": 1, "events": events},
         ensure_ascii=False,
@@ -200,8 +206,32 @@ def _usage_error(msg: str) -> int:
     return 2
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument parser whose usage errors are one `error:` line, exit 2.
+
+    The subcommand parsers are of this class too (argparse makes them of
+    their parent's class). An unrecognised argument is quoted as given,
+    so line breaks in the message become spaces.
+    """
+
+    def error(self, message: str):
+        self.exit(2, f"error: {' '.join(message.splitlines())}\n")
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        # argparse drops the value "--" of `--option=--` and stores an
+        # empty list for an option that takes one value.
+        for action in self._actions:
+            if action.nargs is None and isinstance(
+                getattr(namespace, action.dest, None), list
+            ):
+                name = "/".join(action.option_strings) or action.dest
+                self.error(f"argument {name}: expected one argument")
+        return namespace, extras
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="dynatrack",
         description=(
             "Track dynamic clusters through a sequence of snapshot "

@@ -3,7 +3,7 @@
 Holds the final outcome of a tracking run (every cluster mapped to a
 dynamic-cluster id, plus the per-DC presence and member history) and the
 read-only analyses on top of it: life-cycle event classification,
-membership auto-correlation, total consistency, and summary statistics.
+total membership consistency, and summary statistics.
 All functions here are pure; results are treated as immutable.
 """
 
@@ -21,7 +21,6 @@ __all__ = [
     "clustering_from_labels",
     "LifecycleEvent",
     "classify_events",
-    "autocorrelation",
     "total_consistency",
     "SummaryStats",
     "summary_stats",
@@ -228,22 +227,6 @@ def _merge_at(result, seq, dc_id, series, i, memo) -> LifecycleEvent | None:
         return None
     related = tuple(sorted(src_dcs - {dc_id}))
     return LifecycleEvent("merge", i, dc_id, related=related)
-
-
-def autocorrelation(series: DcSeries, j: int) -> float | None:
-    """Jaccard overlap of a DC's members between local index j and j+1.
-
-    Returns None when the two presences are not at consecutive snapshots
-    (creation/destruction pairs are excluded from consistency).
-    """
-    if not (0 <= j < len(series.presence) - 1):
-        raise IndexError(f"local index out of range: {j}")
-    i, nxt = series.presence[j], series.presence[j + 1]
-    if nxt != i + 1:
-        return None
-    a = series.members_by_time[i]
-    b = series.members_by_time[nxt]
-    return len(a & b) / len(a | b)
 
 
 def total_consistency(

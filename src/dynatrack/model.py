@@ -1,4 +1,4 @@
-"""Snapshot data model: clustering sequences, parsing, resident queries.
+"""Snapshot data model: clustering sequences and parsing.
 
 A clustering sequence is an ordered list of snapshots; each snapshot is a
 disjoint family of non-empty member-ID sets. Member IDs are opaque UTF-8
@@ -25,7 +25,6 @@ __all__ = [
     "parse_sequence",
     "sequence_to_json_dict",
     "sequence_to_json_bytes",
-    "residents",
     "subsequence",
 ]
 
@@ -74,9 +73,6 @@ class ClusteringSequence:
 
     def __len__(self) -> int:
         return len(self.snapshots)
-
-    def cluster_members(self, ref: ClusterRef) -> frozenset[str]:
-        return self.snapshots[ref.time].clusters[ref.cluster]
 
     def cluster_refs(self) -> Iterable[ClusterRef]:
         for snap in self.snapshots:
@@ -257,16 +253,6 @@ def sequence_to_json_bytes(seq: ClusteringSequence) -> bytes:
         json.dumps(doc, ensure_ascii=False, sort_keys=True, separators=(",", ":"))
         + "\n"
     ).encode("utf-8")
-
-
-def residents(seq: ClusteringSequence, i: int, j: int) -> frozenset[str]:
-    """Members present (in any cluster) in both snapshot i and snapshot j."""
-    t = len(seq)
-    if not (0 <= i < t) or not (0 <= j < t):
-        raise IndexError(f"snapshot index out of range (T={t}, got i={i}, j={j})")
-    if i == j:
-        return seq.snapshots[i].members
-    return seq.snapshots[i].members & seq.snapshots[j].members
 
 
 def subsequence(seq: ClusteringSequence, end: int) -> ClusteringSequence:

@@ -24,12 +24,27 @@ back from the target and the tracer sets forward from the source set;
 whatever lies in both walks but not on the identity flow is re-assigned
 to the embedding DC. The tracer walk is taken only when the mapper walk
 leaves the flow, since nothing else can be marginal.
+
+Along one-step-bijective chains the search is carried rather than
+repeated. A target is one-step bijective when its tracing set is one
+cluster c whose mapping set is the target alone; most targets of
+persistent clusters are. Each cluster keeps a record of its search, keyed
+by source time, until the next snapshot is processed; a one-step-bijective
+target derives its own record from c's in O(1) (`_advance`): the same
+layers with the target on top, the same admitted layers, c's full matches
+plus c itself, and every walk one step longer. It then skips the relabel
+writes when no label has changed since c took the same DC, and the
+marginal search when the mapper walk stays on the layers above the
+source. Whenever a precondition of that derivation fails, the target
+falls back to the full search, so the labels are those of the full search
+at every history; the cost per target no longer grows with it.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import SequencingError, TrackingInvariantError
 from .metrics import DynamicClustering, clustering_from_labels
@@ -140,6 +155,11 @@ class TrackingState:
     frontier: int = -1
     trace: list[TraceEvent] | None = None
     relations: RelationCache | None = field(default=None, repr=False)
+    # The search record of every frontier cluster, by cluster index (None
+    # before snapshot 1 is processed), and how many relabel writes have
+    # changed an existing label so far.
+    _chains: list[_Chain] | None = field(default=None, init=False, repr=False)
+    _changes: int = field(default=0, init=False, repr=False)
 
     def _new_dc(self, ref: ClusterRef) -> int:
         dc = self.next_dc_id
@@ -168,22 +188,31 @@ def _search_source(
     list[frozenset[ClusterRef]],
     list[frozenset[ClusterRef]] | None,
     list[MajorityRelations | None],
+    tuple,
 ]:
     """Shared engine behind find_source_set and the snapshot pass.
 
     Returns (depth, tracing-flow layers, forward mapping walk of the
-    chosen source, pair tables); depth 0 means the target founds a new DC
-    and the walk is None. tables[k] holds the relations between the
-    snapshots k and k - 1 steps before the target, for every k the search
-    stepped back to.
+    chosen source, pair tables, walks); depth 0 means the target founds a
+    new DC and the walk is None. tables[k] holds the relations between
+    the snapshots k and k - 1 steps before the target, for every k the
+    search stepped back to. walks is (steps, full matches, stop) for
+    `_chain_of`: steps[k] = (own, meet) says that the forward walk from
+    the admitted layers[k] passes the sets `own` and then equals
+    layers[meet], whose walk it follows from there (meet = -1: it never
+    equals a layer); the full matches are the depths whose walk ends at
+    exactly the target, ascending; stop is where the walk of a layer that
+    was not admitted ended at the target's snapshot, or None.
     """
     t = ref.time
     pair = rels.pair
     tables: list[MajorityRelations | None] = [None]
     layers: list[frozenset[ClusterRef]] = [rels.units[t][ref.cluster]]
-    # walks[m] is the forward mapping walk from the admitted layers[m].
-    walks: list[list[frozenset[ClusterRef]]] = [[]]
+    steps: list[tuple[list[frozenset[ClusterRef]], int]] = [([], -1)]
+    # full[m]: the walk from layers[m] ends at exactly the target.
+    full = [True]
     full_matches: list[int] = []
+    stop = None
     for k in range(1, min(t, state.history) + 1):
         table = pair(t - k)
         tables.append(table)
@@ -191,33 +220,54 @@ def _search_source(
         if not candidate:
             break
         admitted = False
+        meet = -1
         path = candidate
-        forward: list[frozenset[ClusterRef]] = []
+        own: list[frozenset[ClusterRef]] = []
         for j in range(k, 0, -1):
             # Step from k - j to k - j + 1 snapshots after the candidate.
             path = lift(tables[j].mapping_refs, path)
             if not path:
                 break
-            forward.append(path)
             if path <= layers[j - 1]:
                 admitted = True
                 if path == layers[j - 1]:
                     # The rest of the walk is the one already taken from
                     # that layer, and the layer is admitted, so stopping
                     # here changes neither admission nor the full match.
-                    forward.extend(walks[j - 1])
+                    meet = j - 1
                     break
+            own.append(path)
         if not admitted:
+            if path:
+                stop = path
             break
         layers.append(candidate)
-        walks.append(forward)
-        if len(forward) == k and forward[-1] == layers[0]:
+        steps.append((own, meet))
+        full.append(meet >= 0 and full[meet])
+        if full[k]:
             full_matches.append(k)
     dc_of = state.labels.__getitem__
+    n_star = 0
     for k in reversed(full_matches):
         if len(set(map(dc_of, layers[k]))) == 1:
-            return k, layers, walks[k], tables
-    return 0, layers, None, tables
+            n_star = k
+            break
+    forward = _walk(layers, steps, n_star) if n_star else None
+    return n_star, layers, forward, tables, (steps, full_matches, stop)
+
+
+def _walk(
+    layers: Sequence[frozenset[ClusterRef]],
+    steps: Sequence[tuple[Sequence[frozenset[ClusterRef]], int]],
+    k: int,
+) -> list[frozenset[ClusterRef]]:
+    """The forward walk from layers[k] of a full match, one set per step."""
+    out: list[frozenset[ClusterRef]] = []
+    while k:
+        own, k = steps[k]
+        out.extend(own)
+        out.append(layers[k])
+    return out
 
 
 def find_source_set(
@@ -228,7 +278,7 @@ def find_source_set(
     Returns (depth, source set); depth 0 with {ref} itself means no
     qualifying earlier set exists and the target founds a new DC.
     """
-    n_star, layers, _forward, _tables = _search_source(state, rels, ref)
+    n_star, layers, _forward, _tables, _walks = _search_source(state, rels, ref)
     return n_star, layers[n_star]
 
 
@@ -248,12 +298,6 @@ class IdentityFlowResult:
     source_set: frozenset[ClusterRef]
     flow: tuple[frozenset[ClusterRef], ...]
     marginals: frozenset[ClusterRef]
-
-    def all_flow(self) -> frozenset[ClusterRef]:
-        out: set[ClusterRef] = set()
-        for layer in self.flow:
-            out.update(layer)
-        return frozenset(out)
 
 
 def identity_flow(
@@ -333,6 +377,278 @@ def _marginals(
     return frozenset(marginals)
 
 
+class _Chain:
+    """Search record of the newest cluster on a one-step-bijective chain.
+
+    Everything is keyed by source *time*, so the record of a cluster's
+    one-step-bijective successor is the same record with one layer added
+    on top and at most one cut off at the bottom (`_advance`):
+
+    * layer[s] is the admitted tracing layer at time s, for s in
+      [bottom, top]; layer[top] is {target};
+    * full holds, ascending, the times whose forward walk ends at exactly
+      the target (full matches); walk[s] = (own, m) says that the walk
+      from layer[s] passes the sets `own` and then equals layer[m], and a
+      full-match time without an entry steps to layer[s + 1] directly;
+      bent is the highest time with an entry, -1 if there is none;
+    * leave is the highest time below top at which the mapper walk from
+      the target is not inside the layer there, -1 if there is none; every
+      marginal of a match lies at or below it;
+    * stop is where the walk from the layer that ended the search (one
+      below bottom, not admitted) reached top's snapshot, None if it did
+      not;
+    * source is the time of the source the target took its DC from (-1
+      for a new DC) and changes the state's change count after it did.
+    """
+
+    __slots__ = (
+        "top", "bottom", "layer", "walk", "bent", "full", "leave", "stop",
+        "source", "changes",
+    )
+
+    def __init__(self, top, bottom, layer, walk, full, leave, stop):
+        self.top = top
+        self.bottom = bottom
+        self.layer = layer
+        self.walk = walk
+        self.bent = max(walk, default=-1)
+        self.full = full
+        self.leave = leave
+        self.stop = stop
+        self.source = -1
+        self.changes = -1
+
+
+def _chain_of(
+    ref: ClusterRef,
+    layers: list[frozenset[ClusterRef]],
+    tables: list[MajorityRelations | None],
+    walks: tuple,
+) -> _Chain:
+    """The record of a full `_search_source` result, in O(depth)."""
+    steps, full_matches, stop = walks
+    t = ref.time
+    walk = {}
+    for k in full_matches:
+        own, meet = steps[k]
+        if own or meet != k - 1:
+            walk[t - k] = (own, t - meet)
+    leave = -1
+    mapper = layers[0]
+    for k in range(1, len(layers)):
+        mapper = lift(tables[k].mapper_refs, mapper)
+        if not mapper:
+            break
+        if not mapper <= layers[k]:
+            leave = t - k
+            break
+    return _Chain(
+        t,
+        t - len(layers) + 1,
+        {t - k: layer for k, layer in enumerate(layers)},
+        walk,
+        deque(t - k for k in reversed(full_matches)),
+        leave,
+        stop,
+    )
+
+
+def _advance(
+    state: TrackingState, rels: RelationCache, ref: ClusterRef
+) -> _Chain | str:
+    """The search record of ref, derived in O(1) from its predecessor's,
+    or why it cannot be; then the caller runs the full search.
+
+    ref at time t is one-step bijective when its tracing set is one
+    cluster c and c's mapping set is {ref}. By source time, ref's tracing
+    layers are then c's with {ref} on top, cut to the horizon. The walk
+    that admits a layer for ref takes c's comparisons plus one at t, so
+    c's admitted layers are ref's; the layer that stopped c's search is
+    admitted for ref only if its walk steps on to exactly {ref} (then
+    ref's search goes deeper: fall back). ref's full matches are t - 1
+    and c's: an admitted walk stays inside the walk of the layer it was
+    admitted on, so by induction over the depth every admitted walk ends
+    at exactly {c} or dies, and c's mapping set takes {c} on to {ref}.
+    The deepest full match is the source when its layer is one cluster;
+    with several, the full search reads their DCs. The mapper walk from
+    ref enters c's when ref's mapper set is {c}; otherwise fall back.
+    """
+    t = ref.time
+    pair = rels.pair(t - 1)
+    back = pair.tracing_refs[ref.cluster]
+    if len(back) != 1:
+        return "tracing set is not one cluster"
+    unit = rels.units[t][ref.cluster]
+    (c,) = back
+    # One-cluster relation sets are the cache's unit sets themselves.
+    if pair.mapping_refs[c.cluster] is not unit:
+        return "mapping set of the predecessor holds another cluster"
+    if len(pair.mapper_refs[ref.cluster]) != 1:
+        return "mapper set holds another cluster"
+    chains = state._chains
+    if chains is None:
+        chain = _Chain(t - 1, t - 1, {t - 1: back}, {}, deque(), -1, None)
+    else:
+        chain = chains[c.cluster]
+    low = t - state.history
+    bottom = max(chain.bottom, low)
+    stop = chain.stop
+    if stop is not None:
+        if chain.bottom > low:
+            # The layer below the bottom is within reach of ref too.
+            stop = lift(pair.mapping_refs, stop)
+            if stop == unit:
+                return "the walk that stopped the predecessor's search reaches ref"
+            stop = stop or None
+        else:
+            stop = None
+    layer = chain.layer
+    if bottom > chain.bottom:
+        del layer[chain.bottom]
+        chain.walk.pop(chain.bottom, None)
+        chain.bottom = bottom
+    layer[t] = unit
+    full = chain.full
+    full.append(t - 1)
+    while full[0] < bottom:
+        full.popleft()
+    if len(layer[full[0]]) != 1:
+        return "the deepest full match has several clusters"
+    chain.top = t
+    chain.stop = stop
+    return chain
+
+
+def _chain_walk(chain: _Chain, s: int) -> list[frozenset[ClusterRef]]:
+    """The forward walk from the full-match layer at time s to the top."""
+    out: list[frozenset[ClusterRef]] = []
+    top = chain.top
+    layer = chain.layer
+    walk = chain.walk
+    while s < top:
+        step = walk.get(s)
+        if step is None:
+            s += 1
+        else:
+            own, s = step
+            out.extend(own)
+        out.append(layer[s])
+    return out
+
+
+def _chain_flow(
+    rels: RelationCache, chain: _Chain
+) -> tuple[
+    list[frozenset[ClusterRef]],
+    list[frozenset[ClusterRef]],
+    list[MajorityRelations | None],
+]:
+    """(layers, forward, tables) of the chain's match, as `_search_source`
+    gives them for its chosen depth, in O(depth)."""
+    t = chain.top
+    s = chain.full[0]
+    layers = [chain.layer[t - o] for o in range(t - s + 1)]
+    tables = [None] + [rels.pair(t - o) for o in range(1, t - s + 1)]
+    return layers, _chain_walk(chain, s), tables
+
+
+def _between(
+    layers: Sequence[frozenset[ClusterRef]],
+    forward: Sequence[frozenset[ClusterRef]],
+) -> Iterator[ClusterRef]:
+    """The clusters of a flow strictly between its source and target
+    (arguments as for `_flow`)."""
+    n = len(forward)
+    for o in range(1, n):
+        yield from layers[o]
+        yield from forward[n - o - 1]
+
+
+def _relabel(state: TrackingState, dc: int, refs: Iterable[ClusterRef]) -> None:
+    """Give dc to already labelled clusters, counting the labels changed."""
+    labels = state.labels
+    changed = 0
+    for r in refs:
+        if labels[r] != dc:
+            labels[r] = dc
+            changed += 1
+    state._changes += changed
+
+
+def _label_searched(
+    state: TrackingState, rels: RelationCache, ref: ClusterRef, keep: bool
+) -> _Chain | None:
+    """Label ref from a full source search; its record if `keep`."""
+    n_star, layers, forward, tables, walks = _search_source(state, rels, ref)
+    source = layers[n_star]
+    if n_star == 0:
+        dc = state._new_dc(ref)
+        flow: tuple[frozenset[ClusterRef], ...] = (source,)
+        marginals: frozenset[ClusterRef] = frozenset()
+    else:
+        # The source carries dc, and a full match walks forward back to
+        # exactly the target, so flow[0] is {ref} and flow[n_star] the
+        # source; the layers between take dc, and so do the marginals.
+        dc = state.labels[next(iter(source))]
+        state.labels[ref] = dc
+        marginals = _marginals(tables, layers, forward, source)
+        _relabel(state, dc, _between(layers, forward))
+        _relabel(state, dc, marginals)
+        if state.trace is not None:
+            flow = _flow(layers, forward, source)
+    if state.trace is not None:
+        state.trace.append(TraceEvent(ref, n_star, dc, source, flow, marginals))
+    if not keep:
+        return None
+    chain = _chain_of(ref, layers, tables, walks)
+    if n_star:
+        chain.source = ref.time - n_star
+    chain.changes = state._changes
+    return chain
+
+
+def _label_carried(
+    state: TrackingState, rels: RelationCache, ref: ClusterRef, chain: _Chain
+) -> None:
+    """Label ref from its record as `_advance` derived it.
+
+    ref takes the DC of the source, its deepest full match. The flow
+    between needs no write when no label has changed since the
+    predecessor took its DC and ref's flow lies on the predecessor's:
+    the same source, or a higher one whose walk runs along the layers.
+    Marginals need looking for only below the time the mapper walk
+    leaves the layers.
+    """
+    labels = state.labels
+    s = chain.full[0]
+    source = chain.layer[s]
+    dc = labels[next(iter(source))]
+    labels[ref] = dc
+    flow = None
+    if not (
+        chain.changes == state._changes
+        and 0 <= chain.source <= s
+        and (chain.source == s or chain.bent < s)
+    ):
+        flow = _chain_flow(rels, chain)
+        _relabel(state, dc, _between(flow[0], flow[1]))
+    if chain.leave > s or state.trace is not None:
+        layers, forward, tables = flow or _chain_flow(rels, chain)
+        marginals: frozenset[ClusterRef] = frozenset()
+        if chain.leave > s:
+            marginals = _marginals(tables, layers, forward, source)
+            _relabel(state, dc, marginals)
+        if state.trace is not None:
+            state.trace.append(
+                TraceEvent(
+                    ref, len(forward), dc, source,
+                    _flow(layers, forward, source), marginals,
+                )
+            )
+    chain.source = s
+    chain.changes = state._changes
+
+
 def process_snapshot(
     state: TrackingState,
     seq: ClusteringSequence,
@@ -363,40 +679,20 @@ def process_snapshot(
     elif state.relations is not rels:
         raise ValueError("earlier snapshots were processed with another cache")
     refs = rels.refs[i]
-    labels = state.labels
+    # Without a history every cluster founds a DC, and no record is kept.
+    keep = state.history > 0
+    chains: list[_Chain | None] = [None] * m
     for alpha in order:
         ref = refs[alpha]
-        n_star, layers, forward, tables = _search_source(state, rels, ref)
-        source = layers[n_star]
-        if n_star == 0:
-            dc = state._new_dc(ref)
-            if state.trace is not None:
-                state.trace.append(
-                    TraceEvent(ref, 0, dc, source, (source,), frozenset())
-                )
-            continue
-        # The source carries dc, and a full match walks forward back to
-        # exactly the target, so flow[0] is {ref} and flow[n_star] the
-        # source; the layers between take dc, and so do the marginals.
-        dc = labels[next(iter(source))]
-        labels[ref] = dc
-        for o in range(1, n_star):
-            for r in layers[o]:
-                labels[r] = dc
-            for r in forward[n_star - o - 1]:
-                labels[r] = dc
-        marginals = _marginals(tables, layers, forward, source)
-        for r in marginals:
-            labels[r] = dc
-        if state.trace is not None:
-            state.trace.append(
-                TraceEvent(
-                    ref, n_star, dc, source,
-                    _flow(layers, forward, source), marginals,
-                )
-            )
+        chain = _advance(state, rels, ref) if keep else None
+        if isinstance(chain, _Chain):
+            _label_carried(state, rels, ref, chain)
+        else:
+            chain = _label_searched(state, rels, ref, keep)
+        chains[alpha] = chain
     state.frontier = i
-    frontier_dcs = [labels[ref] for ref in refs]
+    state._chains = chains if keep else None
+    frontier_dcs = [state.labels[ref] for ref in refs]
     if len(set(frontier_dcs)) != m:
         raise TrackingInvariantError(
             f"frontier labels not injective at snapshot {i}: {frontier_dcs}"

@@ -1,10 +1,56 @@
-"""Shared test utilities: random instances and label comparison."""
+"""Shared test utilities: random instances, label comparison, and the
+member-set queries that only tests need."""
 
 from __future__ import annotations
 
+import importlib.util
 import random
+from pathlib import Path
 
-from dynatrack import ClusteringSequence, ClusterRef, sequence_from_lists
+from dynatrack import ClusteringSequence, ClusterRef, DcSeries, sequence_from_lists
+
+
+def churn_sequence(
+    t_total: int, n_members: int, n_clusters: int, seed: int = 0
+) -> ClusteringSequence:
+    """The seeded churn sequence of `benchmarks/compare_backends.py`: N
+    members start round-robin in G clusters, and at every step each moves
+    to a uniformly drawn cluster with probability 0.02."""
+    path = Path(__file__).resolve().parent.parent / "benchmarks" / "compare_backends.py"
+    spec = importlib.util.spec_from_file_location("compare_backends", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.synthetic_sequence(t_total, n_members, n_clusters, seed=seed)
+
+
+def cluster_members(seq: ClusteringSequence, ref: ClusterRef) -> frozenset[str]:
+    return seq.snapshots[ref.time].clusters[ref.cluster]
+
+
+def residents(seq: ClusteringSequence, i: int, j: int) -> frozenset[str]:
+    """Members present (in any cluster) in both snapshot i and snapshot j."""
+    t = len(seq)
+    if not (0 <= i < t) or not (0 <= j < t):
+        raise IndexError(f"snapshot index out of range (T={t}, got i={i}, j={j})")
+    if i == j:
+        return seq.snapshots[i].members
+    return seq.snapshots[i].members & seq.snapshots[j].members
+
+
+def autocorrelation(series: DcSeries, j: int) -> float | None:
+    """Jaccard overlap of a DC's members between local index j and j+1.
+
+    Returns None when the two presences are not at consecutive snapshots
+    (creation/destruction pairs are excluded from consistency).
+    """
+    if not (0 <= j < len(series.presence) - 1):
+        raise IndexError(f"local index out of range: {j}")
+    i, nxt = series.presence[j], series.presence[j + 1]
+    if nxt != i + 1:
+        return None
+    a = series.members_by_time[i]
+    b = series.members_by_time[nxt]
+    return len(a & b) / len(a | b)
 
 
 def random_sequence(

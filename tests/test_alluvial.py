@@ -2,6 +2,7 @@
 
 import random
 import xml.etree.ElementTree as ET
+from dataclasses import asdict
 
 from dynatrack import build_layout, layout_to_svg, sequence_from_lists, track
 from dynatrack.alluvial import PALETTE
@@ -112,3 +113,14 @@ def test_layout_json_is_serialisable():
     layout = layout_for(seq)
     payload = json.dumps(layout.to_json_dict(), sort_keys=True)
     assert '"flows"' in payload and '"blocks"' in payload
+
+
+def test_layout_json_holds_every_field():
+    for seed in range(10):
+        seq = random_sequence(random.Random(600 + seed))
+        layout = layout_for(seq, gap=1.5)
+        assert layout.to_json_dict() == {
+            "blocks": [[asdict(b) for b in col] for col in layout.blocks],
+            "flows": [asdict(f) for f in layout.flows],
+            "gap": 1.5,
+        }

@@ -4,8 +4,11 @@ import json
 
 import pytest
 
-from dynatrack import cli, relations, tracking
+from dataclasses import asdict
+
+from dynatrack import classify_events, cli, clustering_from_labels, relations, tracking
 from dynatrack.cli import SWEEP_HEADER, main
+from dynatrack.resultdoc import load_document
 
 IDENTITY_FIXTURE = {
     "snapshots": [
@@ -77,6 +80,39 @@ def test_track_negative_history_exits_2(identity_input, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["track", "--input", "{in}", "--history", "-inf"],
+         "argument --history: expected one argument"),
+        (["track", "--input", "{in}", "--history", "abc"],
+         "argument --history: invalid int value: 'abc'"),
+        (["render", "--result", "{in}", "--gap", "-inf"],
+         "argument --gap: expected one argument"),
+        ([], "the following arguments are required: command"),
+        (["track", "--input", "{in}", "--history", "1", "--bogus"],
+         "unrecognized arguments: --bogus"),
+        (["track", "--input", "{in}", "--history", "1", "x\ny"],
+         "unrecognized arguments: x y"),
+        (["frobnicate"], "argument command: invalid choice: 'frobnicate'"),
+        # argparse would store [] for these, as if no value were needed
+        (["render", "--result", "{in}", "--gap=--"],
+         "argument --gap: expected one argument"),
+        (["track", "--input", "{in}", "--history", "1", "--output=--"],
+         "argument --output: expected one argument"),
+    ],
+)
+def test_usage_errors_are_one_line(identity_input, capsys, argv, message):
+    argv = [a.replace("{in}", str(identity_input)) for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {message}")
+    assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+
+
 def test_track_csv_input(tmp_path):
     path = tmp_path / "seq.csv"
     path.write_text("t,member,cluster\n0,a,0\n0,b,0\n1,a,0\n1,b,0\n")
@@ -128,6 +164,21 @@ def test_events_roundtrip(identity_input, tmp_path):
     assert code == 0
     doc = json.loads(out.read_text())
     assert doc == {"schema": 1, "events": []}
+
+
+def test_events_json_holds_every_field(tmp_path):
+    seq_path = tmp_path / "seq.json"
+    seq_path.write_text(json.dumps(FIG_SPLINTER))
+    result = tmp_path / "result.json"
+    out = tmp_path / "events.json"
+    assert main(["track", "--input", str(seq_path), "--history", "0",
+                 "--output", str(result)]) == 0
+    assert main(["events", "--result", str(result), "--output", str(out)]) == 0
+    seq, labels, x = load_document(result.read_bytes())
+    events = classify_events(clustering_from_labels(seq, labels, x), seq)
+    expected = [dict(asdict(ev), related=list(ev.related)) for ev in events]
+    assert {ev["kind"] for ev in expected} >= {"split", "merge"}
+    assert json.loads(out.read_text()) == {"schema": 1, "events": expected}
 
 
 def test_events_rejects_wrong_schema(tmp_path, capsys):

@@ -4,8 +4,11 @@ Each command reads one file: a sequence (`--input`, JSON or CSV), a result
 document (`--result`) or a scenario spec (`--spec`). The inputs are raw
 bytes, JSON of the right keys with values of any type, and valid files
 with one part replaced. `cli.main` must return 0 or 2 and never raise.
+Any text as the value of an option exits 0, or 2 with one stderr line.
 """
 
+import contextlib
+import io
 import json
 
 import pytest
@@ -186,3 +189,49 @@ def test_any_render_geometry(workdir, document, option, value):
     if code == 0:
         text = svg.read_text()
         assert "nan" not in text and "inf" not in text
+
+
+# (subcommand and its file argument, option) pairs whose value is text.
+OPTIONS = [
+    (["track", "--input", "{seq}", "--output", "{out}"], "--history"),
+    (["track", "--input", "{seq}", "--history", "1", "--output", "{out}"],
+     "--format"),
+    (["sweep", "--input", "{seq}", "--history-max", "2", "--output", "{out}"],
+     "--history-min"),
+    (["sweep", "--input", "{seq}", "--history-min", "0", "--output", "{out}"],
+     "--history-max"),
+    (["render", "--result", "{doc}", "--output", "{out}"], "--gap"),
+    (["render", "--result", "{doc}", "--output", "{out}"], "--block-width"),
+]
+
+
+@fuzz
+@given(
+    case=st.sampled_from(OPTIONS),
+    value=st.text(max_size=12)
+    | st.sampled_from(["-inf", "-1", "-", "--", "-x", "1e308", "nan", " 2"]),
+    joined=st.booleans(),
+)
+def test_any_option_value(workdir, document, case, value, joined):
+    argv, option = case
+    seq = workdir / "options-seq.json"
+    seq.write_text(json.dumps(SEQUENCE))
+    doc = workdir / "options-doc.json"
+    doc.write_text(json.dumps(document))
+    argv = [
+        a.replace("{seq}", str(seq)).replace("{doc}", str(doc))
+        .replace("{out}", str(workdir / "options-out"))
+        for a in argv
+    ]
+    argv += [f"{option}={value}"] if joined else [option, value]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 2), argv
+    if code == 2:
+        text = err.getvalue()
+        assert text.startswith("error: ") and text.count("\n") == 1, text
+        assert text.endswith("\n")

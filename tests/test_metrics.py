@@ -10,7 +10,6 @@ from dynatrack import (
     PlantedDc,
     RelationCache,
     ScenarioSpec,
-    autocorrelation,
     classify_events,
     clustering_from_labels,
     generate,
@@ -21,7 +20,7 @@ from dynatrack import (
     track,
 )
 from dynatrack.model import ClusterRef
-from helpers import random_sequence
+from helpers import autocorrelation, random_sequence
 
 
 def labelled(data, labels):

@@ -1,4 +1,5 @@
-"""Parsing, validation and resident queries of the snapshot model."""
+"""Parsing and validation of the snapshot model, and the resident query
+the tests use."""
 
 import json
 
@@ -9,12 +10,12 @@ from hypothesis import strategies as st
 from dynatrack import (
     ClusterRef,
     parse_sequence,
-    residents,
     sequence_from_lists,
     sequence_to_json_bytes,
     subsequence,
 )
 from dynatrack.errors import ParseError, SequenceValidationError
+from helpers import cluster_members, residents
 
 JSON_TWO_SNAPSHOTS = json.dumps(
     {
@@ -31,8 +32,8 @@ def test_parse_json_two_snapshots():
     assert len(seq) == 2
     assert len(seq.snapshots[0]) == 2
     assert len(seq.snapshots[1]) == 1
-    assert seq.cluster_members(ClusterRef(0, 0)) == {"a", "b"}
-    assert seq.cluster_members(ClusterRef(1, 0)) == {"a", "b", "c"}
+    assert cluster_members(seq, ClusterRef(0, 0)) == {"a", "b"}
+    assert cluster_members(seq, ClusterRef(1, 0)) == {"a", "b", "c"}
 
 
 def test_parse_json_duplicate_member():

@@ -1,5 +1,6 @@
 """Core tracking: paths, matches, source sets, flows, and whole runs."""
 
+import collections
 import gc
 import random
 import subprocess
@@ -33,7 +34,14 @@ from dynatrack import tracking
 from dynatrack.errors import SequencingError, TrackingInvariantError
 from dynatrack.oracle import MAX_SNAPSHOTS, MAX_TOTAL_CLUSTERS
 from dynatrack.relations import lift
-from helpers import canonical, inject_one_shot_members, random_sequence, same_partition
+from helpers import (
+    canonical,
+    churn_sequence,
+    cluster_members,
+    inject_one_shot_members,
+    random_sequence,
+    same_partition,
+)
 
 
 def enum_trace_path(seq, ref, n):
@@ -42,7 +50,7 @@ def enum_trace_path(seq, ref, n):
     for _ in range(n):
         nxt = set()
         for r in layer:
-            mine = seq.cluster_members(r)
+            mine = cluster_members(seq, r)
             scores = {
                 ClusterRef(r.time - 1, a): len(mine & other)
                 for a, other in enumerate(seq.snapshots[r.time - 1].clusters)
@@ -59,7 +67,7 @@ def enum_map_path(seq, start, n):
     for _ in range(n):
         nxt = set()
         for r in layer:
-            mine = seq.cluster_members(r)
+            mine = cluster_members(seq, r)
             scores = {
                 ClusterRef(r.time + 1, a): len(mine & other)
                 for a, other in enumerate(seq.snapshots[r.time + 1].clusters)
@@ -270,7 +278,7 @@ class TestIdentityFlow:
         # marginals sit strictly between source and target times
         assert all(1 < r.time < 3 for r in res.marginals)
         # and never overlap the flow
-        assert not res.marginals & res.all_flow()
+        assert not res.marginals & frozenset().union(*res.flow)
 
 
 class TestProcessSnapshot:
@@ -615,3 +623,227 @@ def test_relabel_from_the_search_walk_matches_traced_runs_and_the_oracle():
                 oracle_checks += 1
     assert marginals > 0
     assert oracle_checks > 300
+
+
+# Hand-made instances on which one fallback of the carried search fires,
+# with the smallest history at which it does.
+FALLBACK_FIXTURES = {
+    # The target takes half its members from each of two clusters.
+    "tracing set is not one cluster": (
+        1, [[["1", "2"], ["3", "4"]], [["1", "2", "3", "4"]]],
+    ),
+    # The predecessor's majority goes to the other part of a split.
+    "mapping set of the predecessor holds another cluster": (
+        1, [[["1", "2", "3", "4", "5"]], [["1", "2", "3"], ["4", "5"]]],
+    ),
+    # A second cluster goes wholly into the target.
+    "mapper set holds another cluster": (
+        1, [[["1", "2", "3"], ["4"]], [["1", "2", "3", "4"]]],
+    ),
+    # At x = 2 the last target's deepest full match is the tie layer
+    # {A, B} at t1 (the single source P at t0 is past the horizon).
+    "the deepest full match has several clusters": (
+        2,
+        [
+            [["1", "2", "3", "4"]],
+            [["1", "2"], ["3", "4"]],
+            [["1", "2", "3", "4"]],
+            [["1", "2", "3", "4"]],
+        ],
+    ),
+    # The predecessor's search stops at Z: Z's walk splits into Y and D,
+    # then reaches {c, E}, not inside {c}. E's members leave, so for the
+    # target the walk steps on to exactly {target} and admits Z.
+    "the walk that stopped the predecessor's search reaches ref": (
+        3,
+        [
+            [["1", "2", "3", "4"]],
+            [["1", "2", "5", "6", "7"], ["3", "4"]],
+            [["1", "2", "5", "6", "7"], ["3", "4"]],
+            [["1", "2", "5", "6", "7"]],
+        ],
+    ),
+}
+
+
+def carry_instances():
+    for _x, data in FALLBACK_FIXTURES.values():
+        yield sequence_from_lists(data)
+    for seed in range(50):
+        rng = random.Random(11000 + seed)
+        yield random_sequence(
+            rng, max_t=10, max_members=14, max_clusters=4, presence=0.9
+        )
+    for seed in range(12):
+        spec = ScenarioSpec(
+            snapshots=14,
+            dcs=(
+                PlantedDc(12, 0, 13),
+                PlantedDc(9, 0, 12),
+                PlantedDc(8, 2, 13),
+                PlantedDc(6, 1, 9),
+            ),
+            events=(
+                PlannedEvent("splinter", 0, start=2, duration=1 + seed % 3,
+                             fraction=0.3),
+                PlannedEvent("transition", 1, start=4, duration=2, fraction=0.5),
+                PlannedEvent("split", 2, start=6, fraction=0.4),
+                PlannedEvent("merge", 3, start=8, into=0),
+            ),
+            turnover=0.1 + 0.1 * (seed % 4),
+            seed=seed,
+        )
+        yield generate(spec)[0]
+
+
+def checked_advance(outcomes):
+    """`tracking._advance` comparing every carried record with the full
+    search at the same labels, and counting each outcome."""
+    advance = tracking._advance
+
+    def checked(state, rels, ref):
+        got = advance(state, rels, ref)
+        if isinstance(got, str):
+            outcomes[got] += 1
+            return got
+        outcomes["carried"] += 1
+        n_star, layers, forward, tables, _walks = tracking._search_source(
+            state, rels, ref
+        )
+        source = layers[n_star]
+        t = ref.time
+        assert got.top == t
+        assert [got.layer[t - k] for k in range(t - got.bottom + 1)] == layers
+        c_layers, c_forward, c_tables = tracking._chain_flow(rels, got)
+        assert len(c_forward) == n_star > 0
+        assert c_layers == layers[: n_star + 1] and c_forward == forward
+        assert c_tables == tables[: n_star + 1]
+        assert tracking._flow(c_layers, c_forward, source) == tracking._flow(
+            layers, forward, source
+        )
+        marginals = tracking._marginals(tables, layers, forward, source)
+        if got.leave <= got.full[0]:
+            assert marginals == frozenset()
+        else:
+            assert tracking._marginals(
+                c_tables, c_layers, c_forward, source
+            ) == marginals
+        return got
+
+    return checked
+
+
+def checked_search(searches):
+    """`tracking._search_source` checking that every admitted walk ends at
+    exactly the target or dies, which the carried full matches rely on."""
+    search = tracking._search_source
+
+    def checked(state, rels, ref):
+        got = search(state, rels, ref)
+        steps = got[4][0]
+        for k in range(1, len(got[1])):
+            own, meet = steps[k]
+            assert meet >= 0 or len(own) < k, (ref, k)
+        searches.append(ref)
+        return got
+
+    return checked
+
+
+def test_carried_search_equals_the_full_search(monkeypatch):
+    outcomes = collections.Counter()
+    searches = []
+    oracle_checks = 0
+    for seq in carry_instances():
+        small = (
+            len(seq) <= MAX_SNAPSHOTS
+            and sum(len(s) for s in seq.snapshots) <= MAX_TOTAL_CLUSTERS
+        )
+        rels = RelationCache(seq)
+        for x in range(len(seq) + 1):
+            with monkeypatch.context() as m:
+                m.setattr(tracking, "_advance", checked_advance(outcomes))
+                m.setattr(tracking, "_search_source", checked_search(searches))
+                carried = track(seq, x, relations=rels)
+            with monkeypatch.context() as m:
+                m.setattr(tracking, "_advance", lambda *args: "off")
+                full = track(seq, x, relations=rels)
+            assert carried.labels == full.labels, x
+            assert carried.dcs == full.dcs
+            if small:
+                reference = brute_force_track(seq, x)
+                assert same_partition(seq, carried.labels, reference.labels), x
+                oracle_checks += 1
+    assert set(outcomes) == {"carried", *FALLBACK_FIXTURES}, outcomes
+    assert outcomes["carried"] > 2000
+    assert len(searches) > 2000 and oracle_checks > 200
+
+
+@pytest.mark.parametrize("reason", sorted(FALLBACK_FIXTURES))
+def test_each_fallback_fires_on_its_fixture(monkeypatch, reason):
+    x, data = FALLBACK_FIXTURES[reason]
+    seq = sequence_from_lists(data)
+    outcomes = collections.Counter()
+    monkeypatch.setattr(tracking, "_advance", checked_advance(outcomes))
+    carried = track(seq, x)
+    assert outcomes[reason] >= 1, outcomes
+    monkeypatch.setattr(tracking, "_advance", lambda *args: "off")
+    assert track(seq, x).labels == carried.labels
+    assert same_partition(seq, carried.labels, brute_force_track(seq, x).labels)
+
+
+def test_a_changed_label_makes_the_successor_rewrite_its_flow(monkeypatch):
+    # One persistent cluster: every target carries source (0, 0) and its
+    # flow. A label on that flow changed after (2, 0) took its DC (as a
+    # relabel of another target would) must be rewritten by (3, 0).
+    seq = sequence_from_lists([[["1", "2"]]] * 4)
+    runs = []
+    for carry in (True, False):
+        with monkeypatch.context() as m:
+            if not carry:
+                m.setattr(tracking, "_advance", lambda *args: "off")
+            rels = RelationCache(seq)
+            state = new_state(seq, 3)
+            process_snapshot(state, seq, rels, 1)
+            process_snapshot(state, seq, rels, 2)
+            tracking._relabel(state, 7, [ClusterRef(1, 0)])
+            assert state._changes == 1
+            process_snapshot(state, seq, rels, 3)
+            runs.append(dict(state.labels))
+    assert runs[0] == runs[1] == {ClusterRef(t, 0): 0 for t in range(4)}
+
+
+def test_traced_runs_carry_the_same_events(monkeypatch):
+    for seq in list(carry_instances())[:30]:
+        for x in range(len(seq) + 1):
+            carried, full = [], []
+            track(seq, x, trace=carried)
+            with monkeypatch.context() as m:
+                m.setattr(tracking, "_advance", lambda *args: "off")
+                track(seq, x, trace=full)
+            assert carried == full
+
+
+def test_search_work_does_not_grow_with_the_horizon(monkeypatch):
+    # Persistent five-member clusters with 2% churn: almost every target
+    # is one-step bijective. Work is counted as set lifts plus carried-
+    # record derivations (each O(1) and lift-free but for one walk step);
+    # the full search alone takes about x times as many lifts.
+    seq = churn_sequence(40, 500, 100, seed=0)
+    rels = RelationCache(seq)
+    work = collections.Counter()
+    advance = tracking._advance
+
+    def counting_lift(table, refs):
+        work[x] += 1
+        return lift(table, refs)
+
+    def counting_advance(state, rels, ref):
+        work[x] += 1
+        return advance(state, rels, ref)
+
+    monkeypatch.setattr(tracking, "lift", counting_lift)
+    monkeypatch.setattr(tracking, "_advance", counting_advance)
+    for x in (1, 39):
+        track(seq, x, relations=rels)
+    assert work[39] <= 2 * work[1], work
