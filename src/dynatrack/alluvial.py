@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 from .model import ClusterRef, ClusteringSequence
-from .relations import index_sequence, pair_counts
+from .relations import count_tables
 
 __all__ = ["Block", "Flow", "AlluvialLayout", "build_layout", "layout_to_svg"]
 
@@ -100,12 +100,11 @@ def build_layout(
         columns.append(tuple(col))
         tops.append(col_tops)
 
-    indexed = index_sequence(seq)
     flows: list[Flow] = []
-    for i in range(len(seq) - 1):
+    for i, table in enumerate(count_tables(seq)):
         out_used = [0.0] * len(seq.snapshots[i])
         in_used = [0.0] * len(seq.snapshots[i + 1])
-        for a, b, magnitude in pair_counts(indexed[i], indexed[i + 1]):
+        for a, b, magnitude in table:
             src_y = tops[i][a] + out_used[a]
             dst_y = tops[i + 1][b] + in_used[b]
             out_used[a] += magnitude

@@ -309,16 +309,16 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, SequenceValidationError) as exc:
+    except (
+        ParseError,
+        SequenceValidationError,
+        SchemaError,
+        GenerationError,
+        OracleSizeError,
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (SchemaError, GenerationError, OracleSizeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except DynatrackError as exc:
+    except (OSError, DynatrackError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

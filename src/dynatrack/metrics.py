@@ -1,9 +1,11 @@
 """Persistent-group results and their analysis.
 
 Holds the final outcome of a tracking run (every cluster mapped to a
-dynamic-cluster id, plus the per-DC presence and member history) and the
+dynamic-cluster id, plus the per-DC presence and size history) and the
 read-only analyses on top of it: life-cycle event classification,
-total membership consistency, and summary statistics.
+total membership consistency, and summary statistics. The analyses read
+the shared-member count tables of neighbouring snapshots and the cluster
+sizes, never the member strings.
 All functions here are pure; results are treated as immutable.
 """
 
@@ -29,11 +31,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class DcSeries:
-    """One dynamic cluster: where it exists and what it contains there."""
+    """One dynamic cluster: where it exists and how many members it has there."""
 
     presence: tuple[int, ...]  # strictly increasing snapshot indices
     clusters_by_time: dict[int, tuple[int, ...]]
-    members_by_time: dict[int, frozenset[str]]
+    size_by_time: dict[int, int]
 
     @property
     def lifespan(self) -> int:
@@ -41,7 +43,7 @@ class DcSeries:
 
     def member_snapshots(self) -> int:
         """Total member-presence count over the DC's lifetime."""
-        return sum(len(self.members_by_time[t]) for t in self.presence)
+        return sum(self.size_by_time.values())
 
 
 @dataclass(frozen=True)
@@ -50,34 +52,30 @@ class DynamicClustering:
 
     `seq` is the labelled sequence. `pair_triples[i]` holds the
     shared-member count triples between snapshot i and i+1, as
-    `relations.pair_counts` returns them, or None where no table was
-    built; a tracked result shares the tables its relation cache built.
-    Neither takes part in comparisons.
+    `relations.pair_counts` returns them, or the whole list is None when
+    no tables were handed on; a tracked result shares the tables its
+    relation cache built. Neither takes part in comparisons.
     """
 
     labels: dict[ClusterRef, int]
     dcs: dict[int, DcSeries]
     x_used: int
     seq: ClusteringSequence | None = field(default=None, compare=False, repr=False)
-    pair_triples: list[list[tuple[int, int, int]] | None] | None = field(
+    pair_triples: list[list[tuple[int, int, int]]] | None = field(
         default=None, compare=False, repr=False
     )
 
     def counts_between(self, i: int) -> list[tuple[int, int, int]]:
         """Count triples between snapshot i and i+1.
 
-        Tables missing from `pair_triples` are computed from `seq` on
-        first use, all at once, and kept on the result.
+        Without `pair_triples`, every table is computed from `seq` on
+        first use and kept on the result.
         """
         tables = self.pair_triples
-        if tables is None or tables[i] is None:
+        if tables is None:
             if self.seq is None:
                 raise ValueError("the result does not carry its sequence")
-            tables = list(tables or [None] * (len(self.seq) - 1))
-            indexed = relations.index_sequence(self.seq)
-            for j, table in enumerate(tables):
-                if table is None:
-                    tables[j] = relations.pair_counts(indexed[j], indexed[j + 1])
+            tables = relations.count_tables(self.seq)
             object.__setattr__(self, "pair_triples", tables)
         return tables[i]
 
@@ -86,7 +84,7 @@ def clustering_from_labels(
     seq: ClusteringSequence,
     labels: dict[ClusterRef, int],
     x: int,
-    pair_triples: list[list[tuple[int, int, int]] | None] | None = None,
+    pair_triples: list[list[tuple[int, int, int]]] | None = None,
 ) -> DynamicClustering:
     """Full result from a bare cluster-to-id association.
 
@@ -97,24 +95,24 @@ def clustering_from_labels(
     times: dict[int, dict[int, list[int]]] = {}
     for ref, dc in labels.items():
         times.setdefault(dc, {}).setdefault(ref.time, []).append(ref.cluster)
+    sizes = [[len(c) for c in snap.clusters] for snap in seq.snapshots]
     dcs: dict[int, DcSeries] = {}
     for dc_id in sorted(times):
         by_time = times[dc_id]
         presence = tuple(sorted(by_time))
-        members_by_time = {}
+        size_by_time = {}
         for t in presence:
-            clusters = seq.snapshots[t].clusters
             alphas = by_time[t]
-            # Sharing a lone cluster's member set saves a copy per DC and time.
-            members_by_time[t] = (
-                clusters[alphas[0]]
+            # The clusters of one snapshot are disjoint, so sizes add up.
+            size_by_time[t] = (
+                sizes[t][alphas[0]]
                 if len(alphas) == 1
-                else frozenset().union(*(clusters[a] for a in alphas))
+                else sum(sizes[t][a] for a in alphas)
             )
         dcs[dc_id] = DcSeries(
             presence=presence,
             clusters_by_time={t: tuple(sorted(by_time[t])) for t in presence},
-            members_by_time=members_by_time,
+            size_by_time=size_by_time,
         )
     return DynamicClustering(
         labels=dict(labels), dcs=dcs, x_used=x, seq=seq, pair_triples=pair_triples
@@ -146,87 +144,86 @@ def classify_events(
 ) -> list[LifecycleEvent]:
     """Classify all life-cycle events of a tracking result.
 
-    Events are evaluated on DC member sets. Birth requires that no member
-    of the DC's first member set was present at the previous snapshot;
-    death that no member of the last set survives to the next snapshot.
-    Both are therefore optional, and undefined at the sequence boundaries.
-    Split (merge) fires when a DC's members spread over several clusters
-    at the next (previous) snapshot that belong to at least two distinct
-    DCs overall. Growth and shrinkage are reported per consecutive
-    presence pair with non-zero size change; events are not mutually
-    exclusive.
+    Events are read from the result's count tables, cluster sizes and
+    labels. Birth requires that no member of the DC's first clusters was
+    present at the previous snapshot, that is no count cell enters them;
+    death that no cell leaves its last clusters. Both are therefore
+    optional, and undefined at the sequence boundaries. Split (merge)
+    fires when the cells leaving (entering) a DC's clusters reach several
+    clusters at the next (previous) snapshot that, with the DC itself,
+    belong to at least two distinct DCs. Growth and shrinkage are
+    reported per consecutive presence pair with non-zero size change;
+    events are not mutually exclusive. A result of another sequence
+    than `seq` raises ValueError, and so does one that carries neither
+    its sequence nor its tables when a table is needed.
     """
+    if result.seq is not None and result.seq is not seq:
+        raise ValueError("the result was built for a different sequence")
     t_total = len(seq)
-    member_maps: dict[int, dict[str, int]] = {}
+    labels = result.labels
+    # Per snapshot pair i: the clusters at i+1 that each cluster at i
+    # shares members with, and the clusters at i each cluster at i+1
+    # shares members with.
+    reach_next: list[dict[int, list[int]]] = []
+    reach_prev: list[dict[int, list[int]]] = []
+    for i in range(t_total - 1):
+        out: dict[int, list[int]] = {}
+        back: dict[int, list[int]] = {}
+        for ca, cb, _n in result.counts_between(i):
+            out.setdefault(ca, []).append(cb)
+            back.setdefault(cb, []).append(ca)
+        reach_next.append(out)
+        reach_prev.append(back)
     events: list[LifecycleEvent] = []
     for dc_id in sorted(result.dcs):
         series = result.dcs[dc_id]
-        first = series.presence[0]
-        last = series.presence[-1]
-        if first >= 1:
-            prior = seq.snapshots[first - 1].members
-            if not (series.members_by_time[first] & prior):
-                events.append(LifecycleEvent("birth", first, dc_id))
-        if last + 1 < t_total:
-            after = seq.snapshots[last + 1].members
-            if not (series.members_by_time[last] & after):
-                events.append(LifecycleEvent("death", last + 1, dc_id))
-        for j in range(len(series.presence) - 1):
-            i, nxt = series.presence[j], series.presence[j + 1]
+        presence = series.presence
+        clusters = series.clusters_by_time
+        sizes = series.size_by_time
+        first = presence[0]
+        last = presence[-1]
+        if first >= 1 and not _reached(reach_prev[first - 1], clusters[first]):
+            events.append(LifecycleEvent("birth", first, dc_id))
+        if last + 1 < t_total and not _reached(reach_next[last], clusters[last]):
+            events.append(LifecycleEvent("death", last + 1, dc_id))
+        for j in range(len(presence) - 1):
+            i, nxt = presence[j], presence[j + 1]
             if nxt != i + 1:
                 continue
-            delta = len(series.members_by_time[nxt]) - len(series.members_by_time[i])
+            delta = sizes[nxt] - sizes[i]
             if delta > 0:
                 events.append(LifecycleEvent("growth", nxt, dc_id, delta=delta))
             elif delta < 0:
                 events.append(LifecycleEvent("shrinkage", nxt, dc_id, delta=delta))
-        for i in series.presence:
+        for i in presence:
             if i + 1 < t_total:
-                ev = _split_at(result, seq, dc_id, series, i, member_maps)
-                if ev is not None:
-                    events.append(ev)
+                related = _others(reach_next[i], clusters[i], i + 1, dc_id, labels)
+                if related:
+                    events.append(LifecycleEvent("split", i + 1, dc_id, related))
             if i >= 1:
-                ev = _merge_at(result, seq, dc_id, series, i, member_maps)
-                if ev is not None:
-                    events.append(ev)
+                related = _others(reach_prev[i - 1], clusters[i], i - 1, dc_id, labels)
+                if related:
+                    events.append(LifecycleEvent("merge", i, dc_id, related))
     return sorted(events, key=_sort_key)
 
 
-def _cluster_of_member(
-    seq: ClusteringSequence, i: int, memo: dict[int, dict[str, int]]
-) -> dict[str, int]:
-    table = memo.get(i)
-    if table is None:
-        table = {}
-        for alpha, members in enumerate(seq.snapshots[i].clusters):
-            for m in members:
-                table[m] = alpha
-        memo[i] = table
-    return table
+def _reached(links: dict[int, list[int]], clusters: tuple[int, ...]):
+    """The distinct clusters that `links` joins to any of `clusters`."""
+    if len(clusters) == 1:
+        return links.get(clusters[0], ())
+    out: set[int] = set()
+    for c in clusters:
+        out.update(links.get(c, ()))
+    return out
 
 
-def _split_at(result, seq, dc_id, series, i, memo) -> LifecycleEvent | None:
-    where = _cluster_of_member(seq, i + 1, memo)
-    hit_clusters = {where[m] for m in series.members_by_time[i] if m in where}
-    if len(hit_clusters) < 2:
-        return None
-    hit_dcs = {result.labels[ClusterRef(i + 1, a)] for a in hit_clusters}
-    if len(hit_dcs | {dc_id}) < 2:
-        return None
-    related = tuple(sorted(hit_dcs - {dc_id}))
-    return LifecycleEvent("split", i + 1, dc_id, related=related)
-
-
-def _merge_at(result, seq, dc_id, series, i, memo) -> LifecycleEvent | None:
-    where = _cluster_of_member(seq, i - 1, memo)
-    src_clusters = {where[m] for m in series.members_by_time[i] if m in where}
-    if len(src_clusters) < 2:
-        return None
-    src_dcs = {result.labels[ClusterRef(i - 1, a)] for a in src_clusters}
-    if len(src_dcs | {dc_id}) < 2:
-        return None
-    related = tuple(sorted(src_dcs - {dc_id}))
-    return LifecycleEvent("merge", i, dc_id, related=related)
+def _others(links, clusters, at, dc_id, labels) -> tuple[int, ...]:
+    """The DCs other than `dc_id` of the clusters at snapshot `at` that
+    `links` joins to `clusters`; () unless there are several such clusters."""
+    reached = _reached(links, clusters)
+    if len(reached) < 2:
+        return ()
+    return tuple(sorted({labels[ClusterRef(at, a)] for a in reached} - {dc_id}))
 
 
 def total_consistency(
@@ -289,9 +286,7 @@ def total_consistency(
                 )
             else:
                 union = (
-                    len(series.members_by_time[i])
-                    + len(series.members_by_time[nxt])
-                    - shared
+                    series.size_by_time[i] + series.size_by_time[nxt] - shared
                 )
             pairs += 1
             if union:

@@ -12,7 +12,6 @@ import csv
 import io
 import json
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import ParseError, SequenceValidationError
@@ -42,13 +41,6 @@ class Snapshot:
 
     index: int
     clusters: tuple[frozenset[str], ...]
-
-    @cached_property
-    def members(self) -> frozenset[str]:
-        out: set[str] = set()
-        for c in self.clusters:
-            out.update(c)
-        return frozenset(out)
 
     def __len__(self) -> int:
         return len(self.clusters)

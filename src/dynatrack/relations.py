@@ -24,6 +24,7 @@ from .model import ClusterRef, ClusteringSequence
 __all__ = [
     "MajorityRelations",
     "RelationCache",
+    "count_tables",
     "index_sequence",
     "pair_counts",
 ]
@@ -65,6 +66,12 @@ def pair_counts(
             key = (ca, cb)
             counts[key] = counts.get(key, 0) + 1
     return sorted((ca, cb, n) for (ca, cb), n in counts.items())
+
+
+def count_tables(seq: ClusteringSequence) -> list[list[tuple[int, int, int]]]:
+    """The `pair_counts` triples of every neighbouring snapshot pair of `seq`."""
+    indexed = index_sequence(seq)
+    return [pair_counts(a, b) for a, b in zip(indexed, indexed[1:])]
 
 
 class MajorityRelations:
@@ -187,9 +194,11 @@ class RelationCache:
             )
         return rel
 
-    def pair_triples(self) -> list[list[tuple[int, int, int]] | None]:
-        """The count triples of every pair built so far, None for the rest."""
-        return [None if rel is None else rel.triples for rel in self._pairs]
+    def pair_triples(self) -> list[list[tuple[int, int, int]]] | None:
+        """The count triples of every pair, or None unless all are built."""
+        if None in self._pairs:
+            return None
+        return [rel.triples for rel in self._pairs]
 
 
 def lift(

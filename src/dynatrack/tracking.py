@@ -733,7 +733,8 @@ def finalize(state: TrackingState, seq: ClusteringSequence) -> DynamicClustering
     """Freeze a tracking state into an immutable result.
 
     The result shares the count tables of the state's relation cache,
-    not the cache itself. A cache of another sequence raises ValueError.
+    once it holds every pair, not the cache itself. A cache of another
+    sequence raises ValueError.
     """
     rels = state.relations
     if rels is not None and rels.seq is not seq:

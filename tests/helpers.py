@@ -7,7 +7,14 @@ import importlib.util
 import random
 from pathlib import Path
 
-from dynatrack import ClusteringSequence, ClusterRef, DcSeries, sequence_from_lists
+from dynatrack import (
+    ClusteringSequence,
+    ClusterRef,
+    DcSeries,
+    DynamicClustering,
+    LifecycleEvent,
+    sequence_from_lists,
+)
 
 
 def churn_sequence(
@@ -27,17 +34,30 @@ def cluster_members(seq: ClusteringSequence, ref: ClusterRef) -> frozenset[str]:
     return seq.snapshots[ref.time].clusters[ref.cluster]
 
 
+def snapshot_members(seq: ClusteringSequence, t: int) -> frozenset[str]:
+    """Every member present (in any cluster) at snapshot t."""
+    return frozenset().union(*seq.snapshots[t].clusters)
+
+
+def dc_members(seq: ClusteringSequence, series: DcSeries, t: int) -> frozenset[str]:
+    """The members of a DC's clusters at snapshot t."""
+    clusters = seq.snapshots[t].clusters
+    return frozenset().union(*(clusters[a] for a in series.clusters_by_time[t]))
+
+
 def residents(seq: ClusteringSequence, i: int, j: int) -> frozenset[str]:
     """Members present (in any cluster) in both snapshot i and snapshot j."""
     t = len(seq)
     if not (0 <= i < t) or not (0 <= j < t):
         raise IndexError(f"snapshot index out of range (T={t}, got i={i}, j={j})")
     if i == j:
-        return seq.snapshots[i].members
-    return seq.snapshots[i].members & seq.snapshots[j].members
+        return snapshot_members(seq, i)
+    return snapshot_members(seq, i) & snapshot_members(seq, j)
 
 
-def autocorrelation(series: DcSeries, j: int) -> float | None:
+def autocorrelation(
+    seq: ClusteringSequence, series: DcSeries, j: int
+) -> float | None:
     """Jaccard overlap of a DC's members between local index j and j+1.
 
     Returns None when the two presences are not at consecutive snapshots
@@ -48,9 +68,67 @@ def autocorrelation(series: DcSeries, j: int) -> float | None:
     i, nxt = series.presence[j], series.presence[j + 1]
     if nxt != i + 1:
         return None
-    a = series.members_by_time[i]
-    b = series.members_by_time[nxt]
+    a = dc_members(seq, series, i)
+    b = dc_members(seq, series, nxt)
     return len(a & b) / len(a | b)
+
+
+def reference_events(
+    result: DynamicClustering, seq: ClusteringSequence
+) -> list[LifecycleEvent]:
+    """Life-cycle events computed on member string sets, the way
+    `classify_events` defined them before it read the count tables: the
+    reference that the table-based classifier is compared against."""
+    t_total = len(seq)
+    where_memo: dict[int, dict[str, int]] = {}
+
+    def where(i: int) -> dict[str, int]:
+        if i not in where_memo:
+            where_memo[i] = {
+                m: alpha
+                for alpha, members in enumerate(seq.snapshots[i].clusters)
+                for m in members
+            }
+        return where_memo[i]
+
+    def spread(kind, time, at, dc_id, members):
+        found = {where(at)[m] for m in members if m in where(at)}
+        if len(found) < 2:
+            return None
+        dcs = {result.labels[ClusterRef(at, a)] for a in found}
+        if len(dcs | {dc_id}) < 2:
+            return None
+        return LifecycleEvent(kind, time, dc_id, related=tuple(sorted(dcs - {dc_id})))
+
+    events: list[LifecycleEvent] = []
+    for dc_id in sorted(result.dcs):
+        series = result.dcs[dc_id]
+        members = {t: dc_members(seq, series, t) for t in series.presence}
+        first = series.presence[0]
+        last = series.presence[-1]
+        if first >= 1 and not (members[first] & snapshot_members(seq, first - 1)):
+            events.append(LifecycleEvent("birth", first, dc_id))
+        if last + 1 < t_total and not (members[last] & snapshot_members(seq, last + 1)):
+            events.append(LifecycleEvent("death", last + 1, dc_id))
+        for j in range(len(series.presence) - 1):
+            i, nxt = series.presence[j], series.presence[j + 1]
+            if nxt != i + 1:
+                continue
+            delta = len(members[nxt]) - len(members[i])
+            if delta > 0:
+                events.append(LifecycleEvent("growth", nxt, dc_id, delta=delta))
+            elif delta < 0:
+                events.append(LifecycleEvent("shrinkage", nxt, dc_id, delta=delta))
+        for i in series.presence:
+            if i + 1 < t_total:
+                ev = spread("split", i + 1, i + 1, dc_id, members[i])
+                if ev is not None:
+                    events.append(ev)
+            if i >= 1:
+                ev = spread("merge", i, i - 1, dc_id, members[i])
+                if ev is not None:
+                    events.append(ev)
+    return sorted(events, key=lambda ev: (ev.time, ev.dc, ev.kind, ev.related))
 
 
 def random_sequence(
@@ -113,7 +191,7 @@ def inject_one_shot_members(
     for t, snap in enumerate(seq.snapshots):
         row = [list(c) for c in snap.clusters]
         if row:
-            budget = int(len(snap.members) * max_share)
+            budget = int(len(snapshot_members(seq, t)) * max_share)
             for j in range(rng.randint(0, budget) if budget else 0):
                 row[rng.randrange(len(row))].append(f"one_shot_{t}_{j}")
         data.append(row)

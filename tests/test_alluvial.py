@@ -7,7 +7,7 @@ from dataclasses import asdict
 from dynatrack import build_layout, layout_to_svg, sequence_from_lists, track
 from dynatrack.alluvial import PALETTE
 from dynatrack.resultdoc import canonical_labels
-from helpers import random_sequence
+from helpers import random_sequence, snapshot_members
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
@@ -67,12 +67,10 @@ def test_flow_balance_against_block_sizes():
                     if f.time == t and f.src_cluster == block.cluster
                 )
                 if t > 0:
-                    introduced = len(
-                        members - seq.snapshots[t - 1].members
-                    )
+                    introduced = len(members - snapshot_members(seq, t - 1))
                     assert block.size - inflow == introduced
                 if t + 1 < len(seq):
-                    removed = len(members - seq.snapshots[t + 1].members)
+                    removed = len(members - snapshot_members(seq, t + 1))
                     assert block.size - outflow == removed
 
 

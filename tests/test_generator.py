@@ -14,7 +14,7 @@ from dynatrack import (
 )
 from dynatrack.errors import GenerationError
 from dynatrack.generator import MAX_MEMBER_SNAPSHOTS, MAX_SNAPSHOTS
-from helpers import canonical
+from helpers import canonical, snapshot_members
 
 
 def simple_spec(**overrides):
@@ -132,7 +132,7 @@ def test_merge_absorbs_group():
 def test_turnover_introduces_fresh_members():
     spec = simple_spec(turnover=0.5, seed=11)
     seq, _ = generate(spec)
-    assert seq.snapshots[1].members != seq.snapshots[0].members
+    assert snapshot_members(seq, 1) != snapshot_members(seq, 0)
 
 
 def test_infeasible_fraction_raises():

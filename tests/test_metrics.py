@@ -1,6 +1,7 @@
 """Life-cycle events, auto-correlation, consistency, summary statistics."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -20,7 +21,13 @@ from dynatrack import (
     track,
 )
 from dynatrack.model import ClusterRef
-from helpers import autocorrelation, random_sequence
+from helpers import (
+    autocorrelation,
+    churn_sequence,
+    dc_members,
+    random_sequence,
+    reference_events,
+)
 
 
 def labelled(data, labels):
@@ -48,7 +55,8 @@ def reference_total_consistency(result, mode="all_members"):
         if i not in system:
             out = set()
             for series in result.dcs.values():
-                out.update(series.members_by_time.get(i, ()))
+                if i in series.clusters_by_time:
+                    out.update(dc_members(result.seq, series, i))
             system[i] = frozenset(out)
         return system[i]
 
@@ -59,8 +67,8 @@ def reference_total_consistency(result, mode="all_members"):
             i, nxt = series.presence[j], series.presence[j + 1]
             if nxt != i + 1:
                 continue
-            a = series.members_by_time[i]
-            b = series.members_by_time[nxt]
+            a = dc_members(result.seq, series, i)
+            b = dc_members(result.seq, series, nxt)
             union = a | b
             if mode == "residents_only":
                 union = union & members_at(i) & members_at(nxt)
@@ -102,39 +110,37 @@ def test_clustering_from_labels_groups_members_by_dc_in_id_order():
             members = set()
             for a in alphas:
                 members |= seq.snapshots[t].clusters[a]
-            assert series.members_by_time[t] == members
+            assert dc_members(seq, series, t) == members
+            assert series.size_by_time[t] == len(members)
 
 
 class TestAutocorrelation:
     def test_identical(self):
-        dc = single_dc([{"1", "2"}, {"1", "2"}]).dcs[0]
-        assert autocorrelation(dc, 0) == 1.0
+        result = single_dc([{"1", "2"}, {"1", "2"}])
+        assert autocorrelation(result.seq, result.dcs[0], 0) == 1.0
 
     def test_partial(self):
-        dc = single_dc([{"1", "2"}, {"1", "3"}]).dcs[0]
-        assert autocorrelation(dc, 0) == pytest.approx(1 / 3)
+        result = single_dc([{"1", "2"}, {"1", "3"}])
+        assert autocorrelation(result.seq, result.dcs[0], 0) == pytest.approx(1 / 3)
 
     def test_disjoint(self):
-        dc = single_dc([{"1", "2"}, {"3", "4"}]).dcs[0]
-        assert autocorrelation(dc, 0) == 0.0
+        result = single_dc([{"1", "2"}, {"3", "4"}])
+        assert autocorrelation(result.seq, result.dcs[0], 0) == 0.0
 
     def test_gap_pair_is_excluded(self):
         result = labelled([[{"a"}], [{"b"}], [{"a"}]], {(0, 0): 0, (1, 0): 1, (2, 0): 0})
         assert result.dcs[0].presence == (0, 2)
-        assert autocorrelation(result.dcs[0], 0) is None
+        assert autocorrelation(result.seq, result.dcs[0], 0) is None
 
     def test_bad_index(self):
-        dc = single_dc([{"1"}, {"1"}]).dcs[0]
+        result = single_dc([{"1"}, {"1"}])
         with pytest.raises(IndexError):
-            autocorrelation(dc, 1)
+            autocorrelation(result.seq, result.dcs[0], 1)
 
 
-def consistency_instances():
-    """Tracked results over random sequences and generated scenarios."""
-    for seed in range(40):
-        seq = random_sequence(random.Random(9000 + seed), max_t=8)
-        for x in range(5):
-            yield track(seq, x)
+def scenario_sequences():
+    """Generated scenarios with a splinter, a transition, a split, a merge
+    and rising turnover."""
     for seed in range(4):
         spec = ScenarioSpec(
             snapshots=10,
@@ -148,7 +154,16 @@ def consistency_instances():
             turnover=0.1 + 0.1 * seed,
             seed=seed,
         )
-        seq = generate(spec)[0]
+        yield generate(spec)[0]
+
+
+def consistency_instances():
+    """Tracked results over random sequences and generated scenarios."""
+    for seed in range(40):
+        seq = random_sequence(random.Random(9000 + seed), max_t=8)
+        for x in range(5):
+            yield track(seq, x)
+    for seq in scenario_sequences():
         for x in range(5):
             yield track(seq, x)
 
@@ -261,6 +276,9 @@ class TestTotalConsistency:
             total_consistency(single_dc([{"1"}]), "banana")
 
 
+KINDS = ("birth", "death", "growth", "shrinkage", "split", "merge")
+
+
 class TestEvents:
     def test_growth_delta(self):
         seq = sequence_from_lists([[["a", "b"]], [["a", "b", "c"]]])
@@ -335,6 +353,40 @@ class TestEvents:
         seq = random_sequence(random.Random(11))
         result = track(seq, 2)
         assert classify_events(result, seq) == classify_events(result, seq)
+
+    def test_equals_string_set_reference_at_every_x(self):
+        sequences = [random_sequence(random.Random(7000 + s)) for s in range(320)]
+        sequences += scenario_sequences()
+        sequences.append(churn_sequence(6, 300, 12, seed=3))
+        kinds = Counter()
+        empty = multi = 0
+        for seq in sequences:
+            empty += any(len(snap) == 0 for snap in seq.snapshots)
+            for x in range(len(seq)):
+                result = track(seq, x)
+                for series in result.dcs.values():
+                    for t in series.presence:
+                        multi += len(series.clusters_by_time[t]) > 1
+                        assert series.size_by_time[t] == len(
+                            dc_members(seq, series, t)
+                        )
+                expected = reference_events(result, seq)
+                assert classify_events(result, seq) == expected
+                # a result without the tracker's tables computes its own
+                rebuilt = clustering_from_labels(seq, result.labels, x)
+                assert classify_events(rebuilt, seq) == expected
+                kinds.update(ev.kind for ev in expected)
+        # every kind of event occurs, and so do snapshots without clusters
+        # and DCs that span several clusters of one snapshot
+        assert min(kinds[k] for k in KINDS) > 500 and empty > 10 and multi > 100
+
+    def test_result_of_another_sequence_rejected(self):
+        seq = sequence_from_lists([[["a", "b"]], [["a"], ["b"]]])
+        twin = sequence_from_lists([[["a", "b"]], [["a"], ["b"]]])
+        result = track(seq, 1)
+        assert classify_events(result, seq)
+        with pytest.raises(ValueError, match="different sequence"):
+            classify_events(result, twin)
 
 
 class TestSummaryStats:

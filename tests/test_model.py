@@ -15,7 +15,7 @@ from dynatrack import (
     subsequence,
 )
 from dynatrack.errors import ParseError, SequenceValidationError
-from helpers import cluster_members, residents
+from helpers import cluster_members, residents, snapshot_members
 
 JSON_TWO_SNAPSHOTS = json.dumps(
     {
@@ -99,7 +99,7 @@ def test_parse_csv_duplicate_member():
 def test_parse_bytes_utf8():
     doc = json.dumps({"snapshots": [{"clusters": [["å", "ß"]]}]})
     seq = parse_sequence(doc.encode("utf-8"), "json")
-    assert seq.snapshots[0].members == {"å", "ß"}
+    assert snapshot_members(seq, 0) == {"å", "ß"}
 
 
 def test_residents_examples():

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from dynatrack import ClusterRef, RelationCache, sequence_from_lists
-from dynatrack.relations import lift
+from dynatrack.relations import count_tables, lift
 from helpers import random_sequence
 
 
@@ -154,3 +154,18 @@ def test_tracer_iff_singleton_tracing():
                     g = ClusterRef(i + 1, b)
                     expected = pair.tracing_refs[b] == frozenset((ClusterRef(i, a),))
                     assert (g in tr) == expected
+
+
+def test_count_tables_equal_the_cache_and_share_only_when_complete():
+    for seed in range(20):
+        seq = random_sequence(random.Random(300 + seed), max_t=6)
+        rels = RelationCache(seq)
+        pairs = len(seq) - 1
+        for i in range(pairs - 1):
+            rels.pair(i)
+            # a partly built cache hands on no tables
+            assert rels.pair_triples() is None
+        tables = count_tables(seq)
+        assert len(tables) == pairs
+        assert tables == [rels.pair(i).triples for i in range(pairs)]
+        assert rels.pair_triples() == tables
