@@ -5,7 +5,9 @@ member); block colour encodes the dynamic cluster. A flow between two
 blocks of consecutive snapshots carries the members present in both, so
 the difference between a block's height and its summed in-flows (or
 out-flows) is exactly the number of members introduced (or removed).
-Output is plain SVG 1.1, byte-identical for identical inputs.
+Output is plain SVG 1.1, byte-identical for identical inputs: every
+number is written in fixed point with two decimals, and a ".00" ending
+is dropped ("12", "12.50", "-0").
 """
 
 from __future__ import annotations
@@ -77,8 +79,11 @@ def build_layout(
 ) -> AlluvialLayout:
     """Geometry of the diagram in member-count units.
 
-    `gap` is the vertical spacing between blocks of one column.
+    `gap` is the vertical spacing between blocks of one column. Raises
+    ValueError unless it is finite and >= 0.
     """
+    if not (math.isfinite(gap) and gap >= 0):
+        raise ValueError(f"gap must be a finite number >= 0, got {gap!r}")
     columns: list[tuple[Block, ...]] = []
     tops: list[list[float]] = []
     for snap in seq.snapshots:
@@ -123,9 +128,19 @@ def build_layout(
 
 
 def _fmt(v: float) -> str:
-    # fixed-point keeps the output byte-stable
     s = f"{v:.2f}"
     return s[:-3] if s.endswith(".00") else s
+
+
+class _Formatted(dict):
+    """`_fmt` results by value. Zeros are never stored: -0.0 and 0.0 are
+    one dict key, but `_fmt` writes "-0" for one and "0" for the other."""
+
+    def __missing__(self, v: float) -> str:
+        s = _fmt(v)
+        if v:
+            self[v] = s
+        return s
 
 
 def layout_to_svg(
@@ -136,9 +151,12 @@ def layout_to_svg(
     """Standalone SVG 1.1 document for a layout.
 
     Columns are `3 * block_width` apart; one member is `unit` pixels tall.
-    Raises OverflowError when the diagram is too large for float
-    coordinates.
+    Raises ValueError unless `block_width` and `unit` are finite and > 0,
+    and OverflowError when the diagram is too large for float coordinates.
     """
+    for name, value in (("block_width", block_width), ("unit", unit)):
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be a finite number > 0, got {value!r}")
     span = 3.0 * block_width
     n_cols = len(layout.blocks)
     height = max(
@@ -166,37 +184,39 @@ def layout_to_svg(
         '<g stroke="none">',
     ]
 
-    def col_x(i: int) -> float:
-        return i * (block_width + span)
-
+    pitch = block_width + span  # from one column's left edge to the next
+    # Where flows from column t leave it (x0), bend (xm) and enter t+1 (x1),
+    # for each flow time, which a hand-built layout may put past the columns.
+    edges = {}
+    for t in {flow.time for flow in layout.flows}:
+        x0, x1 = t * pitch + block_width, (t + 1) * pitch
+        edges[t] = _fmt(x0), _fmt((x0 + x1) / 2.0), _fmt(x1)
+    fy = _Formatted()  # lives for this call only
     for flow in layout.flows:
-        x0 = col_x(flow.time) + block_width
-        x1 = col_x(flow.time + 1)
-        xm = (x0 + x1) / 2.0
+        x0, xm, x1 = edges[flow.time]
         y0a = flow.src_y * unit
         y0b = (flow.src_y + flow.magnitude) * unit
         y1a = flow.dst_y * unit
         y1b = (flow.dst_y + flow.magnitude) * unit
+        a0, b0, a1, b1 = fy[y0a], fy[y0b], fy[y1a], fy[y1b]
+        am, bm = fy[(y0a + y1a) / 2.0], fy[(y0b + y1b) / 2.0]
         src_dc = layout.blocks[flow.time][flow.src_cluster].dc
         color = PALETTE[src_dc % len(PALETTE)]
         # two quadratic segments per edge give an S-shaped ribbon
-        d = (
-            f"M {_fmt(x0)} {_fmt(y0a)} "
-            f"Q {_fmt(xm)} {_fmt(y0a)} {_fmt(xm)} {_fmt((y0a + y1a) / 2.0)} "
-            f"Q {_fmt(xm)} {_fmt(y1a)} {_fmt(x1)} {_fmt(y1a)} "
-            f"L {_fmt(x1)} {_fmt(y1b)} "
-            f"Q {_fmt(xm)} {_fmt(y1b)} {_fmt(xm)} {_fmt((y0b + y1b) / 2.0)} "
-            f"Q {_fmt(xm)} {_fmt(y0b)} {_fmt(x0)} {_fmt(y0b)} Z"
+        parts.append(
+            f'<path d="M {x0} {a0} Q {xm} {a0} {xm} {am} Q {xm} {a1} {x1} {a1} '
+            f'L {x1} {b1} Q {xm} {b1} {xm} {bm} Q {xm} {b0} {x0} {b0} Z" '
+            f'fill="{color}" fill-opacity="0.4"/>'
         )
-        parts.append(f'<path d="{d}" fill="{color}" fill-opacity="0.4"/>')
 
+    width_s = _fmt(block_width)
     for i, col in enumerate(layout.blocks):
-        x = col_x(i)
+        x = _fmt(i * pitch)
         for b in col:
             color = PALETTE[b.dc % len(PALETTE)]
             parts.append(
-                f'<rect x="{_fmt(x)}" y="{_fmt(b.y * unit)}" '
-                f'width="{_fmt(block_width)}" height="{_fmt(b.size * unit)}" '
+                f'<rect x="{x}" y="{fy[b.y * unit]}" '
+                f'width="{width_s}" height="{fy[b.size * unit]}" '
                 f'fill="{color}">'
                 f"<title>t={b.time} cluster={b.cluster} dc={b.dc} "
                 f"size={b.size}</title></rect>"

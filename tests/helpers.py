@@ -4,6 +4,7 @@ member-set queries that only tests need."""
 from __future__ import annotations
 
 import importlib.util
+import math
 import random
 from pathlib import Path
 
@@ -15,6 +16,7 @@ from dynatrack import (
     LifecycleEvent,
     sequence_from_lists,
 )
+from dynatrack.alluvial import PALETTE, AlluvialLayout
 
 
 def churn_sequence(
@@ -196,3 +198,80 @@ def inject_one_shot_members(
                 row[rng.randrange(len(row))].append(f"one_shot_{t}_{j}")
         data.append(row)
     return sequence_from_lists(data)
+
+
+def _fmt(v: float) -> str:
+    s = f"{v:.2f}"
+    return s[:-3] if s.endswith(".00") else s
+
+
+def reference_svg(
+    layout: AlluvialLayout,
+    block_width: float = 20.0,
+    unit: float = 1.0,
+) -> str:
+    """`layout_to_svg` as it was before it reused formatted coordinates:
+    every number is formatted where it is written. The reference that the
+    writer is compared against, byte for byte."""
+    span = 3.0 * block_width
+    n_cols = len(layout.blocks)
+    height = max(
+        (
+            (col[-1].y + col[-1].size) * unit
+            for col in layout.blocks
+            if col
+        ),
+        default=0.0,
+    )
+    width = n_cols * block_width + max(n_cols - 1, 0) * span
+    if not math.isfinite(2.0 * (width + height)):
+        raise OverflowError(
+            f"the diagram's extent ({width!r} x {height!r}) overflows a float"
+        )
+    parts = [
+        '<?xml version="1.0" encoding="UTF-8"?>',
+        (
+            f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+            f'width="{_fmt(width)}" height="{_fmt(height)}" '
+            f'viewBox="0 0 {_fmt(width)} {_fmt(height)}">'
+        ),
+        '<g stroke="none">',
+    ]
+
+    def col_x(i: int) -> float:
+        return i * (block_width + span)
+
+    for flow in layout.flows:
+        x0 = col_x(flow.time) + block_width
+        x1 = col_x(flow.time + 1)
+        xm = (x0 + x1) / 2.0
+        y0a = flow.src_y * unit
+        y0b = (flow.src_y + flow.magnitude) * unit
+        y1a = flow.dst_y * unit
+        y1b = (flow.dst_y + flow.magnitude) * unit
+        src_dc = layout.blocks[flow.time][flow.src_cluster].dc
+        color = PALETTE[src_dc % len(PALETTE)]
+        d = (
+            f"M {_fmt(x0)} {_fmt(y0a)} "
+            f"Q {_fmt(xm)} {_fmt(y0a)} {_fmt(xm)} {_fmt((y0a + y1a) / 2.0)} "
+            f"Q {_fmt(xm)} {_fmt(y1a)} {_fmt(x1)} {_fmt(y1a)} "
+            f"L {_fmt(x1)} {_fmt(y1b)} "
+            f"Q {_fmt(xm)} {_fmt(y1b)} {_fmt(xm)} {_fmt((y0b + y1b) / 2.0)} "
+            f"Q {_fmt(xm)} {_fmt(y0b)} {_fmt(x0)} {_fmt(y0b)} Z"
+        )
+        parts.append(f'<path d="{d}" fill="{color}" fill-opacity="0.4"/>')
+
+    for i, col in enumerate(layout.blocks):
+        x = col_x(i)
+        for b in col:
+            color = PALETTE[b.dc % len(PALETTE)]
+            parts.append(
+                f'<rect x="{_fmt(x)}" y="{_fmt(b.y * unit)}" '
+                f'width="{_fmt(block_width)}" height="{_fmt(b.size * unit)}" '
+                f'fill="{color}">'
+                f"<title>t={b.time} cluster={b.cluster} dc={b.dc} "
+                f"size={b.size}</title></rect>"
+            )
+    parts.append("</g>")
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"

@@ -1,13 +1,16 @@
 """Alluvial layout geometry and SVG output."""
 
+import math
 import random
 import xml.etree.ElementTree as ET
 from dataclasses import asdict
 
+import pytest
+
 from dynatrack import build_layout, layout_to_svg, sequence_from_lists, track
-from dynatrack.alluvial import PALETTE
+from dynatrack.alluvial import PALETTE, AlluvialLayout, Block, Flow
 from dynatrack.resultdoc import canonical_labels
-from helpers import random_sequence, snapshot_members
+from helpers import random_sequence, reference_svg, snapshot_members
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
@@ -122,3 +125,65 @@ def test_layout_json_holds_every_field():
             "flows": [asdict(f) for f in layout.flows],
             "gap": 1.5,
         }
+
+
+def test_svg_equals_reference_on_random_instances():
+    gaps = (0.0, 0.5, 1 / 3, 1.5, 2.0)
+    geometries = [(bw, unit) for bw in (20.0, 0.1, 7.3) for unit in (1.0, 0.37, 3.0)]
+    for seed in range(225):
+        seq = random_sequence(random.Random(900 + seed))
+        layout = layout_for(seq, gap=gaps[seed % len(gaps)])
+        for block_width, unit in geometries:
+            assert layout_to_svg(layout, block_width, unit) == reference_svg(
+                layout, block_width, unit
+            ), (seed, block_width, unit)
+
+
+def hand_built_layout():
+    """Geometry `build_layout` never makes: -0.0 beside 0.0, negatives,
+    values whose third decimal is a 5 (2.675 is stored below it), and a
+    flow out of the last column."""
+    blocks = (  # time, cluster, dc, size, y
+        (Block(0, 0, 0, 0, -0.0), Block(0, 1, 13, 2, 0.125), Block(0, 2, 2, 1, -3.5)),
+        (Block(1, 0, 0, 3, 0.0), Block(1, 1, 5, 1, 2.675)),
+        (Block(2, 0, 7, 0, -0.0),),
+    )
+    flows = (  # time, src_cluster, dst_cluster, magnitude, src_y, dst_y
+        Flow(0, 0, 0, 0, -0.0, 0.0),
+        Flow(0, 1, 0, 2, 0.125, -0.0),
+        Flow(0, 2, 1, 1, -3.5, 1.005),
+        Flow(1, 0, 0, 0, -0.0, -0.0),
+        Flow(1, 1, 0, 1, -0.005, 0.375),
+        Flow(2, 0, 0, 1, -0.0, 0.5),
+    )
+    return AlluvialLayout(blocks=blocks, flows=flows, gap=0.0)
+
+
+@pytest.mark.parametrize("unit", [1.0, 0.37, 3.0])
+@pytest.mark.parametrize("block_width", [20.0, 0.1, 7.3])
+def test_svg_equals_reference_on_hand_built_coordinates(block_width, unit):
+    layout = hand_built_layout()
+    svg = layout_to_svg(layout, block_width, unit)
+    assert svg == reference_svg(layout, block_width, unit)
+    assert ' y="-0"' in svg and ' y="0"' in svg
+
+
+@pytest.mark.parametrize("value", [-1.0, 0.0, -math.inf, math.inf, math.nan])
+def test_svg_rejects_unit(value):
+    layout = layout_for(sequence_from_lists([[["a", "b"]], [["a"]]]))
+    with pytest.raises(ValueError, match="unit must be a finite number > 0"):
+        layout_to_svg(layout, unit=value)
+
+
+@pytest.mark.parametrize("value", [-5.0, 0.0, -math.inf, math.inf, math.nan])
+def test_svg_rejects_block_width(value):
+    layout = layout_for(sequence_from_lists([[["a", "b"]], [["a"]]]))
+    with pytest.raises(ValueError, match="block_width must be a finite number > 0"):
+        layout_to_svg(layout, block_width=value)
+
+
+@pytest.mark.parametrize("value", [-5.0, -math.inf, math.inf, math.nan])
+def test_layout_rejects_gap(value):
+    seq = sequence_from_lists([[["a"], ["b"]]])
+    with pytest.raises(ValueError, match="gap must be a finite number >= 0"):
+        layout_for(seq, gap=value)
