@@ -6,6 +6,10 @@ by reciprocal majority overlap, tolerates transient decompositions up to
 a configurable history horizon, classifies the life-cycle events of the
 resulting dynamic clusters, scores parametrisations by membership
 consistency, and renders alluvial diagrams.
+
+The exported names are imported from their submodules on first access
+(PEP 562), so `import dynatrack` loads no submodule and a program pays
+only for the modules it uses.
 """
 
 __version__ = "0.1.0"
@@ -14,86 +18,64 @@ __version__ = "0.1.0"
 # and reports that record it.
 BACKEND = "python"
 
-from .alluvial import AlluvialLayout, build_layout, layout_to_svg
-from .generator import PlannedEvent, PlantedDc, ScenarioSpec, generate
-from .metrics import (
-    DcSeries,
-    DynamicClustering,
-    LifecycleEvent,
-    SummaryStats,
-    classify_events,
-    clustering_from_labels,
-    summary_stats,
-    total_consistency,
-)
-from .model import (
-    ClusteringSequence,
-    ClusterRef,
-    Snapshot,
-    parse_sequence,
-    sequence_from_lists,
-    sequence_to_json_bytes,
-    sequence_to_json_dict,
-    subsequence,
-)
-from .oracle import brute_force_track
-from .relations import MajorityRelations, RelationCache
-from .resultdoc import build_document, canonical_labels, load_document
-from .tracking import (
-    IdentityFlowResult,
-    finalize,
-    TrackingState,
-    find_source_set,
-    identity_flow,
-    is_bijective_match,
-    mapping_path,
-    new_state,
-    process_snapshot,
-    tracing_path,
-    track,
-)
+# Exported name -> the submodule that defines it.
+_EXPORTS = {
+    "AlluvialLayout": "alluvial",
+    "build_layout": "alluvial",
+    "layout_to_svg": "alluvial",
+    "PlantedDc": "generator",
+    "PlannedEvent": "generator",
+    "ScenarioSpec": "generator",
+    "generate": "generator",
+    "DcSeries": "metrics",
+    "DynamicClustering": "metrics",
+    "LifecycleEvent": "metrics",
+    "SummaryStats": "metrics",
+    "classify_events": "metrics",
+    "clustering_from_labels": "metrics",
+    "summary_stats": "metrics",
+    "total_consistency": "metrics",
+    "ClusteringSequence": "model",
+    "ClusterRef": "model",
+    "Snapshot": "model",
+    "parse_sequence": "model",
+    "sequence_from_lists": "model",
+    "sequence_to_json_bytes": "model",
+    "sequence_to_json_dict": "model",
+    "subsequence": "model",
+    "brute_force_track": "oracle",
+    "MajorityRelations": "relations",
+    "RelationCache": "relations",
+    "build_document": "resultdoc",
+    "canonical_labels": "resultdoc",
+    "load_document": "resultdoc",
+    "IdentityFlowResult": "tracking",
+    "TrackingState": "tracking",
+    "find_source_set": "tracking",
+    "identity_flow": "tracking",
+    "is_bijective_match": "tracking",
+    "mapping_path": "tracking",
+    "new_state": "tracking",
+    "process_snapshot": "tracking",
+    "finalize": "tracking",
+    "tracing_path": "tracking",
+    "track": "tracking",
+}
 
-__all__ = [
-    "__version__",
-    "BACKEND",
-    "AlluvialLayout",
-    "build_layout",
-    "layout_to_svg",
-    "PlantedDc",
-    "PlannedEvent",
-    "ScenarioSpec",
-    "generate",
-    "DcSeries",
-    "DynamicClustering",
-    "LifecycleEvent",
-    "SummaryStats",
-    "classify_events",
-    "clustering_from_labels",
-    "summary_stats",
-    "total_consistency",
-    "ClusteringSequence",
-    "ClusterRef",
-    "Snapshot",
-    "parse_sequence",
-    "sequence_from_lists",
-    "sequence_to_json_bytes",
-    "sequence_to_json_dict",
-    "subsequence",
-    "brute_force_track",
-    "MajorityRelations",
-    "RelationCache",
-    "build_document",
-    "canonical_labels",
-    "load_document",
-    "IdentityFlowResult",
-    "TrackingState",
-    "find_source_set",
-    "identity_flow",
-    "is_bijective_match",
-    "mapping_path",
-    "new_state",
-    "process_snapshot",
-    "finalize",
-    "tracing_path",
-    "track",
-]
+__all__ = ["__version__", "BACKEND", *_EXPORTS]
+
+
+def __getattr__(name: str):
+    try:
+        module = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    from importlib import import_module
+
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -150,23 +150,28 @@ def layout_to_svg(
 ) -> str:
     """Standalone SVG 1.1 document for a layout.
 
-    Columns are `3 * block_width` apart; one member is `unit` pixels tall.
-    Raises ValueError unless `block_width` and `unit` are finite and > 0,
-    and OverflowError when the diagram is too large for float coordinates.
+    Columns are `3 * block_width` apart; one member is `unit` pixels tall;
+    the diagram reaches down to the largest `y + size` of any block.
+    Raises ValueError unless `block_width` and `unit` are finite and > 0
+    and every block size is >= 0, and OverflowError when the diagram is
+    too large for float coordinates.
     """
     for name, value in (("block_width", block_width), ("unit", unit)):
         if not (math.isfinite(value) and value > 0):
             raise ValueError(f"{name} must be a finite number > 0, got {value!r}")
     span = 3.0 * block_width
     n_cols = len(layout.blocks)
-    height = max(
-        (
-            (col[-1].y + col[-1].size) * unit
-            for col in layout.blocks
-            if col
-        ),
-        default=0.0,
-    )
+    height = 0.0
+    for col in layout.blocks:
+        for b in col:
+            if b.size < 0:
+                raise ValueError(
+                    f"block (t={b.time}, cluster={b.cluster}) has negative "
+                    f"size {b.size}"
+                )
+            bottom = (b.y + b.size) * unit
+            if bottom > height:
+                height = bottom
     width = n_cols * block_width + max(n_cols - 1, 0) * span
     # Every coordinate written, and every sum taken to find one, is at most
     # twice the width or the height.

@@ -8,13 +8,9 @@ usage), 1 (anything else).
 from __future__ import annotations
 
 import argparse
-import json
-import math
 import sys
-from pathlib import Path
 
 from . import __version__
-from .alluvial import build_layout, layout_to_svg
 from .errors import (
     DynatrackError,
     GenerationError,
@@ -23,18 +19,10 @@ from .errors import (
     SchemaError,
     SequenceValidationError,
 )
-from .generator import ScenarioSpec, generate
-from .metrics import (
-    classify_events,
-    clustering_from_labels,
-    summary_stats,
-    total_consistency,
-)
-from .model import ClusteringSequence, parse_sequence, sequence_to_json_bytes
-from .oracle import brute_force_track
-from .relations import RelationCache
-from .resultdoc import build_document, document_to_bytes, load_document
-from .tracking import track
+
+# Each subcommand imports the modules it runs, so that a process loads,
+# and compiles, only those: `--version` loads none of them, `events` no
+# tracker and `render` neither the tracker nor the metrics.
 
 SWEEP_HEADER = (
     "x,dc_count,mean_lifespan,weighted_mean_lifespan,"
@@ -45,7 +33,8 @@ SWEEP_HEADER = (
 def _read(path: str) -> bytes:
     if path == "-":
         return sys.stdin.buffer.read()
-    return Path(path).read_bytes()
+    with open(path, "rb") as f:
+        return f.read()
 
 
 def _write(path: str | None, data: bytes) -> None:
@@ -53,14 +42,20 @@ def _write(path: str | None, data: bytes) -> None:
         sys.stdout.buffer.write(data)
         sys.stdout.buffer.flush()
     else:
-        Path(path).write_bytes(data)
+        with open(path, "wb") as f:
+            f.write(data)
 
 
-def _load_input(args) -> ClusteringSequence:
+def _load_input(args):
+    from .model import parse_sequence
+
     return parse_sequence(_read(args.input), args.format)
 
 
 def cmd_track(args) -> int:
+    from .resultdoc import build_document, document_to_bytes
+    from .tracking import track
+
     if args.history < 0:
         return _usage_error("--history must be non-negative")
     seq = _load_input(args)
@@ -71,6 +66,9 @@ def cmd_track(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    from .oracle import brute_force_track
+    from .resultdoc import build_document, document_to_bytes
+
     if args.history < 0:
         return _usage_error("--history must be non-negative")
     seq = _load_input(args)
@@ -85,6 +83,12 @@ def _fmt_ratio(v: float | None) -> str:
 
 
 def cmd_sweep(args) -> int:
+    import json
+
+    from .metrics import summary_stats, total_consistency
+    from .relations import RelationCache
+    from .tracking import track
+
     if args.history_min < 0:
         return _usage_error("--history-min must be non-negative")
     if args.history_min > args.history_max:
@@ -145,6 +149,11 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_events(args) -> int:
+    import json
+
+    from .metrics import classify_events, clustering_from_labels
+    from .resultdoc import load_document
+
     seq, labels, x = load_document(_read(args.result))
     result = clustering_from_labels(seq, labels, x)
     events = [
@@ -168,6 +177,12 @@ def cmd_events(args) -> int:
 
 
 def cmd_render(args) -> int:
+    import json
+    import math
+
+    from .alluvial import build_layout, layout_to_svg
+    from .resultdoc import load_document
+
     if not (math.isfinite(args.block_width) and args.block_width > 0):
         return _usage_error("--block-width must be a finite number > 0")
     if not (math.isfinite(args.gap) and args.gap >= 0):
@@ -188,6 +203,11 @@ def cmd_render(args) -> int:
 
 
 def cmd_generate(args) -> int:
+    import json
+
+    from .generator import ScenarioSpec, generate
+    from .model import sequence_to_json_bytes
+
     spec = ScenarioSpec.from_json(_read(args.spec))
     seq, truth = generate(spec)
     _write(args.output, sequence_to_json_bytes(seq))

@@ -11,8 +11,8 @@ All functions here are pure; results are treated as immutable.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from statistics import fmean
 
 from . import relations
 from .model import ClusterRef, ClusteringSequence
@@ -324,6 +324,7 @@ def summary_stats(result: DynamicClustering) -> SummaryStats:
     return SummaryStats(
         dc_count=len(lifespans),
         lifespan_histogram=dict(sorted(hist.items())),
-        mean_lifespan=fmean(lifespans),
+        # statistics.fmean, without importing statistics
+        mean_lifespan=math.fsum(lifespans) / len(lifespans),
         weighted_mean_lifespan=weighted,
     )

@@ -8,8 +8,6 @@ labels are carried along but never used for ordering.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Sequence
@@ -143,6 +141,9 @@ def _parse_json(text: str) -> ClusteringSequence:
 
 
 def _csv_rows(text: str) -> Iterable[list[str]]:
+    import csv
+    import io
+
     reader = csv.reader(io.StringIO(text))
     try:
         yield from reader

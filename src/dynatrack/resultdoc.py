@@ -11,10 +11,13 @@ runs and implementations.
 from __future__ import annotations
 
 import json
+from typing import TYPE_CHECKING
 
 from .errors import SchemaError
-from .metrics import DynamicClustering, clustering_from_labels
 from .model import ClusterRef, ClusteringSequence, sequence_from_lists
+
+if TYPE_CHECKING:
+    from .metrics import DynamicClustering
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -26,6 +29,16 @@ __all__ = [
 ]
 
 SCHEMA_VERSION = 1
+
+
+def __getattr__(name: str):
+    # The re-export of `clustering_from_labels` loads `metrics` on first
+    # use, so that loading a document (as `render` does) does not.
+    if name == "clustering_from_labels":
+        from .metrics import clustering_from_labels
+
+        return clustering_from_labels
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def canonical_labels(

@@ -168,6 +168,26 @@ def test_svg_equals_reference_on_hand_built_coordinates(block_width, unit):
     assert ' y="-0"' in svg and ' y="0"' in svg
 
 
+def test_svg_height_is_the_largest_block_bottom():
+    # the column's first block reaches lower than its last one
+    layout = AlluvialLayout(
+        ((Block(0, 0, 0, 5, 10.0), Block(0, 1, 1, 1, 0.0)),), (), 0.0
+    )
+    svg = layout_to_svg(layout)
+    assert 'width="20" height="15" viewBox="0 0 20 15"' in svg
+    assert 'height="7.50" viewBox="0 0 20 7.50"' in layout_to_svg(layout, unit=0.5)
+
+
+def test_svg_rejects_negative_block_size():
+    layout = AlluvialLayout(
+        ((Block(0, 0, 0, 3, 0.0),), (Block(1, 0, 0, 1, 0.0), Block(1, 1, 1, -2, 3.0))),
+        (Flow(0, 0, 0, 1, 0.0, 0.0),),
+        0.0,
+    )
+    with pytest.raises(ValueError, match=r"block \(t=1, cluster=1\) has negative size -2"):
+        layout_to_svg(layout)
+
+
 @pytest.mark.parametrize("value", [-1.0, 0.0, -math.inf, math.inf, math.nan])
 def test_svg_rejects_unit(value):
     layout = layout_for(sequence_from_lists([[["a", "b"]], [["a"]]]))

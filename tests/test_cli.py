@@ -6,7 +6,7 @@ import pytest
 
 from dataclasses import asdict
 
-from dynatrack import classify_events, cli, clustering_from_labels, relations, tracking
+from dynatrack import classify_events, clustering_from_labels, relations, tracking
 from dynatrack.cli import SWEEP_HEADER, main
 from dynatrack.resultdoc import load_document
 
@@ -451,13 +451,15 @@ def test_sweep_equals_per_x_track_with_fresh_relations(
         return index_sequence(seq)
 
     xs = []
+    track = tracking.track
 
     def counted_track(seq, x, **kwargs):
         xs.append(x)
-        return tracking.track(seq, x, **kwargs)
+        return track(seq, x, **kwargs)
 
     monkeypatch.setattr(relations, "index_sequence", counted)
-    monkeypatch.setattr(cli, "track", counted_track)
+    # `cli.cmd_sweep` imports `track` from `tracking` when it runs
+    monkeypatch.setattr(tracking, "track", counted_track)
 
     def sweep(x_min, x_max, name):
         paths = [tmp_path / f"{name}.csv", tmp_path / f"{name}.json"]

@@ -1,0 +1,151 @@
+"""What each CLI subcommand imports, and the package's lazy exports.
+
+Each CLI process compiles every module it imports, so a subcommand should
+load only the modules it runs. The guards below run `cli.main` in a fresh
+interpreter and list the `dynatrack` modules it leaves in `sys.modules`;
+a new top-level import on a start-up path fails here.
+"""
+
+import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import dynatrack
+from dynatrack.cli import main
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# Runs `cli.main(argv)` and prints, as its last stdout line, the exit code,
+# the loaded `dynatrack` modules and whether `statistics` was loaded.
+PROBE = """
+import json, sys
+from dynatrack.cli import main
+try:
+    code = main(sys.argv[1:])
+except SystemExit as exc:
+    code = exc.code
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "dynatrack")
+print(json.dumps([code, loaded, "statistics" in sys.modules]))
+"""
+
+BASE = {"dynatrack", "dynatrack.cli", "dynatrack.errors"}
+CORE = {"dynatrack.model", "dynatrack.relations"}
+LOADED = {
+    "version": BASE,
+    "track": BASE | CORE | {"dynatrack.metrics", "dynatrack.tracking", "dynatrack.resultdoc"},
+    "sweep": BASE | CORE | {"dynatrack.metrics", "dynatrack.tracking"},
+    "events": BASE | CORE | {"dynatrack.metrics", "dynatrack.resultdoc"},
+    "render": BASE | CORE | {"dynatrack.resultdoc", "dynatrack.alluvial"},
+}
+
+
+def fresh_python(code: str, *args: str) -> str:
+    """Stdout of `python -c code args` with only this checkout on the path."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *args],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+@pytest.fixture(scope="module")
+def files(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("imports")
+    seq = tmp / "seq.json"
+    seq.write_text(json.dumps({"snapshots": [
+        {"clusters": [["a", "b"], ["c"]]},
+        {"clusters": [["a", "b", "c"]]},
+        {"clusters": [["a", "b"], ["c"]]},
+    ]}))
+    result = tmp / "result.json"
+    assert main(["track", "--input", str(seq), "--history", "1",
+                 "--output", str(result)]) == 0
+    return tmp, seq, result
+
+
+def argv_of(command: str, files) -> list[str]:
+    tmp, seq, result = files
+    out = str(tmp / f"{command}.out")
+    return {
+        "version": ["--version"],
+        "track": ["track", "--input", str(seq), "--history", "1", "--output", out],
+        "sweep": ["sweep", "--input", str(seq), "--history-min", "0",
+                  "--history-max", "2", "--output", out],
+        "events": ["events", "--result", str(result), "--output", out],
+        "render": ["render", "--result", str(result), "--output", out],
+    }[command]
+
+
+@pytest.mark.parametrize("command", sorted(LOADED))
+def test_subcommand_loads_only_the_modules_it_runs(command, files):
+    code, loaded, _ = json.loads(
+        fresh_python(PROBE, *argv_of(command, files)).splitlines()[-1]
+    )
+    assert code == 0
+    assert set(loaded) == LOADED[command]
+
+
+@pytest.mark.parametrize("command", ["track", "sweep"])
+def test_tracking_loads_statistics_only_if_a_bare_interpreter_does(command, files):
+    bare = fresh_python("import sys; print('statistics' in sys.modules)")
+    code, _, statistics = json.loads(
+        fresh_python(PROBE, *argv_of(command, files)).splitlines()[-1]
+    )
+    assert code == 0
+    assert not statistics or bare.strip() == "True"
+
+
+def test_bare_import_loads_no_submodule():
+    out = fresh_python(
+        "import sys, dynatrack; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'dynatrack'))"
+    )
+    assert out.strip() == "['dynatrack']"
+
+
+EXPORTS = [n for n in dynatrack.__all__ if n not in ("__version__", "BACKEND")]
+
+
+@pytest.mark.parametrize("name", EXPORTS)
+def test_export_is_the_submodule_object(name):
+    value = getattr(dynatrack, name)
+    module = importlib.import_module(value.__module__)
+    assert module.__name__.startswith("dynatrack.")
+    assert getattr(module, name) is value
+
+
+def test_star_import_and_dir_list_every_export():
+    namespace: dict = {}
+    exec("from dynatrack import *", namespace)
+    assert set(dynatrack.__all__) <= set(namespace)
+    for name in EXPORTS:
+        assert namespace[name] is getattr(dynatrack, name)
+    assert set(dynatrack.__all__) <= set(dir(dynatrack))
+    assert dynatrack.__version__ == namespace["__version__"]
+    assert namespace["BACKEND"] == "python"
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        dynatrack.no_such_name
+    assert not hasattr(dynatrack, "no_such_name")
+    with pytest.raises(ImportError):
+        from dynatrack import no_such_name  # noqa: F401
+
+
+def test_resultdoc_reexports_clustering_from_labels():
+    from dynatrack import metrics, resultdoc
+
+    assert resultdoc.clustering_from_labels is metrics.clustering_from_labels
+    with pytest.raises(AttributeError, match="no_such_name"):
+        resultdoc.no_such_name

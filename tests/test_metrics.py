@@ -1,12 +1,14 @@
 """Life-cycle events, auto-correlation, consistency, summary statistics."""
 
 import random
+import statistics
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from dynatrack import (
+    DynamicClustering,
     PlannedEvent,
     PlantedDc,
     RelationCache,
@@ -412,6 +414,22 @@ class TestSummaryStats:
             float(Fraction(19, 13)), abs=1e-12
         )
         assert stats.lifespan_histogram == {1: 1, 3: 1}
+
+    @pytest.mark.parametrize("lifespans", [[0.1] * 10, [1e16, 1.0, -1e16]])
+    def test_mean_lifespan_is_fmean(self, lifespans):
+        class Series:  # stands in for a DcSeries with any lifespan
+            def __init__(self, lifespan):
+                self.lifespan = lifespan
+
+            def member_snapshots(self):
+                return 1
+
+        result = DynamicClustering(
+            labels={}, dcs={i: Series(v) for i, v in enumerate(lifespans)}, x_used=0
+        )
+        mean = summary_stats(result).mean_lifespan
+        assert mean == statistics.fmean(lifespans)
+        assert mean != sum(lifespans) / len(lifespans)
 
     def test_empty_registry(self):
         result = labelled([[]], {})
