@@ -122,6 +122,10 @@ def _parse_json(text: str) -> ClusteringSequence:
     raw_snaps = doc["snapshots"]
     if not isinstance(raw_snaps, list):
         raise ParseError('"snapshots" must be an array')
+    # An escape of half a surrogate pair decodes to a lone surrogate, which
+    # no UTF-8 output can hold; only input with such an escape is checked,
+    # and input without any escape pays one substring scan.
+    escaped = "\\u" in text and ("\\ud" in text or "\\uD" in text)
     data = []
     labels: list[str | None] = []
     for t, entry in enumerate(raw_snaps):
@@ -135,6 +139,14 @@ def _parse_json(text: str) -> ClusteringSequence:
         label = entry.get("label")
         if label is not None and not isinstance(label, str):
             raise ParseError(f"snapshot {t}: label must be a string")
+        if escaped:
+            try:
+                json.dumps([label, clusters], ensure_ascii=False).encode("utf-8")
+            except UnicodeEncodeError:
+                raise ParseError(
+                    f"snapshot {t}: a member ID or the label holds a lone "
+                    f"surrogate escape"
+                ) from None
         data.append(clusters)
         labels.append(label)
     return sequence_from_lists(data, labels)

@@ -12,32 +12,39 @@ The search walks a tracing flow backwards layer by layer. A deeper layer
 is admitted only while its forward mapping path re-enters the flow built
 so far; the flow also ends where no tracing set exists, at the history
 limit, or at snapshot 0. Candidate depths are the admitted layers whose
-full mapping path returns exactly to the target cluster, scanned deepest
-first; a candidate qualifies when its clusters all carry one dynamic
-cluster id under the labels current at processing time.
+full mapping path returns exactly to the target cluster; the source is
+the deepest of them whose clusters all carry one dynamic cluster id under
+the labels current at processing time.
 
-The identity flow of a match is read off the search's own walks: its
-layer o steps back is the tracing layer there plus the forward mapping
-walk from the source at that step. Marginalised clusters are found in one
-pass per target instead of iterating embedded flows: walk the mapper sets
-back from the target and the tracer sets forward from the source set;
-whatever lies in both walks but not on the identity flow is re-assigned
-to the embedding DC. The tracer walk is taken only when the mapper walk
-leaves the flow, since nothing else can be marginal.
+Every search yields one record (`_Chain`), keyed by source time: the
+admitted layers, the forward walks of the full matches, and where the
+mapper walk from the target leaves the layers. The source is picked from
+the record (`_source`), and the target labelled from it (`_label`). The
+identity flow of a match is read off the record: its layer o steps back
+is the tracing layer there plus the forward walk from the source at that
+step. Marginalised clusters are found in one pass per target instead of
+iterating embedded flows: walk the mapper sets back from the target and
+the tracer sets forward from the source set; whatever lies in both walks
+but not on the identity flow is re-assigned to the embedding DC. The
+pass runs only when the record's mapper walk leaves the layers above the
+source, and takes the tracer walk only when a mapper layer leaves the
+flow, since nothing else can be marginal.
 
 Along one-step-bijective chains the search is carried rather than
 repeated. A target is one-step bijective when its tracing set is one
 cluster c whose mapping set is the target alone; most targets of
-persistent clusters are. Each cluster keeps a record of its search, keyed
-by source time, until the next snapshot is processed; a one-step-bijective
-target derives its own record from c's in O(1) (`_advance`): the same
-layers with the target on top, the same admitted layers, c's full matches
-plus c itself, and every walk one step longer. It then skips the relabel
-writes when no label has changed since c took the same DC, and the
-marginal search when the mapper walk stays on the layers above the
-source. Whenever a precondition of that derivation fails, the target
-falls back to the full search, so the labels are those of the full search
-at every history; the cost per target no longer grows with it.
+persistent clusters are. Each frontier cluster keeps its record until the
+next snapshot is processed, and a one-step-bijective target derives its
+own from c's in O(1) (`_advance`): the same layers with the target on
+top, the same admitted layers, c's full matches plus c itself, and every
+walk one step longer. It then skips the relabel writes when no label has
+changed since c took the same DC and the flow runs along c's. The
+derivation falls back to the full search in four cases: the tracing set
+is not one cluster, c's mapping set or the target's mapper set holds
+another cluster, or the walk that stopped c's search reaches the target.
+The labels are those of the full search at every history; the cost per
+carried target does not grow with it. At history 0 every target founds a
+DC and no record is kept.
 """
 
 from __future__ import annotations
@@ -156,8 +163,8 @@ class TrackingState:
     trace: list[TraceEvent] | None = None
     relations: RelationCache | None = field(default=None, repr=False)
     # The search record of every frontier cluster, by cluster index (None
-    # before snapshot 1 is processed), and how many relabel writes have
-    # changed an existing label so far.
+    # before snapshot 1 is processed and at history 0), and how many
+    # relabel writes have changed an existing label so far.
     _chains: list[_Chain] | None = field(default=None, init=False, repr=False)
     _changes: int = field(default=0, init=False, repr=False)
 
@@ -181,216 +188,21 @@ def new_state(
     return state
 
 
-def _search_source(
-    state: TrackingState, rels: RelationCache, ref: ClusterRef
-) -> tuple[
-    int,
-    list[frozenset[ClusterRef]],
-    list[frozenset[ClusterRef]] | None,
-    list[MajorityRelations | None],
-    tuple,
-]:
-    """Shared engine behind find_source_set and the snapshot pass.
-
-    Returns (depth, tracing-flow layers, forward mapping walk of the
-    chosen source, pair tables, walks); depth 0 means the target founds a
-    new DC and the walk is None. tables[k] holds the relations between
-    the snapshots k and k - 1 steps before the target, for every k the
-    search stepped back to. walks is (steps, full matches, stop) for
-    `_chain_of`: steps[k] = (own, meet) says that the forward walk from
-    the admitted layers[k] passes the sets `own` and then equals
-    layers[meet], whose walk it follows from there (meet = -1: it never
-    equals a layer); the full matches are the depths whose walk ends at
-    exactly the target, ascending; stop is where the walk of a layer that
-    was not admitted ended at the target's snapshot, or None.
-    """
-    t = ref.time
-    pair = rels.pair
-    tables: list[MajorityRelations | None] = [None]
-    layers: list[frozenset[ClusterRef]] = [rels.units[t][ref.cluster]]
-    steps: list[tuple[list[frozenset[ClusterRef]], int]] = [([], -1)]
-    # full[m]: the walk from layers[m] ends at exactly the target.
-    full = [True]
-    full_matches: list[int] = []
-    stop = None
-    for k in range(1, min(t, state.history) + 1):
-        table = pair(t - k)
-        tables.append(table)
-        candidate = lift(table.tracing_refs, layers[k - 1])
-        if not candidate:
-            break
-        admitted = False
-        meet = -1
-        path = candidate
-        own: list[frozenset[ClusterRef]] = []
-        for j in range(k, 0, -1):
-            # Step from k - j to k - j + 1 snapshots after the candidate.
-            path = lift(tables[j].mapping_refs, path)
-            if not path:
-                break
-            if path <= layers[j - 1]:
-                admitted = True
-                if path == layers[j - 1]:
-                    # The rest of the walk is the one already taken from
-                    # that layer, and the layer is admitted, so stopping
-                    # here changes neither admission nor the full match.
-                    meet = j - 1
-                    break
-            own.append(path)
-        if not admitted:
-            if path:
-                stop = path
-            break
-        layers.append(candidate)
-        steps.append((own, meet))
-        full.append(meet >= 0 and full[meet])
-        if full[k]:
-            full_matches.append(k)
-    dc_of = state.labels.__getitem__
-    n_star = 0
-    for k in reversed(full_matches):
-        if len(set(map(dc_of, layers[k]))) == 1:
-            n_star = k
-            break
-    forward = _walk(layers, steps, n_star) if n_star else None
-    return n_star, layers, forward, tables, (steps, full_matches, stop)
-
-
-def _walk(
-    layers: Sequence[frozenset[ClusterRef]],
-    steps: Sequence[tuple[Sequence[frozenset[ClusterRef]], int]],
-    k: int,
-) -> list[frozenset[ClusterRef]]:
-    """The forward walk from layers[k] of a full match, one set per step."""
-    out: list[frozenset[ClusterRef]] = []
-    while k:
-        own, k = steps[k]
-        out.extend(own)
-        out.append(layers[k])
-    return out
-
-
-def find_source_set(
-    state: TrackingState, rels: RelationCache, ref: ClusterRef
-) -> tuple[int, frozenset[ClusterRef]]:
-    """Earliest single-DC source set of a target cluster within the horizon.
-
-    Returns (depth, source set); depth 0 with {ref} itself means no
-    qualifying earlier set exists and the target founds a new DC.
-    """
-    n_star, layers, _forward, _tables, _walks = _search_source(state, rels, ref)
-    return n_star, layers[n_star]
-
-
-@dataclass(frozen=True)
-class IdentityFlowResult:
-    """Clusters along which a DC identity propagates to a target.
-
-    flow[o] holds the flow clusters o steps before the target (union of
-    the tracing-path layer and the matching mapping-path layer), so
-    flow[0] == {target} and source_set <= flow[n_star]. marginals are the
-    clusters enclosed by the flow (reachable backwards from the target via
-    mapper sets and forwards from the source set via tracer sets) that are
-    not part of it; they lie strictly between source and target times.
-    """
-
-    n_star: int
-    source_set: frozenset[ClusterRef]
-    flow: tuple[frozenset[ClusterRef], ...]
-    marginals: frozenset[ClusterRef]
-
-
-def identity_flow(
-    rels: RelationCache,
-    ref: ClusterRef,
-    n_star: int,
-    source_set: frozenset[ClusterRef],
-) -> IdentityFlowResult:
-    """Assemble the identity flow and the marginalised clusters."""
-    t = ref.time
-    tables = [None] + [rels.pair(t - o) for o in range(1, n_star + 1)]
-    layers = [frozenset((ref,))]
-    for o in range(1, n_star + 1):
-        layers.append(lift(tables[o].tracing_refs, layers[-1]))
-    forward = []
-    layer = source_set
-    for o in range(n_star, 0, -1):
-        layer = lift(tables[o].mapping_refs, layer)
-        forward.append(layer)
-    return IdentityFlowResult(
-        n_star=n_star,
-        source_set=source_set,
-        flow=_flow(layers, forward, source_set),
-        marginals=_marginals(tables, layers, forward, source_set),
-    )
-
-
-def _flow(
-    layers: Sequence[frozenset[ClusterRef]],
-    forward: Sequence[frozenset[ClusterRef]],
-    source: frozenset[ClusterRef],
-) -> tuple[frozenset[ClusterRef], ...]:
-    """flow[o] of a depth-n flow, from the tracing layers o steps back from
-    the target (layers[0..n]) and the forward mapping walk from the source
-    (forward[0..n-1]; forward[j] lies n - j - 1 steps back)."""
-    n = len(forward)
-    return tuple(layers[o] | forward[n - o - 1] for o in range(n)) + (
-        layers[n] | source,
-    )
-
-
-def _marginals(
-    tables: Sequence[MajorityRelations | None],
-    layers: Sequence[frozenset[ClusterRef]],
-    forward: Sequence[frozenset[ClusterRef]],
-    source: frozenset[ClusterRef],
-) -> frozenset[ClusterRef]:
-    """Clusters enclosed by a depth-n flow that are not on it.
-
-    Arguments as for `_flow`; tables[o] holds the relations of the pair o
-    steps back from the target, for o = 1..n. A marginal o steps back
-    lies in the target's o-step mapper walk and outside flow[o]; only when
-    some mapper layer leaves the flow is the tracer walk from the source
-    taken, to keep those clusters that it reaches too.
-    """
-    n = len(forward)
-    outside: dict[int, frozenset[ClusterRef]] = {}
-    layer = layers[0]
-    for o in range(1, n):
-        layer = lift(tables[o].mapper_refs, layer)
-        if not layer:
-            break
-        if not layer <= layers[o]:
-            rest = layer - layers[o] - forward[n - o - 1]
-            if rest:
-                outside[o] = rest
-    if not outside:
-        return frozenset()
-    marginals: set[ClusterRef] = set()
-    layer = source
-    for o in range(n - 1, min(outside) - 1, -1):
-        layer = lift(tables[o + 1].tracer_refs, layer)
-        if not layer:
-            break
-        if o in outside:
-            marginals.update(outside[o] & layer)
-    return frozenset(marginals)
-
-
 class _Chain:
-    """Search record of the newest cluster on a one-step-bijective chain.
+    """Search record of a target, keyed by source *time*.
 
-    Everything is keyed by source *time*, so the record of a cluster's
-    one-step-bijective successor is the same record with one layer added
-    on top and at most one cut off at the bottom (`_advance`):
+    The record of a cluster's one-step-bijective successor is the same
+    record with one layer added on top and at most one cut off at the
+    bottom (`_advance`):
 
     * layer[s] is the admitted tracing layer at time s, for s in
       [bottom, top]; layer[top] is {target};
-    * full holds, ascending, the times whose forward walk ends at exactly
-      the target (full matches); walk[s] = (own, m) says that the walk
-      from layer[s] passes the sets `own` and then equals layer[m], and a
-      full-match time without an entry steps to layer[s + 1] directly;
-      bent is the highest time with an entry, -1 if there is none;
+    * full holds, ascending, the times below top whose forward walk ends
+      at exactly the target (full matches); walk[s] = (own, m) says that
+      the walk from layer[s] passes the sets `own` and then equals
+      layer[m], and a full-match time without an entry steps to
+      layer[s + 1] directly; bent is the highest time with an entry, -1
+      if there is none;
     * leave is the highest time below top at which the mapper walk from
       the target is not inside the layer there, -1 if there is none; every
       marginal of a match lies at or below it;
@@ -419,38 +231,193 @@ class _Chain:
         self.changes = -1
 
 
-def _chain_of(
-    ref: ClusterRef,
-    layers: list[frozenset[ClusterRef]],
-    tables: list[MajorityRelations | None],
-    walks: tuple,
+def _search_source(
+    state: TrackingState, rels: RelationCache, ref: ClusterRef
 ) -> _Chain:
-    """The record of a full `_search_source` result, in O(depth)."""
-    steps, full_matches, stop = walks
+    """The search record of a target, by the full search in O(depth).
+
+    The tracing flow is walked back from the target while the forward
+    mapping walk of each new layer re-enters the layers above it. Where a
+    walk equals a layer, the rest of it is the walk already taken from
+    that layer, so each admitted layer costs the steps of its own walk
+    until it meets one.
+    """
     t = ref.time
-    walk = {}
-    for k in full_matches:
-        own, meet = steps[k]
-        if own or meet != k - 1:
-            walk[t - k] = (own, t - meet)
+    pair = rels.pair
+    unit = rels.units[t][ref.cluster]
+    layer = {t: unit}
+    tables: dict[int, MajorityRelations] = {}
+    walk: dict[int, tuple[list[frozenset[ClusterRef]], int]] = {}
+    full: deque[int] = deque()
+    # The times whose walk ends at exactly the target.
+    ends = {t}
+    stop = None
+    for s in range(t - 1, max(t - state.history, 0) - 1, -1):
+        table = tables[s] = pair(s)
+        candidate = lift(table.tracing_refs, layer[s + 1])
+        if not candidate:
+            break
+        admitted = False
+        meet = -1
+        path = candidate
+        own: list[frozenset[ClusterRef]] = []
+        for u in range(s + 1, t + 1):
+            path = lift(tables[u - 1].mapping_refs, path)
+            if not path:
+                break
+            if path <= layer[u]:
+                admitted = True
+                if path == layer[u]:
+                    # The rest of the walk is the one already taken from
+                    # that layer, and the layer is admitted, so stopping
+                    # here changes neither admission nor the full match.
+                    meet = u
+                    break
+            own.append(path)
+        if not admitted:
+            if path:
+                stop = path
+            break
+        layer[s] = candidate
+        if meet in ends:
+            ends.add(s)
+            full.appendleft(s)
+            if own or meet != s + 1:
+                walk[s] = (own, meet)
+    bottom = t - len(layer) + 1
     leave = -1
-    mapper = layers[0]
-    for k in range(1, len(layers)):
-        mapper = lift(tables[k].mapper_refs, mapper)
+    mapper = unit
+    for s in range(t - 1, bottom - 1, -1):
+        mapper = lift(tables[s].mapper_refs, mapper)
         if not mapper:
             break
-        if not mapper <= layers[k]:
-            leave = t - k
+        if not mapper <= layer[s]:
+            leave = s
             break
-    return _Chain(
-        t,
-        t - len(layers) + 1,
-        {t - k: layer for k, layer in enumerate(layers)},
-        walk,
-        deque(t - k for k in reversed(full_matches)),
-        leave,
-        stop,
+    return _Chain(t, bottom, layer, walk, full, leave, stop)
+
+
+def _source(state: TrackingState, chain: _Chain) -> int:
+    """The time of the deepest full match whose clusters all carry one DC
+    under the current labels; -1 if there is none."""
+    labels = state.labels
+    layer = chain.layer
+    for s in chain.full:
+        refs = layer[s]
+        if len(refs) == 1 or len({labels[r] for r in refs}) == 1:
+            return s
+    return -1
+
+
+def find_source_set(
+    state: TrackingState, rels: RelationCache, ref: ClusterRef
+) -> tuple[int, frozenset[ClusterRef]]:
+    """Earliest single-DC source set of a target cluster within the horizon.
+
+    Returns (depth, source set); depth 0 with {ref} itself means no
+    qualifying earlier set exists and the target founds a new DC.
+    """
+    chain = _search_source(state, rels, ref)
+    s = _source(state, chain)
+    if s < 0:
+        s = ref.time
+    return ref.time - s, chain.layer[s]
+
+
+@dataclass(frozen=True)
+class IdentityFlowResult:
+    """Clusters along which a DC identity propagates to a target.
+
+    flow[o] holds the flow clusters o steps before the target (union of
+    the tracing-path layer and the matching mapping-path layer), so
+    flow[0] == {target} and source_set <= flow[n_star]. marginals are the
+    clusters enclosed by the flow (reachable backwards from the target via
+    mapper sets and forwards from the source set via tracer sets) that are
+    not part of it; they lie strictly between source and target times.
+    """
+
+    n_star: int
+    source_set: frozenset[ClusterRef]
+    flow: tuple[frozenset[ClusterRef], ...]
+    marginals: frozenset[ClusterRef]
+
+
+def identity_flow(
+    rels: RelationCache,
+    ref: ClusterRef,
+    n_star: int,
+    source_set: frozenset[ClusterRef],
+) -> IdentityFlowResult:
+    """Assemble the identity flow and the marginalised clusters."""
+    t = ref.time
+    layers = [frozenset((ref,))]
+    for o in range(1, n_star + 1):
+        layers.append(lift(rels.pair(t - o).tracing_refs, layers[-1]))
+    forward = []
+    layer = source_set
+    for o in range(n_star, 0, -1):
+        layer = lift(rels.pair(t - o).mapping_refs, layer)
+        forward.append(layer)
+    return IdentityFlowResult(
+        n_star=n_star,
+        source_set=source_set,
+        flow=_flow(layers, forward, source_set),
+        marginals=_marginals(rels, layers, forward, source_set),
     )
+
+
+def _flow(
+    layers: Sequence[frozenset[ClusterRef]],
+    forward: Sequence[frozenset[ClusterRef]],
+    source: frozenset[ClusterRef],
+) -> tuple[frozenset[ClusterRef], ...]:
+    """flow[o] of a depth-n flow, from the tracing layers o steps back from
+    the target (layers[0..n], layers[0] = {target}) and the forward mapping
+    walk from the source (forward[0..n-1]; forward[j] lies n - j - 1 steps
+    back)."""
+    n = len(forward)
+    return tuple(layers[o] | forward[n - o - 1] for o in range(n)) + (
+        layers[n] | source,
+    )
+
+
+def _marginals(
+    rels: RelationCache,
+    layers: Sequence[frozenset[ClusterRef]],
+    forward: Sequence[frozenset[ClusterRef]],
+    source: frozenset[ClusterRef],
+) -> frozenset[ClusterRef]:
+    """Clusters enclosed by a depth-n flow that are not on it.
+
+    Arguments as for `_flow`. A marginal o steps back lies in the
+    target's o-step mapper walk and outside flow[o]; only when some mapper
+    layer leaves the flow is the tracer walk from the source taken, to
+    keep those clusters that it reaches too.
+    """
+    n = len(forward)
+    t = next(iter(layers[0])).time
+    pair = rels.pair
+    outside: dict[int, frozenset[ClusterRef]] = {}
+    layer = layers[0]
+    for o in range(1, n):
+        layer = lift(pair(t - o).mapper_refs, layer)
+        if not layer:
+            break
+        if not layer <= layers[o]:
+            rest = layer - layers[o] - forward[n - o - 1]
+            if rest:
+                outside[o] = rest
+    if not outside:
+        return frozenset()
+    marginals: set[ClusterRef] = set()
+    layer = source
+    for o in range(n - 1, min(outside) - 1, -1):
+        layer = lift(pair(t - o - 1).tracer_refs, layer)
+        if not layer:
+            break
+        if o in outside:
+            marginals.update(outside[o] & layer)
+    return frozenset(marginals)
 
 
 def _advance(
@@ -469,9 +436,9 @@ def _advance(
     and c's: an admitted walk stays inside the walk of the layer it was
     admitted on, so by induction over the depth every admitted walk ends
     at exactly {c} or dies, and c's mapping set takes {c} on to {ref}.
-    The deepest full match is the source when its layer is one cluster;
-    with several, the full search reads their DCs. The mapper walk from
-    ref enters c's when ref's mapper set is {c}; otherwise fall back.
+    The mapper walk from ref enters c's when ref's mapper set is {c};
+    otherwise fall back. These are the four fallbacks; the source is then
+    picked from the record as from a full search's (`_source`).
     """
     t = ref.time
     pair = rels.pair(t - 1)
@@ -512,44 +479,30 @@ def _advance(
     full.append(t - 1)
     while full[0] < bottom:
         full.popleft()
-    if len(layer[full[0]]) != 1:
-        return "the deepest full match has several clusters"
     chain.top = t
     chain.stop = stop
     return chain
 
 
-def _chain_walk(chain: _Chain, s: int) -> list[frozenset[ClusterRef]]:
-    """The forward walk from the full-match layer at time s to the top."""
-    out: list[frozenset[ClusterRef]] = []
-    top = chain.top
+def _chain_flow(
+    chain: _Chain, s: int
+) -> tuple[list[frozenset[ClusterRef]], list[frozenset[ClusterRef]]]:
+    """(layers, forward) of the match whose source is the full match at
+    time s, as `_flow` takes them, in O(depth)."""
+    t = chain.top
     layer = chain.layer
     walk = chain.walk
-    while s < top:
-        step = walk.get(s)
+    forward: list[frozenset[ClusterRef]] = []
+    u = s
+    while u < t:
+        step = walk.get(u)
         if step is None:
-            s += 1
+            u += 1
         else:
-            own, s = step
-            out.extend(own)
-        out.append(layer[s])
-    return out
-
-
-def _chain_flow(
-    rels: RelationCache, chain: _Chain
-) -> tuple[
-    list[frozenset[ClusterRef]],
-    list[frozenset[ClusterRef]],
-    list[MajorityRelations | None],
-]:
-    """(layers, forward, tables) of the chain's match, as `_search_source`
-    gives them for its chosen depth, in O(depth)."""
-    t = chain.top
-    s = chain.full[0]
-    layers = [chain.layer[t - o] for o in range(t - s + 1)]
-    tables = [None] + [rels.pair(t - o) for o in range(1, t - s + 1)]
-    return layers, _chain_walk(chain, s), tables
+            own, u = step
+            forward.extend(own)
+        forward.append(layer[u])
+    return [layer[t - o] for o in range(t - s + 1)], forward
 
 
 def _between(
@@ -575,78 +528,57 @@ def _relabel(state: TrackingState, dc: int, refs: Iterable[ClusterRef]) -> None:
     state._changes += changed
 
 
-def _label_searched(
-    state: TrackingState, rels: RelationCache, ref: ClusterRef, keep: bool
-) -> _Chain | None:
-    """Label ref from a full source search; its record if `keep`."""
-    n_star, layers, forward, tables, walks = _search_source(state, rels, ref)
-    source = layers[n_star]
-    if n_star == 0:
-        dc = state._new_dc(ref)
-        flow: tuple[frozenset[ClusterRef], ...] = (source,)
-        marginals: frozenset[ClusterRef] = frozenset()
-    else:
-        # The source carries dc, and a full match walks forward back to
-        # exactly the target, so flow[0] is {ref} and flow[n_star] the
-        # source; the layers between take dc, and so do the marginals.
-        dc = state.labels[next(iter(source))]
-        state.labels[ref] = dc
-        marginals = _marginals(tables, layers, forward, source)
-        _relabel(state, dc, _between(layers, forward))
-        _relabel(state, dc, marginals)
-        if state.trace is not None:
-            flow = _flow(layers, forward, source)
-    if state.trace is not None:
-        state.trace.append(TraceEvent(ref, n_star, dc, source, flow, marginals))
-    if not keep:
-        return None
-    chain = _chain_of(ref, layers, tables, walks)
-    if n_star:
-        chain.source = ref.time - n_star
-    chain.changes = state._changes
-    return chain
-
-
-def _label_carried(
-    state: TrackingState, rels: RelationCache, ref: ClusterRef, chain: _Chain
+def _label(
+    state: TrackingState,
+    rels: RelationCache,
+    ref: ClusterRef,
+    chain: _Chain | None,
+    s: int,
 ) -> None:
-    """Label ref from its record as `_advance` derived it.
+    """Label ref from its search record, whose source is at time s.
 
-    ref takes the DC of the source, its deepest full match. The flow
-    between needs no write when no label has changed since the
-    predecessor took its DC and ref's flow lies on the predecessor's:
-    the same source, or a higher one whose walk runs along the layers.
-    Marginals need looking for only below the time the mapper walk
-    leaves the layers.
+    With s = -1 ref founds a new DC. Otherwise ref takes the source's DC,
+    and so do the flow between and the marginals. The flow needs no write
+    when no label has changed since the predecessor took its DC and ref's
+    flow lies on the predecessor's: the same source, or a higher one whose
+    walk runs along the layers. Marginals need looking for only below the
+    time the mapper walk leaves the layers.
     """
-    labels = state.labels
-    s = chain.full[0]
-    source = chain.layer[s]
-    dc = labels[next(iter(source))]
-    labels[ref] = dc
-    flow = None
-    if not (
-        chain.changes == state._changes
-        and 0 <= chain.source <= s
-        and (chain.source == s or chain.bent < s)
-    ):
-        flow = _chain_flow(rels, chain)
-        _relabel(state, dc, _between(flow[0], flow[1]))
-    if chain.leave > s or state.trace is not None:
-        layers, forward, tables = flow or _chain_flow(rels, chain)
-        marginals: frozenset[ClusterRef] = frozenset()
-        if chain.leave > s:
-            marginals = _marginals(tables, layers, forward, source)
-            _relabel(state, dc, marginals)
-        if state.trace is not None:
-            state.trace.append(
-                TraceEvent(
-                    ref, len(forward), dc, source,
-                    _flow(layers, forward, source), marginals,
+    trace = state.trace
+    if s < 0:
+        dc = state._new_dc(ref)
+        if trace is not None:
+            unit = rels.units[ref.time][ref.cluster]
+            trace.append(TraceEvent(ref, 0, dc, unit, (unit,), frozenset()))
+    else:
+        labels = state.labels
+        source = chain.layer[s]
+        dc = labels[next(iter(source))]
+        labels[ref] = dc
+        flow = None
+        if not (
+            chain.changes == state._changes
+            and 0 <= chain.source <= s
+            and (chain.source == s or chain.bent < s)
+        ):
+            flow = _chain_flow(chain, s)
+            _relabel(state, dc, _between(*flow))
+        if chain.leave > s or trace is not None:
+            layers, forward = flow or _chain_flow(chain, s)
+            marginals: frozenset[ClusterRef] = frozenset()
+            if chain.leave > s:
+                marginals = _marginals(rels, layers, forward, source)
+                _relabel(state, dc, marginals)
+            if trace is not None:
+                trace.append(
+                    TraceEvent(
+                        ref, len(forward), dc, source,
+                        _flow(layers, forward, source), marginals,
+                    )
                 )
-            )
-    chain.source = s
-    chain.changes = state._changes
+    if chain is not None:
+        chain.source = s
+        chain.changes = state._changes
 
 
 def process_snapshot(
@@ -684,11 +616,13 @@ def process_snapshot(
     chains: list[_Chain | None] = [None] * m
     for alpha in order:
         ref = refs[alpha]
-        chain = _advance(state, rels, ref) if keep else None
-        if isinstance(chain, _Chain):
-            _label_carried(state, rels, ref, chain)
-        else:
-            chain = _label_searched(state, rels, ref, keep)
+        if not keep:
+            _label(state, rels, ref, None, -1)
+            continue
+        chain = _advance(state, rels, ref)
+        if isinstance(chain, str):
+            chain = _search_source(state, rels, ref)
+        _label(state, rels, ref, chain, _source(state, chain))
         chains[alpha] = chain
     state.frontier = i
     state._chains = chains if keep else None

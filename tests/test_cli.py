@@ -349,6 +349,42 @@ def test_odd_input_bytes_exit_2(tmp_path, capsys, argv, data, message):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["track", "--history", "1", "--input"],
+        ["oracle", "--history", "1", "--input"],
+        ["sweep", "--history-min", "0", "--history-max", "1", "--input"],
+    ],
+    ids=["track", "oracle", "sweep"],
+)
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"snapshots":[{"clusters":[["\\ud800"]]}]}',
+        '{"snapshots":[{"clusters":[["a"]],"label":"\\udc00"}]}',
+    ],
+    ids=["member", "label"],
+)
+def test_lone_surrogate_escape_exits_2(tmp_path, capsys, argv, text):
+    path = tmp_path / "seq.json"
+    path.write_text(text)
+    assert main(argv + [str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: snapshot 0: ") and "lone surrogate" in err
+    assert err.count("\n") == 1
+
+
+def test_escaped_surrogate_pair_is_written_as_utf8(tmp_path):
+    path = tmp_path / "seq.json"
+    path.write_text('{"snapshots":[{"clusters":[["\\ud83d\\ude00"]]}]}')
+    out = tmp_path / "result.json"
+    assert main(["track", "--history", "1", "--input", str(path),
+                 "--output", str(out)]) == 0
+    raw = out.read_bytes()
+    assert "\U0001F600".encode("utf-8") in raw and b"\\u" not in raw
+
+
 DEEP = "[" * 100_000 + "]" * 100_000
 
 

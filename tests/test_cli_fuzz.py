@@ -24,6 +24,14 @@ KEYS = (
 )
 
 
+# Lone surrogates included, and drawn alone often, since they are rare
+# among all characters: `json.dumps` writes them as `\ud800`-style
+# escapes, which decode to strings that UTF-8 cannot encode.
+TEXT = st.text(
+    st.characters(categories=["L", "N", "P", "S", "Z", "Cc", "Cs"]), max_size=3
+) | st.characters(categories=["Cs"])
+
+
 def json_values(ints):
     leaves = st.one_of(
         st.none(),
@@ -31,14 +39,14 @@ def json_values(ints):
         ints,
         st.floats(),
         st.sampled_from(KEYS + ("a", "b", "")),
-        st.text(max_size=3),
+        TEXT,
     )
     return st.recursive(
         leaves,
         lambda inner: st.one_of(
             st.lists(inner, max_size=4),
             st.dictionaries(
-                st.sampled_from(KEYS) | st.text(max_size=3), inner, max_size=4
+                st.sampled_from(KEYS) | TEXT, inner, max_size=4
             ),
         ),
         max_leaves=16,
@@ -93,6 +101,17 @@ def mutated(draw, doc, values=values):
     return doc
 
 
+# Sequences of the right shape whose member IDs and labels are any text.
+text_sequences = st.lists(
+    st.fixed_dictionaries(
+        {"clusters": st.lists(st.lists(TEXT, min_size=1, max_size=3), max_size=3)},
+        optional={"label": TEXT},
+    ),
+    min_size=1,
+    max_size=3,
+).map(lambda snapshots: {"snapshots": snapshots})
+
+
 def any_bytes(structured, values=values):
     return st.one_of(st.binary(max_size=64), encoded(values), structured)
 
@@ -135,9 +154,11 @@ def run(workdir, data: bytes, argv: list[str]) -> None:
 
 
 @fuzz
-@given(data=any_bytes(encoded(mutated(SEQUENCE))))
+@given(data=any_bytes(encoded(mutated(SEQUENCE) | text_sequences)))
 def test_any_json_input(workdir, data):
     run(workdir, data, ["track", "--input", "{in}", "--history", "2",
+                        "--output", "{out}"])
+    run(workdir, data, ["oracle", "--input", "{in}", "--history", "2",
                         "--output", "{out}"])
     run(workdir, data, ["sweep", "--input", "{in}", "--history-min", "0",
                         "--history-max", "3", "--output", "{out}"])

@@ -67,6 +67,29 @@ def test_parse_json_labels_kept():
     assert seq.labels == ("jan",)
 
 
+@pytest.mark.parametrize(
+    "text, where",
+    [
+        ('{"snapshots":[{"clusters":[["a"]]},{"clusters":[["\\ud800"]]}]}',
+         "snapshot 1"),
+        ('{"snapshots":[{"clusters":[["a"]],"label":"\\uDC00"}]}', "snapshot 0"),
+        # a high half followed by another high half is no pair
+        ('{"snapshots":[{"clusters":[["\\ud83d\\ud83d"]]}]}', "snapshot 0"),
+    ],
+    ids=["member", "label", "two-high-halves"],
+)
+def test_parse_json_lone_surrogate_rejected(text, where):
+    with pytest.raises(ParseError, match=f"{where}: .*lone surrogate"):
+        parse_sequence(text.encode("ascii"), "json")
+
+
+def test_parse_json_escaped_surrogate_pair_accepted():
+    text = '{"snapshots":[{"clusters":[["\\ud83d\\ude00"]],"label":"\\uD83D\\uDE00"}]}'
+    seq = parse_sequence(text.encode("ascii"), "json")
+    assert snapshot_members(seq, 0) == {"\U0001F600"}
+    assert seq.labels == ("\U0001F600",)
+
+
 def test_parse_csv_matches_json():
     csv_text = "t,member,cluster\n0,a,0\n0,b,0\n1,a,0\n"
     seq = parse_sequence(csv_text, "csv")

@@ -555,18 +555,29 @@ def search_instances():
         yield generate(spec)[0]
 
 
+def record_search(state, chain):
+    """(depth, layers, forward walk) of a search record under the current
+    labels, as `reference_search_source` gives them."""
+    t = chain.top
+    assert sorted(chain.layer) == list(range(chain.bottom, t + 1))
+    layers = [chain.layer[t - k] for k in range(t - chain.bottom + 1)]
+    s = tracking._source(state, chain)
+    if s < 0:
+        return 0, layers, None
+    return t - s, layers, tracking._chain_flow(chain, s)[1]
+
+
 def test_memoised_search_equals_reference(monkeypatch):
     memoised = tracking._search_source
     depths = []
 
     def checked(state, rels, ref):
         got = memoised(state, rels, ref)
-        assert got[:3] == reference_search_source(state, rels, ref), ref
-        tables = got[3]
-        assert tables[0] is None
-        assert all(tables[k] is rels.pair(ref.time - k) for k in range(1, len(tables)))
-        assert len(tables) >= len(got[1])
-        depths.append(len(got[1]) - 1)
+        assert got.top == ref.time
+        assert record_search(state, got) == reference_search_source(
+            state, rels, ref
+        ), ref
+        depths.append(got.top - got.bottom)
         return got
 
     monkeypatch.setattr(tracking, "_search_source", checked)
@@ -640,17 +651,6 @@ FALLBACK_FIXTURES = {
     "mapper set holds another cluster": (
         1, [[["1", "2", "3"], ["4"]], [["1", "2", "3", "4"]]],
     ),
-    # At x = 2 the last target's deepest full match is the tie layer
-    # {A, B} at t1 (the single source P at t0 is past the horizon).
-    "the deepest full match has several clusters": (
-        2,
-        [
-            [["1", "2", "3", "4"]],
-            [["1", "2"], ["3", "4"]],
-            [["1", "2", "3", "4"]],
-            [["1", "2", "3", "4"]],
-        ],
-    ),
     # The predecessor's search stops at Z: Z's walk splits into Y and D,
     # then reaches {c, E}, not inside {c}. E's members leave, so for the
     # target the walk steps on to exactly {target} and admits Z.
@@ -666,9 +666,26 @@ FALLBACK_FIXTURES = {
 }
 
 
+# At x = 2 the last target's deepest full match is the tie layer {A, B}
+# at t1, which took the DC of P at t0 (past the horizon).
+TIE_LAYER = [
+    [["1", "2", "3", "4"]],
+    [["1", "2"], ["3", "4"]],
+    [["1", "2", "3", "4"]],
+    [["1", "2", "3", "4"]],
+]
+
+# The target at t1 takes half its members from each of two clusters, so
+# the chain after it has that tie layer, with two DCs, as its deepest
+# full match at every horizon past 1.
+TIE_BORN_CHAIN = [[["1", "2"], ["3", "4"]]] + [[["1", "2", "3", "4"]]] * 11
+
+
 def carry_instances():
     for _x, data in FALLBACK_FIXTURES.values():
         yield sequence_from_lists(data)
+    yield sequence_from_lists(TIE_LAYER)
+    yield sequence_from_lists(TIE_BORN_CHAIN)
     for seed in range(50):
         rng = random.Random(11000 + seed)
         yield random_sequence(
@@ -707,27 +724,19 @@ def checked_advance(outcomes):
             outcomes[got] += 1
             return got
         outcomes["carried"] += 1
-        n_star, layers, forward, tables, _walks = tracking._search_source(
-            state, rels, ref
-        )
-        source = layers[n_star]
-        t = ref.time
-        assert got.top == t
-        assert [got.layer[t - k] for k in range(t - got.bottom + 1)] == layers
-        c_layers, c_forward, c_tables = tracking._chain_flow(rels, got)
-        assert len(c_forward) == n_star > 0
-        assert c_layers == layers[: n_star + 1] and c_forward == forward
-        assert c_tables == tables[: n_star + 1]
-        assert tracking._flow(c_layers, c_forward, source) == tracking._flow(
-            layers, forward, source
-        )
-        marginals = tracking._marginals(tables, layers, forward, source)
-        if got.leave <= got.full[0]:
-            assert marginals == frozenset()
-        else:
+        full = tracking._search_source(state, rels, ref)
+        assert got.top == full.top and got.layer == full.layer
+        assert list(got.full) == list(full.full) and got.stop == full.stop
+        for s in full.full:
+            assert tracking._chain_flow(got, s) == tracking._chain_flow(full, s)
+        s = tracking._source(state, got)
+        assert s >= 0
+        assert (got.leave > s) == (full.leave > s)
+        layers, forward = tracking._chain_flow(got, s)
+        if got.leave <= s:
             assert tracking._marginals(
-                c_tables, c_layers, c_forward, source
-            ) == marginals
+                rels, layers, forward, got.layer[s]
+            ) == frozenset()
         return got
 
     return checked
@@ -735,15 +744,23 @@ def checked_advance(outcomes):
 
 def checked_search(searches):
     """`tracking._search_source` checking that every admitted walk ends at
-    exactly the target or dies, which the carried full matches rely on."""
+    exactly the target or dies, which the carried full matches rely on,
+    and that the full matches are the walks that end at the target."""
     search = tracking._search_source
 
     def checked(state, rels, ref):
         got = search(state, rels, ref)
-        steps = got[4][0]
-        for k in range(1, len(got[1])):
-            own, meet = steps[k]
-            assert meet >= 0 or len(own) < k, (ref, k)
+        t = ref.time
+        target = got.layer[t]
+        ends = []
+        for s in range(got.bottom, t):
+            path = got.layer[s]
+            for u in range(s, t):
+                path = lift(rels.pair(u).mapping_refs, path)
+            assert path in (frozenset(), target), (ref, s)
+            if path:
+                ends.append(s)
+        assert list(got.full) == ends, ref
         searches.append(ref)
         return got
 
@@ -790,6 +807,37 @@ def test_each_fallback_fires_on_its_fixture(monkeypatch, reason):
     monkeypatch.setattr(tracking, "_advance", lambda *args: "off")
     assert track(seq, x).labels == carried.labels
     assert same_partition(seq, carried.labels, brute_force_track(seq, x).labels)
+
+
+def test_a_tie_layer_source_is_carried(monkeypatch):
+    # Both clusters of the tie layer carry P's DC, so the carried record
+    # gives the source that the full search reads off the layer.
+    seq = sequence_from_lists(TIE_LAYER)
+    outcomes = collections.Counter()
+    monkeypatch.setattr(tracking, "_advance", checked_advance(outcomes))
+    carried = track(seq, 2)
+    assert outcomes["carried"] == 1, outcomes
+    monkeypatch.setattr(tracking, "_advance", lambda *args: "off")
+    assert track(seq, 2).labels == carried.labels
+    assert same_partition(seq, carried.labels, brute_force_track(seq, 2).labels)
+
+
+def test_a_chain_born_from_a_tie_is_searched_once_at_any_horizon(monkeypatch):
+    # Every target after t1 has the tie layer at t0, with two DCs, as its
+    # deepest full match once x > 1; the carried record skips it and takes
+    # the next one, so only the target at t1 runs the full search.
+    seq = sequence_from_lists(TIE_BORN_CHAIN)
+    calls = collections.Counter()
+    search = tracking._search_source
+
+    def counting(state, rels, ref):
+        calls[state.history] += 1
+        return search(state, rels, ref)
+
+    monkeypatch.setattr(tracking, "_search_source", counting)
+    labels = {x: track(seq, x).labels for x in (1, 11)}
+    assert calls[11] == calls[1] == 1, calls
+    assert labels[11] == labels[1]
 
 
 def test_a_changed_label_makes_the_successor_rewrite_its_flow(monkeypatch):
