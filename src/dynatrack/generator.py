@@ -182,6 +182,8 @@ class ScenarioSpec:
             raise GenerationError(f"scenario is not valid text: {exc}") from exc
         except RecursionError:
             raise GenerationError("scenario is nested too deeply") from None
+        except ValueError:  # an integer literal too long to convert
+            raise GenerationError("scenario has an integer too long to read") from None
         return cls.from_json_dict(doc)
 
     def to_json_dict(self) -> dict:

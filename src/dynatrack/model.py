@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import chain, repeat
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import ParseError, SequenceValidationError
@@ -35,10 +36,12 @@ class ClusterRef(NamedTuple):
 
 @dataclass(frozen=True)
 class Snapshot:
-    """One time point's clustering: a disjoint family of member sets."""
+    """One time point's clustering: disjoint clusters of sorted member IDs,
+    and `column`, each member's cluster index (derived, so not compared)."""
 
     index: int
-    clusters: tuple[frozenset[str], ...]
+    clusters: tuple[tuple[str, ...], ...]
+    column: dict[str, int] = field(compare=False, repr=False)
 
     def __len__(self) -> int:
         return len(self.clusters)
@@ -81,31 +84,44 @@ def sequence_from_lists(
     """
     snapshots = []
     for t, raw_clusters in enumerate(data):
-        seen: set[str] = set()
-        clusters = []
-        for alpha, raw in enumerate(raw_clusters):
-            members = list(raw)
-            if not members:
-                raise SequenceValidationError(
-                    f"snapshot {t}: cluster {alpha} is empty"
-                )
-            for m in members:
-                if not isinstance(m, str) or not m:
-                    raise SequenceValidationError(
-                        f"snapshot {t}: cluster {alpha} has a non-string or "
-                        f"empty member ID ({m!r})"
-                    )
-                if m in seen:
-                    raise SequenceValidationError(
-                        f"snapshot {t}: member {m!r} appears in more than one cluster"
-                    )
-                seen.add(m)
-            clusters.append(frozenset(members))
-        snapshots.append(Snapshot(index=t, clusters=tuple(clusters)))
+        raw = list(map(list, raw_clusters))
+        flat = list(chain.from_iterable(raw))
+        # The checks run in C (the join raises TypeError on a non-string
+        # ID); only a snapshot that fails one is scanned member by member,
+        # to name the first offending cluster and member.
+        try:
+            "".join(flat)
+        except TypeError:
+            _reject(t, raw)
+        where = chain.from_iterable(map(repeat, range(len(raw)), map(len, raw)))
+        column = dict(zip(flat, where))
+        if not all(raw) or len(column) != len(flat) or "" in column:
+            _reject(t, raw)
+        clusters = tuple(map(tuple, map(sorted, raw)))
+        snapshots.append(Snapshot(index=t, clusters=clusters, column=column))
     return ClusteringSequence(
         snapshots=tuple(snapshots),
         labels=tuple(labels) if labels is not None else (),
     )
+
+
+def _reject(t: int, clusters: list[list]) -> None:
+    """Raise the error for the first invalid cluster or member of snapshot t."""
+    seen: set[str] = set()
+    for alpha, members in enumerate(clusters):
+        if not members:
+            raise SequenceValidationError(f"snapshot {t}: cluster {alpha} is empty")
+        for m in members:
+            if not isinstance(m, str) or not m:
+                raise SequenceValidationError(
+                    f"snapshot {t}: cluster {alpha} has a non-string or "
+                    f"empty member ID ({m!r})"
+                )
+            if m in seen:
+                raise SequenceValidationError(
+                    f"snapshot {t}: member {m!r} appears in more than one cluster"
+                )
+            seen.add(m)
 
 
 def _parse_json(text: str) -> ClusteringSequence:
@@ -117,6 +133,8 @@ def _parse_json(text: str) -> ClusteringSequence:
         ) from exc
     except RecursionError:
         raise ParseError("JSON input is nested too deeply") from None
+    except ValueError:  # an integer literal too long to convert
+        raise ParseError("JSON input holds an integer too long to read") from None
     if not isinstance(doc, dict) or "snapshots" not in doc:
         raise ParseError('top-level JSON object must contain a "snapshots" array')
     raw_snaps = doc["snapshots"]
@@ -231,6 +249,10 @@ def parse_sequence(source: bytes | str, fmt: str = "json") -> ClusteringSequence
             raise ParseError(f"input is not valid UTF-8: {exc}") from exc
     else:
         text = source
+        try:
+            text.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise ParseError(f"input holds a lone surrogate at {exc.start}") from None
     if fmt == "json":
         return _parse_json(text)
     if fmt == "csv":
@@ -245,7 +267,7 @@ def sequence_to_json_dict(seq: ClusteringSequence) -> dict:
     """
     snaps = []
     for snap, label in zip(seq.snapshots, seq.labels):
-        entry: dict = {"clusters": [sorted(c) for c in snap.clusters]}
+        entry: dict = {"clusters": list(map(list, snap.clusters))}
         if label is not None:
             entry["label"] = label
         snaps.append(entry)

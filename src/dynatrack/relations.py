@@ -17,6 +17,7 @@ unaffected by members that appear in a single snapshot.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Collection, Sequence
 
 from .model import ClusterRef, ClusteringSequence
@@ -25,53 +26,26 @@ __all__ = [
     "MajorityRelations",
     "RelationCache",
     "count_tables",
-    "index_sequence",
     "pair_counts",
 ]
 
 
-def index_sequence(seq: ClusteringSequence) -> list[dict[int, int]]:
-    """Per snapshot, the cluster index of every member, keyed by member code.
-
-    Member IDs are interned to integer codes once for the whole sequence.
-    """
-    intern: dict[str, int] = {}
-    out = []
-    for snap in seq.snapshots:
-        where: dict[int, int] = {}
-        for alpha, members in enumerate(snap.clusters):
-            for m in members:
-                code = intern.get(m)
-                if code is None:
-                    code = intern[m] = len(intern)
-                where[code] = alpha
-        out.append(where)
-    return out
-
-
-def pair_counts(
-    a: dict[int, int], b: dict[int, int]
-) -> list[tuple[int, int, int]]:
-    """Shared-member counts between the clusters of two indexed snapshots.
+def pair_counts(a: dict[str, int], b: dict[str, int]) -> list[tuple[int, int, int]]:
+    """Shared-member counts between the clusters of two snapshots, given
+    their member columns (`Snapshot.column`).
 
     Returns (cluster_a, cluster_b, count) triples sorted lexicographically,
     non-zero counts only. Members present in one snapshot only never
     produce a triple, which is what makes the relations turnover-robust.
     """
-    counts: dict[tuple[int, int], int] = {}
-    where = b.get
-    for m, ca in a.items():
-        cb = where(m)
-        if cb is not None:
-            key = (ca, cb)
-            counts[key] = counts.get(key, 0) + 1
-    return sorted((ca, cb, n) for (ca, cb), n in counts.items())
+    counts = Counter(zip(a.values(), map(b.get, a)))
+    return sorted((ca, cb, n) for (ca, cb), n in counts.items() if cb is not None)
 
 
 def count_tables(seq: ClusteringSequence) -> list[list[tuple[int, int, int]]]:
     """The `pair_counts` triples of every neighbouring snapshot pair of `seq`."""
-    indexed = index_sequence(seq)
-    return [pair_counts(a, b) for a, b in zip(indexed, indexed[1:])]
+    columns = [snap.column for snap in seq.snapshots]
+    return [pair_counts(a, b) for a, b in zip(columns, columns[1:])]
 
 
 class MajorityRelations:
@@ -168,7 +142,6 @@ class RelationCache:
     def __init__(self, seq: ClusteringSequence):
         self.seq = seq
         self.t_total = len(seq)
-        self._indexed = index_sequence(seq)
         # One shared ClusterRef and unit set {ClusterRef} per cluster, by
         # snapshot and cluster index; every one-cluster relation set is
         # one of these unit sets.
@@ -187,10 +160,9 @@ class RelationCache:
             raise IndexError(f"pair index out of range (T={self.t_total}, got {i})")
         rel = self._pairs[i]
         if rel is None:
+            a, b = self.seq.snapshots[i : i + 2]
             rel = self._pairs[i] = MajorityRelations(
-                pair_counts(self._indexed[i], self._indexed[i + 1]),
-                self.units[i],
-                self.units[i + 1],
+                pair_counts(a.column, b.column), self.units[i], self.units[i + 1]
             )
         return rel
 

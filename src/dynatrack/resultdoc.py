@@ -65,7 +65,7 @@ def build_document(
     snapshots = []
     for snap, label in zip(seq.snapshots, seq.labels):
         clusters = [
-            {"members": sorted(members), "dc": labels[ClusterRef(snap.index, a)]}
+            {"members": list(members), "dc": labels[ClusterRef(snap.index, a)]}
             for a, members in enumerate(snap.clusters)
         ]
         entry: dict = {"clusters": clusters}
@@ -121,6 +121,8 @@ def load_document(
         raise SchemaError(f"result document is not valid text: {exc}") from exc
     except RecursionError:
         raise SchemaError("result document is nested too deeply") from None
+    except ValueError:  # an integer literal too long to convert
+        raise SchemaError("result document has an integer too long to read") from None
     if not isinstance(doc, dict):
         raise SchemaError("result document must be a JSON object")
     schema = doc.get("schema")

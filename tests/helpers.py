@@ -33,7 +33,7 @@ def churn_sequence(
 
 
 def cluster_members(seq: ClusteringSequence, ref: ClusterRef) -> frozenset[str]:
-    return seq.snapshots[ref.time].clusters[ref.cluster]
+    return frozenset(seq.snapshots[ref.time].clusters[ref.cluster])
 
 
 def snapshot_members(seq: ClusteringSequence, t: int) -> frozenset[str]:

@@ -58,7 +58,7 @@ def test_flow_balance_against_block_sizes():
         layout = layout_for(seq)
         for t, col in enumerate(layout.blocks):
             for block in col:
-                members = seq.snapshots[t].clusters[block.cluster]
+                members = frozenset(seq.snapshots[t].clusters[block.cluster])
                 inflow = sum(
                     f.magnitude
                     for f in layout.flows

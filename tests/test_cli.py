@@ -8,6 +8,7 @@ from dataclasses import asdict
 
 from dynatrack import classify_events, clustering_from_labels, relations, tracking
 from dynatrack.cli import SWEEP_HEADER, main
+from dynatrack.errors import SchemaError
 from dynatrack.resultdoc import load_document
 
 IDENTITY_FIXTURE = {
@@ -179,6 +180,12 @@ def test_events_json_holds_every_field(tmp_path):
     expected = [dict(asdict(ev), related=list(ev.related)) for ev in events]
     assert {ev["kind"] for ev in expected} >= {"split", "merge"}
     assert json.loads(out.read_text()) == {"schema": 1, "events": expected}
+
+
+def test_document_with_a_long_integer_rejected():
+    # longer than the 4,300 digits the interpreter converts to int
+    with pytest.raises(SchemaError, match="integer too long"):
+        load_document('{"schema":1,"history":1' + "0" * 5000 + "}")
 
 
 def test_events_rejects_wrong_schema(tmp_path, capsys):
@@ -410,6 +417,29 @@ def test_deeply_nested_json_exits_2(tmp_path, capsys, argv, text):
     assert err.count("\n") == 1
 
 
+LONG = "1" + "0" * 5000
+
+
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        (["track", "--history", "1", "--input"],
+         '{"snapshots":[{"clusters":[[' + LONG + "]]}]}"),
+        (["events", "--result"], '{"schema":1,"history":' + LONG + "}"),
+        (["render", "--result"], '{"schema":1,"history":' + LONG + "}"),
+        (["generate", "--spec"], '{"snapshots":' + LONG + "}"),
+    ],
+    ids=["track", "events", "render", "generate"],
+)
+def test_long_integer_exits_2(tmp_path, capsys, argv, text):
+    path = tmp_path / "long.json"
+    path.write_text(text)
+    assert main(argv + [str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "integer too long" in err
+    assert err.count("\n") == 1
+
+
 def test_sweep_csv_and_flags(tmp_path, capsys):
     seq = tmp_path / "seq.json"
     seq.write_text(
@@ -479,12 +509,13 @@ def test_sweep_equals_per_x_track_with_fresh_relations(
     else:
         seq.write_text(json.dumps({"snapshots": snapshots}))
 
+    # every pair table the kernel counts, T - 1 = last of them per build
     builds = []
-    index_sequence = relations.index_sequence
+    pair_counts = relations.pair_counts
 
-    def counted(seq):
-        builds.append(seq)
-        return index_sequence(seq)
+    def counted(a, b):
+        builds.append((a, b))
+        return pair_counts(a, b)
 
     xs = []
     track = tracking.track
@@ -493,7 +524,7 @@ def test_sweep_equals_per_x_track_with_fresh_relations(
         xs.append(x)
         return track(seq, x, **kwargs)
 
-    monkeypatch.setattr(relations, "index_sequence", counted)
+    monkeypatch.setattr(relations, "pair_counts", counted)
     # `cli.cmd_sweep` imports `track` from `tracking` when it runs
     monkeypatch.setattr(tracking, "track", counted_track)
 
@@ -510,7 +541,7 @@ def test_sweep_equals_per_x_track_with_fresh_relations(
     shared_csv, shared_json = sweep(0, x_max, "shared")
     # x = last = T - 1 saturates the search depth: the rows stop there, and
     # one relation build (consistency included) serves one track per row
-    assert len(builds) == 1
+    assert len(builds) == last
     assert xs == list(range(last + 1))
     assert f"every x > {last} gives the row of x = {last}" in capsys.readouterr().err
 
@@ -523,7 +554,9 @@ def test_sweep_equals_per_x_track_with_fresh_relations(
         rows.append(csv_text.splitlines()[1])
         assert json_text.startswith(head) and json_text.endswith(tail)
         records.append(json_text[len(head):-len(tail)])
-    assert len(builds) == 1 + x_max + 1
+    # one build per sweep; alone, x = 0 counts no table, since each of its
+    # DCs lives one snapshot and consistency reads none
+    assert len(builds) == last * (1 + x_max)
     assert xs[last + 1:] == list(range(x_max + 1))
     assert shared_csv == SWEEP_HEADER + "\n" + "\n".join(rows[: last + 1]) + "\n"
     assert shared_json == head + ",".join(records[: last + 1]) + tail

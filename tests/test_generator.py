@@ -191,6 +191,12 @@ def test_spec_json_roundtrip():
     assert generate(again) == generate(spec)
 
 
+def test_spec_with_a_long_integer_rejected():
+    # longer than the 4,300 digits the interpreter converts to int
+    with pytest.raises(GenerationError, match="integer too long"):
+        ScenarioSpec.from_json('{"snapshots":1' + "0" * 5000 + "}")
+
+
 def test_ground_truth_aligns_with_clusters():
     spec = ScenarioSpec(
         snapshots=8,

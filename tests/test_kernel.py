@@ -3,7 +3,7 @@
 import random
 
 from dynatrack import sequence_from_lists
-from dynatrack.relations import index_sequence, pair_counts
+from dynatrack.relations import pair_counts
 
 
 def brute_counts(seq):
@@ -14,7 +14,7 @@ def brute_counts(seq):
         triples = []
         for ca, ma in enumerate(a.clusters):
             for cb, mb in enumerate(b.clusters):
-                n = len(ma & mb)
+                n = len(set(ma) & set(mb))
                 if n:
                     triples.append((ca, cb, n))
         out.append(sorted(triples))
@@ -25,8 +25,10 @@ def random_instance(rng):
     t_total = rng.randint(2, 5)
     pool = [f"m{i}" for i in range(rng.randint(1, 30))]
     data = []
-    for _ in range(t_total):
+    for t in range(t_total):
         present = [m for m in pool if rng.random() < 0.7]
+        # members that no other snapshot holds
+        present += [f"t{t}-{j}" for j in range(rng.randint(0, 5))]
         rng.shuffle(present)
         k = rng.randint(1, 5)
         clusters = [present[j::k] for j in range(k)]
@@ -35,8 +37,8 @@ def random_instance(rng):
 
 
 def kernel_counts(seq):
-    idx = index_sequence(seq)
-    return [pair_counts(a, b) for a, b in zip(idx, idx[1:])]
+    columns = [snap.column for snap in seq.snapshots]
+    return [pair_counts(a, b) for a, b in zip(columns, columns[1:])]
 
 
 def test_pair_counts_match_brute_force():

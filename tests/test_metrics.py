@@ -111,7 +111,7 @@ def test_clustering_from_labels_groups_members_by_dc_in_id_order():
             assert series.clusters_by_time[t] == alphas
             members = set()
             for a in alphas:
-                members |= seq.snapshots[t].clusters[a]
+                members.update(seq.snapshots[t].clusters[a])
             assert dc_members(seq, series, t) == members
             assert series.size_by_time[t] == len(members)
 
@@ -250,28 +250,31 @@ class TestTotalConsistency:
         assert defined > 100 and apart > 50 and multi > 10
 
     def test_reads_the_tables_of_the_cache_it_was_tracked_with(self, monkeypatch):
+        # every pair table the kernel counts, T - 1 of them per build
         builds = []
-        index_sequence = relations.index_sequence
+        pair_counts = relations.pair_counts
 
-        def counted(seq):
-            builds.append(seq)
-            return index_sequence(seq)
+        def counted(a, b):
+            builds.append((a, b))
+            return pair_counts(a, b)
 
-        monkeypatch.setattr(relations, "index_sequence", counted)
+        monkeypatch.setattr(relations, "pair_counts", counted)
         seq = random_sequence(random.Random(5), max_t=8)
+        pairs = len(seq) - 1
+        assert pairs > 0
         rels = RelationCache(seq)
         results = [track(seq, x, relations=rels) for x in range(4)]
         for result in results:
             total_consistency(result, "all_members")
             total_consistency(result, "residents_only")
-        assert len(builds) == 1
-        # a result without tables indexes the sequence once and keeps them
+        assert len(builds) == pairs
+        # a result without tables counts them once and keeps them
         rebuilt = clustering_from_labels(seq, results[2].labels, 2)
         for mode in ("all_members", "residents_only", "all_members"):
             assert total_consistency(rebuilt, mode) == total_consistency(
                 results[2], mode
             )
-        assert len(builds) == 2
+        assert len(builds) == 2 * pairs
 
     def test_unknown_mode(self):
         with pytest.raises(ValueError):

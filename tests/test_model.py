@@ -15,6 +15,7 @@ from dynatrack import (
     subsequence,
 )
 from dynatrack.errors import ParseError, SequenceValidationError
+from dynatrack.resultdoc import load_document
 from helpers import cluster_members, residents, snapshot_members
 
 JSON_TWO_SNAPSHOTS = json.dumps(
@@ -34,6 +35,18 @@ def test_parse_json_two_snapshots():
     assert len(seq.snapshots[1]) == 1
     assert cluster_members(seq, ClusterRef(0, 0)) == {"a", "b"}
     assert cluster_members(seq, ClusterRef(1, 0)) == {"a", "b", "c"}
+
+
+def test_clusters_are_sorted_tuples_with_a_member_column():
+    seq = sequence_from_lists([[["b", "a"], {"d", "c"}], [["e"], ["c", "a"]]])
+    assert [snap.clusters for snap in seq.snapshots] == [
+        (("a", "b"), ("c", "d")),
+        (("e",), ("a", "c")),
+    ]
+    assert [snap.column for snap in seq.snapshots] == [
+        {"a": 0, "b": 0, "c": 1, "d": 1},
+        {"e": 0, "a": 1, "c": 1},
+    ]
 
 
 def test_parse_json_duplicate_member():
@@ -88,6 +101,80 @@ def test_parse_json_escaped_surrogate_pair_accepted():
     seq = parse_sequence(text.encode("ascii"), "json")
     assert snapshot_members(seq, 0) == {"\U0001F600"}
     assert seq.labels == ("\U0001F600",)
+
+
+# Each invalid snapshot sits at t = 1 behind a valid one; the message names
+# the first offence in cluster-then-member order.
+INVALID_SNAPSHOTS = [
+    ([["a"], []], "snapshot 1: cluster 1 is empty"),
+    (
+        [["a"], ["b", 3]],
+        "snapshot 1: cluster 1 has a non-string or empty member ID (3)",
+    ),
+    (
+        [["a", ""]],
+        "snapshot 1: cluster 0 has a non-string or empty member ID ('')",
+    ),
+    (
+        [["a", "b"], ["c", "a"]],
+        "snapshot 1: member 'a' appears in more than one cluster",
+    ),
+    (
+        [["a"], ["a"], [], [7]],
+        "snapshot 1: member 'a' appears in more than one cluster",
+    ),
+]
+INVALID_IDS = ["empty-cluster", "non-string", "empty-id", "two-clusters", "first-wins"]
+
+
+def _document(clusters_by_time):
+    refs = [(t, a) for t, row in enumerate(clusters_by_time) for a in range(len(row))]
+    return json.dumps(
+        {
+            "schema": 1,
+            "history": 1,
+            "snapshot_count": len(clusters_by_time),
+            "snapshots": [
+                {"clusters": [{"members": m, "dc": refs.index((t, a))}
+                              for a, m in enumerate(row)]}
+                for t, row in enumerate(clusters_by_time)
+            ],
+            "dcs": [{"id": i, "clusters": [list(ref)]} for i, ref in enumerate(refs)],
+        }
+    )
+
+
+@pytest.mark.parametrize("clusters, message", INVALID_SNAPSHOTS, ids=INVALID_IDS)
+def test_validation_messages_are_exact(clusters, message):
+    data = [[["x"]], clusters]
+    with pytest.raises(SequenceValidationError) as exc:
+        sequence_from_lists(data)
+    assert str(exc.value) == message
+    with pytest.raises(SequenceValidationError) as exc:
+        load_document(_document(data))
+    assert str(exc.value) == message
+
+
+def test_parse_json_long_integer_rejected():
+    text = '{"snapshots":[{"clusters":[[1' + "0" * 5000 + "]]}]}"
+    with pytest.raises(ParseError, match="integer too long"):
+        parse_sequence(text.encode("ascii"), "json")
+
+
+@pytest.mark.parametrize(
+    "text, fmt",
+    [
+        ('{"snapshots":[{"clusters":[["a","\ud800"]]}]}', "json"),
+        ('{"snapshots":[{"clusters":[["a"]],"label":"\udfff"}]}', "json"),
+        ("t,member,cluster\n0,a,0\n0,\ud800,1\n", "csv"),
+    ],
+    ids=["json-member", "json-label", "csv-member"],
+)
+def test_raw_lone_surrogate_in_text_rejected(text, fmt):
+    # the text holds the surrogate character itself, not a JSON escape
+    assert "\\u" not in text
+    with pytest.raises(ParseError, match="lone surrogate"):
+        parse_sequence(text, fmt)
 
 
 def test_parse_csv_matches_json():

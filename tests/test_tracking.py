@@ -52,7 +52,7 @@ def enum_trace_path(seq, ref, n):
         for r in layer:
             mine = cluster_members(seq, r)
             scores = {
-                ClusterRef(r.time - 1, a): len(mine & other)
+                ClusterRef(r.time - 1, a): len(mine.intersection(other))
                 for a, other in enumerate(seq.snapshots[r.time - 1].clusters)
             }
             best = max(scores.values(), default=0)
@@ -69,7 +69,7 @@ def enum_map_path(seq, start, n):
         for r in layer:
             mine = cluster_members(seq, r)
             scores = {
-                ClusterRef(r.time + 1, a): len(mine & other)
+                ClusterRef(r.time + 1, a): len(mine.intersection(other))
                 for a, other in enumerate(seq.snapshots[r.time + 1].clusters)
             }
             best = max(scores.values(), default=0)
