@@ -13,9 +13,10 @@ is dropped ("12", "12.50", "-0").
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from itertools import accumulate, repeat
+from typing import NamedTuple
 
-from .model import ClusterRef, ClusteringSequence
+from .model import ClusteringSequence
 from .relations import count_tables
 
 __all__ = ["Block", "Flow", "AlluvialLayout", "build_layout", "layout_to_svg"]
@@ -27,8 +28,7 @@ PALETTE = (
 )
 
 
-@dataclass(frozen=True)
-class Block:
+class Block(NamedTuple):
     time: int
     cluster: int
     dc: int
@@ -36,8 +36,7 @@ class Block:
     y: float
 
 
-@dataclass(frozen=True)
-class Flow:
+class Flow(NamedTuple):
     time: int  # source snapshot; target is time + 1
     src_cluster: int
     dst_cluster: int
@@ -46,38 +45,26 @@ class Flow:
     dst_y: float
 
 
-@dataclass(frozen=True)
-class AlluvialLayout:
+class AlluvialLayout(NamedTuple):
     blocks: tuple[tuple[Block, ...], ...]  # per snapshot
     flows: tuple[Flow, ...]
     gap: float
 
     def to_json_dict(self) -> dict:
         return {
-            "blocks": [
-                [
-                    {"time": b.time, "cluster": b.cluster, "dc": b.dc,
-                     "size": b.size, "y": b.y}
-                    for b in col
-                ]
-                for col in self.blocks
-            ],
-            "flows": [
-                {"time": f.time, "src_cluster": f.src_cluster,
-                 "dst_cluster": f.dst_cluster, "magnitude": f.magnitude,
-                 "src_y": f.src_y, "dst_y": f.dst_y}
-                for f in self.flows
-            ],
+            "blocks": [[b._asdict() for b in col] for col in self.blocks],
+            "flows": [f._asdict() for f in self.flows],
             "gap": self.gap,
         }
 
 
 def build_layout(
     seq: ClusteringSequence,
-    labels: dict[ClusterRef, int],
+    labels: list[list[int]],
     gap: float = 2.0,
 ) -> AlluvialLayout:
-    """Geometry of the diagram in member-count units.
+    """Geometry of the diagram in member-count units, from the DC label
+    columns (labels[t][a] for cluster a of snapshot t).
 
     `gap` is the vertical spacing between blocks of one column. Raises
     ValueError unless it is finite and >= 0.
@@ -86,44 +73,24 @@ def build_layout(
         raise ValueError(f"gap must be a finite number >= 0, got {gap!r}")
     columns: list[tuple[Block, ...]] = []
     tops: list[list[float]] = []
-    for snap in seq.snapshots:
-        col = []
-        y = 0.0
-        col_tops = []
-        for alpha, members in enumerate(snap.clusters):
-            col_tops.append(y)
-            col.append(
-                Block(
-                    time=snap.index,
-                    cluster=alpha,
-                    dc=labels[ClusterRef(snap.index, alpha)],
-                    size=len(members),
-                    y=y,
-                )
-            )
-            y += len(members) + gap
-        columns.append(tuple(col))
+    for t, (snap, col) in enumerate(zip(seq.snapshots, labels)):
+        sizes = list(map(len, snap.clusters))
+        # Each block's top is the sum of the heights and gaps above it.
+        col_tops = list(accumulate([s + gap for s in sizes], initial=0.0))[:-1]
+        blocks = map(Block, repeat(t), range(len(sizes)), col, sizes, col_tops)
+        columns.append(tuple(blocks))
         tops.append(col_tops)
 
     flows: list[Flow] = []
     for i, table in enumerate(count_tables(seq)):
-        out_used = [0.0] * len(seq.snapshots[i])
-        in_used = [0.0] * len(seq.snapshots[i + 1])
+        out_used = [0.0] * len(tops[i])
+        in_used = [0.0] * len(tops[i + 1])
         for a, b, magnitude in table:
             src_y = tops[i][a] + out_used[a]
             dst_y = tops[i + 1][b] + in_used[b]
+            flows.append(Flow(i, a, b, magnitude, src_y, dst_y))
             out_used[a] += magnitude
             in_used[b] += magnitude
-            flows.append(
-                Flow(
-                    time=i,
-                    src_cluster=a,
-                    dst_cluster=b,
-                    magnitude=magnitude,
-                    src_y=src_y,
-                    dst_y=dst_y,
-                )
-            )
     return AlluvialLayout(blocks=tuple(columns), flows=tuple(flows), gap=gap)
 
 

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, field
 
 from . import relations
-from .model import ClusterRef, ClusteringSequence
+from .model import ClusteringSequence
 
 __all__ = [
     "DcSeries",
@@ -50,14 +50,16 @@ class DcSeries:
 class DynamicClustering:
     """Final association of every cluster to a dynamic-cluster id.
 
-    `seq` is the labelled sequence. `pair_triples[i]` holds the
-    shared-member count triples between snapshot i and i+1, as
-    `relations.pair_counts` returns them, or the whole list is None when
-    no tables were handed on; a tracked result shares the tables its
-    relation cache built. Neither takes part in comparisons.
+    `labels` holds one column per snapshot: labels[t][a] is the DC id of
+    cluster a of snapshot t. `seq` is the labelled sequence.
+    `pair_triples[i]` holds the shared-member count triples between
+    snapshot i and i+1, as `relations.pair_counts` returns them, or the
+    whole list is None when no tables were handed on; a tracked result
+    shares the tables its relation cache built. Neither takes part in
+    comparisons.
     """
 
-    labels: dict[ClusterRef, int]
+    labels: list[list[int]]
     dcs: dict[int, DcSeries]
     x_used: int
     seq: ClusteringSequence | None = field(default=None, compare=False, repr=False)
@@ -82,40 +84,37 @@ class DynamicClustering:
 
 def clustering_from_labels(
     seq: ClusteringSequence,
-    labels: dict[ClusterRef, int],
+    labels: list[list[int]],
     x: int,
     pair_triples: list[list[tuple[int, int, int]]] | None = None,
 ) -> DynamicClustering:
-    """Full result from a bare cluster-to-id association.
+    """Full result from DC label columns, labels[t][a] for cluster a of
+    snapshot t.
 
     DCs are keyed in ascending id order, which is the order that sums
     over them (such as `total_consistency`) run in. `pair_triples` hands
     on count tables already built for `seq` (see `DynamicClustering`).
     """
-    times: dict[int, dict[int, list[int]]] = {}
-    for ref, dc in labels.items():
-        times.setdefault(dc, {}).setdefault(ref.time, []).append(ref.cluster)
-    sizes = [[len(c) for c in snap.clusters] for snap in seq.snapshots]
-    dcs: dict[int, DcSeries] = {}
-    for dc_id in sorted(times):
-        by_time = times[dc_id]
-        presence = tuple(sorted(by_time))
-        size_by_time = {}
-        for t in presence:
-            alphas = by_time[t]
-            # The clusters of one snapshot are disjoint, so sizes add up.
-            size_by_time[t] = (
-                sizes[t][alphas[0]]
-                if len(alphas) == 1
-                else sum(sizes[t][a] for a in alphas)
-            )
-        dcs[dc_id] = DcSeries(
-            presence=presence,
-            clusters_by_time={t: tuple(sorted(by_time[t])) for t in presence},
-            size_by_time=size_by_time,
-        )
+    # One pass in snapshot-then-cluster order gives each DC its times and
+    # clusters ascending; the clusters of one snapshot are disjoint, so
+    # sizes add up.
+    found: dict[int, tuple[dict[int, tuple[int, ...]], dict[int, int]]] = {}
+    for t, (column, snap) in enumerate(zip(labels, seq.snapshots)):
+        for a, (dc, members) in enumerate(zip(column, snap.clusters)):
+            entry = found.get(dc)
+            if entry is None:
+                entry = found[dc] = ({}, {})
+            clusters, sizes = entry
+            if t in clusters:
+                clusters[t] += (a,)
+                sizes[t] += len(members)
+            else:
+                clusters[t] = (a,)
+                sizes[t] = len(members)
+    dcs = {dc: DcSeries(tuple(c), c, s) for dc, (c, s) in sorted(found.items())}
+    copied = [column[:] for column in labels]
     return DynamicClustering(
-        labels=dict(labels), dcs=dcs, x_used=x, seq=seq, pair_triples=pair_triples
+        labels=copied, dcs=dcs, x_used=x, seq=seq, pair_triples=pair_triples
     )
 
 
@@ -197,11 +196,11 @@ def classify_events(
                 events.append(LifecycleEvent("shrinkage", nxt, dc_id, delta=delta))
         for i in presence:
             if i + 1 < t_total:
-                related = _others(reach_next[i], clusters[i], i + 1, dc_id, labels)
+                related = _others(reach_next[i], clusters[i], labels[i + 1], dc_id)
                 if related:
                     events.append(LifecycleEvent("split", i + 1, dc_id, related))
             if i >= 1:
-                related = _others(reach_prev[i - 1], clusters[i], i - 1, dc_id, labels)
+                related = _others(reach_prev[i - 1], clusters[i], labels[i - 1], dc_id)
                 if related:
                     events.append(LifecycleEvent("merge", i, dc_id, related))
     return sorted(events, key=_sort_key)
@@ -217,13 +216,13 @@ def _reached(links: dict[int, list[int]], clusters: tuple[int, ...]):
     return out
 
 
-def _others(links, clusters, at, dc_id, labels) -> tuple[int, ...]:
-    """The DCs other than `dc_id` of the clusters at snapshot `at` that
+def _others(links, clusters, column, dc_id) -> tuple[int, ...]:
+    """The DCs other than `dc_id`, by label `column`, of the clusters that
     `links` joins to `clusters`; () unless there are several such clusters."""
     reached = _reached(links, clusters)
     if len(reached) < 2:
         return ()
-    return tuple(sorted({labels[ClusterRef(at, a)] for a in reached} - {dc_id}))
+    return tuple(sorted({column[a] for a in reached} - {dc_id}))
 
 
 def total_consistency(

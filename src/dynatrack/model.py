@@ -9,7 +9,6 @@ labels are carried along but never used for ordering.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from itertools import chain, repeat
 from typing import Iterable, NamedTuple, Sequence
 
@@ -34,35 +33,62 @@ class ClusterRef(NamedTuple):
     cluster: int
 
 
-@dataclass(frozen=True)
-class Snapshot:
+class _Record:
+    """Equality, hashing and repr over `_fields`, as a frozen dataclass
+    gives them; any other slot takes no part."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __eq__(self, other):
+        same = other.__class__ is self.__class__
+        return self._key() == other._key() if same else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__name__}({args})"
+
+
+class Snapshot(_Record):
     """One time point's clustering: disjoint clusters of sorted member IDs,
     and `column`, each member's cluster index (derived, so not compared)."""
 
-    index: int
-    clusters: tuple[tuple[str, ...], ...]
-    column: dict[str, int] = field(compare=False, repr=False)
+    __slots__ = ("index", "clusters", "column")
+    _fields = ("index", "clusters")
+
+    def __init__(self, index: int, clusters: tuple, column: dict[str, int]) -> None:
+        self.index = index
+        self.clusters = clusters
+        self.column = column
 
     def __len__(self) -> int:
         return len(self.clusters)
 
 
-@dataclass(frozen=True)
-class ClusteringSequence:
+class ClusteringSequence(_Record):
     """Ordered snapshots plus optional per-snapshot labels."""
 
-    snapshots: tuple[Snapshot, ...]
-    labels: tuple[str | None, ...] = field(default=())
+    __slots__ = _fields = ("snapshots", "labels")
 
-    def __post_init__(self) -> None:
-        if not self.snapshots:
+    def __init__(
+        self, snapshots: tuple[Snapshot, ...], labels: tuple[str | None, ...] = ()
+    ) -> None:
+        if not snapshots:
             raise SequenceValidationError("a sequence needs at least one snapshot")
-        if not self.labels:
-            object.__setattr__(self, "labels", (None,) * len(self.snapshots))
-        elif len(self.labels) != len(self.snapshots):
+        if not labels:
+            labels = (None,) * len(snapshots)
+        elif len(labels) != len(snapshots):
             raise SequenceValidationError(
-                f"{len(self.labels)} labels for {len(self.snapshots)} snapshots"
+                f"{len(labels)} labels for {len(snapshots)} snapshots"
             )
+        self.snapshots = snapshots
+        self.labels = labels
 
     def __len__(self) -> int:
         return len(self.snapshots)

@@ -188,7 +188,8 @@ def brute_force_track(
                 assign(r, dc)
             event_groups.append(group)
 
-    result = clustering_from_labels(seq, labels, x)
+    columns = [[labels[r] for r in clusters_at(t)] for t in range(t_total)]
+    result = clustering_from_labels(seq, columns, x)
     if check_minimality:
         _audit_minimality(result.dcs, event_groups)
     return result

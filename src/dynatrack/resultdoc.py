@@ -14,7 +14,7 @@ import json
 from typing import TYPE_CHECKING
 
 from .errors import SchemaError
-from .model import ClusterRef, ClusteringSequence, sequence_from_lists
+from .model import ClusteringSequence, sequence_from_lists
 
 if TYPE_CHECKING:
     from .metrics import DynamicClustering
@@ -41,18 +41,11 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-def canonical_labels(
-    seq: ClusteringSequence, labels: dict[ClusterRef, int]
-) -> dict[ClusterRef, int]:
-    """Renumber DC ids by first appearance in snapshot-then-cluster order."""
+def canonical_labels(labels: list[list[int]]) -> list[list[int]]:
+    """DC label columns renumbered by first appearance in
+    snapshot-then-cluster order."""
     mapping: dict[int, int] = {}
-    out: dict[ClusterRef, int] = {}
-    for ref in seq.cluster_refs():
-        dc = labels[ref]
-        if dc not in mapping:
-            mapping[dc] = len(mapping)
-        out[ref] = mapping[dc]
-    return out
+    return [[mapping.setdefault(dc, len(mapping)) for dc in col] for col in labels]
 
 
 def build_document(
@@ -60,24 +53,26 @@ def build_document(
     result: DynamicClustering,
     tool_version: str,
 ) -> dict:
-    """Result document (canonical ids) ready for serialisation."""
-    labels = canonical_labels(seq, result.labels)
+    """Result document (canonical ids) ready for serialisation. Its member
+    and (snapshot, cluster) arrays are tuples, the members those of `seq`:
+    the same JSON as lists, with fewer objects to build."""
+    # Canonical ids are 0..k-1 in order of first appearance, and each
+    # DC's clusters are met in ascending order.
+    registry: list[list[tuple[int, int]]] = []
     snapshots = []
-    for snap, label in zip(seq.snapshots, seq.labels):
-        clusters = [
-            {"members": list(members), "dc": labels[ClusterRef(snap.index, a)]}
-            for a, members in enumerate(snap.clusters)
-        ]
+    for t, (snap, label, col) in enumerate(
+        zip(seq.snapshots, seq.labels, canonical_labels(result.labels))
+    ):
+        clusters = []
+        for a, (members, dc) in enumerate(zip(snap.clusters, col)):
+            if dc == len(registry):
+                registry.append([])
+            registry[dc].append((t, a))
+            clusters.append({"members": members, "dc": dc})
         entry: dict = {"clusters": clusters}
         if label is not None:
             entry["label"] = label
         snapshots.append(entry)
-    registry: dict[int, list[list[int]]] = {}
-    for ref, dc in labels.items():
-        registry.setdefault(dc, []).append([ref.time, ref.cluster])
-    dcs = [
-        {"id": dc, "clusters": sorted(registry[dc])} for dc in sorted(registry)
-    ]
     return {
         "schema": SCHEMA_VERSION,
         "tool": "dynatrack",
@@ -85,7 +80,7 @@ def build_document(
         "history": result.x_used,
         "snapshot_count": len(seq),
         "snapshots": snapshots,
-        "dcs": dcs,
+        "dcs": [{"id": dc, "clusters": refs} for dc, refs in enumerate(registry)],
     }
 
 
@@ -104,8 +99,9 @@ def _int(value, what: str) -> int:
 
 def load_document(
     raw: bytes | str,
-) -> tuple[ClusteringSequence, dict[ClusterRef, int], int]:
-    """Parse a result document back into (sequence, labels, history).
+) -> tuple[ClusteringSequence, list[list[int]], int]:
+    """Parse a result document back into (sequence, label columns, history);
+    columns[t][a] is the `dc` of cluster a of snapshot t.
 
     Besides field types, the document is checked against itself: the
     `dcs` registry must list exactly the per-cluster `dc` values,
@@ -139,53 +135,62 @@ def load_document(
         raise SchemaError(f"history must be non-negative, got {history}")
     data = []
     labels_meta: list[str | None] = []
-    dc_of: dict[ClusterRef, int] = {}
-    listed: dict[ClusterRef, int] = {}
+    columns: list[list[int]] = []
     try:
         for t, entry in enumerate(doc["snapshots"]):
-            row = []
-            for a, cluster in enumerate(entry["clusters"]):
-                members = cluster["members"]
-                if not isinstance(members, list):
-                    raise SchemaError(
-                        f"snapshot {t}: cluster {a}: members must be an array"
-                    )
-                row.append(members)
-                dc_of[ClusterRef(t, a)] = _int(
-                    cluster["dc"], f"snapshot {t}: cluster {a}: dc"
-                )
+            clusters = entry["clusters"]
+            try:
+                row = [cluster["members"] for cluster in clusters]
+                col = [cluster["dc"] for cluster in clusters]
+            except (KeyError, TypeError):
+                row = col = [None]  # fails the type check below
+            if not (set(map(type, row)) <= {list} and set(map(type, col)) <= {int}):
+                # Name the first offender, in the order the checks run.
+                for a, cluster in enumerate(clusters):
+                    if not isinstance(cluster["members"], list):
+                        raise SchemaError(
+                            f"snapshot {t}: cluster {a}: members must be an array"
+                        )
+                    _int(cluster["dc"], f"snapshot {t}: cluster {a}: dc")
             data.append(row)
+            columns.append(col)
             label = entry.get("label")
             if label is not None and not isinstance(label, str):
                 raise SchemaError(f"snapshot {t}: label must be a string")
             labels_meta.append(label)
+        # Each cluster's listed id by snapshot and cluster index (None
+        # while unlisted), and the listed refs that name no cluster.
+        listed: list[list[int | None]] = [[None] * len(col) for col in columns]
+        stray: set[tuple[int, int]] = set()
         for entry in doc["dcs"]:
             dc = _int(entry["id"], "dcs: id")
             for t, a in entry["clusters"]:
-                ref = ClusterRef(
-                    _int(t, "dcs: snapshot index"), _int(a, "dcs: cluster index")
-                )
-                if ref in listed:
-                    raise SchemaError(f"dcs: cluster ({t}, {a}) is listed twice")
-                listed[ref] = dc
+                if type(t) is not int or type(a) is not int:
+                    _int(t, "dcs: snapshot index")
+                    _int(a, "dcs: cluster index")
+                if 0 <= t < len(listed) and 0 <= a < len(listed[t]):
+                    if listed[t][a] is None:
+                        listed[t][a] = dc
+                        continue
+                elif (t, a) not in stray:
+                    stray.add((t, a))
+                    continue
+                raise SchemaError(f"dcs: cluster ({t}, {a}) is listed twice")
     except SchemaError:
         raise
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"malformed result document: {exc!r}") from exc
-    if listed != dc_of:
+    if stray or listed != columns:
         raise SchemaError("dcs registry does not match the clusters' dc values")
     if _int(doc["snapshot_count"], "snapshot_count") != len(data):
         raise SchemaError(
             f"snapshot_count is {doc['snapshot_count']} "
             f"but the document has {len(data)} snapshots"
         )
-    if data:
-        last = len(data) - 1
-        ids = [dc_of[ClusterRef(last, a)] for a in range(len(data[last]))]
-        if len(set(ids)) != len(ids):
-            raise SchemaError(
-                f"snapshot {last}: several clusters of the last snapshot "
-                f"share one dc id"
-            )
+    if columns and len(set(columns[-1])) != len(columns[-1]):
+        raise SchemaError(
+            f"snapshot {len(columns) - 1}: several clusters of the last "
+            f"snapshot share one dc id"
+        )
     seq = sequence_from_lists(data, labels_meta)
-    return seq, dc_of, history
+    return seq, columns, history

@@ -149,15 +149,15 @@ class TraceEvent:
 class TrackingState:
     """Mutable per-run state: labels, id counter, frontier.
 
-    labels maps every cluster of processed snapshots to its DC id; a DC
-    whose clusters have all been relabelled no longer appears in it, and
-    `finalize` drops it. relations is the cache every snapshot was
-    processed with. Mutated strictly sequentially, one snapshot and one
-    target at a time.
+    labels holds one column per processed snapshot: labels[t][a] is the
+    DC id of cluster a of snapshot t. A DC whose clusters have all been
+    relabelled no longer appears in it, and `finalize` drops it.
+    relations is the cache every snapshot was processed with. Mutated
+    strictly sequentially, one snapshot and one target at a time.
     """
 
     history: int
-    labels: dict[ClusterRef, int] = field(default_factory=dict)
+    labels: list[list[int]] = field(default_factory=list)
     next_dc_id: int = 0
     frontier: int = -1
     trace: list[TraceEvent] | None = None
@@ -171,7 +171,7 @@ class TrackingState:
     def _new_dc(self, ref: ClusterRef) -> int:
         dc = self.next_dc_id
         self.next_dc_id += 1
-        self.labels[ref] = dc
+        self.labels[ref.time][ref.cluster] = dc
         return dc
 
 
@@ -181,10 +181,9 @@ def new_state(
     """Initial state: every cluster of snapshot 0 founds its own DC."""
     if x < 0:
         raise ValueError(f"history must be non-negative, got {x}")
-    state = TrackingState(history=x, trace=[] if trace else None)
-    for alpha in range(len(seq.snapshots[0])):
-        state._new_dc(ClusterRef(0, alpha))
-    state.frontier = 0
+    first = list(range(len(seq.snapshots[0])))
+    state = TrackingState(history=x, labels=[first], next_dc_id=len(first), frontier=0)
+    state.trace = [] if trace else None
     return state
 
 
@@ -304,7 +303,7 @@ def _source(state: TrackingState, chain: _Chain) -> int:
     layer = chain.layer
     for s in chain.full:
         refs = layer[s]
-        if len(refs) == 1 or len({labels[r] for r in refs}) == 1:
+        if len(refs) == 1 or len({labels[s][r.cluster] for r in refs}) == 1:
             return s
     return -1
 
@@ -522,8 +521,9 @@ def _relabel(state: TrackingState, dc: int, refs: Iterable[ClusterRef]) -> None:
     labels = state.labels
     changed = 0
     for r in refs:
-        if labels[r] != dc:
-            labels[r] = dc
+        column = labels[r.time]
+        if column[r.cluster] != dc:
+            column[r.cluster] = dc
             changed += 1
     state._changes += changed
 
@@ -553,8 +553,8 @@ def _label(
     else:
         labels = state.labels
         source = chain.layer[s]
-        dc = labels[next(iter(source))]
-        labels[ref] = dc
+        dc = labels[s][next(iter(source)).cluster]
+        labels[ref.time][ref.cluster] = dc
         flow = None
         if not (
             chain.changes == state._changes
@@ -611,6 +611,7 @@ def process_snapshot(
     elif state.relations is not rels:
         raise ValueError("earlier snapshots were processed with another cache")
     refs = rels.refs[i]
+    state.labels.append([-1] * m)  # column i; every entry is written below
     # Without a history every cluster founds a DC, and no record is kept.
     keep = state.history > 0
     chains: list[_Chain | None] = [None] * m
@@ -626,7 +627,7 @@ def process_snapshot(
         chains[alpha] = chain
     state.frontier = i
     state._chains = chains if keep else None
-    frontier_dcs = [state.labels[ref] for ref in refs]
+    frontier_dcs = state.labels[i]
     if len(set(frontier_dcs)) != m:
         raise TrackingInvariantError(
             f"frontier labels not injective at snapshot {i}: {frontier_dcs}"

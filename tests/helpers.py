@@ -97,7 +97,7 @@ def reference_events(
         found = {where(at)[m] for m in members if m in where(at)}
         if len(found) < 2:
             return None
-        dcs = {result.labels[ClusterRef(at, a)] for a in found}
+        dcs = {result.labels[at][a] for a in found}
         if len(dcs | {dc_id}) < 2:
             return None
         return LifecycleEvent(kind, time, dc_id, related=tuple(sorted(dcs - {dc_id})))
@@ -163,23 +163,22 @@ def random_sequence(
 
 def canonical(
     seq: ClusteringSequence,
-    labels: dict[ClusterRef, int],
+    labels: list[list[int]],
     up_to_time: int | None = None,
-) -> dict[ClusterRef, int]:
-    """Renumber ids by first appearance, optionally over a prefix only."""
+) -> list[list[int]]:
+    """Renumber the label columns' ids by first appearance, optionally over
+    a prefix only; the columns must label every cluster of that prefix."""
+    end = len(seq) if up_to_time is None else up_to_time + 1
+    columns = labels[:end]
+    assert list(map(len, columns)) == [len(s) for s in seq.snapshots[:end]]
     mapping: dict[int, int] = {}
-    out: dict[ClusterRef, int] = {}
-    for ref in seq.cluster_refs():
-        if up_to_time is not None and ref.time > up_to_time:
-            continue
-        out[ref] = mapping.setdefault(labels[ref], len(mapping))
-    return out
+    return [[mapping.setdefault(dc, len(mapping)) for dc in col] for col in columns]
 
 
 def same_partition(
     seq: ClusteringSequence,
-    a: dict[ClusterRef, int],
-    b: dict[ClusterRef, int],
+    a: list[list[int]],
+    b: list[list[int]],
     up_to_time: int | None = None,
 ) -> bool:
     return canonical(seq, a, up_to_time) == canonical(seq, b, up_to_time)

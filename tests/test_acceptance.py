@@ -13,7 +13,6 @@ import xml.etree.ElementTree as ET
 import pytest
 
 from dynatrack import (
-    ClusterRef,
     PlannedEvent,
     PlantedDc,
     ScenarioSpec,
@@ -128,10 +127,8 @@ def test_criterion_5_structural_consistency(capfd):
             # process_snapshot itself checks injectivity; verify
             # independently as well
             process_snapshot(state, seq, rels, i)
-            frontier = [
-                state.labels[ClusterRef(i, a)]
-                for a in range(len(seq.snapshots[i]))
-            ]
+            frontier = state.labels[i]
+            assert len(frontier) == len(seq.snapshots[i])
             if len(set(frontier)) != len(frontier):
                 violations += 1
     assert violations == 0
@@ -141,8 +138,7 @@ def test_criterion_5_structural_consistency(capfd):
 def test_criterion_6_consistency_metric(capfd):
     def one_dc(member_sets):
         seq = sequence_from_lists([[ms] for ms in member_sets])
-        labels = {ClusterRef(t, 0): 0 for t in range(len(member_sets))}
-        return clustering_from_labels(seq, labels, 1)
+        return clustering_from_labels(seq, [[0] for _ in member_sets], 1)
 
     single = one_dc([{"1", "2"}, {"1", "2"}, {"1", "3"}])
     assert total_consistency(single) == pytest.approx(2 / 3, abs=1e-12)
@@ -152,7 +148,7 @@ def test_criterion_6_consistency_metric(capfd):
         [[ms, {"x", "y"}] for ms in ({"1", "2"}, {"1", "2"}, {"1", "3"})]
     )
     combined = clustering_from_labels(
-        seq, {ClusterRef(t, a): a for t in range(3) for a in (0, 1)}, 1
+        seq, [[0, 1]] * 3, 1
     )
     assert total_consistency(combined) == pytest.approx(5 / 6, abs=1e-12)
 
@@ -291,7 +287,7 @@ def test_criterion_8_scaling(capfd):
 
 def test_criterion_9_rendering(capfd):
     seq, _ = generate(SPLINTER_TRANSITION_SPEC)
-    labels = canonical_labels(seq, track(seq, 5).labels)
+    labels = canonical_labels(track(seq, 5).labels)
     layout = build_layout(seq, labels)
     svg_one = layout_to_svg(layout)
     svg_two = layout_to_svg(build_layout(seq, labels))

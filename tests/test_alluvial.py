@@ -3,7 +3,6 @@
 import math
 import random
 import xml.etree.ElementTree as ET
-from dataclasses import asdict
 
 import pytest
 
@@ -16,7 +15,7 @@ SVG_NS = "{http://www.w3.org/2000/svg}"
 
 
 def layout_for(seq, x=2, gap=2.0):
-    labels = canonical_labels(seq, track(seq, x).labels)
+    labels = canonical_labels(track(seq, x).labels)
     return build_layout(seq, labels, gap=gap)
 
 
@@ -81,7 +80,7 @@ def test_svg_is_byte_deterministic():
     seq = sequence_from_lists(
         [[["a", "b"], ["c"]], [["a", "c"], ["b"]], [["a", "b", "c"]]]
     )
-    labels = canonical_labels(seq, track(seq, 2).labels)
+    labels = canonical_labels(track(seq, 2).labels)
     one = layout_to_svg(build_layout(seq, labels))
     two = layout_to_svg(build_layout(seq, labels))
     assert one.encode() == two.encode()
@@ -117,12 +116,17 @@ def test_layout_json_is_serialisable():
 
 
 def test_layout_json_holds_every_field():
+    # The records' fields are the layout JSON's keys.
+    assert Block._fields == ("time", "cluster", "dc", "size", "y")
+    assert Flow._fields == (
+        "time", "src_cluster", "dst_cluster", "magnitude", "src_y", "dst_y"
+    )
     for seed in range(10):
         seq = random_sequence(random.Random(600 + seed))
         layout = layout_for(seq, gap=1.5)
         assert layout.to_json_dict() == {
-            "blocks": [[asdict(b) for b in col] for col in layout.blocks],
-            "flows": [asdict(f) for f in layout.flows],
+            "blocks": [[b._asdict() for b in col] for col in layout.blocks],
+            "flows": [f._asdict() for f in layout.flows],
             "gap": 1.5,
         }
 

@@ -651,6 +651,31 @@ def _break_registry_coordinate_type(doc):
     doc["dcs"][0]["clusters"][0][0] = 0.0
 
 
+def _move_registry_ref(doc, old, new):
+    """Replace the ref `old` in the dcs registry by `new`."""
+    for entry in doc["dcs"]:
+        if old in entry["clusters"]:
+            entry["clusters"][entry["clusters"].index(old)] = new
+            return
+    raise AssertionError(f"{old} is not listed")
+
+
+def _break_registry_negative_ref(doc):
+    # a negative index counted from the end names the same cluster
+    t = len(doc["snapshots"]) - 1
+    a = len(doc["snapshots"][t]["clusters"]) - 1
+    _move_registry_ref(doc, [t, a], [-1, -1])
+
+
+def _break_registry_ref_past_last_snapshot(doc):
+    _move_registry_ref(doc, [0, 0], [len(doc["snapshots"]), 0])
+
+
+def _break_registry_stray_ref_twice(doc):
+    doc["dcs"][0]["clusters"].append([9, 9])
+    doc["dcs"][1]["clusters"].append([9, 9])
+
+
 @pytest.mark.parametrize("command", ["events", "render"])
 @pytest.mark.parametrize(
     "breaker, message",
@@ -666,6 +691,9 @@ def _break_registry_coordinate_type(doc):
         (_break_registry_id_type, "dcs: id must be an integer, got True"),
         (_break_registry_coordinate_type,
          "dcs: snapshot index must be an integer, got 0.0"),
+        (_break_registry_negative_ref, "dcs registry does not match"),
+        (_break_registry_ref_past_last_snapshot, "dcs registry does not match"),
+        (_break_registry_stray_ref_twice, "dcs: cluster (9, 9) is listed twice"),
     ],
 )
 def test_inconsistent_result_document_exits_2(
@@ -693,3 +721,44 @@ def test_earlier_snapshot_may_repeat_a_dc(result_doc, tmp_path):
     dcs = [c["dc"] for c in doc["snapshots"][2]["clusters"]]
     assert len(set(dcs)) < len(dcs)
     assert main(["events", "--result", str(result_doc)]) == 0
+
+
+def _event(kind, time, dc):
+    return {"dc": dc, "delta": 0, "kind": kind, "related": [], "time": time}
+
+
+@pytest.mark.parametrize(
+    "clusters, events",
+    [
+        ([[], [["a"]]], [_event("birth", 1, 0)]),
+        ([[["a"]], [], [["a"]]], [_event("death", 1, 0), _event("birth", 2, 1)]),
+        ([[["a"]], []], [_event("death", 1, 0)]),
+        ([[]], []),
+    ],
+)
+def test_snapshots_without_clusters_run_through_every_command(
+    tmp_path, clusters, events
+):
+    seq = tmp_path / "seq.json"
+    seq.write_text(json.dumps({"snapshots": [{"clusters": c} for c in clusters]}))
+    expected = {"events": events, "schema": 1}
+    for x in ("0", "1", "2"):
+        result = tmp_path / f"result{x}.json"
+        assert main(["track", "--input", str(seq), "--history", x,
+                     "--output", str(result)]) == 0
+        out = tmp_path / f"events{x}.json"
+        assert main(["events", "--result", str(result), "--output", str(out)]) == 0
+        assert json.loads(out.read_text()) == expected
+    oracle = tmp_path / "oracle.json"
+    assert main(["oracle", "--input", str(seq), "--history", "1",
+                 "--output", str(oracle)]) == 0
+    assert oracle.read_bytes() == (tmp_path / "result1.json").read_bytes()
+    layout = tmp_path / "layout.json"
+    assert main(["render", "--result", str(oracle), "--output",
+                 str(tmp_path / "out.svg"), "--layout-json", str(layout)]) == 0
+    blocks = json.loads(layout.read_text())["blocks"]
+    assert [len(col) for col in blocks] == [len(c) for c in clusters]
+    sweep = tmp_path / "sweep.csv"
+    assert main(["sweep", "--input", str(seq), "--history-min", "0",
+                 "--history-max", "2", "--output", str(sweep)]) == 0
+    assert sweep.read_text().startswith(SWEEP_HEADER + "\n")

@@ -56,12 +56,9 @@ def test_planted_groups_recovered_without_noise():
     seq, truth = generate(spec)
     result = track(seq, 1)
     got = canonical(seq, result.labels)
-    want = {}
     mapping = {}
-    for t, row in enumerate(truth):
-        for a, gt in enumerate(row):
-            want[(t, a)] = mapping.setdefault(gt, len(mapping))
-    assert {tuple(k): v for k, v in got.items()} == want
+    want = [[mapping.setdefault(gt, len(mapping)) for gt in row] for row in truth]
+    assert got == want
 
 
 def test_splinter_detaches_and_returns():

@@ -20,8 +20,18 @@ from dynatrack.cli import main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-# Runs `cli.main(argv)` and prints, as its last stdout line, the exit code,
-# the loaded `dynatrack` modules and whether `statistics` was loaded.
+# Standard-library modules that some subcommands should not load: each
+# costs milliseconds of start-up.
+WATCHED = ("dataclasses", "inspect", "statistics")
+
+# Prints, as its last stdout line, which WATCHED modules are loaded.
+WATCHED_PROBE = f"""
+import json, sys
+print(json.dumps([m for m in {WATCHED!r} if m in sys.modules]))
+"""
+
+# Runs `cli.main(argv)` and prints, as its last two stdout lines, the exit
+# code with the loaded `dynatrack` modules, and the loaded WATCHED modules.
 PROBE = """
 import json, sys
 from dynatrack.cli import main
@@ -30,8 +40,8 @@ try:
 except SystemExit as exc:
     code = exc.code
 loaded = sorted(m for m in sys.modules if m.split(".")[0] == "dynatrack")
-print(json.dumps([code, loaded, "statistics" in sys.modules]))
-"""
+print(json.dumps([code, loaded]))
+""" + WATCHED_PROBE
 
 BASE = {"dynatrack", "dynatrack.cli", "dynatrack.errors"}
 CORE = {"dynatrack.model", "dynatrack.relations"}
@@ -88,21 +98,33 @@ def argv_of(command: str, files) -> list[str]:
 
 @pytest.mark.parametrize("command", sorted(LOADED))
 def test_subcommand_loads_only_the_modules_it_runs(command, files):
-    code, loaded, _ = json.loads(
-        fresh_python(PROBE, *argv_of(command, files)).splitlines()[-1]
+    code, loaded = json.loads(
+        fresh_python(PROBE, *argv_of(command, files)).splitlines()[-2]
     )
     assert code == 0
     assert set(loaded) == LOADED[command]
 
 
+def watched_modules(command: str, files) -> tuple[list[str], list[str]]:
+    """The WATCHED modules that a bare interpreter loads, and those that
+    the subcommand's process loads."""
+    bare = json.loads(fresh_python(WATCHED_PROBE).splitlines()[-1])
+    out = fresh_python(PROBE, *argv_of(command, files)).splitlines()
+    code, _ = json.loads(out[-2])
+    assert code == 0
+    return bare, json.loads(out[-1])
+
+
 @pytest.mark.parametrize("command", ["track", "sweep"])
 def test_tracking_loads_statistics_only_if_a_bare_interpreter_does(command, files):
-    bare = fresh_python("import sys; print('statistics' in sys.modules)")
-    code, _, statistics = json.loads(
-        fresh_python(PROBE, *argv_of(command, files)).splitlines()[-1]
-    )
-    assert code == 0
-    assert not statistics or bare.strip() == "True"
+    bare, loaded = watched_modules(command, files)
+    assert "statistics" not in loaded or "statistics" in bare
+
+
+@pytest.mark.parametrize("module", ["dataclasses", "inspect"])
+def test_render_loads_module_only_if_a_bare_interpreter_does(module, files):
+    bare, loaded = watched_modules("render", files)
+    assert module not in loaded or module in bare
 
 
 def test_bare_import_loads_no_submodule():

@@ -33,17 +33,15 @@ from helpers import (
 
 
 def labelled(data, labels):
-    """Result of `labels` ({(t, cluster): dc}) on the sequence `data`."""
-    seq = sequence_from_lists(data)
-    return clustering_from_labels(
-        seq, {ClusterRef(t, a): dc for (t, a), dc in labels.items()}, 1
-    )
+    """Result of the label columns `labels` (labels[t][a] for cluster a of
+    snapshot t) on the sequence `data`."""
+    return clustering_from_labels(sequence_from_lists(data), labels, 1)
 
 
 def single_dc(member_sets):
     """Result with one DC, one cluster per snapshot."""
     return labelled(
-        [[ms] for ms in member_sets], {(t, 0): 0 for t in range(len(member_sets))}
+        [[ms] for ms in member_sets], [[0] for _ in member_sets]
     )
 
 
@@ -92,11 +90,14 @@ def test_clustering_from_labels_groups_members_by_dc_in_id_order():
             [["1", "2", "3", "4", "5", "6"]],
         ]
     )
-    shuffled = list(track(seq, 3).labels.items())
-    random.Random(0).shuffle(shuffled)
-    labels = dict(shuffled)
+    # Ids renumbered against their order of first appearance.
+    tracked = track(seq, 3).labels
+    ids = sorted({dc for column in tracked for dc in column})
+    renamed = dict(zip(ids, reversed(ids)))
+    labels = [[renamed[dc] for dc in column] for column in tracked]
+    assert labels != tracked
     result = clustering_from_labels(seq, labels, 3)
-    assert list(result.dcs) == sorted(set(labels.values()))
+    assert list(result.dcs) == ids
     assert result.labels == labels and result.x_used == 3
     assert any(
         len(alphas) > 1
@@ -104,7 +105,12 @@ def test_clustering_from_labels_groups_members_by_dc_in_id_order():
         for alphas in series.clusters_by_time.values()
     )
     for dc_id, series in result.dcs.items():
-        refs = sorted(ref for ref, dc in labels.items() if dc == dc_id)
+        refs = sorted(
+            ClusterRef(t, a)
+            for t, column in enumerate(labels)
+            for a, dc in enumerate(column)
+            if dc == dc_id
+        )
         assert series.presence == tuple(sorted({r.time for r in refs}))
         for t in series.presence:
             alphas = tuple(r.cluster for r in refs if r.time == t)
@@ -130,7 +136,7 @@ class TestAutocorrelation:
         assert autocorrelation(result.seq, result.dcs[0], 0) == 0.0
 
     def test_gap_pair_is_excluded(self):
-        result = labelled([[{"a"}], [{"b"}], [{"a"}]], {(0, 0): 0, (1, 0): 1, (2, 0): 0})
+        result = labelled([[{"a"}], [{"b"}], [{"a"}]], [[0], [1], [0]])
         assert result.dcs[0].presence == (0, 2)
         assert autocorrelation(result.seq, result.dcs[0], 0) is None
 
@@ -180,7 +186,7 @@ class TestTotalConsistency:
 
     def test_undefined_when_no_pairs(self):
         # every DC lives a single snapshot
-        result = labelled([[{"a"}], [{"b"}]], {(0, 0): 0, (1, 0): 1})
+        result = labelled([[{"a"}], [{"b"}]], [[0], [1]])
         assert total_consistency(result) is None
         assert total_consistency(result, "residents_only") is None
 
@@ -190,7 +196,7 @@ class TestTotalConsistency:
         varying = ({"1", "2"}, {"1", "2"}, {"1", "3"})
         result = labelled(
             [[ms, {"x", "y"}] for ms in varying],
-            {(t, a): a for t in range(3) for a in (0, 1)},
+            [[0, 1]] * 3,
         )
         expected = float((2 * Fraction(1) + Fraction(1) + Fraction(1, 3)) / 4)
         assert total_consistency(result) == pytest.approx(expected, abs=1e-12)
@@ -210,7 +216,7 @@ class TestTotalConsistency:
     def test_resident_mode_uses_system_wide_residents(self):
         # member 2 moves to another DC: still resident, still a defect
         result = labelled(
-            [[{"1", "2"}], [{"1"}, {"2"}]], {(0, 0): 0, (1, 0): 0, (1, 1): 1}
+            [[{"1", "2"}], [{"1"}, {"2"}]], [[0], [0, 1]]
         )
         assert total_consistency(result, "residents_only") == pytest.approx(0.5)
 
@@ -319,7 +325,7 @@ class TestEvents:
         )
         result = track(seq, 1)
         events = classify_events(result, seq)
-        split_dc = result.labels[ClusterRef(1, 1)]
+        split_dc = result.labels[1][1]
         assert not any(e.kind == "birth" and e.dc == split_dc for e in events)
 
     def test_split_into_two_groups(self):
@@ -331,8 +337,8 @@ class TestEvents:
         splits = [e for e in events if e.kind == "split"]
         assert len(splits) == 1
         ev = splits[0]
-        host = result.labels[ClusterRef(0, 0)]
-        other = result.labels[ClusterRef(1, 1)]
+        host = result.labels[0][0]
+        other = result.labels[1][1]
         assert ev.dc == host and ev.related == (other,) and ev.time == 1
         # a split across two ids involves at least two ids overall
         assert len({ev.dc, *ev.related}) >= 2
@@ -345,8 +351,8 @@ class TestEvents:
         assert len(merges) == 1
         # the union founds its own group here, so all three ids show up
         assert merges[0].related == (
-            result.labels[ClusterRef(0, 0)],
-            result.labels[ClusterRef(0, 1)],
+            result.labels[0][0],
+            result.labels[0][1],
         )
         assert len({merges[0].dc, *merges[0].related}) >= 2
 
@@ -408,7 +414,7 @@ class TestSummaryStats:
         # mean 2, weighted (10*1*1 + 3*1*3) / 13 = 19/13
         result = labelled(
             [[{f"m{i}" for i in range(10)}, {"z"}], [{"z"}], [{"z"}]],
-            {(0, 0): 0, (0, 1): 1, (1, 0): 1, (2, 0): 1},
+            [[0, 1], [1], [1]],
         )
         stats = summary_stats(result)
         assert stats.dc_count == 2
@@ -428,14 +434,14 @@ class TestSummaryStats:
                 return 1
 
         result = DynamicClustering(
-            labels={}, dcs={i: Series(v) for i, v in enumerate(lifespans)}, x_used=0
+            labels=[], dcs={i: Series(v) for i, v in enumerate(lifespans)}, x_used=0
         )
         mean = summary_stats(result).mean_lifespan
         assert mean == statistics.fmean(lifespans)
         assert mean != sum(lifespans) / len(lifespans)
 
     def test_empty_registry(self):
-        result = labelled([[]], {})
+        result = labelled([[]], [[]])
         stats = summary_stats(result)
         assert stats.dc_count == 0
         assert stats.lifespan_histogram == {}

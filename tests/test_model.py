@@ -15,6 +15,7 @@ from dynatrack import (
     subsequence,
 )
 from dynatrack.errors import ParseError, SequenceValidationError
+from dynatrack.model import ClusteringSequence, Snapshot
 from dynatrack.resultdoc import load_document
 from helpers import cluster_members, residents, snapshot_members
 
@@ -35,6 +36,24 @@ def test_parse_json_two_snapshots():
     assert len(seq.snapshots[1]) == 1
     assert cluster_members(seq, ClusterRef(0, 0)) == {"a", "b"}
     assert cluster_members(seq, ClusterRef(1, 0)) == {"a", "b", "c"}
+
+
+def test_equality_hashing_and_repr_ignore_the_member_column():
+    seq = sequence_from_lists([[["b", "a"], ["c"]]], ["jan"])
+    snap = seq.snapshots[0]
+    twin = Snapshot(0, snap.clusters, {})
+    assert snap == twin and hash(snap) == hash(twin)
+    assert snap != Snapshot(1, snap.clusters, snap.column)
+    assert snap != (0, snap.clusters)
+    assert repr(snap) == "Snapshot(index=0, clusters=(('a', 'b'), ('c',)))"
+    same = ClusteringSequence((twin,), ("jan",))
+    assert seq == same and hash(seq) == hash(same)
+    assert seq != ClusteringSequence((twin,))
+    assert repr(seq) == f"ClusteringSequence(snapshots=({snap!r},), labels=('jan',))"
+    with pytest.raises(SequenceValidationError, match="at least one snapshot"):
+        ClusteringSequence(())
+    with pytest.raises(SequenceValidationError, match="2 labels for 1 snapshots"):
+        ClusteringSequence((twin,), ("a", "b"))
 
 
 def test_clusters_are_sorted_tuples_with_a_member_column():

@@ -287,8 +287,8 @@ class TestProcessSnapshot:
         rels = RelationCache(seq)
         state = new_state(seq, 1)
         process_snapshot(state, seq, rels, 1)
-        assert state.labels[ClusterRef(1, 0)] == state.labels[ClusterRef(0, 0)]
-        assert state.labels[ClusterRef(1, 1)] == state.labels[ClusterRef(0, 1)]
+        assert state.labels[1][0] == state.labels[0][0]
+        assert state.labels[1][1] == state.labels[0][1]
         assert state.next_dc_id == 2
 
     def test_full_turnover_founds_new_groups(self):
@@ -296,8 +296,8 @@ class TestProcessSnapshot:
         rels = RelationCache(seq)
         state = new_state(seq, 3)
         process_snapshot(state, seq, rels, 1)
-        ids = {state.labels[ClusterRef(1, 0)], state.labels[ClusterRef(1, 1)]}
-        assert state.labels[ClusterRef(0, 0)] not in ids
+        ids = {state.labels[1][0], state.labels[1][1]}
+        assert state.labels[0][0] not in ids
         assert len(ids) == 2
 
     def test_retroactive_splinter_absorption(self):
@@ -308,13 +308,13 @@ class TestProcessSnapshot:
         state = new_state(seq, 3)
         process_snapshot(state, seq, rels, 1)
         process_snapshot(state, seq, rels, 2)
-        splinter_id = state.labels[ClusterRef(2, 1)]
-        main_id = state.labels[ClusterRef(2, 0)]
+        splinter_id = state.labels[2][1]
+        main_id = state.labels[2][0]
         assert splinter_id != main_id
         process_snapshot(state, seq, rels, 3)
-        assert state.labels[ClusterRef(2, 1)] == main_id
-        assert state.labels[ClusterRef(3, 0)] == main_id
-        assert splinter_id not in state.labels.values()
+        assert state.labels[2][1] == main_id
+        assert state.labels[3][0] == main_id
+        assert all(splinter_id not in column for column in state.labels)
 
     def test_out_of_order_raises(self):
         seq = sequence_from_lists([[["1"]], [["1"]], [["1"]]])
@@ -338,7 +338,8 @@ class TestProcessSnapshot:
             "from dynatrack import sequence_from_lists, track\n"
             "from dynatrack.errors import TrackingInvariantError\n"
             "from dynatrack.tracking import TrackingState\n"
-            "TrackingState._new_dc = lambda self, ref: self.labels.__setitem__(ref, 0) or 0\n"
+            "TrackingState._new_dc = lambda self, ref: "
+            "self.labels[ref.time].__setitem__(ref.cluster, 0) or 0\n"
             "seq = sequence_from_lists([[['1']], [['8'], ['9']]])\n"
             "try:\n"
             "    track(seq, 1)\n"
@@ -376,11 +377,11 @@ class TestTrack:
         for seed in range(20):
             seq = random_sequence(random.Random(seed))
             result = track(seq, 3)
-            rebuilt = {}
+            rebuilt = [[None] * len(snap) for snap in seq.snapshots]
             for dc_id, series in result.dcs.items():
                 for t, alphas in series.clusters_by_time.items():
                     for a in alphas:
-                        rebuilt[ClusterRef(t, a)] = dc_id
+                        rebuilt[t][a] = dc_id
             assert rebuilt == result.labels
 
     def test_order_invariance(self):
@@ -529,7 +530,7 @@ def reference_search_source(state, rels, ref):
             full_matches.append((k, forward))
     for k, forward in reversed(full_matches):
         source = layers[k]
-        dcs = {state.labels[r] for r in source}
+        dcs = {state.labels[r.time][r.cluster] for r in source}
         if len(dcs) == 1:
             return k, layers, forward
     return 0, layers, None
@@ -857,8 +858,8 @@ def test_a_changed_label_makes_the_successor_rewrite_its_flow(monkeypatch):
             tracking._relabel(state, 7, [ClusterRef(1, 0)])
             assert state._changes == 1
             process_snapshot(state, seq, rels, 3)
-            runs.append(dict(state.labels))
-    assert runs[0] == runs[1] == {ClusterRef(t, 0): 0 for t in range(4)}
+            runs.append(state.labels)
+    assert runs[0] == runs[1] == [[0]] * 4
 
 
 def test_traced_runs_carry_the_same_events(monkeypatch):
