@@ -23,15 +23,15 @@ _EXPORTS = {
     "AlluvialLayout": "alluvial",
     "build_layout": "alluvial",
     "layout_to_svg": "alluvial",
+    "LifecycleEvent": "events",
+    "classify_events": "events",
     "PlantedDc": "generator",
     "PlannedEvent": "generator",
     "ScenarioSpec": "generator",
     "generate": "generator",
     "DcSeries": "metrics",
     "DynamicClustering": "metrics",
-    "LifecycleEvent": "metrics",
     "SummaryStats": "metrics",
-    "classify_events": "metrics",
     "clustering_from_labels": "metrics",
     "summary_stats": "metrics",
     "total_consistency": "metrics",

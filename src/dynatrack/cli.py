@@ -151,20 +151,15 @@ def cmd_sweep(args) -> int:
 def cmd_events(args) -> int:
     import json
 
-    from .metrics import classify_events, clustering_from_labels
+    from .events import classify_events
+    from .metrics import clustering_from_labels
     from .resultdoc import load_document
 
     seq, labels, x = load_document(_read(args.result))
     result = clustering_from_labels(seq, labels, x)
+    # An event's fields, with `related` as a JSON array.
     events = [
-        {
-            "kind": ev.kind,
-            "time": ev.time,
-            "dc": ev.dc,
-            "related": list(ev.related),
-            "delta": ev.delta,
-        }
-        for ev in classify_events(result, seq)
+        {**vars(ev), "related": list(ev.related)} for ev in classify_events(result, seq)
     ]
     payload = json.dumps(
         {"schema": 1, "events": events},

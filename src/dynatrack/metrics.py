@@ -2,20 +2,20 @@
 
 Holds the final outcome of a tracking run (every cluster mapped to a
 dynamic-cluster id, plus the per-DC presence and size history) and the
-read-only analyses on top of it: life-cycle event classification,
-total membership consistency, and summary statistics. The analyses read
-the shared-member count tables of neighbouring snapshots and the cluster
-sizes, never the member strings.
-All functions here are pure; results are treated as immutable.
+read-only analyses on top of it: total membership consistency and
+summary statistics (life-cycle events are in `events`). They read the
+shared-member count tables of neighbouring snapshots and the cluster
+sizes, never the member strings. All functions here are pure; results
+are treated as immutable.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from . import relations
-from .model import ClusteringSequence
+from .model import ClusteringSequence, _Record
 
 __all__ = [
     "DcSeries",
@@ -29,8 +29,16 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class DcSeries:
+def __getattr__(name: str):
+    # Loads `events`, and the `dataclasses` it needs, only on first use.
+    if name in ("LifecycleEvent", "classify_events"):
+        from . import events
+
+        return getattr(events, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+class DcSeries(NamedTuple):
     """One dynamic cluster: where it exists and how many members it has there."""
 
     presence: tuple[int, ...]  # strictly increasing snapshot indices
@@ -46,8 +54,7 @@ class DcSeries:
         return sum(self.size_by_time.values())
 
 
-@dataclass(frozen=True)
-class DynamicClustering:
+class DynamicClustering(_Record):
     """Final association of every cluster to a dynamic-cluster id.
 
     `labels` holds one column per snapshot: labels[t][a] is the DC id of
@@ -56,16 +63,22 @@ class DynamicClustering:
     snapshot i and i+1, as `relations.pair_counts` returns them, or the
     whole list is None when no tables were handed on; a tracked result
     shares the tables its relation cache built. Neither takes part in
-    comparisons.
+    comparisons or the repr.
     """
 
-    labels: list[list[int]]
-    dcs: dict[int, DcSeries]
-    x_used: int
-    seq: ClusteringSequence | None = field(default=None, compare=False, repr=False)
-    pair_triples: list[list[tuple[int, int, int]]] | None = field(
-        default=None, compare=False, repr=False
-    )
+    __slots__ = ("labels", "dcs", "x_used", "seq", "pair_triples")
+    _fields = ("labels", "dcs", "x_used")
+
+    def __init__(
+        self, labels: list[list[int]], dcs: dict[int, DcSeries], x_used: int,
+        seq: ClusteringSequence | None = None,
+        pair_triples: list[list[tuple[int, int, int]]] | None = None,
+    ) -> None:
+        self.labels = labels
+        self.dcs = dcs
+        self.x_used = x_used
+        self.seq = seq
+        self.pair_triples = pair_triples
 
     def counts_between(self, i: int) -> list[tuple[int, int, int]]:
         """Count triples between snapshot i and i+1.
@@ -77,8 +90,7 @@ class DynamicClustering:
         if tables is None:
             if self.seq is None:
                 raise ValueError("the result does not carry its sequence")
-            tables = relations.count_tables(self.seq)
-            object.__setattr__(self, "pair_triples", tables)
+            tables = self.pair_triples = relations.count_tables(self.seq)
         return tables[i]
 
 
@@ -112,117 +124,7 @@ def clustering_from_labels(
                 clusters[t] = (a,)
                 sizes[t] = len(members)
     dcs = {dc: DcSeries(tuple(c), c, s) for dc, (c, s) in sorted(found.items())}
-    copied = [column[:] for column in labels]
-    return DynamicClustering(
-        labels=copied, dcs=dcs, x_used=x, seq=seq, pair_triples=pair_triples
-    )
-
-
-@dataclass(frozen=True)
-class LifecycleEvent:
-    """One life-cycle event of a dynamic cluster.
-
-    kind is one of birth, death, growth, shrinkage, split, merge. For
-    split/merge, `related` lists the other dynamic clusters involved; for
-    growth/shrinkage `delta` is the signed member-count change.
-    """
-
-    kind: str
-    time: int
-    dc: int
-    related: tuple[int, ...] = ()
-    delta: int = 0
-
-
-def _sort_key(ev: LifecycleEvent) -> tuple:
-    return (ev.time, ev.dc, ev.kind, ev.related)
-
-
-def classify_events(
-    result: DynamicClustering, seq: ClusteringSequence
-) -> list[LifecycleEvent]:
-    """Classify all life-cycle events of a tracking result.
-
-    Events are read from the result's count tables, cluster sizes and
-    labels. Birth requires that no member of the DC's first clusters was
-    present at the previous snapshot, that is no count cell enters them;
-    death that no cell leaves its last clusters. Both are therefore
-    optional, and undefined at the sequence boundaries. Split (merge)
-    fires when the cells leaving (entering) a DC's clusters reach several
-    clusters at the next (previous) snapshot that, with the DC itself,
-    belong to at least two distinct DCs. Growth and shrinkage are
-    reported per consecutive presence pair with non-zero size change;
-    events are not mutually exclusive. A result of another sequence
-    than `seq` raises ValueError, and so does one that carries neither
-    its sequence nor its tables when a table is needed.
-    """
-    if result.seq is not None and result.seq is not seq:
-        raise ValueError("the result was built for a different sequence")
-    t_total = len(seq)
-    labels = result.labels
-    # Per snapshot pair i: the clusters at i+1 that each cluster at i
-    # shares members with, and the clusters at i each cluster at i+1
-    # shares members with.
-    reach_next: list[dict[int, list[int]]] = []
-    reach_prev: list[dict[int, list[int]]] = []
-    for i in range(t_total - 1):
-        out: dict[int, list[int]] = {}
-        back: dict[int, list[int]] = {}
-        for ca, cb, _n in result.counts_between(i):
-            out.setdefault(ca, []).append(cb)
-            back.setdefault(cb, []).append(ca)
-        reach_next.append(out)
-        reach_prev.append(back)
-    events: list[LifecycleEvent] = []
-    for dc_id in sorted(result.dcs):
-        series = result.dcs[dc_id]
-        presence = series.presence
-        clusters = series.clusters_by_time
-        sizes = series.size_by_time
-        first = presence[0]
-        last = presence[-1]
-        if first >= 1 and not _reached(reach_prev[first - 1], clusters[first]):
-            events.append(LifecycleEvent("birth", first, dc_id))
-        if last + 1 < t_total and not _reached(reach_next[last], clusters[last]):
-            events.append(LifecycleEvent("death", last + 1, dc_id))
-        for j in range(len(presence) - 1):
-            i, nxt = presence[j], presence[j + 1]
-            if nxt != i + 1:
-                continue
-            delta = sizes[nxt] - sizes[i]
-            if delta > 0:
-                events.append(LifecycleEvent("growth", nxt, dc_id, delta=delta))
-            elif delta < 0:
-                events.append(LifecycleEvent("shrinkage", nxt, dc_id, delta=delta))
-        for i in presence:
-            if i + 1 < t_total:
-                related = _others(reach_next[i], clusters[i], labels[i + 1], dc_id)
-                if related:
-                    events.append(LifecycleEvent("split", i + 1, dc_id, related))
-            if i >= 1:
-                related = _others(reach_prev[i - 1], clusters[i], labels[i - 1], dc_id)
-                if related:
-                    events.append(LifecycleEvent("merge", i, dc_id, related))
-    return sorted(events, key=_sort_key)
-
-
-def _reached(links: dict[int, list[int]], clusters: tuple[int, ...]):
-    """The distinct clusters that `links` joins to any of `clusters`."""
-    if len(clusters) == 1:
-        return links.get(clusters[0], ())
-    out: set[int] = set()
-    for c in clusters:
-        out.update(links.get(c, ()))
-    return out
-
-
-def _others(links, clusters, column, dc_id) -> tuple[int, ...]:
-    """The DCs other than `dc_id`, by label `column`, of the clusters that
-    `links` joins to `clusters`; () unless there are several such clusters."""
-    reached = _reached(links, clusters)
-    if len(reached) < 2:
-        return ()
-    return tuple(sorted({column[a] for a in reached} - {dc_id}))
+    return DynamicClustering([col[:] for col in labels], dcs, x, seq, pair_triples)
 
 
 def total_consistency(
@@ -267,15 +169,14 @@ def total_consistency(
 
     total = 0.0
     pairs = 0
-    for series in result.dcs.values():
-        presence = series.presence
+    for presence, clusters, sizes in result.dcs.values():
         for j in range(len(presence) - 1):
             i, nxt = presence[j], presence[j + 1]
             if nxt != i + 1:
                 continue
             cells, rows, cols = lookup(i)
-            a = series.clusters_by_time[i]
-            b = series.clusters_by_time[nxt]
+            a = clusters[i]
+            b = clusters[nxt]
             shared = sum(cells.get((ca, cb), 0) for ca in a for cb in b)
             if resident:
                 union = (
@@ -284,9 +185,7 @@ def total_consistency(
                     - shared
                 )
             else:
-                union = (
-                    series.size_by_time[i] + series.size_by_time[nxt] - shared
-                )
+                union = sizes[i] + sizes[nxt] - shared
             pairs += 1
             if union:
                 total += shared / union
@@ -295,14 +194,25 @@ def total_consistency(
     return total / pairs
 
 
-@dataclass(frozen=True)
-class SummaryStats:
-    """Head-count statistics of a dynamic clustering."""
+class SummaryStats(_Record):
+    """Head-count statistics of a dynamic clustering (by default with a
+    new empty `lifespan_histogram`)."""
 
-    dc_count: int
-    lifespan_histogram: dict[int, int] = field(default_factory=dict)
-    mean_lifespan: float | None = None
-    weighted_mean_lifespan: float | None = None
+    __slots__ = _fields = (
+        "dc_count", "lifespan_histogram", "mean_lifespan", "weighted_mean_lifespan"
+    )
+
+    def __init__(
+        self, dc_count: int, lifespan_histogram: dict[int, int] | None = None,
+        mean_lifespan: float | None = None,
+        weighted_mean_lifespan: float | None = None,
+    ) -> None:
+        if lifespan_histogram is None:
+            lifespan_histogram = {}
+        self.dc_count = dc_count
+        self.lifespan_histogram = lifespan_histogram
+        self.mean_lifespan = mean_lifespan
+        self.weighted_mean_lifespan = weighted_mean_lifespan
 
 
 def summary_stats(result: DynamicClustering) -> SummaryStats:

@@ -93,11 +93,6 @@ class ClusteringSequence(_Record):
     def __len__(self) -> int:
         return len(self.snapshots)
 
-    def cluster_refs(self) -> Iterable[ClusterRef]:
-        for snap in self.snapshots:
-            for alpha in range(len(snap.clusters)):
-                yield ClusterRef(snap.index, alpha)
-
 
 def sequence_from_lists(
     data: Sequence[Sequence[Iterable[str]]],

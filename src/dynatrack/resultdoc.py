@@ -104,7 +104,8 @@ def load_document(
     columns[t][a] is the `dc` of cluster a of snapshot t.
 
     Besides field types, the document is checked against itself: the
-    `dcs` registry must list exactly the per-cluster `dc` values,
+    `dcs` registry must list exactly the per-cluster `dc` values, each id
+    in one entry with at least one cluster,
     `snapshot_count` must match the snapshots, and the clusters of the
     last snapshot must carry distinct ids (any tracking run gives them
     distinct ids).
@@ -192,5 +193,9 @@ def load_document(
             f"snapshot {len(columns) - 1}: several clusters of the last "
             f"snapshot share one dc id"
         )
+    # An entry without clusters, or an id in several entries, also fails to
+    # match; checked last, so that the checks above name their faults first.
+    if len({e["id"] for e in doc["dcs"] if e["clusters"]}) != len(doc["dcs"]):
+        raise SchemaError("dcs registry does not match the clusters' dc values")
     seq = sequence_from_lists(data, labels_meta)
     return seq, columns, history

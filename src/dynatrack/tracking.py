@@ -50,8 +50,7 @@ DC and no record is kept.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import SequencingError, TrackingInvariantError
 from .metrics import DynamicClustering, clustering_from_labels
@@ -133,8 +132,7 @@ def is_bijective_match(rels: RelationCache, ref: ClusterRef, n: int) -> bool:
     return mapping_path(rels, back, n) == frozenset((ref,))
 
 
-@dataclass(frozen=True)
-class TraceEvent:
+class TraceEvent(NamedTuple):
     """Audit record of one target-cluster association."""
 
     target: ClusterRef
@@ -145,10 +143,10 @@ class TraceEvent:
     marginals: frozenset[ClusterRef]
 
 
-@dataclass
 class TrackingState:
     """Mutable per-run state: labels, id counter, frontier.
 
+    A new state has processed snapshot 0: its m clusters found DCs 0..m-1.
     labels holds one column per processed snapshot: labels[t][a] is the
     DC id of cluster a of snapshot t. A DC whose clusters have all been
     relabelled no longer appears in it, and `finalize` drops it.
@@ -156,17 +154,23 @@ class TrackingState:
     strictly sequentially, one snapshot and one target at a time.
     """
 
-    history: int
-    labels: list[list[int]] = field(default_factory=list)
-    next_dc_id: int = 0
-    frontier: int = -1
-    trace: list[TraceEvent] | None = None
-    relations: RelationCache | None = field(default=None, repr=False)
-    # The search record of every frontier cluster, by cluster index (None
-    # before snapshot 1 is processed and at history 0), and how many
-    # relabel writes have changed an existing label so far.
-    _chains: list[_Chain] | None = field(default=None, init=False, repr=False)
-    _changes: int = field(default=0, init=False, repr=False)
+    __slots__ = (
+        "history", "labels", "next_dc_id", "frontier", "trace", "relations",
+        "_chains", "_changes",
+    )
+
+    def __init__(self, history: int, m: int, trace: list[TraceEvent] | None) -> None:
+        self.history = history
+        self.labels = [list(range(m))]
+        self.next_dc_id = m
+        self.frontier = 0
+        self.trace = trace
+        self.relations: RelationCache | None = None
+        # The search record of every frontier cluster, by cluster index
+        # (None before snapshot 1 is processed and at history 0), and how
+        # many relabel writes have changed an existing label so far.
+        self._chains: list[_Chain] | None = None
+        self._changes = 0
 
     def _new_dc(self, ref: ClusterRef) -> int:
         dc = self.next_dc_id
@@ -181,10 +185,7 @@ def new_state(
     """Initial state: every cluster of snapshot 0 founds its own DC."""
     if x < 0:
         raise ValueError(f"history must be non-negative, got {x}")
-    first = list(range(len(seq.snapshots[0])))
-    state = TrackingState(history=x, labels=[first], next_dc_id=len(first), frontier=0)
-    state.trace = [] if trace else None
-    return state
+    return TrackingState(x, len(seq.snapshots[0]), [] if trace else None)
 
 
 class _Chain:
@@ -323,8 +324,7 @@ def find_source_set(
     return ref.time - s, chain.layer[s]
 
 
-@dataclass(frozen=True)
-class IdentityFlowResult:
+class IdentityFlowResult(NamedTuple):
     """Clusters along which a DC identity propagates to a target.
 
     flow[o] holds the flow clusters o steps before the target (union of
@@ -357,12 +357,9 @@ def identity_flow(
     for o in range(n_star, 0, -1):
         layer = lift(rels.pair(t - o).mapping_refs, layer)
         forward.append(layer)
-    return IdentityFlowResult(
-        n_star=n_star,
-        source_set=source_set,
-        flow=_flow(layers, forward, source_set),
-        marginals=_marginals(rels, layers, forward, source_set),
-    )
+    flow = _flow(layers, forward, source_set)
+    marginals = _marginals(rels, layers, forward, source_set)
+    return IdentityFlowResult(n_star, source_set, flow, marginals)
 
 
 def _flow(
@@ -659,7 +656,7 @@ def track(
         process_snapshot(
             state, seq, rels, i, order=orders.get(i) if orders else None
         )
-    if trace is not None and state.trace is not None:
+    if trace is not None:
         trace.extend(state.trace)
     return finalize(state, seq)
 

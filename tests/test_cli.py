@@ -676,6 +676,17 @@ def _break_registry_stray_ref_twice(doc):
     doc["dcs"][1]["clusters"].append([9, 9])
 
 
+def _break_registry_empty_entry(doc):
+    doc["dcs"].append({"id": 99999, "clusters": []})
+
+
+def _break_registry_id_split(doc):
+    # DC 1's cluster joins DC 0, and DC 1's entry is renamed to 0: the
+    # refs add up, but two entries list one id
+    doc["snapshots"][0]["clusters"][1]["dc"] = 0
+    next(e for e in doc["dcs"] if e["id"] == 1)["id"] = 0
+
+
 @pytest.mark.parametrize("command", ["events", "render"])
 @pytest.mark.parametrize(
     "breaker, message",
@@ -694,6 +705,8 @@ def _break_registry_stray_ref_twice(doc):
         (_break_registry_negative_ref, "dcs registry does not match"),
         (_break_registry_ref_past_last_snapshot, "dcs registry does not match"),
         (_break_registry_stray_ref_twice, "dcs: cluster (9, 9) is listed twice"),
+        (_break_registry_empty_entry, "dcs registry does not match"),
+        (_break_registry_id_split, "dcs registry does not match"),
     ],
 )
 def test_inconsistent_result_document_exits_2(

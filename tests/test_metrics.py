@@ -1,5 +1,6 @@
 """Life-cycle events, auto-correlation, consistency, summary statistics."""
 
+import dataclasses
 import random
 import statistics
 from collections import Counter
@@ -13,9 +14,12 @@ from dynatrack import (
     PlantedDc,
     RelationCache,
     ScenarioSpec,
+    SummaryStats,
     classify_events,
     clustering_from_labels,
+    events,
     generate,
+    metrics,
     relations,
     sequence_from_lists,
     summary_stats,
@@ -447,3 +451,55 @@ class TestSummaryStats:
         assert stats.lifespan_histogram == {}
         assert stats.mean_lifespan is None
         assert stats.weighted_mean_lifespan is None
+
+
+class TestReplayContract:
+    """What the benchmark's in-process replay (`perfbench/replay.py`) uses."""
+
+    def test_events_convert_with_asdict(self):
+        seq = sequence_from_lists(
+            [[["a", "b", "c"]], [["a", "b", "c", "d"]], [["a", "b"], ["c", "d"]]]
+        )
+        found = classify_events(track(seq, 1), seq)
+        assert {ev.kind for ev in found} == {"growth", "split"}
+        for ev in found:
+            assert dataclasses.asdict(ev) == {
+                "kind": ev.kind, "time": ev.time, "dc": ev.dc,
+                "related": ev.related, "delta": ev.delta,
+            }
+
+    def test_metrics_reexports_the_events_objects(self):
+        from dynatrack.metrics import LifecycleEvent, classify_events
+
+        assert classify_events is events.classify_events
+        assert LifecycleEvent is events.LifecycleEvent
+        assert metrics.classify_events is events.classify_events
+        with pytest.raises(AttributeError, match="no_such_name"):
+            metrics.no_such_name
+
+    def test_result_equality_and_repr_ignore_seq_and_tables(self):
+        seq = sequence_from_lists([[["a", "b"]], [["a", "b", "c"]]])
+        tracked = track(seq, 1)
+        rebuilt = clustering_from_labels(seq, tracked.labels, 1)
+        bare = DynamicClustering(tracked.labels, tracked.dcs, 1)
+        assert rebuilt.pair_triples is None
+        assert rebuilt.counts_between(0) == [(0, 0, 2)]
+        assert rebuilt.pair_triples == relations.count_tables(seq)
+        assert tracked == rebuilt == bare
+        assert tracked != DynamicClustering(tracked.labels, tracked.dcs, 2)
+        assert repr(tracked) == repr(rebuilt) == repr(bare) == (
+            "DynamicClustering(labels=[[0], [0]], dcs={0: DcSeries("
+            "presence=(0, 1), clusters_by_time={0: (0,), 1: (0,)}, "
+            "size_by_time={0: 2, 1: 3})}, x_used=1)"
+        )
+
+    def test_summary_stats_do_not_share_a_histogram(self):
+        first, second = SummaryStats(dc_count=0), SummaryStats(dc_count=0)
+        assert first == second
+        assert first.lifespan_histogram is not second.lifespan_histogram
+        first.lifespan_histogram[1] = 1
+        assert second.lifespan_histogram == {}
+        assert repr(second) == (
+            "SummaryStats(dc_count=0, lifespan_histogram={}, "
+            "mean_lifespan=None, weighted_mean_lifespan=None)"
+        )
