@@ -149,25 +149,19 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_events(args) -> int:
-    import json
-
-    from .events import classify_events
-    from .metrics import clustering_from_labels
+    from .metrics import clustering_from_labels, event_rows
     from .resultdoc import load_document
 
     seq, labels, x = load_document(_read(args.result))
-    result = clustering_from_labels(seq, labels, x)
-    # An event's fields, with `related` as a JSON array.
-    events = [
-        {**vars(ev), "related": list(ev.related)} for ev in classify_events(result, seq)
-    ]
-    payload = json.dumps(
-        {"schema": 1, "events": events},
-        ensure_ascii=False,
-        sort_keys=True,
-        separators=(",", ":"),
+    rows = event_rows(clustering_from_labels(seq, labels, x), seq)
+    # The compact, key-sorted JSON that `json.dumps` would write: every
+    # field is an int or an ASCII kind word.
+    events = ",".join(
+        f'{{"dc":{dc},"delta":{delta},"kind":"{kind}",'
+        f'"related":[{",".join(map(str, related))}],"time":{time}}}'
+        for time, dc, kind, related, delta in rows
     )
-    _write(args.output, (payload + "\n").encode("utf-8"))
+    _write(args.output, f'{{"events":[{events}],"schema":1}}\n'.encode())
     return 0
 
 

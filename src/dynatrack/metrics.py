@@ -2,11 +2,11 @@
 
 Holds the final outcome of a tracking run (every cluster mapped to a
 dynamic-cluster id, plus the per-DC presence and size history) and the
-read-only analyses on top of it: total membership consistency and
-summary statistics (life-cycle events are in `events`). They read the
-shared-member count tables of neighbouring snapshots and the cluster
-sizes, never the member strings. All functions here are pure; results
-are treated as immutable.
+read-only analyses on top of it: life-cycle events as plain rows, total
+membership consistency and summary statistics (the event records are in
+`events`). They read the shared-member count tables of neighbouring
+snapshots and the cluster sizes, never the member strings. All functions
+here are pure; results are treated as immutable.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ __all__ = [
     "DcSeries",
     "DynamicClustering",
     "clustering_from_labels",
+    "event_rows",
     "LifecycleEvent",
     "classify_events",
     "total_consistency",
@@ -125,6 +126,85 @@ def clustering_from_labels(
                 sizes[t] = len(members)
     dcs = {dc: DcSeries(tuple(c), c, s) for dc, (c, s) in sorted(found.items())}
     return DynamicClustering([col[:] for col in labels], dcs, x, seq, pair_triples)
+
+
+def event_rows(
+    result: DynamicClustering, seq: ClusteringSequence
+) -> list[tuple[int, int, str, tuple[int, ...], int]]:
+    """All life-cycle events of a tracking result as rows (time, dc,
+    kind, related, delta), sorted; no two share (time, dc, kind).
+
+    kind is one of birth, death, growth, shrinkage, split, merge. Events
+    are read from the result's count tables, cluster sizes and labels,
+    one snapshot pair i → i+1 at a time; each has time i+1. Birth
+    requires that no member of the DC's first clusters was present at
+    the previous snapshot, that is no count cell enters them; death that
+    no cell leaves its last clusters. Both are therefore optional, and
+    undefined at the sequence boundaries. Split (merge) fires when the
+    cells leaving (entering) a DC's clusters reach several clusters at
+    the next (previous) snapshot that, with the DC itself, belong to at
+    least two distinct DCs; `related` lists those other DCs ascending.
+    Growth and shrinkage are reported per consecutive presence pair with
+    non-zero size change, `delta` being the signed member-count change
+    (0 for every other kind). Events are not mutually exclusive. A
+    result of another sequence than `seq` raises ValueError, and so does
+    one that carries neither its sequence nor its tables when a table is
+    needed.
+    """
+    if result.seq is not None and result.seq is not seq:
+        raise ValueError("the result was built for a different sequence")
+    labels = result.labels
+    dcs = result.dcs
+    rows: list = []
+    add = rows.append
+    for i in range(len(seq) - 1):
+        t = i + 1
+        la, lb = labels[i], labels[t]
+        # A cluster each DC at i reaches at t and each DC at t reaches
+        # back to at i; the DCs that reach more than one; the DC pairs
+        # that cells join. No container per DC, for the cyclic collector.
+        fwd: dict[int, int] = {}
+        back: dict[int, int] = {}
+        splitting: set[int] = set()
+        merging: set[int] = set()
+        cross: set[tuple[int, int]] = set()
+        for ca, cb, _n in result.counts_between(i):
+            a = la[ca]
+            b = lb[cb]
+            if fwd.setdefault(a, cb) != cb:
+                splitting.add(a)
+            if back.setdefault(b, ca) != ca:
+                merging.add(b)
+            if a != b:
+                cross.add((a, b))
+        # In (a, b) order both lists come out ascending.
+        splits: dict[int, list[int]] = {}
+        merges: dict[int, list[int]] = {}
+        for a, b in sorted(cross):
+            if a in splitting:
+                splits.setdefault(a, []).append(b)
+            if b in merging:
+                merges.setdefault(b, []).append(a)
+        for dc, related in splits.items():
+            add((t, dc, "split", tuple(related), 0))
+        for dc, related in merges.items():
+            add((t, dc, "merge", tuple(related), 0))
+        before, after = set(la), set(lb)
+        for dc in before.difference(fwd):
+            if dcs[dc].presence[-1] == i:
+                add((t, dc, "death", (), 0))
+        for dc in after.difference(back):
+            if dcs[dc].presence[0] == t:
+                add((t, dc, "birth", (), 0))
+        for dc in before & after:
+            sizes = dcs[dc].size_by_time
+            delta = sizes[t] - sizes[i]
+            if delta > 0:
+                add((t, dc, "growth", (), delta))
+            elif delta < 0:
+                add((t, dc, "shrinkage", (), delta))
+    rows.sort()
+    return rows
 
 
 def total_consistency(

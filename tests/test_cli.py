@@ -163,8 +163,7 @@ def test_events_roundtrip(identity_input, tmp_path):
     out = tmp_path / "events.json"
     code = main(["events", "--result", str(result), "--output", str(out)])
     assert code == 0
-    doc = json.loads(out.read_text())
-    assert doc == {"schema": 1, "events": []}
+    assert out.read_bytes() == b'{"events":[],"schema":1}\n'
 
 
 def test_events_json_holds_every_field(tmp_path):

@@ -49,7 +49,7 @@ LOADED = {
     "version": BASE,
     "track": BASE | CORE | {"dynatrack.metrics", "dynatrack.tracking", "dynatrack.resultdoc"},
     "sweep": BASE | CORE | {"dynatrack.metrics", "dynatrack.tracking"},
-    "events": BASE | CORE | {"dynatrack.metrics", "dynatrack.events", "dynatrack.resultdoc"},
+    "events": BASE | CORE | {"dynatrack.metrics", "dynatrack.resultdoc"},
     "render": BASE | CORE | {"dynatrack.resultdoc", "dynatrack.alluvial"},
 }
 
@@ -121,7 +121,7 @@ def test_tracking_loads_statistics_only_if_a_bare_interpreter_does(command, file
     assert "statistics" not in loaded or "statistics" in bare
 
 
-@pytest.mark.parametrize("command", ["track", "sweep", "render"])
+@pytest.mark.parametrize("command", ["track", "sweep", "events", "render"])
 @pytest.mark.parametrize("module", ["dataclasses", "inspect"])
 def test_subcommand_loads_module_only_if_a_bare_interpreter_does(
     command, module, files

@@ -1,8 +1,10 @@
 """Life-cycle events, auto-correlation, consistency, summary statistics."""
 
 import dataclasses
+import json
 import random
 import statistics
+from argparse import Namespace
 from collections import Counter
 from fractions import Fraction
 
@@ -17,6 +19,7 @@ from dynatrack import (
     SummaryStats,
     classify_events,
     clustering_from_labels,
+    event_rows,
     events,
     generate,
     metrics,
@@ -25,8 +28,11 @@ from dynatrack import (
     summary_stats,
     total_consistency,
     track,
+    __version__,
 )
+from dynatrack.cli import cmd_events
 from dynatrack.model import ClusterRef
+from dynatrack.resultdoc import build_document, document_to_bytes, load_document
 from helpers import (
     autocorrelation,
     churn_sequence,
@@ -387,6 +393,10 @@ class TestEvents:
                         )
                 expected = reference_events(result, seq)
                 assert classify_events(result, seq) == expected
+                # the rows are the records' fields, row by row
+                assert event_rows(result, seq) == [
+                    (ev.time, ev.dc, ev.kind, ev.related, ev.delta) for ev in expected
+                ]
                 # a result without the tracker's tables computes its own
                 rebuilt = clustering_from_labels(seq, result.labels, x)
                 assert classify_events(rebuilt, seq) == expected
@@ -395,13 +405,46 @@ class TestEvents:
         # and DCs that span several clusters of one snapshot
         assert min(kinds[k] for k in KINDS) > 500 and empty > 10 and multi > 100
 
+    def test_cli_bytes_equal_the_replay_formula_at_every_x(self, tmp_path):
+        sequences = [random_sequence(random.Random(7000 + s)) for s in range(320)]
+        sequences += scenario_sequences()
+        doc_path = tmp_path / "result.json"
+        out = tmp_path / "events.json"
+        kinds = set()
+        for seq in sequences:
+            for x in range(len(seq)):
+                doc = document_to_bytes(build_document(seq, track(seq, x), __version__))
+                doc_path.write_bytes(doc)
+                # the subcommand's body, without building the parser each time
+                assert cmd_events(Namespace(result=str(doc_path), output=str(out))) == 0
+                # the document's DC ids are canonical
+                loaded, labels, _x = load_document(doc)
+                result = clustering_from_labels(loaded, labels, x)
+                found = [
+                    dict(dataclasses.asdict(ev), related=list(ev.related))
+                    for ev in classify_events(result, loaded)
+                ]
+                kinds.update(ev["kind"] for ev in found)
+                # what `perfbench/replay.py` writes
+                expected = json.dumps(
+                    {"schema": 1, "events": found},
+                    ensure_ascii=False,
+                    sort_keys=True,
+                    separators=(",", ":"),
+                ) + "\n"
+                assert out.read_bytes() == expected.encode("utf-8")
+        assert kinds == set(KINDS)
+
     def test_result_of_another_sequence_rejected(self):
         seq = sequence_from_lists([[["a", "b"]], [["a"], ["b"]]])
         twin = sequence_from_lists([[["a", "b"]], [["a"], ["b"]]])
         result = track(seq, 1)
         assert classify_events(result, seq)
+        assert event_rows(result, seq)
         with pytest.raises(ValueError, match="different sequence"):
             classify_events(result, twin)
+        with pytest.raises(ValueError, match="different sequence"):
+            event_rows(result, twin)
 
 
 class TestSummaryStats:
