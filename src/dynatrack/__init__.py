@@ -33,6 +33,7 @@ _EXPORTS = {
     "DynamicClustering": "metrics",
     "SummaryStats": "metrics",
     "clustering_from_labels": "metrics",
+    "consistencies": "metrics",
     "event_rows": "metrics",
     "summary_stats": "metrics",
     "total_consistency": "metrics",

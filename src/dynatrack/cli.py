@@ -85,7 +85,7 @@ def _fmt_ratio(v: float | None) -> str:
 def cmd_sweep(args) -> int:
     import json
 
-    from .metrics import summary_stats, total_consistency
+    from .metrics import consistencies, summary_stats
     from .relations import RelationCache
     from .tracking import track
 
@@ -104,8 +104,7 @@ def cmd_sweep(args) -> int:
     for x in range(args.history_min, last + 1):
         result = track(seq, x, relations=rels)
         stats = summary_stats(result)
-        cons_all = total_consistency(result, "all_members")
-        cons_res = total_consistency(result, "residents_only")
+        cons_all, cons_res = consistencies(result)
         rows.append(
             f"{x},{stats.dc_count},"
             f"{stats.mean_lifespan if stats.mean_lifespan is not None else ''},"

@@ -3,10 +3,11 @@
 Holds the final outcome of a tracking run (every cluster mapped to a
 dynamic-cluster id, plus the per-DC presence and size history) and the
 read-only analyses on top of it: life-cycle events as plain rows, total
-membership consistency and summary statistics (the event records are in
-`events`). They read the shared-member count tables of neighbouring
-snapshots and the cluster sizes, never the member strings. All functions
-here are pure; results are treated as immutable.
+membership consistency in both modes and summary statistics (the event
+records are in `events`). Events and consistency each make one pass per
+pair of neighbouring snapshots over its shared-member count table, against
+the label columns and cluster sizes, never the member strings. All
+functions here are pure; results are treated as immutable.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ __all__ = [
     "event_rows",
     "LifecycleEvent",
     "classify_events",
+    "consistencies",
     "total_consistency",
     "SummaryStats",
     "summary_stats",
@@ -207,71 +209,65 @@ def event_rows(
     return rows
 
 
+def consistencies(result: DynamicClustering) -> tuple[float | None, float | None]:
+    """Total consistency as (all_members, residents_only): the mean
+    per-DC membership auto-correlation over all consecutive presence
+    pairs, or None in both when no DC has such a pair.
+
+    For a DC with clusters A at i and B at i+1, "all_members" divides
+    |A∩B| by |A∪B| = |A| + |B| - |A∩B|; "residents_only" counts in the
+    union only the members present in both snapshots system-wide, so
+    members entering or leaving the dataset do not dilute the score.
+    One pass over the pair's count table, read only when some DC is
+    present at both snapshots, gives |A∩B| (the cells the DC keeps), the
+    cells leaving A and those entering B; since A holds only members
+    present at i and B only members present at i+1, the resident union
+    is leaving + entering - |A∩B|. Terms are summed by ascending DC id,
+    then time. The result must label every cluster and carry its sequence
+    or tables, as those of `clustering_from_labels` do, or ValueError.
+    """
+    labels = result.labels
+    dcs = result.dcs
+    # (DC, i, |A∩B|, union, resident union) of each presence pair.
+    terms: list[tuple[int, int, int, int, int]] = []
+    for i in range(len(labels) - 1):
+        la, lb = labels[i], labels[i + 1]
+        shared = dict.fromkeys(set(la).intersection(lb), 0)
+        if not shared:
+            continue
+        leave: dict[int, int] = {}
+        enter: dict[int, int] = {}
+        for ca, cb, n in result.counts_between(i):
+            a = la[ca]
+            b = lb[cb]
+            if a == b:
+                shared[a] += n
+            leave[a] = leave.get(a, 0) + n
+            enter[b] = enter.get(b, 0) + n
+        for dc, kept in shared.items():
+            sizes = dcs[dc].size_by_time
+            union = sizes[i] + sizes[i + 1] - kept
+            resident = leave.get(dc, 0) + enter.get(dc, 0) - kept
+            terms.append((dc, i, kept, union, resident))
+    if not terms:
+        return None, None
+    terms.sort()
+    total = total_res = 0.0
+    for _dc, _i, kept, union, resident in terms:
+        if union:
+            total += kept / union
+        if resident:
+            total_res += kept / resident
+    return total / len(terms), total_res / len(terms)
+
+
 def total_consistency(
     result: DynamicClustering, mode: str = "all_members"
 ) -> float | None:
-    """Average per-DC membership auto-correlation over all consecutive
-    presence pairs; None when no DC has such a pair.
-
-    mode "all_members" uses the plain Jaccard union denominator;
-    "residents_only" restricts each pair's denominator to the members
-    present in both snapshots system-wide, so members entering or leaving
-    the dataset do not dilute the score.
-
-    Every count comes from the snapshot pair's shared-member table, with
-    the DC's clusters A at i and B at i+1: |A∩B| is the sum of the cells
-    over A × B, and |A∪B| = |A| + |B| - |A∩B|. Because A holds only
-    members present at i and B only members present at i+1, the resident
-    union is (row sums over A) + (column sums over B) - |A∩B|. The
-    residents are those of the snapshots, so the result is expected to
-    label every cluster and to carry its sequence, as the results of
-    `clustering_from_labels` do; one without tables or `seq` raises
-    ValueError.
-    """
+    """One mode of `consistencies`, "all_members" or "residents_only"."""
     if mode not in ("all_members", "residents_only"):
         raise ValueError(f"unknown consistency mode {mode!r}")
-    resident = mode == "residents_only"
-    # Per snapshot pair: count cells, row sums, column sums.
-    lookups: dict[int, tuple[dict, dict, dict]] = {}
-
-    def lookup(i: int) -> tuple[dict, dict, dict]:
-        found = lookups.get(i)
-        if found is None:
-            cells: dict[tuple[int, int], int] = {}
-            rows: dict[int, int] = {}
-            cols: dict[int, int] = {}
-            for ca, cb, n in result.counts_between(i):
-                cells[ca, cb] = n
-                rows[ca] = rows.get(ca, 0) + n
-                cols[cb] = cols.get(cb, 0) + n
-            found = lookups[i] = (cells, rows, cols)
-        return found
-
-    total = 0.0
-    pairs = 0
-    for presence, clusters, sizes in result.dcs.values():
-        for j in range(len(presence) - 1):
-            i, nxt = presence[j], presence[j + 1]
-            if nxt != i + 1:
-                continue
-            cells, rows, cols = lookup(i)
-            a = clusters[i]
-            b = clusters[nxt]
-            shared = sum(cells.get((ca, cb), 0) for ca in a for cb in b)
-            if resident:
-                union = (
-                    sum(rows.get(ca, 0) for ca in a)
-                    + sum(cols.get(cb, 0) for cb in b)
-                    - shared
-                )
-            else:
-                union = sizes[i] + sizes[nxt] - shared
-            pairs += 1
-            if union:
-                total += shared / union
-    if pairs == 0:
-        return None
-    return total / pairs
+    return consistencies(result)[mode == "residents_only"]
 
 
 class SummaryStats(_Record):

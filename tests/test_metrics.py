@@ -19,6 +19,7 @@ from dynatrack import (
     SummaryStats,
     classify_events,
     clustering_from_labels,
+    consistencies,
     event_rows,
     events,
     generate,
@@ -254,6 +255,8 @@ class TestTotalConsistency:
                 assert total_consistency(result, mode) == expected
                 assert total_consistency(rebuilt, mode) == expected
                 values.append(expected)
+            assert consistencies(result) == tuple(values)
+            assert consistencies(rebuilt) == tuple(values)
             defined += values[0] is not None
             apart += values[0] != values[1]
             multi += any(
@@ -283,9 +286,11 @@ class TestTotalConsistency:
         for result in results:
             total_consistency(result, "all_members")
             total_consistency(result, "residents_only")
+            consistencies(result)
         assert len(builds) == pairs
         # a result without tables counts them once and keeps them
         rebuilt = clustering_from_labels(seq, results[2].labels, 2)
+        assert consistencies(rebuilt) == consistencies(results[2])
         for mode in ("all_members", "residents_only", "all_members"):
             assert total_consistency(rebuilt, mode) == total_consistency(
                 results[2], mode
@@ -295,6 +300,50 @@ class TestTotalConsistency:
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
             total_consistency(single_dc([{"1"}]), "banana")
+
+    def test_dc_on_two_clusters_with_a_departure_hand_value(self):
+        # DC 0 holds {1,2} and {3,4} at t0 and {1,2,3,5} at t1; member 4
+        # leaves the system and 5 comes from DC 1, which ends at t0.
+        # |A∩B| = 3, |A∪B| = 5, resident union {1,2,3,5}: 3/5 and 3/4.
+        result = labelled(
+            [[{"1", "2"}, {"3", "4"}, {"5"}], [{"1", "2", "3", "5"}, {"6"}]],
+            [[0, 0, 1], [0, 2]],
+        )
+        assert result.dcs[0].clusters_by_time == {0: (0, 1), 1: (0,)}
+        assert consistencies(result) == (3 / 5, 3 / 4)
+        assert total_consistency(result, "all_members") == 3 / 5
+        assert total_consistency(result, "residents_only") == 3 / 4
+
+    def test_sums_in_dc_id_order_under_renumbered_ids(self):
+        # Ids renumbered against their order of first appearance, as in
+        # test_clustering_from_labels_groups_members_by_dc_in_id_order:
+        # the terms are summed in ascending DC id, then time.
+        order_matters = 0
+        for seed in range(40):
+            seq = random_sequence(random.Random(9000 + seed), max_t=8)
+            tracked = track(seq, 2).labels
+            ids = sorted({dc for column in tracked for dc in column})
+            renamed = dict(zip(ids, reversed(ids)))
+            labels = [[renamed[dc] for dc in column] for column in tracked]
+            result = clustering_from_labels(seq, labels, 2)
+            expected = tuple(
+                reference_total_consistency(result, mode)
+                for mode in ("all_members", "residents_only")
+            )
+            assert consistencies(result) == expected
+            per_dc = [
+                [
+                    v
+                    for j in range(len(series.presence) - 1)
+                    if (v := autocorrelation(seq, series, j)) is not None
+                ]
+                for series in result.dcs.values()
+            ]
+            first_seen = [v for terms in reversed(per_dc) for v in terms]
+            order_matters += sum(sum(per_dc, [])) != sum(first_seen)
+        # some instances give other floats when the DCs are summed in
+        # their order of first appearance
+        assert order_matters > 0
 
 
 KINDS = ("birth", "death", "growth", "shrinkage", "split", "merge")
