@@ -51,16 +51,10 @@ _EXPORTS = {
     "build_document": "resultdoc",
     "canonical_labels": "resultdoc",
     "load_document": "resultdoc",
-    "IdentityFlowResult": "tracking",
     "TrackingState": "tracking",
-    "find_source_set": "tracking",
-    "identity_flow": "tracking",
-    "is_bijective_match": "tracking",
-    "mapping_path": "tracking",
     "new_state": "tracking",
     "process_snapshot": "tracking",
     "finalize": "tracking",
-    "tracing_path": "tracking",
     "track": "tracking",
 }
 

@@ -238,7 +238,10 @@ class _Parser(argparse.ArgumentParser):
         return namespace, extras
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv: list[str]) -> argparse.ArgumentParser:
+    """The parser for `argv`: it lists every subcommand, but adds arguments
+    only to the one that argv names. No top-level option takes a value, so
+    that is the first token that does not start with "-"."""
     parser = _Parser(
         prog="dynatrack",
         description=(
@@ -251,6 +254,13 @@ def build_parser() -> argparse.ArgumentParser:
         "--version", action="version", version=f"%(prog)s {__version__}"
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    command = next((a for a in argv if not a.startswith("-")), None)
+
+    def add_parser(name, help, func):
+        """The subparser of `name` if argv names it, else None."""
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func)
+        return p if name == command else None
 
     def add_input(p):
         p.add_argument("--input", required=True, help="input sequence file")
@@ -261,60 +271,55 @@ def build_parser() -> argparse.ArgumentParser:
             help="input format (default: json)",
         )
 
-    p = sub.add_parser("track", help="detect dynamic clusters")
-    add_input(p)
-    p.add_argument(
-        "--history", type=int, required=True, help="history horizon (x >= 0)"
-    )
-    p.add_argument("--output", help="result document path (default: stdout)")
-    p.set_defaults(func=cmd_track)
+    if p := add_parser("track", "detect dynamic clusters", cmd_track):
+        add_input(p)
+        p.add_argument(
+            "--history", type=int, required=True, help="history horizon (x >= 0)"
+        )
+        p.add_argument("--output", help="result document path (default: stdout)")
 
-    p = sub.add_parser(
-        "oracle", help="brute-force reference labelling (small inputs)"
-    )
-    add_input(p)
-    p.add_argument("--history", type=int, required=True)
-    p.add_argument("--output", help="result document path (default: stdout)")
-    p.set_defaults(func=cmd_oracle)
+    if p := add_parser(
+        "oracle", "brute-force reference labelling (small inputs)", cmd_oracle
+    ):
+        add_input(p)
+        p.add_argument("--history", type=int, required=True)
+        p.add_argument("--output", help="result document path (default: stdout)")
 
-    p = sub.add_parser("sweep", help="scan a range of history values")
-    add_input(p)
-    p.add_argument("--history-min", type=int, required=True)
-    p.add_argument("--history-max", type=int, required=True)
-    p.add_argument("--output", help="CSV path (default: stdout)")
-    p.add_argument(
-        "--json", help="also write full records (incl. histograms) as JSON"
-    )
-    p.set_defaults(func=cmd_sweep)
+    if p := add_parser("sweep", "scan a range of history values", cmd_sweep):
+        add_input(p)
+        p.add_argument("--history-min", type=int, required=True)
+        p.add_argument("--history-max", type=int, required=True)
+        p.add_argument("--output", help="CSV path (default: stdout)")
+        p.add_argument(
+            "--json", help="also write full records (incl. histograms) as JSON"
+        )
 
-    p = sub.add_parser("events", help="life-cycle events of a tracking result")
-    p.add_argument("--result", required=True, help="document written by `track`")
-    p.add_argument("--output", help="events JSON path (default: stdout)")
-    p.set_defaults(func=cmd_events)
+    if p := add_parser("events", "life-cycle events of a tracking result", cmd_events):
+        p.add_argument("--result", required=True, help="document written by `track`")
+        p.add_argument("--output", help="events JSON path (default: stdout)")
 
-    p = sub.add_parser("render", help="alluvial SVG of a tracking result")
-    p.add_argument("--result", required=True, help="document written by `track`")
-    p.add_argument("--output", help="SVG path (default: stdout)")
-    p.add_argument("--layout-json", help="also write the layout as JSON")
-    p.add_argument(
-        "--block-width", type=float, default=20.0, help="block width in px (> 0)"
-    )
-    p.add_argument(
-        "--gap", type=float, default=2.0, help="vertical gap between blocks (>= 0)"
-    )
-    p.set_defaults(func=cmd_render)
+    if p := add_parser("render", "alluvial SVG of a tracking result", cmd_render):
+        p.add_argument("--result", required=True, help="document written by `track`")
+        p.add_argument("--output", help="SVG path (default: stdout)")
+        p.add_argument("--layout-json", help="also write the layout as JSON")
+        p.add_argument(
+            "--block-width", type=float, default=20.0, help="block width in px (> 0)"
+        )
+        p.add_argument(
+            "--gap", type=float, default=2.0, help="vertical gap between blocks (>= 0)"
+        )
 
-    p = sub.add_parser("generate", help="synthesise a scenario fixture")
-    p.add_argument("--spec", required=True, help="scenario JSON path")
-    p.add_argument("--output", help="sequence JSON path (default: stdout)")
-    p.add_argument("--labels", help="ground-truth labels JSON path")
-    p.set_defaults(func=cmd_generate)
+    if p := add_parser("generate", "synthesise a scenario fixture", cmd_generate):
+        p.add_argument("--spec", required=True, help="scenario JSON path")
+        p.add_argument("--output", help="sequence JSON path (default: stdout)")
+        p.add_argument("--labels", help="ground-truth labels JSON path")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = build_parser(argv).parse_args(argv)
     try:
         return args.func(args)
     except (

@@ -181,8 +181,7 @@ def lift(
     `table` is one relation of one snapshot pair, such as
     `rels.pair(t).mapping_refs` for a step forward from snapshot t, and
     every ref must sit at the snapshot the table is indexed by. Nothing
-    checks that, since the tracker's inner loops call this; the public
-    walks `tracing_path` and `mapping_path` check their input.
+    checks that, since the tracker's inner loops call this.
     """
     if len(refs) == 1:
         for r in refs:

@@ -58,82 +58,25 @@ from .model import ClusterRef, ClusteringSequence
 from .relations import MajorityRelations, RelationCache, lift
 
 __all__ = [
-    "tracing_path",
-    "mapping_path",
-    "is_bijective_match",
     "TrackingState",
     "TraceEvent",
     "new_state",
-    "find_source_set",
-    "IdentityFlowResult",
-    "identity_flow",
     "process_snapshot",
     "track",
     "finalize",
 ]
 
 
-def tracing_path(
-    rels: RelationCache, ref: ClusterRef, n: int
-) -> frozenset[ClusterRef]:
-    """n-fold set-lifted tracing set of a cluster; {ref} for n=0."""
-    _check_at(rels, (ref,), ref.time)
-    if n < 0 or n > ref.time:
-        raise IndexError(f"depth {n} out of range for cluster at time {ref.time}")
-    layer = frozenset((ref,))
-    for k in range(1, n + 1):
-        layer = lift(rels.pair(ref.time - k).tracing_refs, layer)
-        if not layer:
-            return layer
-    return layer
-
-
-def mapping_path(
-    rels: RelationCache, refs: Iterable[ClusterRef], n: int
-) -> frozenset[ClusterRef]:
-    """n-fold set-lifted mapping set of a cluster set; the set itself for n=0.
-
-    The clusters must all sit at one snapshot.
-    """
-    layer = frozenset(refs)
-    if n < 0:
-        raise IndexError(f"negative depth {n}")
-    if not layer:
-        return layer
-    t = max(r.time for r in layer)
-    _check_at(rels, layer, t)
-    if t + n >= len(rels.seq):
-        raise IndexError(
-            f"depth {n} out of range for clusters at time {t} (T={len(rels.seq)})"
-        )
-    for k in range(n):
-        layer = lift(rels.pair(t + k).mapping_refs, layer)
-        if not layer:
-            return layer
-    return layer
-
-
-def _check_at(
-    rels: RelationCache, refs: Iterable[ClusterRef], t: int
-) -> None:
-    """Raise IndexError unless every ref is a cluster of snapshot t."""
-    m = len(rels.refs[t]) if 0 <= t < rels.t_total else 0
-    for r in refs:
-        if r.time != t or not 0 <= r.cluster < m:
-            raise IndexError(f"{r} is not a cluster of snapshot {t}")
-
-
-def is_bijective_match(rels: RelationCache, ref: ClusterRef, n: int) -> bool:
-    """Whether the cluster and its depth-n tracing path reciprocally hold
-    each other's majorities (true for every cluster at n=0)."""
-    back = tracing_path(rels, ref, n)
-    if not back:
-        return False
-    return mapping_path(rels, back, n) == frozenset((ref,))
-
-
 class TraceEvent(NamedTuple):
-    """Audit record of one target-cluster association."""
+    """Audit record of one target-cluster association.
+
+    The target took `dc` from `source_set`, n_star steps back (a new DC:
+    0 and {target}). flow[o] holds the flow clusters o steps before the
+    target, the tracing layer there and the mapping walk from the source
+    set, so flow[0] == {target} and source_set <= flow[n_star]. marginals
+    are the clusters off the flow that the target's mapper walk and the
+    source set's tracer walk both reach; they took the DC too.
+    """
 
     target: ClusterRef
     n_star: int
@@ -307,59 +250,6 @@ def _source(state: TrackingState, chain: _Chain) -> int:
         if len(refs) == 1 or len({labels[s][r.cluster] for r in refs}) == 1:
             return s
     return -1
-
-
-def find_source_set(
-    state: TrackingState, rels: RelationCache, ref: ClusterRef
-) -> tuple[int, frozenset[ClusterRef]]:
-    """Earliest single-DC source set of a target cluster within the horizon.
-
-    Returns (depth, source set); depth 0 with {ref} itself means no
-    qualifying earlier set exists and the target founds a new DC.
-    """
-    chain = _search_source(state, rels, ref)
-    s = _source(state, chain)
-    if s < 0:
-        s = ref.time
-    return ref.time - s, chain.layer[s]
-
-
-class IdentityFlowResult(NamedTuple):
-    """Clusters along which a DC identity propagates to a target.
-
-    flow[o] holds the flow clusters o steps before the target (union of
-    the tracing-path layer and the matching mapping-path layer), so
-    flow[0] == {target} and source_set <= flow[n_star]. marginals are the
-    clusters enclosed by the flow (reachable backwards from the target via
-    mapper sets and forwards from the source set via tracer sets) that are
-    not part of it; they lie strictly between source and target times.
-    """
-
-    n_star: int
-    source_set: frozenset[ClusterRef]
-    flow: tuple[frozenset[ClusterRef], ...]
-    marginals: frozenset[ClusterRef]
-
-
-def identity_flow(
-    rels: RelationCache,
-    ref: ClusterRef,
-    n_star: int,
-    source_set: frozenset[ClusterRef],
-) -> IdentityFlowResult:
-    """Assemble the identity flow and the marginalised clusters."""
-    t = ref.time
-    layers = [frozenset((ref,))]
-    for o in range(1, n_star + 1):
-        layers.append(lift(rels.pair(t - o).tracing_refs, layers[-1]))
-    forward = []
-    layer = source_set
-    for o in range(n_star, 0, -1):
-        layer = lift(rels.pair(t - o).mapping_refs, layer)
-        forward.append(layer)
-    flow = _flow(layers, forward, source_set)
-    marginals = _marginals(rels, layers, forward, source_set)
-    return IdentityFlowResult(n_star, source_set, flow, marginals)
 
 
 def _flow(

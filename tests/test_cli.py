@@ -492,6 +492,114 @@ def test_version_flag(capsys):
     assert "dynatrack" in capsys.readouterr().out
 
 
+# `dynatrack [<command>] --help`, by command, as argparse prints it on an
+# 80-column terminal.
+HELP = {
+    "": """\
+usage: dynatrack [-h] [--version]
+                 {track,oracle,sweep,events,render,generate} ...
+
+Track dynamic clusters through a sequence of snapshot clusterings, classify
+their life-cycle events, score parametrisations, and render alluvial diagrams.
+
+positional arguments:
+  {track,oracle,sweep,events,render,generate}
+    track               detect dynamic clusters
+    oracle              brute-force reference labelling (small inputs)
+    sweep               scan a range of history values
+    events              life-cycle events of a tracking result
+    render              alluvial SVG of a tracking result
+    generate            synthesise a scenario fixture
+
+options:
+  -h, --help            show this help message and exit
+  --version             show program's version number and exit
+""",
+    "track": """\
+usage: dynatrack track [-h] --input INPUT [--format {json,csv}] --history
+                       HISTORY [--output OUTPUT]
+
+options:
+  -h, --help           show this help message and exit
+  --input INPUT        input sequence file
+  --format {json,csv}  input format (default: json)
+  --history HISTORY    history horizon (x >= 0)
+  --output OUTPUT      result document path (default: stdout)
+""",
+    "oracle": """\
+usage: dynatrack oracle [-h] --input INPUT [--format {json,csv}] --history
+                        HISTORY [--output OUTPUT]
+
+options:
+  -h, --help           show this help message and exit
+  --input INPUT        input sequence file
+  --format {json,csv}  input format (default: json)
+  --history HISTORY
+  --output OUTPUT      result document path (default: stdout)
+""",
+    "sweep": """\
+usage: dynatrack sweep [-h] --input INPUT [--format {json,csv}] --history-min
+                       HISTORY_MIN --history-max HISTORY_MAX [--output OUTPUT]
+                       [--json JSON]
+
+options:
+  -h, --help            show this help message and exit
+  --input INPUT         input sequence file
+  --format {json,csv}   input format (default: json)
+  --history-min HISTORY_MIN
+  --history-max HISTORY_MAX
+  --output OUTPUT       CSV path (default: stdout)
+  --json JSON           also write full records (incl. histograms) as JSON
+""",
+    "events": """\
+usage: dynatrack events [-h] --result RESULT [--output OUTPUT]
+
+options:
+  -h, --help       show this help message and exit
+  --result RESULT  document written by `track`
+  --output OUTPUT  events JSON path (default: stdout)
+""",
+    "render": """\
+usage: dynatrack render [-h] --result RESULT [--output OUTPUT]
+                        [--layout-json LAYOUT_JSON]
+                        [--block-width BLOCK_WIDTH] [--gap GAP]
+
+options:
+  -h, --help            show this help message and exit
+  --result RESULT       document written by `track`
+  --output OUTPUT       SVG path (default: stdout)
+  --layout-json LAYOUT_JSON
+                        also write the layout as JSON
+  --block-width BLOCK_WIDTH
+                        block width in px (> 0)
+  --gap GAP             vertical gap between blocks (>= 0)
+""",
+    "generate": """\
+usage: dynatrack generate [-h] --spec SPEC [--output OUTPUT] [--labels LABELS]
+
+options:
+  -h, --help       show this help message and exit
+  --spec SPEC      scenario JSON path
+  --output OUTPUT  sequence JSON path (default: stdout)
+  --labels LABELS  ground-truth labels JSON path
+""",
+}
+
+
+@pytest.mark.parametrize(
+    "argv, command",
+    [([c, "--help"] if c else ["--help"], c) for c in HELP]
+    # Help before the command is the top-level help.
+    + [(["--help", "track"], ""), (["-h", "render", "--gap", "1"], "")],
+)
+def test_help_texts(monkeypatch, capsys, argv, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr() == (HELP[command], "")
+
+
 @pytest.mark.parametrize(
     "snapshots, x_max, last",
     [(None, 6, 5), ([{"clusters": [["a", "b"], ["c"]]}], 3, 0)],

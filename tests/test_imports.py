@@ -9,6 +9,7 @@ a new top-level import on a start-up path fails here.
 import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -166,6 +167,31 @@ def test_unknown_name_raises_attribute_error():
     assert not hasattr(dynatrack, "no_such_name")
     with pytest.raises(ImportError):
         from dynatrack import no_such_name  # noqa: F401
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        "tracing_path", "mapping_path", "is_bijective_match", "find_source_set",
+        "IdentityFlowResult", "identity_flow", "_check_at",
+    ],
+)
+def test_removed_tracker_walkers_are_gone(name):
+    # `track(seq, x, trace=events)` gives each target's source set, flow
+    # and marginals; the separate walkers were removed.
+    with pytest.raises(AttributeError):
+        getattr(dynatrack, name)
+    assert not hasattr(importlib.import_module("dynatrack.tracking"), name)
+
+
+def test_readme_library_section_names_every_export():
+    readme = (SRC.parent / "README.md").read_text(encoding="utf-8")
+    library = readme[readme.index("\n## Library\n"):readme.index("\n## Tests\n")]
+    missing = [
+        name for name in dynatrack.__all__
+        if name != "__version__" and not re.search(rf"\b{name}\b", library)
+    ]
+    assert missing == []
 
 
 def test_resultdoc_reexports_clustering_from_labels():

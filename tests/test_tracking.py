@@ -18,16 +18,11 @@ from dynatrack import (
     RelationCache,
     ScenarioSpec,
     finalize,
-    find_source_set,
     generate,
-    identity_flow,
-    is_bijective_match,
-    mapping_path,
     new_state,
     process_snapshot,
     sequence_from_lists,
     subsequence,
-    tracing_path,
     track,
 )
 from dynatrack import tracking
@@ -44,106 +39,149 @@ from helpers import (
 )
 
 
-def enum_trace_path(seq, ref, n):
-    """Independent path oracle: literal recursion over member sets."""
-    layer = {ref}
+def majority_set(seq, ref, step):
+    """The clusters `step` (-1 or 1) snapshots from ref that hold the
+    largest share of its members, all ties; empty when none shares one."""
+    mine = cluster_members(seq, ref)
+    t = ref.time + step
+    scores = {
+        ClusterRef(t, a): len(mine.intersection(other))
+        for a, other in enumerate(seq.snapshots[t].clusters)
+    }
+    best = max(scores.values(), default=0)
+    return {c for c, s in scores.items() if s == best} if best else set()
+
+
+def enum_path(seq, start, n, step):
+    """Independent path oracle: n literal majority steps over member sets."""
+    layer = set(start)
     for _ in range(n):
-        nxt = set()
-        for r in layer:
-            mine = cluster_members(seq, r)
-            scores = {
-                ClusterRef(r.time - 1, a): len(mine.intersection(other))
-                for a, other in enumerate(seq.snapshots[r.time - 1].clusters)
-            }
-            best = max(scores.values(), default=0)
-            if best:
-                nxt |= {c for c, s in scores.items() if s == best}
-        layer = nxt
+        layer = set().union(*(majority_set(seq, r, step) for r in layer))
     return frozenset(layer)
+
+
+def enum_trace_path(seq, ref, n):
+    return enum_path(seq, {ref}, n, -1)
 
 
 def enum_map_path(seq, start, n):
-    layer = set(start)
-    for _ in range(n):
-        nxt = set()
-        for r in layer:
-            mine = cluster_members(seq, r)
-            scores = {
-                ClusterRef(r.time + 1, a): len(mine.intersection(other))
-                for a, other in enumerate(seq.snapshots[r.time + 1].clusters)
-            }
-            best = max(scores.values(), default=0)
-            if best:
-                nxt |= {c for c, s in scores.items() if s == best}
-        layer = nxt
-    return frozenset(layer)
+    return enum_path(seq, start, n, 1)
+
+
+def enum_is_bijective(seq, ref, n):
+    """Whether ref and its n-step tracing path hold each other's majorities."""
+    back = enum_trace_path(seq, ref, n)
+    return bool(back) and enum_map_path(seq, back, n) == {ref}
+
+
+def enum_inverse(seq, layer, t, step):
+    """The clusters at t whose majority set `step` snapshots on is one
+    cluster of `layer`: the mapper sets of `layer` for step 1, its tracer
+    sets for step -1."""
+    refs = (ClusterRef(t, a) for a in range(len(seq.snapshots[t])))
+    return {
+        r for r in refs
+        if len(m := majority_set(seq, r, step)) == 1 and m <= layer
+    }
+
+
+def reference_flow(seq, target, n, source):
+    """(flow, marginals) of a depth-n match from `source` to `target`,
+    from member sets alone. flow[o] is the tracing path o steps back from
+    the target and the mapping path n - o steps on from the source; a
+    marginal o steps back is reached from the target by o mapper steps
+    and from the source by n - o tracer steps, and is not on flow[o]."""
+    flow = tuple(
+        enum_trace_path(seq, target, o) | enum_map_path(seq, source, n - o)
+        for o in range(n + 1)
+    )
+    t = target.time
+    mappers = {0: {target}}
+    for o in range(1, n):
+        mappers[o] = enum_inverse(seq, mappers[o - 1], t - o, 1)
+    marginals = set()
+    tracer = set(source)
+    for o in range(n - 1, 0, -1):
+        tracer = enum_inverse(seq, tracer, t - o, -1)
+        marginals |= (mappers[o] & tracer) - flow[o]
+    return flow, frozenset(marginals)
 
 
 def refs(time, *clusters):
     return frozenset(ClusterRef(time, c) for c in clusters)
 
 
+def traced(seq, x):
+    """The TraceEvent of every target of a traced run, by target."""
+    events = []
+    track(seq, x, trace=events)
+    return {ev.target: ev for ev in events}
+
+
+def search_at(seq, x, ref):
+    """`reference_search_source` for ref, with every snapshot before it
+    processed, and the TraceEvent of ref when its snapshot is processed."""
+    rels = RelationCache(seq)
+    state = new_state(seq, x, trace=True)
+    for i in range(1, ref.time):
+        process_snapshot(state, seq, rels, i)
+    found = reference_search_source(state, rels, ref)
+    process_snapshot(state, seq, rels, ref.time)
+    (event,) = [ev for ev in state.trace if ev.target == ref]
+    return found, event
+
+
 class TestPaths:
     def test_depth_zero_is_identity(self):
         seq = sequence_from_lists([[["1"]], [["1"]]])
-        rels = RelationCache(seq)
         g = ClusterRef(1, 0)
-        assert tracing_path(rels, g, 0) == frozenset((g,))
-        assert mapping_path(rels, frozenset((g,)), 0) == frozenset((g,))
+        assert enum_trace_path(seq, g, 0) == frozenset((g,))
+        assert enum_map_path(seq, frozenset((g,)), 0) == frozenset((g,))
+        (_, layers, _), event = search_at(seq, 0, g)
+        assert layers == [frozenset((g,))]
+        assert event.flow == (frozenset((g,)),)
 
     def test_chain_of_unique_majorities(self):
         seq = sequence_from_lists([[["1", "2"]], [["1", "2"]], [["1", "2"]]])
-        rels = RelationCache(seq)
-        assert tracing_path(rels, ClusterRef(2, 0), 2) == refs(0, 0)
-        assert mapping_path(rels, refs(0, 0), 2) == refs(2, 0)
+        g = ClusterRef(2, 0)
+        assert enum_trace_path(seq, g, 2) == refs(0, 0)
+        assert enum_map_path(seq, refs(0, 0), 2) == refs(2, 0)
+        (n, layers, forward), event = search_at(seq, 2, g)
+        assert layers == [refs(2, 0), refs(1, 0), refs(0, 0)]
+        assert n == 2 and forward == [refs(1, 0), refs(2, 0)]
+        assert event.flow == (refs(2, 0), refs(1, 0), refs(0, 0))
 
     def test_splinter_layers_recombine(self):
         # C at t2 traces to both A and B; both trace to Z
         seq = sequence_from_lists(
             [[["1", "2", "3", "4"]], [["1", "2"], ["3", "4"]], [["1", "2", "3", "4"]]]
         )
-        rels = RelationCache(seq)
         c = ClusterRef(2, 0)
-        assert tracing_path(rels, c, 1) == refs(1, 0, 1)
-        expected = enum_trace_path(seq, c, 2)
-        assert expected == refs(0, 0)  # frozen from the enumeration oracle
-        assert tracing_path(rels, c, 2) == expected
+        assert enum_trace_path(seq, c, 1) == refs(1, 0, 1)
+        assert enum_trace_path(seq, c, 2) == refs(0, 0)
+        (n, layers, _), event = search_at(seq, 2, c)
+        assert layers == [refs(2, 0), refs(1, 0, 1), refs(0, 0)]
+        assert n == event.n_star == 2
+        assert event.flow == tuple(layers)
 
     def test_path_dies_on_full_turnover(self):
         seq = sequence_from_lists([[["1"]], [["2"]], [["2"]]])
-        rels = RelationCache(seq)
-        assert tracing_path(rels, ClusterRef(2, 0), 2) == frozenset()
-
-    def test_range_errors(self):
-        seq = sequence_from_lists([[["1"]], [["1"]]])
-        rels = RelationCache(seq)
-        with pytest.raises(IndexError):
-            tracing_path(rels, ClusterRef(1, 0), 2)
-        with pytest.raises(IndexError):
-            mapping_path(rels, refs(1, 0), 1)
-        with pytest.raises(IndexError):
-            tracing_path(rels, ClusterRef(1, 0), -1)
-
-    def test_clusters_off_their_snapshot_rejected(self):
-        # every cluster index below fits the relation tables
-        seq = sequence_from_lists([[["1"], ["2"]], [["1"], ["2"]], [["1"]]])
-        rels = RelationCache(seq)
-        for walk in (
-            lambda: mapping_path(rels, [ClusterRef(0, 0), ClusterRef(1, 1)], 1),
-            lambda: mapping_path(rels, [ClusterRef(0, 2)], 1),
-            lambda: mapping_path(rels, [ClusterRef(1, -1)], 1),
-            lambda: tracing_path(rels, ClusterRef(2, 1), 1),
-            lambda: tracing_path(rels, ClusterRef(3, 0), 1),
-        ):
-            with pytest.raises(IndexError, match="is not a cluster of snapshot"):
-                walk()
+        g = ClusterRef(2, 0)
+        assert enum_trace_path(seq, g, 2) == frozenset()
+        # the search stops where the tracing path dies
+        (n, layers, _), event = search_at(seq, 2, g)
+        assert layers == [refs(2, 0), refs(1, 0)]
+        assert n == event.n_star == 1
 
 
 class TestBijectiveMatch:
     def test_depth_zero_always_true(self):
-        seq = sequence_from_lists([[["1"], ["2"]]])
-        rels = RelationCache(seq)
-        assert is_bijective_match(rels, ClusterRef(0, 1), 0)
+        seq = sequence_from_lists([[["1"], ["2"]], [["1", "2"]]])
+        for g in (ClusterRef(0, 0), ClusterRef(0, 1), ClusterRef(1, 0)):
+            assert enum_is_bijective(seq, g, 0)
+        # at history 0 every target is its own depth-0 match
+        event = traced(seq, 0)[ClusterRef(1, 0)]
+        assert event.n_star == 0 and event.source_set == refs(1, 0)
 
     def test_period_two_swap(self):
         # two clusters swapping their member sets every step
@@ -154,18 +192,22 @@ class TestBijectiveMatch:
                 [["1", "2", "3"], ["4", "5", "6"]],
             ]
         )
-        rels = RelationCache(seq)
         g = ClusterRef(2, 0)
-        # expectations computed by the enumeration oracle, then frozen
-        assert enum_map_path(seq, enum_trace_path(seq, g, 1), 1) == frozenset((g,))
-        assert enum_map_path(seq, enum_trace_path(seq, g, 2), 2) == frozenset((g,))
-        assert is_bijective_match(rels, g, 1)
-        assert is_bijective_match(rels, g, 2)
+        assert enum_is_bijective(seq, g, 1)
+        assert enum_is_bijective(seq, g, 2)
+        # the tracker takes the deepest match within the horizon
+        for x, source in ((1, refs(1, 1)), (2, refs(0, 0))):
+            (n, layers, _), event = search_at(seq, x, g)
+            assert n == event.n_star == x
+            assert layers[x] == event.source_set == source
 
     def test_empty_tracing_set_is_no_match(self):
         seq = sequence_from_lists([[["1"]], [["2"]]])
-        rels = RelationCache(seq)
-        assert not is_bijective_match(rels, ClusterRef(1, 0), 1)
+        g = ClusterRef(1, 0)
+        assert not enum_is_bijective(seq, g, 1)
+        (n, layers, _), event = search_at(seq, 1, g)
+        assert layers == [refs(1, 0)]
+        assert n == event.n_star == 0
 
 
 def fig_style_fixture():
@@ -187,29 +229,25 @@ def fig_style_fixture():
 class TestFindSourceSet:
     def test_fresh_when_nothing_before(self):
         seq = sequence_from_lists([[["1"]], [["2", "3"]]])
-        rels = RelationCache(seq)
-        state = new_state(seq, 3)
-        n, src = find_source_set(state, rels, ClusterRef(1, 0))
-        assert n == 0 and src == refs(1, 0)
+        (n, _, _), event = search_at(seq, 3, ClusterRef(1, 0))
+        assert n == event.n_star == 0
+        assert event.source_set == refs(1, 0)
 
     def test_single_cluster_source_two_steps_back(self):
         seq = fig_style_fixture()
-        rels = RelationCache(seq)
-        state = new_state(seq, 3)
-        process_snapshot(state, seq, rels, 1)
-        process_snapshot(state, seq, rels, 2)
-        n, src = find_source_set(state, rels, ClusterRef(3, 0))
+        g = ClusterRef(3, 0)
         # depth 3 has a bijective match too, but its clusters carry two
         # different ids, so the scan falls back to depth 2
-        assert n == 2
-        assert src == refs(1, 0)
+        assert enum_is_bijective(seq, g, 3)
+        assert enum_trace_path(seq, g, 3) == refs(0, 0, 1)
+        (n, layers, _), event = search_at(seq, 3, g)
+        assert n == event.n_star == 2
+        assert layers[2] == event.source_set == refs(1, 0)
 
     def test_two_group_ancestry_blocks_depth_one(self):
         seq = fig_style_fixture()
-        rels = RelationCache(seq)
-        state = new_state(seq, 3)
-        n, src = find_source_set(state, rels, ClusterRef(1, 0))
-        assert n == 0  # tie layer at t0 spans two fresh groups
+        (n, _, _), event = search_at(seq, 3, ClusterRef(1, 0))
+        assert n == event.n_star == 0  # tie layer at t0 spans two fresh groups
 
     def test_fallback_to_shallower_single_group_depth(self):
         # t0: two groups; t1: union (fresh group); t2: target.
@@ -221,19 +259,14 @@ class TestFindSourceSet:
                 [["1", "2", "3", "4", "5", "6"]],
             ]
         )
-        rels = RelationCache(seq)
-        state = new_state(seq, 5)
-        process_snapshot(state, seq, rels, 1)
-        n, src = find_source_set(state, rels, ClusterRef(2, 0))
-        assert n == 1
-        assert src == refs(1, 0)
+        (n, layers, _), event = search_at(seq, 5, ClusterRef(2, 0))
+        assert n == event.n_star == 1
+        assert layers[1] == event.source_set == refs(1, 0)
 
     def test_history_zero_never_matches(self):
         seq = sequence_from_lists([[["1", "2"]], [["1", "2"]]])
-        rels = RelationCache(seq)
-        state = new_state(seq, 0)
-        n, _ = find_source_set(state, rels, ClusterRef(1, 0))
-        assert n == 0
+        (n, _, _), event = search_at(seq, 0, ClusterRef(1, 0))
+        assert n == event.n_star == 0
 
     def test_unreachable_deep_match_is_not_used(self):
         # a reciprocal-majority match at depth 2 exists in isolation, but
@@ -247,34 +280,34 @@ class TestFindSourceSet:
                 [["1", "2", "3", "8", "9"], ["4", "5", "6", "7", "12"]],
             ]
         )
-        rels = RelationCache(seq)
         g = ClusterRef(2, 0)
-        assert not is_bijective_match(rels, g, 1)
-        assert is_bijective_match(rels, g, 2)
-        state = new_state(seq, 4)
-        process_snapshot(state, seq, rels, 1)
-        n, src = find_source_set(state, rels, g)
-        assert n == 0 and src == frozenset((g,))
+        assert not enum_is_bijective(seq, g, 1)
+        assert enum_is_bijective(seq, g, 2)
+        (n, _, _), event = search_at(seq, 4, g)
+        assert n == event.n_star == 0
+        assert event.source_set == frozenset((g,))
 
 
 class TestIdentityFlow:
     def test_degenerate_flow(self):
         seq = sequence_from_lists([[["1"]], [["1"]]])
-        rels = RelationCache(seq)
         g = ClusterRef(1, 0)
-        res = identity_flow(rels, g, 0, frozenset((g,)))
-        assert res.flow == (frozenset((g,)),)
-        assert res.marginals == frozenset()
+        flow, marginals = reference_flow(seq, g, 0, frozenset((g,)))
+        assert flow == (frozenset((g,)),)
+        assert marginals == frozenset()
+        event = traced(seq, 0)[g]
+        assert (event.flow, event.marginals) == (flow, marginals)
 
     def test_one_step_splinter_is_marginal(self):
         seq = fig_style_fixture()
-        rels = RelationCache(seq)
         g = ClusterRef(3, 0)
-        res = identity_flow(rels, g, 2, refs(1, 0))
+        res = traced(seq, 3)[g]
+        assert (res.n_star, res.source_set) == (2, refs(1, 0))
         assert res.flow[0] == refs(3, 0)
         assert res.flow[1] == refs(2, 0)  # majority line only
         assert res.flow[2] == refs(1, 0)
         assert res.marginals == refs(2, 1)  # the splinter cluster
+        assert (res.flow, res.marginals) == reference_flow(seq, g, 2, refs(1, 0))
         # marginals sit strictly between source and target times
         assert all(1 < r.time < 3 for r in res.marginals)
         # and never overlap the flow
@@ -432,11 +465,11 @@ class TestTrack:
             x = rng.randint(1, 4)
             events = []
             track(seq, x, trace=events)
-            rels = RelationCache(seq)
             for ev in events:
                 assert ev.n_star <= x  # flow spans <= x+1 snapshots
-                rebuilt = identity_flow(rels, ev.target, ev.n_star, ev.source_set)
-                assert (ev.flow, ev.marginals) == (rebuilt.flow, rebuilt.marginals)
+                assert (ev.flow, ev.marginals) == reference_flow(
+                    seq, ev.target, ev.n_star, ev.source_set
+                )
                 if ev.marginals:
                     times = sorted(r.time for r in ev.marginals)
                     assert times[-1] - times[0] + 1 <= x - 1
