@@ -29,7 +29,6 @@ _EXPORTS = {
     "PlannedEvent": "generator",
     "ScenarioSpec": "generator",
     "generate": "generator",
-    "DcSeries": "metrics",
     "DynamicClustering": "metrics",
     "SummaryStats": "metrics",
     "clustering_from_labels": "metrics",
@@ -44,7 +43,6 @@ _EXPORTS = {
     "sequence_from_lists": "model",
     "sequence_to_json_bytes": "model",
     "sequence_to_json_dict": "model",
-    "subsequence": "model",
     "brute_force_track": "oracle",
     "MajorityRelations": "relations",
     "RelationCache": "relations",

@@ -1,25 +1,25 @@
 """Persistent-group results and their analysis.
 
 Holds the final outcome of a tracking run (every cluster mapped to a
-dynamic-cluster id, plus the per-DC presence and size history) and the
+dynamic-cluster id, plus each DC's member count per snapshot) and the
 read-only analyses on top of it: life-cycle events as plain rows, total
 membership consistency in both modes and summary statistics (the event
 records are in `events`). Events and consistency each make one pass per
 pair of neighbouring snapshots over its shared-member count table, against
-the label columns and cluster sizes, never the member strings. All
+the label columns and the size tables, never the member strings. All
 functions here are pure; results are treated as immutable.
 """
 
 from __future__ import annotations
 
-import math
-from typing import NamedTuple
+from collections import Counter
+from itertools import chain
+from operator import mul
 
 from . import relations
 from .model import ClusteringSequence, _Record
 
 __all__ = [
-    "DcSeries",
     "DynamicClustering",
     "clustering_from_labels",
     "event_rows",
@@ -41,44 +41,32 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-class DcSeries(NamedTuple):
-    """One dynamic cluster: where it exists and how many members it has there."""
-
-    presence: tuple[int, ...]  # strictly increasing snapshot indices
-    clusters_by_time: dict[int, tuple[int, ...]]
-    size_by_time: dict[int, int]
-
-    @property
-    def lifespan(self) -> int:
-        return len(self.presence)
-
-    def member_snapshots(self) -> int:
-        """Total member-presence count over the DC's lifetime."""
-        return sum(self.size_by_time.values())
-
-
 class DynamicClustering(_Record):
     """Final association of every cluster to a dynamic-cluster id.
 
     `labels` holds one column per snapshot: labels[t][a] is the DC id of
-    cluster a of snapshot t. `seq` is the labelled sequence.
-    `pair_triples[i]` holds the shared-member count triples between
-    snapshot i and i+1, as `relations.pair_counts` returns them, or the
-    whole list is None when no tables were handed on; a tracked result
-    shares the tables its relation cache built. Neither takes part in
-    comparisons or the repr.
+    cluster a of snapshot t. A DC is the set of clusters that carry its
+    id. `sizes[t]` maps each DC present at snapshot t to the member count
+    of its clusters there, and `dcs` is the ascending tuple of all DC ids.
+    `seq` is the labelled sequence. `pair_triples[i]` holds the
+    shared-member count triples between snapshot i and i+1, as
+    `relations.pair_counts` returns them, or the whole list is None when
+    no tables were handed on; a tracked result shares the tables its
+    relation cache built. `sizes` and `dcs` derive from the labels, so
+    only `labels` and `x_used` take part in comparisons and the repr.
     """
 
-    __slots__ = ("labels", "dcs", "x_used", "seq", "pair_triples")
-    _fields = ("labels", "dcs", "x_used")
+    __slots__ = ("labels", "sizes", "dcs", "x_used", "seq", "pair_triples")
+    _fields = ("labels", "x_used")
 
     def __init__(
-        self, labels: list[list[int]], dcs: dict[int, DcSeries], x_used: int,
+        self, labels: list[list[int]], sizes: list[dict[int, int]], x_used: int,
         seq: ClusteringSequence | None = None,
         pair_triples: list[list[tuple[int, int, int]]] | None = None,
     ) -> None:
         self.labels = labels
-        self.dcs = dcs
+        self.sizes = sizes
+        self.dcs = tuple(sorted(set().union(*sizes)))
         self.x_used = x_used
         self.seq = seq
         self.pair_triples = pair_triples
@@ -104,30 +92,28 @@ def clustering_from_labels(
     pair_triples: list[list[tuple[int, int, int]]] | None = None,
 ) -> DynamicClustering:
     """Full result from DC label columns, labels[t][a] for cluster a of
-    snapshot t.
+    snapshot t; ValueError unless there is one column per snapshot and
+    one label per cluster.
 
-    DCs are keyed in ascending id order, which is the order that sums
-    over them (such as `total_consistency`) run in. `pair_triples` hands
-    on count tables already built for `seq` (see `DynamicClustering`).
+    `pair_triples` hands on count tables already built for `seq` (see
+    `DynamicClustering`).
     """
-    # One pass in snapshot-then-cluster order gives each DC its times and
-    # clusters ascending; the clusters of one snapshot are disjoint, so
-    # sizes add up.
-    found: dict[int, tuple[dict[int, tuple[int, ...]], dict[int, int]]] = {}
+    if len(labels) != len(seq):
+        raise ValueError(f"{len(labels)} label columns for {len(seq)} snapshots")
+    sizes: list[dict[int, int]] = []
     for t, (column, snap) in enumerate(zip(labels, seq.snapshots)):
-        for a, (dc, members) in enumerate(zip(column, snap.clusters)):
-            entry = found.get(dc)
-            if entry is None:
-                entry = found[dc] = ({}, {})
-            clusters, sizes = entry
-            if t in clusters:
-                clusters[t] += (a,)
-                sizes[t] += len(members)
-            else:
-                clusters[t] = (a,)
-                sizes[t] = len(members)
-    dcs = {dc: DcSeries(tuple(c), c, s) for dc, (c, s) in sorted(found.items())}
-    return DynamicClustering([col[:] for col in labels], dcs, x, seq, pair_triples)
+        if len(column) != len(snap.clusters):
+            raise ValueError(
+                f"snapshot {t}: {len(column)} labels for {len(snap.clusters)} clusters"
+            )
+        found = dict(zip(column, map(len, snap.clusters)))
+        if len(found) != len(column):
+            # A DC on several clusters of the snapshot: add their sizes.
+            found = dict.fromkeys(column, 0)
+            for dc, members in zip(column, snap.clusters):
+                found[dc] += len(members)
+        sizes.append(found)
+    return DynamicClustering([col[:] for col in labels], sizes, x, seq, pair_triples)
 
 
 def event_rows(
@@ -137,7 +123,7 @@ def event_rows(
     kind, related, delta), sorted; no two share (time, dc, kind).
 
     kind is one of birth, death, growth, shrinkage, split, merge. Events
-    are read from the result's count tables, cluster sizes and labels,
+    are read from the result's count tables, size tables and labels,
     one snapshot pair i → i+1 at a time; each has time i+1. Birth
     requires that no member of the DC's first clusters was present at
     the previous snapshot, that is no count cell enters them; death that
@@ -156,7 +142,11 @@ def event_rows(
     if result.seq is not None and result.seq is not seq:
         raise ValueError("the result was built for a different sequence")
     labels = result.labels
-    dcs = result.dcs
+    sizes = result.sizes
+    # Each DC's last snapshot, and the DCs met before the current pair's
+    # later snapshot: one container for all DCs, none per DC.
+    last = {dc: t for t, present in enumerate(sizes) for dc in present}
+    seen = set(sizes[0])
     rows: list = []
     add = rows.append
     for i in range(len(seq) - 1):
@@ -164,7 +154,7 @@ def event_rows(
         la, lb = labels[i], labels[t]
         # A cluster each DC at i reaches at t and each DC at t reaches
         # back to at i; the DCs that reach more than one; the DC pairs
-        # that cells join. No container per DC, for the cyclic collector.
+        # that cells join.
         fwd: dict[int, int] = {}
         back: dict[int, int] = {}
         splitting: set[int] = set()
@@ -191,16 +181,16 @@ def event_rows(
             add((t, dc, "split", tuple(related), 0))
         for dc, related in merges.items():
             add((t, dc, "merge", tuple(related), 0))
-        before, after = set(la), set(lb)
-        for dc in before.difference(fwd):
-            if dcs[dc].presence[-1] == i:
+        before, after = sizes[i], sizes[t]
+        for dc in before.keys() - fwd:
+            if last[dc] == i:
                 add((t, dc, "death", (), 0))
-        for dc in after.difference(back):
-            if dcs[dc].presence[0] == t:
+        for dc in after.keys() - back:
+            if dc not in seen:
                 add((t, dc, "birth", (), 0))
-        for dc in before & after:
-            sizes = dcs[dc].size_by_time
-            delta = sizes[t] - sizes[i]
+        seen.update(after)
+        for dc in before.keys() & after.keys():
+            delta = after[dc] - before[dc]
             if delta > 0:
                 add((t, dc, "growth", (), delta))
             elif delta < 0:
@@ -227,12 +217,13 @@ def consistencies(result: DynamicClustering) -> tuple[float | None, float | None
     or tables, as those of `clustering_from_labels` do, or ValueError.
     """
     labels = result.labels
-    dcs = result.dcs
+    sizes = result.sizes
     # (DC, i, |A∩B|, union, resident union) of each presence pair.
     terms: list[tuple[int, int, int, int, int]] = []
     for i in range(len(labels) - 1):
         la, lb = labels[i], labels[i + 1]
-        shared = dict.fromkeys(set(la).intersection(lb), 0)
+        sa, sb = sizes[i], sizes[i + 1]
+        shared = dict.fromkeys(sa.keys() & sb.keys(), 0)
         if not shared:
             continue
         leave: dict[int, int] = {}
@@ -245,8 +236,7 @@ def consistencies(result: DynamicClustering) -> tuple[float | None, float | None
             leave[a] = leave.get(a, 0) + n
             enter[b] = enter.get(b, 0) + n
         for dc, kept in shared.items():
-            sizes = dcs[dc].size_by_time
-            union = sizes[i] + sizes[i + 1] - kept
+            union = sa[dc] + sb[dc] - kept
             resident = leave.get(dc, 0) + enter.get(dc, 0) - kept
             terms.append((dc, i, kept, union, resident))
     if not terms:
@@ -298,18 +288,20 @@ def summary_stats(result: DynamicClustering) -> SummaryStats:
     member-snapshot count: the lifespan of the DC an average member
     resides in.
     """
-    if not result.dcs:
+    sizes = result.sizes
+    lifespans = Counter(chain.from_iterable(sizes))
+    if not lifespans:
         return SummaryStats(dc_count=0)
-    lifespans = [s.lifespan for s in result.dcs.values()]
-    hist: dict[int, int] = {}
-    for ls in lifespans:
-        hist[ls] = hist.get(ls, 0) + 1
-    weights = [s.member_snapshots() for s in result.dcs.values()]
-    weighted = sum(w * ls for w, ls in zip(weights, lifespans)) / sum(weights)
+    # Each DC's member-snapshots times its lifespan, summed snapshot by
+    # snapshot; in ints, so the sums are exact.
+    weighted = sum(
+        sum(map(mul, present.values(), map(lifespans.__getitem__, present)))
+        for present in sizes
+    )
+    member_snapshots = sum(sum(present.values()) for present in sizes)
     return SummaryStats(
         dc_count=len(lifespans),
-        lifespan_histogram=dict(sorted(hist.items())),
-        # statistics.fmean, without importing statistics
-        mean_lifespan=math.fsum(lifespans) / len(lifespans),
-        weighted_mean_lifespan=weighted,
+        lifespan_histogram=dict(sorted(Counter(lifespans.values()).items())),
+        mean_lifespan=sum(map(len, sizes)) / len(lifespans),
+        weighted_mean_lifespan=weighted / member_snapshots,
     )

@@ -22,7 +22,6 @@ __all__ = [
     "parse_sequence",
     "sequence_to_json_dict",
     "sequence_to_json_bytes",
-    "subsequence",
 ]
 
 
@@ -302,11 +301,3 @@ def sequence_to_json_bytes(seq: ClusteringSequence) -> bytes:
         + "\n"
     ).encode("utf-8")
 
-
-def subsequence(seq: ClusteringSequence, end: int) -> ClusteringSequence:
-    """Prefix of the sequence containing snapshots 0..end-1."""
-    if not (1 <= end <= len(seq)):
-        raise IndexError(f"prefix length out of range (T={len(seq)}, got {end})")
-    return ClusteringSequence(
-        snapshots=seq.snapshots[:end], labels=seq.labels[:end]
-    )

@@ -191,18 +191,17 @@ def brute_force_track(
     columns = [[labels[r] for r in clusters_at(t)] for t in range(t_total)]
     result = clustering_from_labels(seq, columns, x)
     if check_minimality:
-        _audit_minimality(result.dcs, event_groups)
+        _audit_minimality(columns, event_groups)
     return result
 
 
-def _audit_minimality(dcs, event_groups) -> None:
+def _audit_minimality(columns, event_groups) -> None:
     """Each DC must stay connected through the events that built it."""
-    for dc_id, series in dcs.items():
-        refs = {
-            ClusterRef(t, a)
-            for t, alphas in series.clusters_by_time.items()
-            for a in alphas
-        }
+    by_dc: dict[int, set[ClusterRef]] = {}
+    for t, column in enumerate(columns):
+        for a, dc in enumerate(column):
+            by_dc.setdefault(dc, set()).add(ClusterRef(t, a))
+    for dc_id, refs in sorted(by_dc.items()):
         if len(refs) <= 1:
             continue
         parent = {r: r for r in refs}

@@ -11,7 +11,6 @@ from pathlib import Path
 from dynatrack import (
     ClusteringSequence,
     ClusterRef,
-    DcSeries,
     DynamicClustering,
     LifecycleEvent,
     sequence_from_lists,
@@ -41,10 +40,36 @@ def snapshot_members(seq: ClusteringSequence, t: int) -> frozenset[str]:
     return frozenset().union(*seq.snapshots[t].clusters)
 
 
-def dc_members(seq: ClusteringSequence, series: DcSeries, t: int) -> frozenset[str]:
-    """The members of a DC's clusters at snapshot t."""
+def subsequence(seq: ClusteringSequence, end: int) -> ClusteringSequence:
+    """Prefix of the sequence containing snapshots 0..end-1."""
+    if not (1 <= end <= len(seq)):
+        raise IndexError(f"prefix length out of range (T={len(seq)}, got {end})")
+    return ClusteringSequence(
+        snapshots=seq.snapshots[:end], labels=seq.labels[:end]
+    )
+
+
+def dc_ids(result: DynamicClustering) -> list[int]:
+    """Every DC id in the label columns, ascending."""
+    return sorted({dc for column in result.labels for dc in column})
+
+
+def presence(result: DynamicClustering, dc: int) -> tuple[int, ...]:
+    """The snapshots, ascending, where some cluster carries DC id `dc`."""
+    return tuple(t for t, column in enumerate(result.labels) if dc in column)
+
+
+def dc_clusters(result: DynamicClustering, dc: int, t: int) -> tuple[int, ...]:
+    """The indices, ascending, of the clusters of snapshot t labelled `dc`."""
+    return tuple(a for a, label in enumerate(result.labels[t]) if label == dc)
+
+
+def dc_members(
+    seq: ClusteringSequence, result: DynamicClustering, dc: int, t: int
+) -> frozenset[str]:
+    """The members of DC `dc`'s clusters at snapshot t."""
     clusters = seq.snapshots[t].clusters
-    return frozenset().union(*(clusters[a] for a in series.clusters_by_time[t]))
+    return frozenset().union(*(clusters[a] for a in dc_clusters(result, dc, t)))
 
 
 def residents(seq: ClusteringSequence, i: int, j: int) -> frozenset[str]:
@@ -58,20 +83,22 @@ def residents(seq: ClusteringSequence, i: int, j: int) -> frozenset[str]:
 
 
 def autocorrelation(
-    seq: ClusteringSequence, series: DcSeries, j: int
+    seq: ClusteringSequence, result: DynamicClustering, dc: int, j: int
 ) -> float | None:
-    """Jaccard overlap of a DC's members between local index j and j+1.
+    """Jaccard overlap of DC `dc`'s members between its j-th and (j+1)-th
+    snapshot of presence.
 
     Returns None when the two presences are not at consecutive snapshots
     (creation/destruction pairs are excluded from consistency).
     """
-    if not (0 <= j < len(series.presence) - 1):
+    times = presence(result, dc)
+    if not (0 <= j < len(times) - 1):
         raise IndexError(f"local index out of range: {j}")
-    i, nxt = series.presence[j], series.presence[j + 1]
+    i, nxt = times[j], times[j + 1]
     if nxt != i + 1:
         return None
-    a = dc_members(seq, series, i)
-    b = dc_members(seq, series, nxt)
+    a = dc_members(seq, result, dc, i)
+    b = dc_members(seq, result, dc, nxt)
     return len(a & b) / len(a | b)
 
 
@@ -103,17 +130,16 @@ def reference_events(
         return LifecycleEvent(kind, time, dc_id, related=tuple(sorted(dcs - {dc_id})))
 
     events: list[LifecycleEvent] = []
-    for dc_id in sorted(result.dcs):
-        series = result.dcs[dc_id]
-        members = {t: dc_members(seq, series, t) for t in series.presence}
-        first = series.presence[0]
-        last = series.presence[-1]
+    for dc_id in dc_ids(result):
+        times = presence(result, dc_id)
+        members = {t: dc_members(seq, result, dc_id, t) for t in times}
+        first = times[0]
+        last = times[-1]
         if first >= 1 and not (members[first] & snapshot_members(seq, first - 1)):
             events.append(LifecycleEvent("birth", first, dc_id))
         if last + 1 < t_total and not (members[last] & snapshot_members(seq, last + 1)):
             events.append(LifecycleEvent("death", last + 1, dc_id))
-        for j in range(len(series.presence) - 1):
-            i, nxt = series.presence[j], series.presence[j + 1]
+        for i, nxt in zip(times, times[1:]):
             if nxt != i + 1:
                 continue
             delta = len(members[nxt]) - len(members[i])
@@ -121,7 +147,7 @@ def reference_events(
                 events.append(LifecycleEvent("growth", nxt, dc_id, delta=delta))
             elif delta < 0:
                 events.append(LifecycleEvent("shrinkage", nxt, dc_id, delta=delta))
-        for i in series.presence:
+        for i in times:
             if i + 1 < t_total:
                 ev = spread("split", i + 1, i + 1, dc_id, members[i])
                 if ev is not None:

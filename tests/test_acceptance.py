@@ -24,13 +24,19 @@ from dynatrack import (
     new_state,
     process_snapshot,
     sequence_from_lists,
-    subsequence,
     total_consistency,
     track,
 )
 from dynatrack.relations import RelationCache
 from dynatrack.resultdoc import canonical_labels
-from helpers import canonical, inject_one_shot_members, random_sequence, same_partition
+from helpers import (
+    canonical,
+    inject_one_shot_members,
+    presence,
+    random_sequence,
+    same_partition,
+    subsequence,
+)
 
 
 def report(capfd, n, name):
@@ -79,8 +85,9 @@ def test_criterion_2_splinter_transition_reproduction(capfd):
         reference = brute_force_track(seq, x, max_snapshots=12)
         assert same_partition(seq, result.labels, reference.labels)
     wide = track(seq, 5)
-    only = next(iter(wide.dcs.values()))
-    assert only.presence == tuple(range(10))  # spans all snapshots
+    (only,) = wide.dcs
+    assert presence(wide, only) == tuple(range(10))  # spans all snapshots
+    assert all(sizes.keys() == {only} for sizes in wide.sizes)
     assert len(track(seq, 1).dcs) >= 3
     report(capfd, 2, "one group at x=5 over 10 snapshots, 5 groups at x=1")
 

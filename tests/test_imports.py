@@ -184,6 +184,15 @@ def test_removed_tracker_walkers_are_gone(name):
     assert not hasattr(importlib.import_module("dynatrack.tracking"), name)
 
 
+@pytest.mark.parametrize("name, module", [("DcSeries", "metrics"), ("subsequence", "model")])
+def test_removed_registry_names_are_gone(name, module):
+    # The label columns and `result.sizes` replace `DcSeries`; the prefix
+    # helper that only tests called lives in their helpers.
+    with pytest.raises(AttributeError):
+        getattr(dynatrack, name)
+    assert not hasattr(importlib.import_module(f"dynatrack.{module}"), name)
+
+
 def test_readme_library_section_names_every_export():
     readme = (SRC.parent / "README.md").read_text(encoding="utf-8")
     library = readme[readme.index("\n## Library\n"):readme.index("\n## Tests\n")]

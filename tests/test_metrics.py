@@ -37,7 +37,10 @@ from dynatrack.resultdoc import build_document, document_to_bytes, load_document
 from helpers import (
     autocorrelation,
     churn_sequence,
+    dc_clusters,
+    dc_ids,
     dc_members,
+    presence,
     random_sequence,
     reference_events,
 )
@@ -56,6 +59,15 @@ def single_dc(member_sets):
     )
 
 
+def dc_with_a_gap():
+    """DC 0 is present at snapshots 0 and 2 but not 1, where its members
+    are gone; DC 1 grows by one member at 1 and shrinks back at 2."""
+    return labelled(
+        [[{"a", "b"}, {"c"}], [{"c", "d"}], [{"a", "b"}, {"c"}]],
+        [[0, 1], [1], [0, 1]],
+    )
+
+
 def reference_total_consistency(result, mode="all_members"):
     """The consistency of `result` computed on member string sets."""
     if mode not in ("all_members", "residents_only"):
@@ -64,22 +76,20 @@ def reference_total_consistency(result, mode="all_members"):
 
     def members_at(i):
         if i not in system:
-            out = set()
-            for series in result.dcs.values():
-                if i in series.clusters_by_time:
-                    out.update(dc_members(result.seq, series, i))
-            system[i] = frozenset(out)
+            system[i] = frozenset().union(
+                *(dc_members(result.seq, result, dc, i) for dc in set(result.labels[i]))
+            )
         return system[i]
 
     total = 0.0
     pairs = 0
-    for series in result.dcs.values():
-        for j in range(len(series.presence) - 1):
-            i, nxt = series.presence[j], series.presence[j + 1]
+    for dc in dc_ids(result):
+        times = presence(result, dc)
+        for i, nxt in zip(times, times[1:]):
             if nxt != i + 1:
                 continue
-            a = dc_members(result.seq, series, i)
-            b = dc_members(result.seq, series, nxt)
+            a = dc_members(result.seq, result, dc, i)
+            b = dc_members(result.seq, result, dc, nxt)
             union = a | b
             if mode == "residents_only":
                 union = union & members_at(i) & members_at(nxt)
@@ -108,53 +118,75 @@ def test_clustering_from_labels_groups_members_by_dc_in_id_order():
     labels = [[renamed[dc] for dc in column] for column in tracked]
     assert labels != tracked
     result = clustering_from_labels(seq, labels, 3)
-    assert list(result.dcs) == ids
+    assert result.dcs == tuple(ids)
     assert result.labels == labels and result.x_used == 3
     assert any(
-        len(alphas) > 1
-        for series in result.dcs.values()
-        for alphas in series.clusters_by_time.values()
+        len(dc_clusters(result, dc, t)) > 1 for dc in ids for t in range(len(seq))
     )
-    for dc_id, series in result.dcs.items():
+    # Each size table lists exactly the DCs of its snapshot.
+    assert [sorted(sizes) for sizes in result.sizes] == [
+        sorted(set(column)) for column in labels
+    ]
+    for dc_id in ids:
         refs = sorted(
             ClusterRef(t, a)
             for t, column in enumerate(labels)
             for a, dc in enumerate(column)
             if dc == dc_id
         )
-        assert series.presence == tuple(sorted({r.time for r in refs}))
-        for t in series.presence:
+        times = tuple(sorted({r.time for r in refs}))
+        assert presence(result, dc_id) == times
+        assert tuple(t for t, sizes in enumerate(result.sizes) if dc_id in sizes) == times
+        for t in times:
             alphas = tuple(r.cluster for r in refs if r.time == t)
-            assert series.clusters_by_time[t] == alphas
+            assert dc_clusters(result, dc_id, t) == alphas
             members = set()
             for a in alphas:
                 members.update(seq.snapshots[t].clusters[a])
-            assert dc_members(seq, series, t) == members
-            assert series.size_by_time[t] == len(members)
+            assert dc_members(seq, result, dc_id, t) == members
+            assert result.sizes[t][dc_id] == len(members)
+
+
+@pytest.mark.parametrize(
+    "labels, message",
+    [
+        ([[0]], "1 label columns for 2 snapshots"),
+        ([[0], [0, 5]], "snapshot 1: 2 labels for 1 clusters"),
+        ([[0], [0], [0]], "3 label columns for 2 snapshots"),
+        ([[], [0]], "snapshot 0: 0 labels for 1 clusters"),
+    ],
+)
+def test_clustering_from_labels_checks_the_column_shapes(labels, message):
+    # Without the check, zip truncated these silently: `event_rows` raised
+    # IndexError or KeyError and `consistencies` returned (None, None).
+    seq = sequence_from_lists([[["a"]], [["a"]]])
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        clustering_from_labels(seq, labels, 1)
 
 
 class TestAutocorrelation:
     def test_identical(self):
         result = single_dc([{"1", "2"}, {"1", "2"}])
-        assert autocorrelation(result.seq, result.dcs[0], 0) == 1.0
+        assert autocorrelation(result.seq, result, 0, 0) == 1.0
 
     def test_partial(self):
         result = single_dc([{"1", "2"}, {"1", "3"}])
-        assert autocorrelation(result.seq, result.dcs[0], 0) == pytest.approx(1 / 3)
+        assert autocorrelation(result.seq, result, 0, 0) == pytest.approx(1 / 3)
 
     def test_disjoint(self):
         result = single_dc([{"1", "2"}, {"3", "4"}])
-        assert autocorrelation(result.seq, result.dcs[0], 0) == 0.0
+        assert autocorrelation(result.seq, result, 0, 0) == 0.0
 
     def test_gap_pair_is_excluded(self):
         result = labelled([[{"a"}], [{"b"}], [{"a"}]], [[0], [1], [0]])
-        assert result.dcs[0].presence == (0, 2)
-        assert autocorrelation(result.seq, result.dcs[0], 0) is None
+        assert presence(result, 0) == (0, 2)
+        assert [0 in sizes for sizes in result.sizes] == [True, False, True]
+        assert autocorrelation(result.seq, result, 0, 0) is None
 
     def test_bad_index(self):
         result = single_dc([{"1"}, {"1"}])
         with pytest.raises(IndexError):
-            autocorrelation(result.seq, result.dcs[0], 1)
+            autocorrelation(result.seq, result, 0, 1)
 
 
 def scenario_sequences():
@@ -259,11 +291,7 @@ class TestTotalConsistency:
             assert consistencies(rebuilt) == tuple(values)
             defined += values[0] is not None
             apart += values[0] != values[1]
-            multi += any(
-                len(alphas) > 1
-                for series in result.dcs.values()
-                for alphas in series.clusters_by_time.values()
-            )
+            multi += any(len(set(column)) < len(column) for column in result.labels)
         # the instances score, tell the modes apart and hold DCs that span
         # several clusters of one snapshot
         assert defined > 100 and apart > 50 and multi > 10
@@ -309,7 +337,8 @@ class TestTotalConsistency:
             [[{"1", "2"}, {"3", "4"}, {"5"}], [{"1", "2", "3", "5"}, {"6"}]],
             [[0, 0, 1], [0, 2]],
         )
-        assert result.dcs[0].clusters_by_time == {0: (0, 1), 1: (0,)}
+        assert dc_clusters(result, 0, 0) == (0, 1) and dc_clusters(result, 0, 1) == (0,)
+        assert result.sizes == [{0: 4, 1: 1}, {0: 4, 2: 1}]
         assert consistencies(result) == (3 / 5, 3 / 4)
         assert total_consistency(result, "all_members") == 3 / 5
         assert total_consistency(result, "residents_only") == 3 / 4
@@ -331,13 +360,14 @@ class TestTotalConsistency:
                 for mode in ("all_members", "residents_only")
             )
             assert consistencies(result) == expected
+            assert result.dcs == tuple(dc_ids(result))
             per_dc = [
                 [
                     v
-                    for j in range(len(series.presence) - 1)
-                    if (v := autocorrelation(seq, series, j)) is not None
+                    for j in range(len(presence(result, dc)) - 1)
+                    if (v := autocorrelation(seq, result, dc, j)) is not None
                 ]
-                for series in result.dcs.values()
+                for dc in dc_ids(result)
             ]
             first_seen = [v for terms in reversed(per_dc) for v in terms]
             order_matters += sum(sum(per_dc, [])) != sum(first_seen)
@@ -434,12 +464,14 @@ class TestEvents:
             empty += any(len(snap) == 0 for snap in seq.snapshots)
             for x in range(len(seq)):
                 result = track(seq, x)
-                for series in result.dcs.values():
-                    for t in series.presence:
-                        multi += len(series.clusters_by_time[t]) > 1
-                        assert series.size_by_time[t] == len(
-                            dc_members(seq, series, t)
-                        )
+                if x == 0:
+                    # every cluster founds its own DC
+                    assert len(result.dcs) == sum(map(len, seq.snapshots))
+                for t, column in enumerate(result.labels):
+                    multi += sum(n > 1 for n in Counter(column).values())
+                    assert result.sizes[t] == {
+                        dc: len(dc_members(seq, result, dc, t)) for dc in column
+                    }
                 expected = reference_events(result, seq)
                 assert classify_events(result, seq) == expected
                 # the rows are the records' fields, row by row
@@ -453,6 +485,13 @@ class TestEvents:
         # every kind of event occurs, and so do snapshots without clusters
         # and DCs that span several clusters of one snapshot
         assert min(kinds[k] for k in KINDS) > 500 and empty > 10 and multi > 100
+        # No death of DC 0 at 1 and no birth at 2.
+        gap = dc_with_a_gap()
+        expected = reference_events(gap, gap.seq)
+        assert classify_events(gap, gap.seq) == expected
+        assert event_rows(gap, gap.seq) == [
+            (ev.time, ev.dc, ev.kind, ev.related, ev.delta) for ev in expected
+        ] == [(1, 1, "growth", (), 1), (2, 1, "shrinkage", (), -1)]
 
     def test_cli_bytes_equal_the_replay_formula_at_every_x(self, tmp_path):
         sequences = [random_sequence(random.Random(7000 + s)) for s in range(320)]
@@ -520,21 +559,36 @@ class TestSummaryStats:
         )
         assert stats.lifespan_histogram == {1: 1, 3: 1}
 
-    @pytest.mark.parametrize("lifespans", [[0.1] * 10, [1e16, 1.0, -1e16]])
+    @pytest.mark.parametrize("lifespans", [[7, 2, 1], [1] * 10 + [3] * 3 + [9]])
     def test_mean_lifespan_is_fmean(self, lifespans):
-        class Series:  # stands in for a DcSeries with any lifespan
-            def __init__(self, lifespan):
-                self.lifespan = lifespan
+        # DC k holds one member at snapshots 0 .. lifespans[k] - 1.
+        data = [
+            [{f"m{k}"} for k, span in enumerate(lifespans) if span > t]
+            for t in range(max(lifespans))
+        ]
+        labels = [
+            [k for k, span in enumerate(lifespans) if span > t]
+            for t in range(max(lifespans))
+        ]
+        result = labelled(data, labels)
+        assert [len(presence(result, dc)) for dc in dc_ids(result)] == lifespans
+        assert summary_stats(result).mean_lifespan == statistics.fmean(lifespans)
 
-            def member_snapshots(self):
-                return 1
-
-        result = DynamicClustering(
-            labels=[], dcs={i: Series(v) for i, v in enumerate(lifespans)}, x_used=0
-        )
-        mean = summary_stats(result).mean_lifespan
-        assert mean == statistics.fmean(lifespans)
-        assert mean != sum(lifespans) / len(lifespans)
+    def test_equals_per_dc_reference(self):
+        for result in [*consistency_instances(), dc_with_a_gap()]:
+            ids = dc_ids(result)
+            lifespans = [len(presence(result, dc)) for dc in ids]
+            weights = [
+                sum(len(dc_members(result.seq, result, dc, t)) for t in presence(result, dc))
+                for dc in ids
+            ]
+            stats = summary_stats(result)
+            assert stats.dc_count == len(ids)
+            assert stats.lifespan_histogram == dict(sorted(Counter(lifespans).items()))
+            assert stats.mean_lifespan == statistics.fmean(lifespans)
+            assert stats.weighted_mean_lifespan == sum(
+                w * ls for w, ls in zip(weights, lifespans)
+            ) / sum(weights)
 
     def test_empty_registry(self):
         result = labelled([[]], [[]])
@@ -573,16 +627,18 @@ class TestReplayContract:
         seq = sequence_from_lists([[["a", "b"]], [["a", "b", "c"]]])
         tracked = track(seq, 1)
         rebuilt = clustering_from_labels(seq, tracked.labels, 1)
-        bare = DynamicClustering(tracked.labels, tracked.dcs, 1)
+        bare = DynamicClustering(tracked.labels, tracked.sizes, 1)
+        assert tracked.sizes == bare.sizes == [{0: 2}, {0: 3}]
+        assert tracked.dcs == rebuilt.dcs == bare.dcs == (0,)
         assert rebuilt.pair_triples is None
         assert rebuilt.counts_between(0) == [(0, 0, 2)]
         assert rebuilt.pair_triples == relations.count_tables(seq)
         assert tracked == rebuilt == bare
-        assert tracked != DynamicClustering(tracked.labels, tracked.dcs, 2)
+        assert tracked != DynamicClustering(tracked.labels, tracked.sizes, 2)
+        # the size tables and DC ids derive from the labels
+        assert tracked == DynamicClustering(tracked.labels, [{}, {}], 1)
         assert repr(tracked) == repr(rebuilt) == repr(bare) == (
-            "DynamicClustering(labels=[[0], [0]], dcs={0: DcSeries("
-            "presence=(0, 1), clusters_by_time={0: (0,), 1: (0,)}, "
-            "size_by_time={0: 2, 1: 3})}, x_used=1)"
+            "DynamicClustering(labels=[[0], [0]], x_used=1)"
         )
 
     def test_summary_stats_do_not_share_a_histogram(self):

@@ -12,12 +12,11 @@ from dynatrack import (
     parse_sequence,
     sequence_from_lists,
     sequence_to_json_bytes,
-    subsequence,
 )
 from dynatrack.errors import ParseError, SequenceValidationError
 from dynatrack.model import ClusteringSequence, Snapshot
 from dynatrack.resultdoc import load_document
-from helpers import cluster_members, residents, snapshot_members
+from helpers import cluster_members, residents, snapshot_members, subsequence
 
 JSON_TWO_SNAPSHOTS = json.dumps(
     {

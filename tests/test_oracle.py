@@ -5,7 +5,9 @@ import random
 import pytest
 
 from dynatrack import brute_force_track, sequence_from_lists, track
-from dynatrack.errors import OracleSizeError
+from dynatrack.errors import OracleInvariantError, OracleSizeError
+from dynatrack.model import ClusterRef
+from dynatrack.oracle import _audit_minimality
 from helpers import random_sequence, same_partition
 
 
@@ -25,7 +27,8 @@ def test_size_guard_refuses_large_instances():
 def test_size_guard_override():
     seq = sequence_from_lists([[["a"]]] * 9)
     result = brute_force_track(seq, 1, max_snapshots=9)
-    assert len(result.dcs) == 1
+    assert result.dcs == (0,)
+    assert result.sizes == [{0: 1}] * 9
 
 
 def test_negative_history_rejected():
@@ -53,3 +56,13 @@ def test_minimality_audit_runs_clean_on_random_instances():
         rng = random.Random(5000 + seed)
         seq = random_sequence(rng)
         brute_force_track(seq, rng.randint(0, 4), check_minimality=True)
+
+
+def test_minimality_audit_reads_the_label_columns():
+    # DC 0 on (0, 0) and (1, 0), DC 1 on (0, 1): one event joins DC 0's
+    # clusters, or none does.
+    columns = [[0, 1], [0]]
+    founders = [{ClusterRef(0, 0)}, {ClusterRef(0, 1)}]
+    _audit_minimality(columns, [*founders, {ClusterRef(0, 0), ClusterRef(1, 0)}])
+    with pytest.raises(OracleInvariantError, match="dynamic cluster 0 decomposes"):
+        _audit_minimality(columns, [*founders, {ClusterRef(1, 0)}])

@@ -22,7 +22,6 @@ from dynatrack import (
     new_state,
     process_snapshot,
     sequence_from_lists,
-    subsequence,
     track,
 )
 from dynatrack import tracking
@@ -33,9 +32,11 @@ from helpers import (
     canonical,
     churn_sequence,
     cluster_members,
+    dc_ids,
     inject_one_shot_members,
     random_sequence,
     same_partition,
+    subsequence,
 )
 
 
@@ -410,12 +411,12 @@ class TestTrack:
         for seed in range(20):
             seq = random_sequence(random.Random(seed))
             result = track(seq, 3)
-            rebuilt = [[None] * len(snap) for snap in seq.snapshots]
-            for dc_id, series in result.dcs.items():
-                for t, alphas in series.clusters_by_time.items():
-                    for a in alphas:
-                        rebuilt[t][a] = dc_id
-            assert rebuilt == result.labels
+            assert result.dcs == tuple(dc_ids(result))
+            for t, snap in enumerate(seq.snapshots):
+                sizes: dict[int, int] = {}
+                for dc, members in zip(result.labels[t], snap.clusters):
+                    sizes[dc] = sizes.get(dc, 0) + len(members)
+                assert result.sizes[t] == sizes
 
     def test_order_invariance(self):
         for seed in range(40):
@@ -493,6 +494,7 @@ class TestTrack:
                 fresh = track(seq, x)
                 assert shared.labels == fresh.labels
                 assert shared.dcs == fresh.dcs
+                assert shared.sizes == fresh.sizes
 
     def test_history_beyond_the_last_snapshot_changes_nothing(self):
         # the search depth of a target at time t is min(t, x) <= T - 1
@@ -821,6 +823,7 @@ def test_carried_search_equals_the_full_search(monkeypatch):
                 full = track(seq, x, relations=rels)
             assert carried.labels == full.labels, x
             assert carried.dcs == full.dcs
+            assert carried.sizes == full.sizes
             if small:
                 reference = brute_force_track(seq, x)
                 assert same_partition(seq, carried.labels, reference.labels), x
