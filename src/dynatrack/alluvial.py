@@ -67,17 +67,18 @@ def build_layout(
     columns (labels[t][a] for cluster a of snapshot t).
 
     `gap` is the vertical spacing between blocks of one column. Raises
-    ValueError unless it is finite and >= 0.
+    ValueError unless it is finite and >= 0, or unless there is one
+    column per snapshot and one label per cluster.
     """
     if not (math.isfinite(gap) and gap >= 0):
         raise ValueError(f"gap must be a finite number >= 0, got {gap!r}")
+    seq.check_label_columns(labels)
     columns: list[tuple[Block, ...]] = []
     tops: list[list[float]] = []
     for t, (snap, col) in enumerate(zip(seq.snapshots, labels)):
-        sizes = list(map(len, snap.clusters))
         # Each block's top is the sum of the heights and gaps above it.
-        col_tops = list(accumulate([s + gap for s in sizes], initial=0.0))[:-1]
-        blocks = map(Block, repeat(t), range(len(sizes)), col, sizes, col_tops)
+        col_tops = list(accumulate([s + gap for s in snap.sizes], initial=0.0))[:-1]
+        blocks = map(Block, repeat(t), range(len(snap)), col, snap.sizes, col_tops)
         columns.append(tuple(blocks))
         tops.append(col_tops)
 

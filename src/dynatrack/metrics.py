@@ -98,20 +98,15 @@ def clustering_from_labels(
     `pair_triples` hands on count tables already built for `seq` (see
     `DynamicClustering`).
     """
-    if len(labels) != len(seq):
-        raise ValueError(f"{len(labels)} label columns for {len(seq)} snapshots")
+    seq.check_label_columns(labels)
     sizes: list[dict[int, int]] = []
-    for t, (column, snap) in enumerate(zip(labels, seq.snapshots)):
-        if len(column) != len(snap.clusters):
-            raise ValueError(
-                f"snapshot {t}: {len(column)} labels for {len(snap.clusters)} clusters"
-            )
-        found = dict(zip(column, map(len, snap.clusters)))
+    for column, snap in zip(labels, seq.snapshots):
+        found = dict(zip(column, snap.sizes))
         if len(found) != len(column):
             # A DC on several clusters of the snapshot: add their sizes.
             found = dict.fromkeys(column, 0)
-            for dc, members in zip(column, snap.clusters):
-                found[dc] += len(members)
+            for dc, n in zip(column, snap.sizes):
+                found[dc] += n
         sizes.append(found)
     return DynamicClustering([col[:] for col in labels], sizes, x, seq, pair_triples)
 

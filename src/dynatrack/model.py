@@ -9,7 +9,7 @@ labels are carried along but never used for ordering.
 from __future__ import annotations
 
 import json
-from itertools import chain, repeat
+from itertools import accumulate, chain, pairwise, repeat
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import ParseError, SequenceValidationError
@@ -55,19 +55,23 @@ class _Record:
 
 
 class Snapshot(_Record):
-    """One time point's clustering: disjoint clusters of sorted member IDs,
-    and `column`, each member's cluster index (derived, so not compared)."""
+    """One time point's clustering: `column` maps members (in cluster order,
+    sorted within each cluster) to cluster indices; `sizes` holds cluster sizes."""
 
-    __slots__ = ("index", "clusters", "column")
-    _fields = ("index", "clusters")
+    __slots__ = ("column", "sizes")
+    _fields = ("clusters",)
 
-    def __init__(self, index: int, clusters: tuple, column: dict[str, int]) -> None:
-        self.index = index
-        self.clusters = clusters
+    def __init__(self, column: dict[str, int], sizes: tuple[int, ...]) -> None:
         self.column = column
+        self.sizes = sizes
+
+    @property
+    def clusters(self) -> tuple[tuple[str, ...], ...]:
+        members = tuple(self.column)
+        return tuple(members[a:b] for a, b in pairwise((0, *accumulate(self.sizes))))
 
     def __len__(self) -> int:
-        return len(self.clusters)
+        return len(self.sizes)
 
 
 class ClusteringSequence(_Record):
@@ -92,6 +96,17 @@ class ClusteringSequence(_Record):
     def __len__(self) -> int:
         return len(self.snapshots)
 
+    def check_label_columns(self, labels: Sequence[Sequence[int]]) -> None:
+        """Raise ValueError unless `labels` holds one column per snapshot
+        and one label per cluster (labels[t][a] for cluster a of snapshot t)."""
+        if len(labels) != len(self):
+            raise ValueError(f"{len(labels)} label columns for {len(self)} snapshots")
+        for t, (column, snap) in enumerate(zip(labels, self.snapshots)):
+            if len(column) != len(snap):
+                raise ValueError(
+                    f"snapshot {t}: {len(column)} labels for {len(snap)} clusters"
+                )
+
 
 def sequence_from_lists(
     data: Sequence[Sequence[Iterable[str]]],
@@ -105,20 +120,19 @@ def sequence_from_lists(
     snapshots = []
     for t, raw_clusters in enumerate(data):
         raw = list(map(list, raw_clusters))
-        flat = list(chain.from_iterable(raw))
+        sizes = tuple(map(len, raw))
         # The checks run in C (the join raises TypeError on a non-string
         # ID); only a snapshot that fails one is scanned member by member,
-        # to name the first offending cluster and member.
+        # in input order, to name the first offending cluster and member.
         try:
-            "".join(flat)
+            "".join(chain.from_iterable(raw))
         except TypeError:
             _reject(t, raw)
-        where = chain.from_iterable(map(repeat, range(len(raw)), map(len, raw)))
-        column = dict(zip(flat, where))
-        if not all(raw) or len(column) != len(flat) or "" in column:
+        where = chain.from_iterable(map(repeat, range(len(raw)), sizes))
+        column = dict(zip(chain.from_iterable(map(sorted, raw)), where))
+        if not all(raw) or len(column) != sum(sizes) or "" in column:
             _reject(t, raw)
-        clusters = tuple(map(tuple, map(sorted, raw)))
-        snapshots.append(Snapshot(index=t, clusters=clusters, column=column))
+        snapshots.append(Snapshot(column, sizes))
     return ClusteringSequence(
         snapshots=tuple(snapshots),
         labels=tuple(labels) if labels is not None else (),

@@ -55,7 +55,10 @@ def build_document(
 ) -> dict:
     """Result document (canonical ids) ready for serialisation. Its member
     and (snapshot, cluster) arrays are tuples, the members those of `seq`:
-    the same JSON as lists, with fewer objects to build."""
+    the same JSON as lists, with fewer objects to build. A result of
+    another sequence than `seq` raises ValueError."""
+    if result.seq is not None and result.seq is not seq:
+        raise ValueError("the result was built for a different sequence")
     # Canonical ids are 0..k-1 in order of first appearance, and each
     # DC's clusters are met in ascending order.
     registry: list[list[tuple[int, int]]] = []

@@ -211,3 +211,20 @@ def test_layout_rejects_gap(value):
     seq = sequence_from_lists([[["a"], ["b"]]])
     with pytest.raises(ValueError, match="gap must be a finite number >= 0"):
         layout_for(seq, gap=value)
+
+
+@pytest.mark.parametrize(
+    "labels, message",
+    [
+        ([[0, 1]], "1 label columns for 2 snapshots"),
+        ([[0], [0]], "snapshot 0: 1 labels for 2 clusters"),
+        ([[0, 1], [0, 7]], "snapshot 1: 2 labels for 1 clusters"),
+    ],
+)
+def test_layout_checks_the_column_shapes(labels, message):
+    # Without the check, the first raised a bare IndexError, the second
+    # dropped a block (and layout_to_svg then raised IndexError), and the
+    # third ignored the 7.
+    seq = sequence_from_lists([[["a"], ["b"]], [["a", "b"]]])
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build_layout(seq, labels)

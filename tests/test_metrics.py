@@ -533,6 +533,13 @@ class TestEvents:
             classify_events(result, twin)
         with pytest.raises(ValueError, match="different sequence"):
             event_rows(result, twin)
+        # zip truncated a longer sequence into a document whose
+        # snapshot_count disagrees with its snapshots
+        longer = sequence_from_lists([[["a", "b"]], [["a"], ["b"]], [["a"]]])
+        assert build_document(seq, result, "0")["snapshot_count"] == 2
+        for other in (twin, longer):
+            with pytest.raises(ValueError, match="different sequence"):
+                build_document(other, result, "0")
 
 
 class TestSummaryStats:

@@ -40,11 +40,13 @@ def test_parse_json_two_snapshots():
 def test_equality_hashing_and_repr_ignore_the_member_column():
     seq = sequence_from_lists([[["b", "a"], ["c"]]], ["jan"])
     snap = seq.snapshots[0]
-    twin = Snapshot(0, snap.clusters, {})
+    # The partition is the column's key order split by the sizes; the
+    # column's values are not compared.
+    twin = Snapshot(dict.fromkeys(snap.column, 7), snap.sizes)
     assert snap == twin and hash(snap) == hash(twin)
-    assert snap != Snapshot(1, snap.clusters, snap.column)
-    assert snap != (0, snap.clusters)
-    assert repr(snap) == "Snapshot(index=0, clusters=(('a', 'b'), ('c',)))"
+    assert snap != Snapshot(snap.column, (1, 2))
+    assert snap != snap.clusters
+    assert repr(snap) == "Snapshot(clusters=(('a', 'b'), ('c',)))"
     same = ClusteringSequence((twin,), ("jan",))
     assert seq == same and hash(seq) == hash(same)
     assert seq != ClusteringSequence((twin,))
@@ -56,7 +58,7 @@ def test_equality_hashing_and_repr_ignore_the_member_column():
 
 
 def test_clusters_are_sorted_tuples_with_a_member_column():
-    seq = sequence_from_lists([[["b", "a"], {"d", "c"}], [["e"], ["c", "a"]]])
+    seq = sequence_from_lists([[["b", "a"], {"d", "c"}], [("e",), ("c", "a")]])
     assert [snap.clusters for snap in seq.snapshots] == [
         (("a", "b"), ("c", "d")),
         (("e",), ("a", "c")),
@@ -65,6 +67,14 @@ def test_clusters_are_sorted_tuples_with_a_member_column():
         {"a": 0, "b": 0, "c": 1, "d": 1},
         {"e": 0, "a": 1, "c": 1},
     ]
+    assert [snap.sizes for snap in seq.snapshots] == [(2, 2), (1, 2)]
+    # The column's keys are the members in cluster order, sorted within
+    # each cluster; the snapshot stores nothing per cluster beside it.
+    for snap in seq.snapshots:
+        assert list(snap.column) == [m for c in snap.clusters for m in c]
+        assert snap.sizes == tuple(map(len, snap.clusters))
+        assert len(snap) == len(snap.clusters)
+    assert Snapshot.__slots__ == ("column", "sizes")
 
 
 def test_parse_json_duplicate_member():
@@ -141,8 +151,20 @@ INVALID_SNAPSHOTS = [
         [["a"], ["a"], [], [7]],
         "snapshot 1: member 'a' appears in more than one cluster",
     ),
+    # input order, not the sorted order the column is built in
+    (
+        [["a", "b"], ["b", "a"]],
+        "snapshot 1: member 'b' appears in more than one cluster",
+    ),
+    (
+        [["c"], [2, 1]],
+        "snapshot 1: cluster 1 has a non-string or empty member ID (2)",
+    ),
 ]
-INVALID_IDS = ["empty-cluster", "non-string", "empty-id", "two-clusters", "first-wins"]
+INVALID_IDS = [
+    "empty-cluster", "non-string", "empty-id", "two-clusters", "first-wins",
+    "unsorted-duplicate", "unsorted-non-string",
+]
 
 
 def _document(clusters_by_time):
