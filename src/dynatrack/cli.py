@@ -46,36 +46,43 @@ def _write(path: str | None, data: bytes) -> None:
             f.write(data)
 
 
+def _write_json(path: str, obj) -> None:
+    """Write obj as compact, key-sorted JSON plus a newline."""
+    import json
+
+    payload = json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    _write(path, (payload + "\n").encode("utf-8"))
+
+
 def _load_input(args):
     from .model import parse_sequence
 
     return parse_sequence(_read(args.input), args.format)
 
 
-def cmd_track(args) -> int:
+def _labelled(args, labelling) -> int:
+    """Write the result document of `labelling(seq, x)` on the input."""
     from .resultdoc import build_document, document_to_bytes
-    from .tracking import track
 
     if args.history < 0:
         return _usage_error("--history must be non-negative")
     seq = _load_input(args)
-    result = track(seq, args.history)
+    result = labelling(seq, args.history)
     doc = build_document(seq, result, __version__)
     _write(args.output, document_to_bytes(doc))
     return 0
+
+
+def cmd_track(args) -> int:
+    from .tracking import track
+
+    return _labelled(args, track)
 
 
 def cmd_oracle(args) -> int:
     from .oracle import brute_force_track
-    from .resultdoc import build_document, document_to_bytes
 
-    if args.history < 0:
-        return _usage_error("--history must be non-negative")
-    seq = _load_input(args)
-    result = brute_force_track(seq, args.history)
-    doc = build_document(seq, result, __version__)
-    _write(args.output, document_to_bytes(doc))
-    return 0
+    return _labelled(args, brute_force_track)
 
 
 def _fmt_ratio(v: float | None) -> str:
@@ -83,8 +90,6 @@ def _fmt_ratio(v: float | None) -> str:
 
 
 def cmd_sweep(args) -> int:
-    import json
-
     from .metrics import consistencies, summary_stats
     from .relations import RelationCache
     from .tracking import track
@@ -125,10 +130,7 @@ def cmd_sweep(args) -> int:
     csv_text = SWEEP_HEADER + "\n" + "\n".join(rows) + "\n"
     _write(args.output, csv_text.encode("utf-8"))
     if args.json:
-        payload = json.dumps(
-            {"schema": 1, "sweep": records}, sort_keys=True, separators=(",", ":")
-        )
-        _write(args.json, (payload + "\n").encode("utf-8"))
+        _write_json(args.json, {"schema": 1, "sweep": records})
     if args.history_max > last:
         print(
             f"every x > {last} gives the row of x = {last} "
@@ -165,7 +167,6 @@ def cmd_events(args) -> int:
 
 
 def cmd_render(args) -> int:
-    import json
     import math
 
     from .alluvial import build_layout, layout_to_svg
@@ -183,16 +184,11 @@ def cmd_render(args) -> int:
         return _usage_error(f"--gap or --block-width too large: {exc}")
     _write(args.output, svg.encode("utf-8"))
     if args.layout_json:
-        payload = json.dumps(
-            layout.to_json_dict(), sort_keys=True, separators=(",", ":")
-        )
-        _write(args.layout_json, (payload + "\n").encode("utf-8"))
+        _write_json(args.layout_json, layout.to_json_dict())
     return 0
 
 
 def cmd_generate(args) -> int:
-    import json
-
     from .generator import ScenarioSpec, generate
     from .model import sequence_to_json_bytes
 
@@ -200,12 +196,7 @@ def cmd_generate(args) -> int:
     seq, truth = generate(spec)
     _write(args.output, sequence_to_json_bytes(seq))
     if args.labels:
-        payload = json.dumps(
-            {"schema": 1, "ground_truth": truth},
-            sort_keys=True,
-            separators=(",", ":"),
-        )
-        _write(args.labels, (payload + "\n").encode("utf-8"))
+        _write_json(args.labels, {"schema": 1, "ground_truth": truth})
     return 0
 
 

@@ -186,27 +186,6 @@ class ScenarioSpec:
             raise GenerationError("scenario has an integer too long to read") from None
         return cls.from_json_dict(doc)
 
-    def to_json_dict(self) -> dict:
-        events = []
-        for ev in self.events:
-            entry: dict = {"kind": ev.kind, "dc": ev.dc, "start": ev.start}
-            if ev.kind in ("splinter", "transition"):
-                entry["duration"] = ev.duration
-            if ev.kind != "merge":
-                entry["fraction"] = ev.fraction
-            if ev.into is not None:
-                entry["into"] = ev.into
-            events.append(entry)
-        return {
-            "snapshots": self.snapshots,
-            "dcs": [
-                {"size": d.size, "start": d.start, "end": d.end} for d in self.dcs
-            ],
-            "events": events,
-            "turnover": self.turnover,
-            "seed": self.seed,
-        }
-
 
 @dataclass
 class _GroupState:

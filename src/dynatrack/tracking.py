@@ -20,9 +20,11 @@ Every search yields one record (`_Chain`), keyed by source time: the
 admitted layers, the forward walks of the full matches, and where the
 mapper walk from the target leaves the layers. The source is picked from
 the record (`_source`), and the target labelled from it (`_label`). The
-identity flow of a match is read off the record: its layer o steps back
-is the tracing layer there plus the forward walk from the source at that
-step. Marginalised clusters are found in one pass per target instead of
+identity flow of a match is read off the record as one list by offset
+from the target (`_chain_flow`): its layer o steps back is the tracing
+layer there plus the forward walk from the source at that step. The
+relabel writes, the marginal pass and the trace all read that list.
+Marginalised clusters are found in one pass per target instead of
 iterating embedded flows: walk the mapper sets back from the target and
 the tracer sets forward from the source set; whatever lies in both walks
 but not on the identity flow is re-assigned to the embedding DC. The
@@ -49,8 +51,9 @@ DC and no record is kept.
 
 from __future__ import annotations
 
+import itertools
 from collections import deque
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import SequencingError, TrackingInvariantError
 from .metrics import DynamicClustering, clustering_from_labels
@@ -252,51 +255,33 @@ def _source(state: TrackingState, chain: _Chain) -> int:
     return -1
 
 
-def _flow(
-    layers: Sequence[frozenset[ClusterRef]],
-    forward: Sequence[frozenset[ClusterRef]],
-    source: frozenset[ClusterRef],
-) -> tuple[frozenset[ClusterRef], ...]:
-    """flow[o] of a depth-n flow, from the tracing layers o steps back from
-    the target (layers[0..n], layers[0] = {target}) and the forward mapping
-    walk from the source (forward[0..n-1]; forward[j] lies n - j - 1 steps
-    back)."""
-    n = len(forward)
-    return tuple(layers[o] | forward[n - o - 1] for o in range(n)) + (
-        layers[n] | source,
-    )
-
-
 def _marginals(
-    rels: RelationCache,
-    layers: Sequence[frozenset[ClusterRef]],
-    forward: Sequence[frozenset[ClusterRef]],
-    source: frozenset[ClusterRef],
+    rels: RelationCache, flow: Sequence[frozenset[ClusterRef]]
 ) -> frozenset[ClusterRef]:
-    """Clusters enclosed by a depth-n flow that are not on it.
+    """Clusters enclosed by a flow (as `_chain_flow` gives it) that are
+    not on it.
 
-    Arguments as for `_flow`. A marginal o steps back lies in the
-    target's o-step mapper walk and outside flow[o]; only when some mapper
-    layer leaves the flow is the tracer walk from the source taken, to
-    keep those clusters that it reaches too.
+    A marginal o steps back lies in the target's o-step mapper walk and
+    outside flow[o]; only when some mapper layer leaves the flow is the
+    tracer walk from the source set flow[-1] taken, to keep those
+    clusters that it reaches too.
     """
-    n = len(forward)
-    t = next(iter(layers[0])).time
+    n = len(flow) - 1
+    t = next(iter(flow[0])).time
     pair = rels.pair
     outside: dict[int, frozenset[ClusterRef]] = {}
-    layer = layers[0]
+    layer = flow[0]
     for o in range(1, n):
         layer = lift(pair(t - o).mapper_refs, layer)
         if not layer:
             break
-        if not layer <= layers[o]:
-            rest = layer - layers[o] - forward[n - o - 1]
-            if rest:
-                outside[o] = rest
+        rest = layer - flow[o]
+        if rest:
+            outside[o] = rest
     if not outside:
         return frozenset()
     marginals: set[ClusterRef] = set()
-    layer = source
+    layer = flow[n]
     for o in range(n - 1, min(outside) - 1, -1):
         layer = lift(pair(t - o - 1).tracer_refs, layer)
         if not layer:
@@ -370,37 +355,27 @@ def _advance(
     return chain
 
 
-def _chain_flow(
-    chain: _Chain, s: int
-) -> tuple[list[frozenset[ClusterRef]], list[frozenset[ClusterRef]]]:
-    """(layers, forward) of the match whose source is the full match at
-    time s, as `_flow` takes them, in O(depth)."""
+def _chain_flow(chain: _Chain, s: int) -> list[frozenset[ClusterRef]]:
+    """The flow of the match whose source is the full match at time s, in
+    O(depth): flow[o] holds the clusters o steps back from the target, the
+    tracing layer there and the mapping walk from the source set, so
+    flow[0] is {target} and flow[t - s] the source set."""
     t = chain.top
     layer = chain.layer
     walk = chain.walk
-    forward: list[frozenset[ClusterRef]] = []
+    flow = [layer[u] for u in range(t, s - 1, -1)]
+    # Where the walk from the source equals a layer, it adds nothing.
     u = s
     while u < t:
         step = walk.get(u)
         if step is None:
             u += 1
         else:
-            own, u = step
-            forward.extend(own)
-        forward.append(layer[u])
-    return [layer[t - o] for o in range(t - s + 1)], forward
-
-
-def _between(
-    layers: Sequence[frozenset[ClusterRef]],
-    forward: Sequence[frozenset[ClusterRef]],
-) -> Iterator[ClusterRef]:
-    """The clusters of a flow strictly between its source and target
-    (arguments as for `_flow`)."""
-    n = len(forward)
-    for o in range(1, n):
-        yield from layers[o]
-        yield from forward[n - o - 1]
+            own, m = step
+            for k, part in enumerate(own, u + 1):
+                flow[t - k] |= part
+            u = m
+    return flow
 
 
 def _relabel(state: TrackingState, dc: int, refs: Iterable[ClusterRef]) -> None:
@@ -449,18 +424,17 @@ def _label(
             and (chain.source == s or chain.bent < s)
         ):
             flow = _chain_flow(chain, s)
-            _relabel(state, dc, _between(*flow))
+            _relabel(state, dc, itertools.chain.from_iterable(flow[1:-1]))
         if chain.leave > s or trace is not None:
-            layers, forward = flow or _chain_flow(chain, s)
+            flow = flow or _chain_flow(chain, s)
             marginals: frozenset[ClusterRef] = frozenset()
             if chain.leave > s:
-                marginals = _marginals(rels, layers, forward, source)
+                marginals = _marginals(rels, flow)
                 _relabel(state, dc, marginals)
             if trace is not None:
                 trace.append(
                     TraceEvent(
-                        ref, len(forward), dc, source,
-                        _flow(layers, forward, source), marginals,
+                        ref, len(flow) - 1, dc, source, tuple(flow), marginals
                     )
                 )
     if chain is not None:
@@ -480,10 +454,12 @@ def process_snapshot(
     `order` overrides the canonical ascending processing order of the
     snapshot's clusters; the output is invariant under permutations (a
     property the test suite checks), so this exists for those tests.
-    Every snapshot of a run is processed with the same relation cache,
-    which `finalize` takes its count tables from; another cache raises
-    ValueError.
+    Every snapshot of a run is processed with the same relation cache of
+    `seq`, which `finalize` takes its count tables from; a cache of
+    another sequence, or another cache, raises ValueError.
     """
+    if rels.seq is not seq:
+        raise ValueError("relations were built for a different sequence")
     if state.frontier != i - 1:
         raise SequencingError(
             f"cannot process snapshot {i} at frontier {state.frontier}"

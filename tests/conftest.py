@@ -5,6 +5,8 @@ from hypothesis import HealthCheck, settings
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 sys.path.insert(0, os.path.dirname(__file__))
+# the benchmark's seeded input builders, which tests/helpers.py reuses
+sys.path.append(os.path.join(os.path.dirname(__file__), "..", "perfbench"))
 
 settings.register_profile(
     "suite",

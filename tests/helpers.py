@@ -3,10 +3,8 @@ member-set queries that only tests need."""
 
 from __future__ import annotations
 
-import importlib.util
 import math
 import random
-from pathlib import Path
 
 from dynatrack import (
     ClusteringSequence,
@@ -16,19 +14,16 @@ from dynatrack import (
     sequence_from_lists,
 )
 from dynatrack.alluvial import PALETTE, AlluvialLayout
+from inputs import churn_clusters
 
 
 def churn_sequence(
     t_total: int, n_members: int, n_clusters: int, seed: int = 0
 ) -> ClusteringSequence:
-    """The seeded churn sequence of `benchmarks/compare_backends.py`: N
+    """The benchmark's seeded churn sequence (`perfbench/inputs.py`): N
     members start round-robin in G clusters, and at every step each moves
     to a uniformly drawn cluster with probability 0.02."""
-    path = Path(__file__).resolve().parent.parent / "benchmarks" / "compare_backends.py"
-    spec = importlib.util.spec_from_file_location("compare_backends", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.synthetic_sequence(t_total, n_members, n_clusters, seed=seed)
+    return sequence_from_lists(churn_clusters(t_total, n_members, n_clusters, seed))
 
 
 def cluster_members(seq: ClusteringSequence, ref: ClusterRef) -> frozenset[str]:

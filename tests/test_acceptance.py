@@ -31,6 +31,7 @@ from dynatrack.relations import RelationCache
 from dynatrack.resultdoc import canonical_labels
 from helpers import (
     canonical,
+    churn_sequence,
     inject_one_shot_members,
     presence,
     random_sequence,
@@ -197,22 +198,6 @@ def test_criterion_7_horizon_and_progressiveness(capfd):
     report(capfd, 7, "progressiveness and marginal span bound, 100 instances")
 
 
-def benchmark_sequence(t_total, n_members, n_clusters, seed=0):
-    """Fixed cluster count, mild churn, linear-size instance."""
-    rng = random.Random(seed)
-    assign = [m % n_clusters for m in range(n_members)]
-    data = []
-    for _ in range(t_total):
-        for m in range(n_members):
-            if rng.random() < 0.02:
-                assign[m] = rng.randrange(n_clusters)
-        clusters = [[] for _ in range(n_clusters)]
-        for m, c in enumerate(assign):
-            clusters[c].append(f"m{m}")
-        data.append([c for c in clusters if c])
-    return sequence_from_lists(data)
-
-
 def best_time(seq, x, repeats=3):
     best = float("inf")
     for _ in range(repeats):
@@ -236,9 +221,9 @@ def scaling_ratios(x=1, g=10, rounds=8, batch=3):
     from statistics import median
 
     sizes = [
-        ("base", benchmark_sequence(200, 1000, g, seed=1)),
-        ("double_t", benchmark_sequence(400, 1000, g, seed=1)),
-        ("double_n", benchmark_sequence(200, 2000, g, seed=1)),
+        ("base", churn_sequence(200, 1000, g, seed=1)),
+        ("double_t", churn_sequence(400, 1000, g, seed=1)),
+        ("double_n", churn_sequence(200, 2000, g, seed=1)),
     ]
     gc.collect()
     gc.freeze()

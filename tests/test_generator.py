@@ -1,7 +1,5 @@
 """Synthetic scenario generation and planted-structure recovery."""
 
-import json
-
 import pytest
 
 from dynatrack import (
@@ -184,7 +182,14 @@ def test_spec_json_roundtrip():
         turnover=0.0,
         seed=42,
     )
-    again = ScenarioSpec.from_json(json.dumps(spec.to_json_dict()))
+    again = ScenarioSpec.from_json(
+        '{"snapshots": 10, "dcs": [{"size": 12, "start": 0, "end": 9}],'
+        ' "events": [{"kind": "splinter", "dc": 0, "start": 2, "duration": 3,'
+        ' "fraction": 0.3333333333333333}, {"kind": "transition", "dc": 0,'
+        ' "start": 6, "duration": 3, "fraction": 0.25}],'
+        ' "turnover": 0.0, "seed": 42}'
+    )
+    assert again == spec
     assert generate(again) == generate(spec)
 
 

@@ -506,10 +506,23 @@ class TestTrack:
                 assert track(seq, x, relations=rels).labels == last.labels
 
     def test_relations_of_another_sequence_rejected(self):
-        seq = sequence_from_lists([[["1"]], [["1"]]])
-        twin = sequence_from_lists([[["1"]], [["1"]]])
-        with pytest.raises(ValueError, match="different sequence"):
-            track(seq, 1, relations=RelationCache(twin))
+        cases = [
+            ([[["1"]], [["1"]]], [[["1"]], [["1"]]]),
+            # the same shape: the other cache's tables would give other labels
+            (
+                [[["1", "2"], ["3"]], [["1", "2"], ["3"]]],
+                [[["1", "2"], ["3"]], [["3"], ["1", "2"]]],
+            ),
+            # another shape: the other cache's tables would not fit
+            ([[["1", "2"], ["3"]], [["1", "2"], ["3"]]], [[["1"]], [["1"]]]),
+        ]
+        for data, other in cases:
+            seq = sequence_from_lists(data)
+            rels = RelationCache(sequence_from_lists(other))
+            with pytest.raises(ValueError, match="different sequence"):
+                track(seq, 1, relations=rels)
+            with pytest.raises(ValueError, match="different sequence"):
+                process_snapshot(new_state(seq, 1), seq, rels, 1)
 
     def test_one_cache_per_run(self):
         seq = sequence_from_lists([[["1", "2"]], [["1"], ["2"]], [["1", "2"]]])
@@ -592,15 +605,26 @@ def search_instances():
 
 
 def record_search(state, chain):
-    """(depth, layers, forward walk) of a search record under the current
-    labels, as `reference_search_source` gives them."""
+    """(depth, layers, flow) of a search record under the current labels,
+    as `reference_record` gives them."""
     t = chain.top
     assert sorted(chain.layer) == list(range(chain.bottom, t + 1))
     layers = [chain.layer[t - k] for k in range(t - chain.bottom + 1)]
     s = tracking._source(state, chain)
     if s < 0:
         return 0, layers, None
-    return t - s, layers, tracking._chain_flow(chain, s)[1]
+    return t - s, layers, tracking._chain_flow(chain, s)
+
+
+def reference_record(state, rels, ref):
+    """`reference_search_source` with its forward walk turned into the
+    flow: o steps back, the tracing layer there and the walk from the
+    source at that step."""
+    n, layers, forward = reference_search_source(state, rels, ref)
+    if forward is None:
+        return n, layers, None
+    flow = [layers[o] | forward[n - o - 1] for o in range(n)] + [layers[n]]
+    return n, layers, flow
 
 
 def test_memoised_search_equals_reference(monkeypatch):
@@ -610,7 +634,7 @@ def test_memoised_search_equals_reference(monkeypatch):
     def checked(state, rels, ref):
         got = memoised(state, rels, ref)
         assert got.top == ref.time
-        assert record_search(state, got) == reference_search_source(
+        assert record_search(state, got) == reference_record(
             state, rels, ref
         ), ref
         depths.append(got.top - got.bottom)
@@ -768,11 +792,9 @@ def checked_advance(outcomes):
         s = tracking._source(state, got)
         assert s >= 0
         assert (got.leave > s) == (full.leave > s)
-        layers, forward = tracking._chain_flow(got, s)
         if got.leave <= s:
-            assert tracking._marginals(
-                rels, layers, forward, got.layer[s]
-            ) == frozenset()
+            flow = tracking._chain_flow(got, s)
+            assert tracking._marginals(rels, flow) == frozenset()
         return got
 
     return checked
