@@ -8,6 +8,7 @@ usage), 1 (anything else).
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 
 from . import __version__
@@ -328,4 +329,16 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def run() -> None:
+    """Entry point of the `dynatrack` process (console script and
+    `python -m dynatrack`).
+
+    The cyclic garbage collector is turned off for the process: the
+    subcommands build millions of containers on large inputs, none of them
+    cyclic garbage, and collections over them took a fifth to a half of
+    each command's time on 400k clusters. The cycles a subcommand does
+    leave (argparse's parser, about 200 objects) do not grow with the
+    input. `main` leaves the collector as it finds it, for in-process
+    callers.
+    """
+    gc.disable()
     raise SystemExit(main())

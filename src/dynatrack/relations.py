@@ -10,6 +10,10 @@ set-valued relations per cluster:
   exactly this cluster),
 * mapper set: the inverse of mapping.
 
+Each set holds cluster indices of one snapshot, which the caller knows:
+the relations only ever compare neighbouring snapshots, so no set names
+its clusters' time.
+
 Argmax decisions use exact integer counts so ties are exact; because only
 members present in both snapshots can be shared, all four relations are
 unaffected by members that appear in a single snapshot.
@@ -20,7 +24,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import Collection, Sequence
 
-from .model import ClusterRef, ClusteringSequence
+from .model import ClusteringSequence
 
 __all__ = [
     "MajorityRelations",
@@ -54,76 +58,68 @@ class MajorityRelations:
     Cluster indices are local to their snapshot; `triples` holds the raw
     shared-member counts for every overlapping pair, as `pair_counts`
     returns them, and `counts` gives them as a dict. The relations are
-    kept as ready-made ClusterRef sets indexed by cluster (the *_refs
-    tables), for `lift`; every one-cluster set among them is that
-    cluster's unit set from the cache, shared rather than copied. The
-    inverse relations (tracer, mapper) are derived on first use; only
-    multi-step matches ever need them.
+    frozensets of cluster indices, one per cluster of their snapshot
+    (mapping and mapper by a cluster of snapshot i, tracing and tracer by
+    one of snapshot i+1), for `lift`; every one-cluster set among them is
+    that cluster's entry of the cache's unit table, shared rather than
+    copied. The inverse relations (tracer, mapper) are derived on first
+    use; only multi-step matches ever need them.
     """
 
-    __slots__ = (
-        "units_a", "units_b", "triples", "mapping_refs", "tracing_refs",
-        "_tracer_refs", "_mapper_refs",
-    )
+    __slots__ = ("unit", "triples", "mapping", "tracing", "_tracer", "_mapper")
 
-    def __init__(self, triples, units_a, units_b):
-        # units_a and units_b hold the unit set {ClusterRef} of every
-        # cluster of the two snapshots, by cluster index. One pass over the
-        # sorted triples keeps, per cluster on each side, the partners at
-        # the running maximum count in triple order. Every count is
-        # positive, so a cluster's first triple always replaces its empty
-        # placeholder.
-        best_a = [0] * len(units_a)
-        best_b = [0] * len(units_b)
-        mapping: list = [()] * len(units_a)
-        tracing: list = [()] * len(units_b)
+    def __init__(self, triples, unit, m_a, m_b):
+        # unit[c] is the set {c}; the snapshots hold m_a and m_b clusters.
+        # One pass over the sorted triples keeps, per cluster on each side,
+        # the partners at the running maximum count in triple order. Every
+        # count is positive, so a cluster's first triple always replaces
+        # its empty placeholder.
+        best_a = [0] * m_a
+        best_b = [0] * m_b
+        mapping: list = [()] * m_a
+        tracing: list = [()] * m_b
         for ca, cb, n in triples:
             if n > best_a[ca]:
                 best_a[ca] = n
-                mapping[ca] = [units_b[cb]]
+                mapping[ca] = [unit[cb]]
             elif n == best_a[ca]:
-                mapping[ca].append(units_b[cb])
+                mapping[ca].append(unit[cb])
             if n > best_b[cb]:
                 best_b[cb] = n
-                tracing[cb] = [units_a[ca]]
+                tracing[cb] = [unit[ca]]
             elif n == best_b[cb]:
-                tracing[cb].append(units_a[ca])
-        self.units_a = units_a
-        self.units_b = units_b
+                tracing[cb].append(unit[ca])
+        self.unit = unit
         self.triples = triples
-        self.mapping_refs = tuple(map(_union, mapping))
-        self.tracing_refs = tuple(map(_union, tracing))
-        self._tracer_refs = None
-        self._mapper_refs = None
+        self.mapping = tuple(map(_union, mapping))
+        self.tracing = tuple(map(_union, tracing))
+        self._tracer = None
+        self._mapper = None
 
     @property
     def counts(self) -> dict[tuple[int, int], int]:
         return {(ca, cb): n for ca, cb, n in self.triples}
 
     @property
-    def tracer_refs(self) -> tuple[frozenset[ClusterRef], ...]:
-        if self._tracer_refs is None:
-            self._tracer_refs = _inverse(
-                self.tracing_refs, self.units_b, len(self.units_a)
-            )
-        return self._tracer_refs
+    def tracer(self) -> tuple[frozenset[int], ...]:
+        if self._tracer is None:
+            self._tracer = _inverse(self.tracing, self.unit, len(self.mapping))
+        return self._tracer
 
     @property
-    def mapper_refs(self) -> tuple[frozenset[ClusterRef], ...]:
-        if self._mapper_refs is None:
-            self._mapper_refs = _inverse(
-                self.mapping_refs, self.units_a, len(self.units_b)
-            )
-        return self._mapper_refs
+    def mapper(self) -> tuple[frozenset[int], ...]:
+        if self._mapper is None:
+            self._mapper = _inverse(self.mapping, self.unit, len(self.tracing))
+        return self._mapper
 
 
-def _inverse(table, units, n):
-    """Per cluster of the other side (n of them), the clusters `units[c]`
-    whose set `table[c]` is exactly that cluster."""
-    lists: list[list[frozenset[ClusterRef]]] = [[] for _ in range(n)]
+def _inverse(table, unit, n):
+    """Per cluster of the other side (n of them), the clusters c whose set
+    `table[c]` is exactly that cluster."""
+    lists: list[list[frozenset[int]]] = [[] for _ in range(n)]
     for c, sets in enumerate(table):
         if len(sets) == 1:
-            lists[next(iter(sets)).cluster].append(units[c])
+            lists[next(iter(sets))].append(unit[c])
     return tuple(map(_union, lists))
 
 
@@ -137,21 +133,16 @@ class RelationCache:
 
     Relations are a pure function of the snapshots, so the cache is
     read-only once built and safe to share across concurrent track runs.
+    `unit[a]` is the set {a}, for every cluster index of the largest
+    snapshot; every pair shares it, so every one-cluster relation set is
+    one of these sets.
     """
 
     def __init__(self, seq: ClusteringSequence):
         self.seq = seq
         self.t_total = len(seq)
-        # One shared ClusterRef and unit set {ClusterRef} per cluster, by
-        # snapshot and cluster index; every one-cluster relation set is
-        # one of these unit sets.
-        self.refs = [
-            tuple(ClusterRef(t, a) for a in range(len(snap)))
-            for t, snap in enumerate(seq.snapshots)
-        ]
-        self.units = [
-            tuple(frozenset((r,)) for r in refs) for refs in self.refs
-        ]
+        m = max(map(len, seq.snapshots), default=0)
+        self.unit = tuple(frozenset((a,)) for a in range(m))
         self._pairs: list[MajorityRelations | None] = [None] * (len(seq) - 1)
 
     def pair(self, i: int) -> MajorityRelations:
@@ -162,7 +153,7 @@ class RelationCache:
         if rel is None:
             a, b = self.seq.snapshots[i : i + 2]
             rel = self._pairs[i] = MajorityRelations(
-                pair_counts(a.column, b.column), self.units[i], self.units[i + 1]
+                pair_counts(a.column, b.column), self.unit, len(a), len(b)
             )
         return rel
 
@@ -173,20 +164,18 @@ class RelationCache:
         return [rel.triples for rel in self._pairs]
 
 
-def lift(
-    table: Sequence[frozenset[ClusterRef]], refs: Collection[ClusterRef]
-) -> frozenset[ClusterRef]:
-    """Union of `table[r.cluster]` over `refs`.
+def lift(table: Sequence[frozenset[int]], clusters: Collection[int]) -> frozenset[int]:
+    """Union of `table[a]` over the cluster indices `clusters`.
 
     `table` is one relation of one snapshot pair, such as
-    `rels.pair(t).mapping_refs` for a step forward from snapshot t, and
-    every ref must sit at the snapshot the table is indexed by. Nothing
-    checks that, since the tracker's inner loops call this.
+    `rels.pair(t).mapping` for a step forward from snapshot t, and every
+    index must be a cluster of the snapshot the table is indexed by.
+    Nothing checks that, since the tracker's inner loops call this.
     """
-    if len(refs) == 1:
-        for r in refs:
-            return table[r.cluster]
-    out: set[ClusterRef] = set()
-    for r in refs:
-        out.update(table[r.cluster])
+    if len(clusters) == 1:
+        for a in clusters:
+            return table[a]
+    out: set[int] = set()
+    for a in clusters:
+        out.update(table[a])
     return frozenset(out)

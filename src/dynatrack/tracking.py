@@ -16,19 +16,20 @@ full mapping path returns exactly to the target cluster; the source is
 the deepest of them whose clusters all carry one dynamic cluster id under
 the labels current at processing time.
 
-Every search yields one record (`_Chain`), keyed by source time: the
-admitted layers, the forward walks of the full matches, and where the
-mapper walk from the target leaves the layers. The source is picked from
-the record (`_source`), and the target labelled from it (`_label`). The
-identity flow of a match is read off the record as one list by offset
-from the target (`_chain_flow`): its layer o steps back is the tracing
-layer there plus the forward walk from the source at that step. The
-relabel writes, the marginal pass and the trace all read that list.
-Marginalised clusters are found in one pass per target instead of
-iterating embedded flows: walk the mapper sets back from the target and
-the tracer sets forward from the source set; whatever lies in both walks
-but not on the identity flow is re-assigned to the embedding DC. The
-pass runs only when the record's mapper walk leaves the layers above the
+A target is cluster a of snapshot t; every set the tracker walks holds
+cluster indices of one snapshot, whose time its user knows. Every search
+yields one record (`_Chain`), keyed by source time: the admitted layers,
+the forward walks of the full matches, and where the mapper walk from the
+target leaves the layers. The source is picked from the record
+(`_source`), and the target labelled from it (`_label`). The identity
+flow of a match is read off the record as one list by offset from the
+target (`_chain_flow`): its layer o steps back is the tracing layer there
+plus the forward walk from the source at that step. The relabel writes,
+the marginal pass and the trace all read that list. Marginalised
+clusters are found in one pass per target: walk the mapper sets back from
+the target and the tracer sets forward from the source set; whatever
+lies in both walks but not on the identity flow takes the DC. The pass
+runs only when the record's mapper walk leaves the layers above the
 source, and takes the tracer walk only when a mapper layer leaves the
 flow, since nothing else can be marginal.
 
@@ -51,8 +52,7 @@ DC and no record is kept.
 
 from __future__ import annotations
 
-import itertools
-from collections import deque
+from collections import defaultdict, deque
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import SequencingError, TrackingInvariantError
@@ -78,7 +78,9 @@ class TraceEvent(NamedTuple):
     target, the tracing layer there and the mapping walk from the source
     set, so flow[0] == {target} and source_set <= flow[n_star]. marginals
     are the clusters off the flow that the target's mapper walk and the
-    source set's tracer walk both reach; they took the DC too.
+    source set's tracer walk both reach; they took the DC too. A traced
+    run builds one ClusterRef set per time and set of clusters, which its
+    events share; the tracker builds ClusterRefs nowhere else.
     """
 
     target: ClusterRef
@@ -102,7 +104,7 @@ class TrackingState:
 
     __slots__ = (
         "history", "labels", "next_dc_id", "frontier", "trace", "relations",
-        "_chains", "_changes",
+        "_chains", "_changes", "_names",
     )
 
     def __init__(self, history: int, m: int, trace: list[TraceEvent] | None) -> None:
@@ -117,11 +119,13 @@ class TrackingState:
         # many relabel writes have changed an existing label so far.
         self._chains: list[_Chain] | None = None
         self._changes = 0
+        # A traced run's ClusterRef sets, by time and cluster indices.
+        self._names: defaultdict = defaultdict(dict)
 
-    def _new_dc(self, ref: ClusterRef) -> int:
+    def _new_dc(self, t: int, a: int) -> int:
         dc = self.next_dc_id
         self.next_dc_id += 1
-        self.labels[ref.time][ref.cluster] = dc
+        self.labels[t][a] = dc
         return dc
 
 
@@ -178,9 +182,9 @@ class _Chain:
 
 
 def _search_source(
-    state: TrackingState, rels: RelationCache, ref: ClusterRef
+    state: TrackingState, rels: RelationCache, t: int, a: int
 ) -> _Chain:
-    """The search record of a target, by the full search in O(depth).
+    """The search record of target a at time t, by the full search, O(depth).
 
     The tracing flow is walked back from the target while the forward
     mapping walk of each new layer re-enters the layers above it. Where a
@@ -188,27 +192,26 @@ def _search_source(
     that layer, so each admitted layer costs the steps of its own walk
     until it meets one.
     """
-    t = ref.time
     pair = rels.pair
-    unit = rels.units[t][ref.cluster]
+    unit = rels.unit[a]
     layer = {t: unit}
     tables: dict[int, MajorityRelations] = {}
-    walk: dict[int, tuple[list[frozenset[ClusterRef]], int]] = {}
+    walk: dict[int, tuple[list[frozenset[int]], int]] = {}
     full: deque[int] = deque()
     # The times whose walk ends at exactly the target.
     ends = {t}
     stop = None
     for s in range(t - 1, max(t - state.history, 0) - 1, -1):
         table = tables[s] = pair(s)
-        candidate = lift(table.tracing_refs, layer[s + 1])
+        candidate = lift(table.tracing, layer[s + 1])
         if not candidate:
             break
         admitted = False
         meet = -1
         path = candidate
-        own: list[frozenset[ClusterRef]] = []
+        own: list[frozenset[int]] = []
         for u in range(s + 1, t + 1):
-            path = lift(tables[u - 1].mapping_refs, path)
+            path = lift(tables[u - 1].mapping, path)
             if not path:
                 break
             if path <= layer[u]:
@@ -234,7 +237,7 @@ def _search_source(
     leave = -1
     mapper = unit
     for s in range(t - 1, bottom - 1, -1):
-        mapper = lift(tables[s].mapper_refs, mapper)
+        mapper = lift(tables[s].mapper, mapper)
         if not mapper:
             break
         if not mapper <= layer[s]:
@@ -249,17 +252,17 @@ def _source(state: TrackingState, chain: _Chain) -> int:
     labels = state.labels
     layer = chain.layer
     for s in chain.full:
-        refs = layer[s]
-        if len(refs) == 1 or len({labels[s][r.cluster] for r in refs}) == 1:
+        clusters = layer[s]
+        if len(clusters) == 1 or len({labels[s][a] for a in clusters}) == 1:
             return s
     return -1
 
 
 def _marginals(
-    rels: RelationCache, flow: Sequence[frozenset[ClusterRef]]
-) -> frozenset[ClusterRef]:
-    """Clusters enclosed by a flow (as `_chain_flow` gives it) that are
-    not on it.
+    rels: RelationCache, t: int, flow: Sequence[frozenset[int]]
+) -> dict[int, frozenset[int]]:
+    """Clusters enclosed by the flow (as `_chain_flow` gives it) of a
+    target at time t that are not on it, by time.
 
     A marginal o steps back lies in the target's o-step mapper walk and
     outside flow[o]; only when some mapper layer leaves the flow is the
@@ -267,74 +270,71 @@ def _marginals(
     clusters that it reaches too.
     """
     n = len(flow) - 1
-    t = next(iter(flow[0])).time
     pair = rels.pair
-    outside: dict[int, frozenset[ClusterRef]] = {}
+    outside: dict[int, frozenset[int]] = {}
     layer = flow[0]
     for o in range(1, n):
-        layer = lift(pair(t - o).mapper_refs, layer)
+        layer = lift(pair(t - o).mapper, layer)
         if not layer:
             break
         rest = layer - flow[o]
         if rest:
             outside[o] = rest
-    if not outside:
-        return frozenset()
-    marginals: set[ClusterRef] = set()
+    marginals: dict[int, frozenset[int]] = {}
     layer = flow[n]
-    for o in range(n - 1, min(outside) - 1, -1):
-        layer = lift(pair(t - o - 1).tracer_refs, layer)
+    for o in range(n - 1, min(outside, default=n) - 1, -1):
+        layer = lift(pair(t - o - 1).tracer, layer)
         if not layer:
             break
-        if o in outside:
-            marginals.update(outside[o] & layer)
-    return frozenset(marginals)
+        if o in outside and (found := outside[o] & layer):
+            marginals[t - o] = found
+    return marginals
 
 
 def _advance(
-    state: TrackingState, rels: RelationCache, ref: ClusterRef
+    state: TrackingState, rels: RelationCache, t: int, a: int
 ) -> _Chain | str:
-    """The search record of ref, derived in O(1) from its predecessor's,
-    or why it cannot be; then the caller runs the full search.
+    """The search record of target a at time t (ref), derived in O(1) from
+    its predecessor's, or why it cannot be; then the caller runs the full
+    search.
 
-    ref at time t is one-step bijective when its tracing set is one
-    cluster c and c's mapping set is {ref}. By source time, ref's tracing
-    layers are then c's with {ref} on top, cut to the horizon. The walk
-    that admits a layer for ref takes c's comparisons plus one at t, so
-    c's admitted layers are ref's; the layer that stopped c's search is
-    admitted for ref only if its walk steps on to exactly {ref} (then
-    ref's search goes deeper: fall back). ref's full matches are t - 1
-    and c's: an admitted walk stays inside the walk of the layer it was
-    admitted on, so by induction over the depth every admitted walk ends
-    at exactly {c} or dies, and c's mapping set takes {c} on to {ref}.
-    The mapper walk from ref enters c's when ref's mapper set is {c};
-    otherwise fall back. These are the four fallbacks; the source is then
-    picked from the record as from a full search's (`_source`).
+    ref is one-step bijective when its tracing set is one cluster c and
+    c's mapping set is {ref}. By source time, ref's tracing layers are
+    then c's with {ref} on top, cut to the horizon. The walk that admits
+    a layer for ref takes c's comparisons plus one at t, so c's admitted
+    layers are ref's; the layer that stopped c's search is admitted for
+    ref only if its walk steps on to exactly {ref} (then ref's search goes
+    deeper: fall back). ref's full matches are t - 1 and c's: an admitted
+    walk stays inside the walk of the layer it was admitted on, so by
+    induction over the depth every admitted walk ends at exactly {c} or
+    dies, and c's mapping set takes {c} on to {ref}. The mapper walk from
+    ref enters c's when ref's mapper set is {c}; otherwise fall back.
+    These are the four fallbacks; the source is then picked from the
+    record as from a full search's (`_source`).
     """
-    t = ref.time
     pair = rels.pair(t - 1)
-    back = pair.tracing_refs[ref.cluster]
+    back = pair.tracing[a]
     if len(back) != 1:
         return "tracing set is not one cluster"
-    unit = rels.units[t][ref.cluster]
+    unit = rels.unit[a]
     (c,) = back
     # One-cluster relation sets are the cache's unit sets themselves.
-    if pair.mapping_refs[c.cluster] is not unit:
+    if pair.mapping[c] is not unit:
         return "mapping set of the predecessor holds another cluster"
-    if len(pair.mapper_refs[ref.cluster]) != 1:
+    if len(pair.mapper[a]) != 1:
         return "mapper set holds another cluster"
     chains = state._chains
     if chains is None:
         chain = _Chain(t - 1, t - 1, {t - 1: back}, {}, deque(), -1, None)
     else:
-        chain = chains[c.cluster]
+        chain = chains[c]
     low = t - state.history
     bottom = max(chain.bottom, low)
     stop = chain.stop
     if stop is not None:
         if chain.bottom > low:
             # The layer below the bottom is within reach of ref too.
-            stop = lift(pair.mapping_refs, stop)
+            stop = lift(pair.mapping, stop)
             if stop == unit:
                 return "the walk that stopped the predecessor's search reaches ref"
             stop = stop or None
@@ -355,7 +355,7 @@ def _advance(
     return chain
 
 
-def _chain_flow(chain: _Chain, s: int) -> list[frozenset[ClusterRef]]:
+def _chain_flow(chain: _Chain, s: int) -> list[frozenset[int]]:
     """The flow of the match whose source is the full match at time s, in
     O(depth): flow[o] holds the clusters o steps back from the target, the
     tracing layer there and the mapping walk from the source set, so
@@ -378,26 +378,30 @@ def _chain_flow(chain: _Chain, s: int) -> list[frozenset[ClusterRef]]:
     return flow
 
 
-def _relabel(state: TrackingState, dc: int, refs: Iterable[ClusterRef]) -> None:
-    """Give dc to already labelled clusters, counting the labels changed."""
+def _relabel(state: TrackingState, dc: int, layers: Iterable) -> None:
+    """Give dc to already labelled clusters, given as (time, cluster
+    indices) pairs, counting the labels changed."""
     labels = state.labels
     changed = 0
-    for r in refs:
-        column = labels[r.time]
-        if column[r.cluster] != dc:
-            column[r.cluster] = dc
-            changed += 1
+    for t, clusters in layers:
+        column = labels[t]
+        for a in clusters:
+            if column[a] != dc:
+                column[a] = dc
+                changed += 1
     state._changes += changed
 
 
 def _label(
     state: TrackingState,
     rels: RelationCache,
-    ref: ClusterRef,
+    t: int,
+    a: int,
     chain: _Chain | None,
     s: int,
 ) -> None:
-    """Label ref from its search record, whose source is at time s.
+    """Label target a at time t (ref) from its search record, whose source
+    is at time s.
 
     With s = -1 ref founds a new DC. Otherwise ref takes the source's DC,
     and so do the flow between and the marginals. The flow needs no write
@@ -408,15 +412,13 @@ def _label(
     """
     trace = state.trace
     if s < 0:
-        dc = state._new_dc(ref)
+        dc = state._new_dc(t, a)
         if trace is not None:
-            unit = rels.units[ref.time][ref.cluster]
-            trace.append(TraceEvent(ref, 0, dc, unit, (unit,), frozenset()))
+            _trace(state, t, dc, [rels.unit[a]], {})
     else:
         labels = state.labels
-        source = chain.layer[s]
-        dc = labels[s][next(iter(source)).cluster]
-        labels[ref.time][ref.cluster] = dc
+        dc = labels[s][next(iter(chain.layer[s]))]
+        labels[t][a] = dc
         flow = None
         if not (
             chain.changes == state._changes
@@ -424,22 +426,32 @@ def _label(
             and (chain.source == s or chain.bent < s)
         ):
             flow = _chain_flow(chain, s)
-            _relabel(state, dc, itertools.chain.from_iterable(flow[1:-1]))
+            _relabel(state, dc, zip(range(t - 1, s, -1), flow[1:-1]))
         if chain.leave > s or trace is not None:
             flow = flow or _chain_flow(chain, s)
-            marginals: frozenset[ClusterRef] = frozenset()
-            if chain.leave > s:
-                marginals = _marginals(rels, flow)
-                _relabel(state, dc, marginals)
+            marginals = _marginals(rels, t, flow) if chain.leave > s else {}
+            _relabel(state, dc, marginals.items())
             if trace is not None:
-                trace.append(
-                    TraceEvent(
-                        ref, len(flow) - 1, dc, source, tuple(flow), marginals
-                    )
-                )
+                _trace(state, t, dc, flow, marginals)
     if chain is not None:
         chain.source = s
         chain.changes = state._changes
+
+
+def _trace(state: TrackingState, t: int, dc: int, flow, marginals) -> None:
+    """Record the TraceEvent of a target at time t that took dc over
+    `flow`, whose source set is flow[-1], with `marginals` by time."""
+    layers = []
+    for u, clusters in zip(range(t, t - len(flow), -1), flow):
+        names = state._names[u]
+        refs = names.get(clusters)
+        if refs is None:
+            refs = names[clusters] = frozenset([ClusterRef(u, a) for a in clusters])
+        layers.append(refs)
+    enclosed = frozenset(ClusterRef(u, a) for u, c in marginals.items() for a in c)
+    target = next(iter(layers[0]))
+    event = TraceEvent(target, len(flow) - 1, dc, layers[-1], tuple(layers), enclosed)
+    state.trace.append(event)
 
 
 def process_snapshot(
@@ -473,20 +485,18 @@ def process_snapshot(
         state.relations = rels
     elif state.relations is not rels:
         raise ValueError("earlier snapshots were processed with another cache")
-    refs = rels.refs[i]
     state.labels.append([-1] * m)  # column i; every entry is written below
     # Without a history every cluster founds a DC, and no record is kept.
     keep = state.history > 0
     chains: list[_Chain | None] = [None] * m
     for alpha in order:
-        ref = refs[alpha]
         if not keep:
-            _label(state, rels, ref, None, -1)
+            _label(state, rels, i, alpha, None, -1)
             continue
-        chain = _advance(state, rels, ref)
+        chain = _advance(state, rels, i, alpha)
         if isinstance(chain, str):
-            chain = _search_source(state, rels, ref)
-        _label(state, rels, ref, chain, _source(state, chain))
+            chain = _search_source(state, rels, i, alpha)
+        _label(state, rels, i, alpha, chain, _source(state, chain))
         chains[alpha] = chain
     state.frontier = i
     state._chains = chains if keep else None

@@ -1,15 +1,17 @@
 """End-to-end CLI behaviour through in-process invocation."""
 
+import gc
 import json
 
 import pytest
 
 from dataclasses import asdict
 
-from dynatrack import classify_events, clustering_from_labels, relations, tracking
+from dynatrack import classify_events, cli, clustering_from_labels, relations, tracking
 from dynatrack.cli import SWEEP_HEADER, main
 from dynatrack.errors import SchemaError
 from dynatrack.resultdoc import load_document
+from inputs import churn_clusters, sequence_bytes
 
 IDENTITY_FIXTURE = {
     "snapshots": [
@@ -882,3 +884,58 @@ def test_snapshots_without_clusters_run_through_every_command(
     assert main(["sweep", "--input", str(seq), "--history-min", "0",
                  "--history-max", "2", "--output", str(sweep)]) == 0
     assert sweep.read_text().startswith(SWEEP_HEADER + "\n")
+
+
+def test_the_cli_process_runs_without_the_cyclic_gc(monkeypatch):
+    # run() turns the collector off before main(), which leaves it as is
+    seen = []
+    monkeypatch.setattr(cli, "main", lambda: seen.append(gc.isenabled()) or 0)
+    enabled = gc.isenabled()
+    try:
+        with pytest.raises(SystemExit) as stop:
+            cli.run()
+    finally:
+        if enabled:
+            gc.enable()
+    assert seen == [False] and stop.value.code == 0
+
+
+def test_cyclic_garbage_does_not_grow_with_the_input(tmp_path):
+    # What a CLI process leaves to a collector that never runs: after each
+    # subcommand, with the collector off as run() sets it, a larger input
+    # leaves no more unreachable objects than a small one.
+    def unreachable(argv):
+        gc.collect()
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            assert main(argv) == 0
+            assert not gc.isenabled()
+            return gc.collect()
+        finally:
+            if enabled:
+                gc.enable()
+
+    # "warm" runs each subcommand once first, so that no module import
+    # falls inside the counts compared.
+    found = {}
+    for name, size in (("warm", (3, 20, 2)), ("small", (4, 40, 4)),
+                       ("large", (8, 2000, 200))):
+        path = tmp_path / name
+        (tmp_path / f"{name}.json").write_bytes(
+            sequence_bytes(churn_clusters(*size, seed=0))
+        )
+        found[name] = [
+            unreachable(["track", "--input", f"{path}.json", "--history", "3",
+                         "--output", f"{path}.doc"]),
+            unreachable(["sweep", "--input", f"{path}.json", "--history-min",
+                         "0", "--history-max", "3", "--output", f"{path}.csv"]),
+            unreachable(["events", "--result", f"{path}.doc",
+                         "--output", f"{path}.events"]),
+            unreachable(["render", "--result", f"{path}.doc",
+                         "--output", f"{path}.svg"]),
+        ]
+    assert all(n > 0 for n in found["small"]), found
+    assert all(
+        large <= small for large, small in zip(found["large"], found["small"])
+    ), found

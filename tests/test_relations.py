@@ -4,13 +4,9 @@ import random
 
 import pytest
 
-from dynatrack import ClusterRef, RelationCache, sequence_from_lists
+from dynatrack import RelationCache, sequence_from_lists
 from dynatrack.relations import count_tables, lift
 from helpers import random_sequence
-
-
-def refs(time, *clusters):
-    return frozenset(ClusterRef(time, c) for c in clusters)
 
 
 class TestMajoritySets:
@@ -20,80 +16,79 @@ class TestMajoritySets:
             [[["1", "2", "3"]], [["1", "2", "4"], ["3", "5"]]]
         )
         rels = RelationCache(seq)
-        assert rels.pair(0).mapping_refs[0] == refs(1, 0)
+        assert rels.pair(0).mapping[0] == frozenset({0})
 
     def test_mapping_tie_yields_both(self):
         seq = sequence_from_lists([[["1", "2"]], [["1"], ["2"]]])
         rels = RelationCache(seq)
-        assert rels.pair(0).mapping_refs[0] == refs(1, 0, 1)
+        assert rels.pair(0).mapping[0] == frozenset({0, 1})
 
     def test_mapping_no_residents_empty(self):
         seq = sequence_from_lists([[["1", "2"]], [["3", "4"]]])
         rels = RelationCache(seq)
-        assert rels.pair(0).mapping_refs[0] == frozenset()
+        assert rels.pair(0).mapping[0] == frozenset()
 
     def test_tracing_mirrors_mapping(self):
         seq = sequence_from_lists(
             [[["1", "2", "4"], ["3", "5"]], [["1", "2", "3"]]]
         )
         rels = RelationCache(seq)
-        assert rels.pair(0).tracing_refs[0] == refs(0, 0)
+        assert rels.pair(0).tracing[0] == frozenset({0})
 
     def test_tracing_new_members_empty(self):
         seq = sequence_from_lists([[["1"]], [["9", "8"]]])
         rels = RelationCache(seq)
-        assert rels.pair(0).tracing_refs[0] == frozenset()
+        assert rels.pair(0).tracing[0] == frozenset()
 
     def test_tracing_tie(self):
         seq = sequence_from_lists([[["1"], ["2"]], [["1", "2"]]])
         rels = RelationCache(seq)
-        assert rels.pair(0).tracing_refs[0] == refs(0, 0, 1)
+        assert rels.pair(0).tracing[0] == frozenset({0, 1})
 
     def test_tracer_collects_unique_tracers(self):
         # A={1,2,3} at t0; C={1,2}, D={3} both trace uniquely to A
         seq = sequence_from_lists([[["1", "2", "3"]], [["1", "2"], ["3"]]])
         rels = RelationCache(seq)
-        assert rels.pair(0).tracer_refs[0] == refs(1, 0, 1)
+        assert rels.pair(0).tracer[0] == frozenset({0, 1})
 
     def test_tied_tracing_disqualifies_tracer(self):
         # h={1,2} traces to both A={1} and B={2}: not in tracer set of A
         seq = sequence_from_lists([[["1"], ["2"]], [["1", "2"]]])
         rels = RelationCache(seq)
-        assert rels.pair(0).tracer_refs[0] == frozenset()
-        assert rels.pair(0).tracer_refs[1] == frozenset()
+        assert rels.pair(0).tracer[0] == frozenset()
+        assert rels.pair(0).tracer[1] == frozenset()
 
     def test_tracer_empty_when_nothing_traces(self):
         seq = sequence_from_lists([[["1"]], [["2"]]])
         rels = RelationCache(seq)
-        assert rels.pair(0).tracer_refs[0] == frozenset()
+        assert rels.pair(0).tracer[0] == frozenset()
 
     def test_mapper_duals(self):
         # time-reversed tracer cases
         seq = sequence_from_lists([[["1", "2"], ["3"]], [["1", "2", "3"]]])
         rels = RelationCache(seq)
-        assert rels.pair(0).mapper_refs[0] == refs(0, 0, 1)
+        assert rels.pair(0).mapper[0] == frozenset({0, 1})
         tie = sequence_from_lists([[["1", "2"]], [["1"], ["2"]]])
         rels2 = RelationCache(tie)
-        assert rels2.pair(0).mapper_refs[0] == frozenset()
+        assert rels2.pair(0).mapper[0] == frozenset()
 
     def test_range_errors(self):
         seq = sequence_from_lists([[["1"]], [["1"]]])
         rels = RelationCache(seq)
         with pytest.raises(IndexError):
-            rels.pair(1).mapping_refs[0]
+            rels.pair(1).mapping[0]
         with pytest.raises(IndexError):
-            rels.pair(-1).tracing_refs[0]
+            rels.pair(-1).tracing[0]
         with pytest.raises(IndexError):
-            rels.pair(0).mapping_refs[5]
+            rels.pair(0).mapping[5]
 
 
 class TestLift:
     def test_singleton_equals_base(self):
         seq = sequence_from_lists([[["1", "2", "3"]], [["1", "2", "4"], ["3", "5"]]])
         rels = RelationCache(seq)
-        a = ClusterRef(0, 0)
-        table = rels.pair(0).mapping_refs
-        assert lift(table, [a]) == table[a.cluster]
+        table = rels.pair(0).mapping
+        assert lift(table, [0]) == table[0]
 
     def test_union_of_images(self):
         # ms(A)={C}, ms(B)={C,D} -> lift({A,B}) = {C,D}
@@ -101,19 +96,19 @@ class TestLift:
             [[["1", "2"], ["3", "4"]], [["1", "2", "3"], ["4"]]]
         )
         rels = RelationCache(seq)
-        lifted = lift(rels.pair(0).mapping_refs, refs(0, 0, 1))
-        assert lifted == refs(1, 0, 1)
+        lifted = lift(rels.pair(0).mapping, frozenset({0, 1}))
+        assert lifted == frozenset({0, 1})
 
     def test_backward_step_reads_the_earlier_pair(self):
         # ts(C)={A,B} at t0, lifted over {C} at t1 through pair 0
         seq = sequence_from_lists([[["1"], ["2"]], [["1", "2"]]])
         rels = RelationCache(seq)
-        assert lift(rels.pair(0).tracing_refs, refs(1, 0)) == refs(0, 0, 1)
+        assert lift(rels.pair(0).tracing, frozenset({0})) == frozenset({0, 1})
 
     def test_empty_set(self):
         seq = sequence_from_lists([[["1"]], [["1"]]])
         rels = RelationCache(seq)
-        assert lift(rels.pair(0).mapping_refs, frozenset()) == frozenset()
+        assert lift(rels.pair(0).mapping, frozenset()) == frozenset()
 
 
 def relation_tables(seq):
@@ -122,7 +117,7 @@ def relation_tables(seq):
     for i in range(len(seq) - 1):
         pair = rels.pair(i)
         tables.append(
-            (pair.mapping_refs, pair.tracing_refs, pair.tracer_refs, pair.mapper_refs)
+            (pair.mapping, pair.tracing, pair.tracer, pair.mapper)
         )
     return tables
 
@@ -149,11 +144,10 @@ def test_tracer_iff_singleton_tracing():
         for i in range(len(seq) - 1):
             for a in range(len(seq.snapshots[i])):
                 pair = rels.pair(i)
-                tr = pair.tracer_refs[a]
+                tr = pair.tracer[a]
                 for b in range(len(seq.snapshots[i + 1])):
-                    g = ClusterRef(i + 1, b)
-                    expected = pair.tracing_refs[b] == frozenset((ClusterRef(i, a),))
-                    assert (g in tr) == expected
+                    expected = pair.tracing[b] == frozenset((a,))
+                    assert (b in tr) == expected
 
 
 def test_count_tables_equal_the_cache_and_share_only_when_complete():

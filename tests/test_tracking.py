@@ -24,7 +24,7 @@ from dynatrack import (
     sequence_from_lists,
     track,
 )
-from dynatrack import tracking
+from dynatrack import relations, tracking
 from dynatrack.errors import SequencingError, TrackingInvariantError
 from dynatrack.oracle import MAX_SNAPSHOTS, MAX_TOTAL_CLUSTERS
 from dynatrack.relations import lift
@@ -121,15 +121,20 @@ def traced(seq, x):
 
 def search_at(seq, x, ref):
     """`reference_search_source` for ref, with every snapshot before it
-    processed, and the TraceEvent of ref when its snapshot is processed."""
+    processed and its index sets named by ClusterRef, and the TraceEvent
+    of ref when its snapshot is processed."""
     rels = RelationCache(seq)
     state = new_state(seq, x, trace=True)
-    for i in range(1, ref.time):
+    t = ref.time
+    for i in range(1, t):
         process_snapshot(state, seq, rels, i)
-    found = reference_search_source(state, rels, ref)
-    process_snapshot(state, seq, rels, ref.time)
+    n, layers, forward = reference_search_source(state, rels, t, ref.cluster)
+    layers = [refs(t - k, *layer) for k, layer in enumerate(layers)]
+    if forward is not None:
+        forward = [refs(t - n + j + 1, *path) for j, path in enumerate(forward)]
+    process_snapshot(state, seq, rels, t)
     (event,) = [ev for ev in state.trace if ev.target == ref]
-    return found, event
+    return (n, layers, forward), event
 
 
 class TestPaths:
@@ -372,8 +377,8 @@ class TestProcessSnapshot:
             "from dynatrack import sequence_from_lists, track\n"
             "from dynatrack.errors import TrackingInvariantError\n"
             "from dynatrack.tracking import TrackingState\n"
-            "TrackingState._new_dc = lambda self, ref: "
-            "self.labels[ref.time].__setitem__(ref.cluster, 0) or 0\n"
+            "TrackingState._new_dc = lambda self, t, a: "
+            "self.labels[t].__setitem__(a, 0) or 0\n"
             "seq = sequence_from_lists([[['1']], [['8'], ['9']]])\n"
             "try:\n"
             "    track(seq, 1)\n"
@@ -551,21 +556,21 @@ class TestTrack:
         assert cache() is None and result.seq is seq
 
 
-def reference_search_source(state, rels, ref):
-    """The literal O(x^2) source search: every depth walks forward from
-    scratch. The tracker's memoised search must return the same."""
-    t = ref.time
-    layers = [frozenset((ref,))]
+def reference_search_source(state, rels, t, a):
+    """The literal O(x^2) source search for target a at time t: every
+    depth walks forward from scratch. The tracker's memoised search must
+    return the same."""
+    layers = [frozenset((a,))]
     full_matches = []
     for k in range(1, min(t, state.history) + 1):
-        candidate = lift(rels.pair(t - k).tracing_refs, layers[k - 1])
+        candidate = lift(rels.pair(t - k).tracing, layers[k - 1])
         if not candidate:
             break
         admitted = False
         path = candidate
         forward = []
         for j in range(1, k + 1):
-            path = lift(rels.pair(t - k + j - 1).mapping_refs, path)
+            path = lift(rels.pair(t - k + j - 1).mapping, path)
             if not path:
                 break
             forward.append(path)
@@ -578,7 +583,7 @@ def reference_search_source(state, rels, ref):
             full_matches.append((k, forward))
     for k, forward in reversed(full_matches):
         source = layers[k]
-        dcs = {state.labels[r.time][r.cluster] for r in source}
+        dcs = {state.labels[t - k][c] for c in source}
         if len(dcs) == 1:
             return k, layers, forward
     return 0, layers, None
@@ -616,11 +621,11 @@ def record_search(state, chain):
     return t - s, layers, tracking._chain_flow(chain, s)
 
 
-def reference_record(state, rels, ref):
+def reference_record(state, rels, t, a):
     """`reference_search_source` with its forward walk turned into the
     flow: o steps back, the tracing layer there and the walk from the
     source at that step."""
-    n, layers, forward = reference_search_source(state, rels, ref)
+    n, layers, forward = reference_search_source(state, rels, t, a)
     if forward is None:
         return n, layers, None
     flow = [layers[o] | forward[n - o - 1] for o in range(n)] + [layers[n]]
@@ -631,12 +636,12 @@ def test_memoised_search_equals_reference(monkeypatch):
     memoised = tracking._search_source
     depths = []
 
-    def checked(state, rels, ref):
-        got = memoised(state, rels, ref)
-        assert got.top == ref.time
+    def checked(state, rels, t, a):
+        got = memoised(state, rels, t, a)
+        assert got.top == t
         assert record_search(state, got) == reference_record(
-            state, rels, ref
-        ), ref
+            state, rels, t, a
+        ), (t, a)
         depths.append(got.top - got.bottom)
         return got
 
@@ -778,13 +783,13 @@ def checked_advance(outcomes):
     search at the same labels, and counting each outcome."""
     advance = tracking._advance
 
-    def checked(state, rels, ref):
-        got = advance(state, rels, ref)
+    def checked(state, rels, t, a):
+        got = advance(state, rels, t, a)
         if isinstance(got, str):
             outcomes[got] += 1
             return got
         outcomes["carried"] += 1
-        full = tracking._search_source(state, rels, ref)
+        full = tracking._search_source(state, rels, t, a)
         assert got.top == full.top and got.layer == full.layer
         assert list(got.full) == list(full.full) and got.stop == full.stop
         for s in full.full:
@@ -794,7 +799,7 @@ def checked_advance(outcomes):
         assert (got.leave > s) == (full.leave > s)
         if got.leave <= s:
             flow = tracking._chain_flow(got, s)
-            assert tracking._marginals(rels, flow) == frozenset()
+            assert tracking._marginals(rels, t, flow) == {}
         return got
 
     return checked
@@ -806,20 +811,19 @@ def checked_search(searches):
     and that the full matches are the walks that end at the target."""
     search = tracking._search_source
 
-    def checked(state, rels, ref):
-        got = search(state, rels, ref)
-        t = ref.time
+    def checked(state, rels, t, a):
+        got = search(state, rels, t, a)
         target = got.layer[t]
         ends = []
         for s in range(got.bottom, t):
             path = got.layer[s]
             for u in range(s, t):
-                path = lift(rels.pair(u).mapping_refs, path)
-            assert path in (frozenset(), target), (ref, s)
+                path = lift(rels.pair(u).mapping, path)
+            assert path in (frozenset(), target), (t, a, s)
             if path:
                 ends.append(s)
-        assert list(got.full) == ends, ref
-        searches.append(ref)
+        assert list(got.full) == ends, (t, a)
+        searches.append((t, a))
         return got
 
     return checked
@@ -889,9 +893,9 @@ def test_a_chain_born_from_a_tie_is_searched_once_at_any_horizon(monkeypatch):
     calls = collections.Counter()
     search = tracking._search_source
 
-    def counting(state, rels, ref):
+    def counting(state, rels, t, a):
         calls[state.history] += 1
-        return search(state, rels, ref)
+        return search(state, rels, t, a)
 
     monkeypatch.setattr(tracking, "_search_source", counting)
     labels = {x: track(seq, x).labels for x in (1, 11)}
@@ -913,7 +917,7 @@ def test_a_changed_label_makes_the_successor_rewrite_its_flow(monkeypatch):
             state = new_state(seq, 3)
             process_snapshot(state, seq, rels, 1)
             process_snapshot(state, seq, rels, 2)
-            tracking._relabel(state, 7, [ClusterRef(1, 0)])
+            tracking._relabel(state, 7, [(1, frozenset((0,)))])
             assert state._changes == 1
             process_snapshot(state, seq, rels, 3)
             runs.append(state.labels)
@@ -941,16 +945,48 @@ def test_search_work_does_not_grow_with_the_horizon(monkeypatch):
     work = collections.Counter()
     advance = tracking._advance
 
-    def counting_lift(table, refs):
+    def counting_lift(table, clusters):
         work[x] += 1
-        return lift(table, refs)
+        return lift(table, clusters)
 
-    def counting_advance(state, rels, ref):
+    def counting_advance(state, rels, t, a):
         work[x] += 1
-        return advance(state, rels, ref)
+        return advance(state, rels, t, a)
 
     monkeypatch.setattr(tracking, "lift", counting_lift)
     monkeypatch.setattr(tracking, "_advance", counting_advance)
     for x in (1, 39):
         track(seq, x, relations=rels)
     assert work[39] <= 2 * work[1], work
+
+
+def test_an_untraced_run_builds_no_cluster_ref(monkeypatch):
+    # Relation sets and search records hold cluster indices; only a traced
+    # run names clusters by ClusterRef.
+    def refuse(*args):
+        raise AssertionError("an untraced run built a ClusterRef")
+
+    for module in (relations, tracking):
+        monkeypatch.setattr(module, "ClusterRef", refuse, raising=False)
+    for seq in list(search_instances())[-6:]:
+        rels = RelationCache(seq)
+        for x in (0, 1, 5):
+            labels = track(seq, x).labels
+            assert track(seq, x, relations=rels).labels == labels
+            state = new_state(seq, x)
+            for i in range(1, len(seq)):
+                process_snapshot(state, seq, rels, i)
+            assert finalize(state, seq).labels == labels
+
+
+def test_a_traced_run_shares_its_cluster_ref_sets():
+    # Persistent five-member clusters: their layers recur in the events of
+    # every later target within the horizon. Each time and set of clusters
+    # has one ClusterRef set, however many events name it.
+    seq = churn_sequence(40, 500, 100, seed=0)
+    events = []
+    track(seq, 12, trace=events)
+    sets = [s for ev in events for s in (ev.source_set, *ev.flow)]
+    values = {(next(iter(s)).time, s) for s in sets}
+    assert len({id(s) for s in sets}) == len(values)
+    assert len(sets) > 5 * len(values)
