@@ -8,7 +8,9 @@ usage), 1 (anything else).
 from __future__ import annotations
 
 import argparse
+import atexit
 import gc
+import os
 import sys
 
 from . import __version__
@@ -339,6 +341,33 @@ def run() -> None:
     leave (argparse's parser, about 200 objects) do not grow with the
     input. `main` leaves the collector as it finds it, for in-process
     callers.
+
+    Once `main` returns, the process ends without interpreter teardown,
+    which frees every module and object only for the process to exit: an
+    atexit handler flushes stdout and stderr and calls `os._exit` with
+    `main`'s exit code. It runs first among the atexit handlers, so those
+    registered before it (such as coverage's subprocess hook) do not run.
+    It is a handler rather than a direct `os._exit`, so that a wrapper that
+    catches the `SystemExit` (`python -m cProfile -m dynatrack ...`) still
+    finishes its own work. A `SystemExit` raised inside `main` (`--help`,
+    `--version`, usage errors) ends the process the usual way.
     """
     gc.disable()
-    raise SystemExit(main())
+    code = main()
+    atexit.register(_exit_now, code)
+    raise SystemExit(code)
+
+
+def _exit_now(code: int) -> None:
+    """Flush stdout and stderr, then end the process with `code`.
+
+    If a flush fails, return instead, so that the interpreter's own exit
+    reports the failure and sets the exit status as it always does.
+    """
+    for stream in (sys.stdout, sys.stderr):
+        if stream is not None:
+            try:
+                stream.flush()
+            except (OSError, ValueError):
+                return
+    os._exit(code)

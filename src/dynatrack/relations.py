@@ -22,9 +22,10 @@ unaffected by members that appear in a single snapshot.
 from __future__ import annotations
 
 from collections import Counter
+from itertools import accumulate
 from typing import Collection, Sequence
 
-from .model import ClusteringSequence
+from .model import ClusteringSequence, Snapshot
 
 __all__ = [
     "MajorityRelations",
@@ -34,22 +35,38 @@ __all__ = [
 ]
 
 
-def pair_counts(a: dict[str, int], b: dict[str, int]) -> list[tuple[int, int, int]]:
-    """Shared-member counts between the clusters of two snapshots, given
-    their member columns (`Snapshot.column`).
+def pair_counts(a: Snapshot, b: Snapshot) -> list[tuple[int, int, int]]:
+    """Shared-member counts between the clusters of two snapshots.
 
     Returns (cluster_a, cluster_b, count) triples sorted lexicographically,
     non-zero counts only. Members present in one snapshot only never
     produce a triple, which is what makes the relations turnover-robust.
+
+    Counts by cluster run, in O(members of `a`): `a.column` lists the
+    members in cluster order, so the partners in `b` of cluster `ca` are
+    one slice of the partner list. A cluster whose members all share one
+    partner (or all leave) takes one `count` over its slice; any other is
+    counted with a `Counter`.
     """
-    counts = Counter(zip(a.values(), map(b.get, a)))
-    return sorted((ca, cb, n) for (ca, cb), n in counts.items() if cb is not None)
+    partners = list(map(b.column.get, a.column))
+    out = []
+    for ca, (start, n) in enumerate(zip(accumulate(a.sizes, initial=0), a.sizes)):
+        run = partners[start : start + n]
+        first = run[0]
+        if run.count(first) == n:
+            if first is not None:
+                out.append((ca, first, n))
+        else:
+            counts = Counter(run)
+            counts.pop(None, None)
+            out += [(ca, cb, k) for cb, k in sorted(counts.items())]
+    return out
 
 
 def count_tables(seq: ClusteringSequence) -> list[list[tuple[int, int, int]]]:
     """The `pair_counts` triples of every neighbouring snapshot pair of `seq`."""
-    columns = [snap.column for snap in seq.snapshots]
-    return [pair_counts(a, b) for a, b in zip(columns, columns[1:])]
+    snaps = seq.snapshots
+    return [pair_counts(a, b) for a, b in zip(snaps, snaps[1:])]
 
 
 class MajorityRelations:
@@ -153,7 +170,7 @@ class RelationCache:
         if rel is None:
             a, b = self.seq.snapshots[i : i + 2]
             rel = self._pairs[i] = MajorityRelations(
-                pair_counts(a.column, b.column), self.unit, len(a), len(b)
+                pair_counts(a, b), self.unit, len(a), len(b)
             )
         return rel
 

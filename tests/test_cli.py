@@ -887,9 +887,12 @@ def test_snapshots_without_clusters_run_through_every_command(
 
 
 def test_the_cli_process_runs_without_the_cyclic_gc(monkeypatch):
-    # run() turns the collector off before main(), which leaves it as is
-    seen = []
+    # run() turns the collector off before main(), which leaves it as is.
+    # The exit handler is caught here: registered in this process it would
+    # end the test run with run()'s exit code.
+    seen, registered = [], []
     monkeypatch.setattr(cli, "main", lambda: seen.append(gc.isenabled()) or 0)
+    monkeypatch.setattr(cli.atexit, "register", lambda *a: registered.append(a))
     enabled = gc.isenabled()
     try:
         with pytest.raises(SystemExit) as stop:
@@ -898,6 +901,7 @@ def test_the_cli_process_runs_without_the_cyclic_gc(monkeypatch):
         if enabled:
             gc.enable()
     assert seen == [False] and stop.value.code == 0
+    assert registered == [(cli._exit_now, 0)]
 
 
 def test_cyclic_garbage_does_not_grow_with_the_input(tmp_path):

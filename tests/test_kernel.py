@@ -2,6 +2,8 @@
 
 import random
 
+import pytest
+
 from dynatrack import sequence_from_lists
 from dynatrack.relations import pair_counts
 
@@ -37,8 +39,8 @@ def random_instance(rng):
 
 
 def kernel_counts(seq):
-    columns = [snap.column for snap in seq.snapshots]
-    return [pair_counts(a, b) for a, b in zip(columns, columns[1:])]
+    snaps = seq.snapshots
+    return [pair_counts(a, b) for a, b in zip(snaps, snaps[1:])]
 
 
 def test_pair_counts_match_brute_force():
@@ -48,10 +50,50 @@ def test_pair_counts_match_brute_force():
 
 
 def test_empty_snapshot_pairs():
-    seq = sequence_from_lists([[], [["a", "b"]], []])
-    assert kernel_counts(seq) == [[], []]
+    seq = sequence_from_lists([[], [["a", "b"]], [], []])
+    assert kernel_counts(seq) == [[], [], []]
 
 
 def test_disjoint_snapshots_have_no_counts():
     seq = sequence_from_lists([[["a"], ["b"]], [["x"], ["y"]]])
     assert kernel_counts(seq) == [[]]
+
+
+# Each case exercises one path of the count by cluster run: cluster 0 of
+# the first snapshot is the run under test.
+RUN_CASES = {
+    "stays whole": [[["a", "b", "c"], ["d"]], [["d"], ["a", "b", "c", "x"]]],
+    "leaves entirely": [[["a", "b", "c"], ["d"]], [["d", "x"]]],
+    "first member leaves, rest stay": [
+        [["a", "b", "c"], ["d"]],
+        [["b", "c"], ["d"], ["x"]],
+    ],
+    "first member leaves, rest spread": [
+        [["a", "b", "c", "d"]],
+        [["x"], ["d"], ["b", "c"]],
+    ],
+    "spread over many partners": [
+        [[f"m{i}" for i in range(40)]],
+        [[f"m{i}" for i in range(j, 40, 7)] for j in range(7)],
+    ],
+}
+
+
+@pytest.mark.parametrize("data", RUN_CASES.values(), ids=RUN_CASES)
+def test_each_run_path_matches_brute_force(data):
+    seq = sequence_from_lists(data)
+    assert kernel_counts(seq) == brute_counts(seq)
+
+
+def test_run_paths_give_the_expected_triples():
+    counts = {
+        name: kernel_counts(sequence_from_lists(data))[0]
+        for name, data in RUN_CASES.items()
+    }
+    assert counts["stays whole"] == [(0, 1, 3), (1, 0, 1)]
+    assert counts["leaves entirely"] == [(1, 0, 1)]
+    assert counts["first member leaves, rest stay"] == [(0, 0, 2), (1, 1, 1)]
+    assert counts["first member leaves, rest spread"] == [(0, 1, 1), (0, 2, 2)]
+    assert counts["spread over many partners"] == [
+        (0, j, len(range(j, 40, 7))) for j in range(7)
+    ]

@@ -2,6 +2,7 @@
 
 import collections
 import gc
+import os
 import random
 import subprocess
 import sys
@@ -389,7 +390,7 @@ class TestProcessSnapshot:
         proc = subprocess.run(
             [sys.executable, "-O", str(script)],
             capture_output=True, text=True, timeout=60,
-            env={"PYTHONPATH": str(src)},
+            env=dict(os.environ, PYTHONPATH=str(src)),
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.startswith("raised: frontier labels not injective")
