@@ -12,14 +12,24 @@ is dropped ("12", "12.50", "-0").
 
 from __future__ import annotations
 
+import json
 import math
-from itertools import accumulate, repeat
-from typing import NamedTuple
+from itertools import accumulate, chain, groupby, repeat
+from operator import itemgetter
+from typing import Iterator, NamedTuple
 
 from .model import ClusteringSequence
 from .relations import count_tables
 
-__all__ = ["Block", "Flow", "AlluvialLayout", "build_layout", "layout_to_svg"]
+__all__ = [
+    "Block",
+    "Flow",
+    "AlluvialLayout",
+    "build_layout",
+    "layout_to_svg",
+    "svg_chunks",
+    "layout_json_chunks",
+]
 
 # 12 fixed colours cycled by canonical DC id.
 PALETTE = (
@@ -56,6 +66,50 @@ class AlluvialLayout(NamedTuple):
             "flows": [f._asdict() for f in self.flows],
             "gap": self.gap,
         }
+
+
+def layout_json_chunks(layout: AlluvialLayout) -> Iterator[str]:
+    """`json.dumps(layout.to_json_dict(), sort_keys=True, separators=(",", ":"))`
+    plus a newline, in chunks: one per column of blocks and one per run of
+    one flow time, so that no dict per block or flow is built.
+
+    Numbers are written as `json` writes them: ints in decimal, floats by
+    `float.__repr__`. `json` writes NaN and infinities its own way, so a
+    layout holding one is encoded by `json` itself, in one chunk.
+    """
+    ys = chain(
+        map(itemgetter(4), chain.from_iterable(layout.blocks)),
+        map(itemgetter(4), layout.flows),
+        map(itemgetter(5), layout.flows),
+    )
+    if not all(map(math.isfinite, ys)):
+        return iter((_dumps(layout.to_json_dict()) + "\n",))
+    return _layout_json_chunks(layout)
+
+
+def _dumps(obj) -> str:
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+def _layout_json_chunks(layout: AlluvialLayout) -> Iterator[str]:
+    yield '{"blocks":['
+    sep = ""
+    for col in layout.blocks:
+        yield sep + "[" + ",".join(
+            f'{{"cluster":{a},"dc":{dc},"size":{size},"time":{t},"y":{y!r}}}'
+            for t, a, dc, size, y in col
+        ) + "]"
+        sep = ","
+    yield '],"flows":['
+    sep = ""
+    for _t, flows in groupby(layout.flows, itemgetter(0)):
+        yield sep + ",".join(
+            f'{{"dst_cluster":{b},"dst_y":{dst_y!r},"magnitude":{magnitude},'
+            f'"src_cluster":{a},"src_y":{src_y!r},"time":{t}}}'
+            for t, a, b, magnitude, src_y, dst_y in flows
+        )
+        sep = ","
+    yield f'],"gap":{_dumps(layout.gap)}}}\n'
 
 
 def build_layout(
@@ -124,10 +178,24 @@ def layout_to_svg(
     and every block size is >= 0, and OverflowError when the diagram is
     too large for float coordinates.
     """
+    return "".join(svg_chunks(layout, block_width, unit))
+
+
+def svg_chunks(
+    layout: AlluvialLayout,
+    block_width: float = 20.0,
+    unit: float = 1.0,
+) -> Iterator[str]:
+    """`layout_to_svg`'s document in chunks: the header, the flows of each
+    run of one flow time, the blocks of each column, and the closing tags.
+
+    The arguments are checked, and the errors of `layout_to_svg` raised,
+    here rather than on the first chunk, so that a caller can check before
+    it opens its output.
+    """
     for name, value in (("block_width", block_width), ("unit", unit)):
         if not (math.isfinite(value) and value > 0):
             raise ValueError(f"{name} must be a finite number > 0, got {value!r}")
-    span = 3.0 * block_width
     n_cols = len(layout.blocks)
     height = 0.0
     for col in layout.blocks:
@@ -140,6 +208,7 @@ def layout_to_svg(
             bottom = (b.y + b.size) * unit
             if bottom > height:
                 height = bottom
+    span = 3.0 * block_width
     width = n_cols * block_width + max(n_cols - 1, 0) * span
     # Every coordinate written, and every sum taken to find one, is at most
     # twice the width or the height.
@@ -147,53 +216,58 @@ def layout_to_svg(
         raise OverflowError(
             f"the diagram's extent ({width!r} x {height!r}) overflows a float"
         )
-    parts = [
-        '<?xml version="1.0" encoding="UTF-8"?>',
-        (
-            f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-            f'width="{_fmt(width)}" height="{_fmt(height)}" '
-            f'viewBox="0 0 {_fmt(width)} {_fmt(height)}">'
-        ),
-        '<g stroke="none">',
-    ]
+    return _svg_chunks(layout, block_width, span, unit, width, height)
 
+
+def _svg_chunks(
+    layout: AlluvialLayout,
+    block_width: float,
+    span: float,
+    unit: float,
+    width: float,
+    height: float,
+) -> Iterator[str]:
+    yield (
+        '<?xml version="1.0" encoding="UTF-8"?>\n'
+        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+        f'width="{_fmt(width)}" height="{_fmt(height)}" '
+        f'viewBox="0 0 {_fmt(width)} {_fmt(height)}">\n'
+        '<g stroke="none">\n'
+    )
     pitch = block_width + span  # from one column's left edge to the next
-    # Where flows from column t leave it (x0), bend (xm) and enter t+1 (x1),
-    # for each flow time, which a hand-built layout may put past the columns.
-    edges = {}
-    for t in {flow.time for flow in layout.flows}:
+    fy = _Formatted()  # lives for this document only
+    for t, flows in groupby(layout.flows, itemgetter(0)):
+        # Where flows from column t leave it (x0), bend (xm) and enter t+1
+        # (x1); a hand-built layout may put t past the columns.
         x0, x1 = t * pitch + block_width, (t + 1) * pitch
-        edges[t] = _fmt(x0), _fmt((x0 + x1) / 2.0), _fmt(x1)
-    fy = _Formatted()  # lives for this call only
-    for flow in layout.flows:
-        x0, xm, x1 = edges[flow.time]
-        y0a = flow.src_y * unit
-        y0b = (flow.src_y + flow.magnitude) * unit
-        y1a = flow.dst_y * unit
-        y1b = (flow.dst_y + flow.magnitude) * unit
-        a0, b0, a1, b1 = fy[y0a], fy[y0b], fy[y1a], fy[y1b]
-        am, bm = fy[(y0a + y1a) / 2.0], fy[(y0b + y1b) / 2.0]
-        src_dc = layout.blocks[flow.time][flow.src_cluster].dc
-        color = PALETTE[src_dc % len(PALETTE)]
-        # two quadratic segments per edge give an S-shaped ribbon
-        parts.append(
-            f'<path d="M {x0} {a0} Q {xm} {a0} {xm} {am} Q {xm} {a1} {x1} {a1} '
-            f'L {x1} {b1} Q {xm} {b1} {xm} {bm} Q {xm} {b0} {x0} {b0} Z" '
-            f'fill="{color}" fill-opacity="0.4"/>'
-        )
+        x0, xm, x1 = _fmt(x0), _fmt((x0 + x1) / 2.0), _fmt(x1)
+        blocks = layout.blocks[t]
+        paths = []
+        for _t, src, _dst, magnitude, src_y, dst_y in flows:
+            y0a = src_y * unit
+            y0b = (src_y + magnitude) * unit
+            y1a = dst_y * unit
+            y1b = (dst_y + magnitude) * unit
+            a0, b0, a1, b1 = fy[y0a], fy[y0b], fy[y1a], fy[y1b]
+            am, bm = fy[(y0a + y1a) / 2.0], fy[(y0b + y1b) / 2.0]
+            color = PALETTE[blocks[src].dc % len(PALETTE)]
+            # two quadratic segments per edge give an S-shaped ribbon
+            paths.append(
+                f'<path d="M {x0} {a0} Q {xm} {a0} {xm} {am} Q {xm} {a1} {x1} {a1} '
+                f'L {x1} {b1} Q {xm} {b1} {xm} {bm} Q {xm} {b0} {x0} {b0} Z" '
+                f'fill="{color}" fill-opacity="0.4"/>\n'
+            )
+        yield "".join(paths)
 
     width_s = _fmt(block_width)
     for i, col in enumerate(layout.blocks):
         x = _fmt(i * pitch)
-        for b in col:
-            color = PALETTE[b.dc % len(PALETTE)]
-            parts.append(
-                f'<rect x="{x}" y="{fy[b.y * unit]}" '
-                f'width="{width_s}" height="{fy[b.size * unit]}" '
-                f'fill="{color}">'
-                f"<title>t={b.time} cluster={b.cluster} dc={b.dc} "
-                f"size={b.size}</title></rect>"
-            )
-    parts.append("</g>")
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+        yield "".join(
+            f'<rect x="{x}" y="{fy[b.y * unit]}" '
+            f'width="{width_s}" height="{fy[b.size * unit]}" '
+            f'fill="{PALETTE[b.dc % len(PALETTE)]}">'
+            f"<title>t={b.time} cluster={b.cluster} dc={b.dc} "
+            f"size={b.size}</title></rect>\n"
+            for b in col
+        )
+    yield "</g>\n</svg>\n"

@@ -12,6 +12,7 @@ import atexit
 import gc
 import os
 import sys
+from typing import Iterable
 
 from . import __version__
 from .errors import (
@@ -40,13 +41,15 @@ def _read(path: str) -> bytes:
         return f.read()
 
 
-def _write(path: str | None, data: bytes) -> None:
+def _write(path: str | None, chunks: Iterable[bytes]) -> None:
+    """Write the chunks one after another to `path`, or to stdout when it
+    is None or "-"."""
     if path is None or path == "-":
-        sys.stdout.buffer.write(data)
+        sys.stdout.buffer.writelines(chunks)
         sys.stdout.buffer.flush()
     else:
         with open(path, "wb") as f:
-            f.write(data)
+            f.writelines(chunks)
 
 
 def _write_json(path: str, obj) -> None:
@@ -54,7 +57,7 @@ def _write_json(path: str, obj) -> None:
     import json
 
     payload = json.dumps(obj, sort_keys=True, separators=(",", ":"))
-    _write(path, (payload + "\n").encode("utf-8"))
+    _write(path, [(payload + "\n").encode("utf-8")])
 
 
 def _load_input(args):
@@ -65,14 +68,13 @@ def _load_input(args):
 
 def _labelled(args, labelling) -> int:
     """Write the result document of `labelling(seq, x)` on the input."""
-    from .resultdoc import build_document, document_to_bytes
+    from .resultdoc import document_chunks
 
     if args.history < 0:
         return _usage_error("--history must be non-negative")
     seq = _load_input(args)
     result = labelling(seq, args.history)
-    doc = build_document(seq, result, __version__)
-    _write(args.output, document_to_bytes(doc))
+    _write(args.output, map(str.encode, document_chunks(seq, result, __version__)))
     return 0
 
 
@@ -131,7 +133,7 @@ def cmd_sweep(args) -> int:
             }
         )
     csv_text = SWEEP_HEADER + "\n" + "\n".join(rows) + "\n"
-    _write(args.output, csv_text.encode("utf-8"))
+    _write(args.output, [csv_text.encode("utf-8")])
     if args.json:
         _write_json(args.json, {"schema": 1, "sweep": records})
     if args.history_max > last:
@@ -165,14 +167,14 @@ def cmd_events(args) -> int:
         f'"related":[{",".join(map(str, related))}],"time":{time}}}'
         for time, dc, kind, related, delta in rows
     )
-    _write(args.output, f'{{"events":[{events}],"schema":1}}\n'.encode())
+    _write(args.output, [f'{{"events":[{events}],"schema":1}}\n'.encode()])
     return 0
 
 
 def cmd_render(args) -> int:
     import math
 
-    from .alluvial import build_layout, layout_to_svg
+    from .alluvial import build_layout, layout_json_chunks, svg_chunks
     from .resultdoc import load_document
 
     if not (math.isfinite(args.block_width) and args.block_width > 0):
@@ -181,13 +183,13 @@ def cmd_render(args) -> int:
         return _usage_error("--gap must be a finite number >= 0")
     seq, labels, _x = load_document(_read(args.result))
     layout = build_layout(seq, labels, gap=args.gap)
-    try:
-        svg = layout_to_svg(layout, block_width=args.block_width)
+    try:  # checks the extent before the output is opened
+        svg = svg_chunks(layout, block_width=args.block_width)
     except OverflowError as exc:
         return _usage_error(f"--gap or --block-width too large: {exc}")
-    _write(args.output, svg.encode("utf-8"))
+    _write(args.output, map(str.encode, svg))
     if args.layout_json:
-        _write_json(args.layout_json, layout.to_json_dict())
+        _write(args.layout_json, map(str.encode, layout_json_chunks(layout)))
     return 0
 
 
@@ -197,7 +199,7 @@ def cmd_generate(args) -> int:
 
     spec = ScenarioSpec.from_json(_read(args.spec))
     seq, truth = generate(spec)
-    _write(args.output, sequence_to_json_bytes(seq))
+    _write(args.output, [sequence_to_json_bytes(seq)])
     if args.labels:
         _write_json(args.labels, {"schema": 1, "ground_truth": truth})
     return 0

@@ -13,7 +13,6 @@ functions here are pure; results are treated as immutable.
 from __future__ import annotations
 
 from collections import Counter
-from itertools import chain
 from operator import mul
 
 from . import relations
@@ -283,20 +282,24 @@ def summary_stats(result: DynamicClustering) -> SummaryStats:
     member-snapshot count: the lifespan of the DC an average member
     resides in.
     """
-    sizes = result.sizes
-    lifespans = Counter(chain.from_iterable(sizes))
-    if not lifespans:
+    # One pass over the (snapshot, DC) entries: each DC's [lifespan,
+    # member-snapshots]; the weighted sum is then taken in ints, exactly.
+    per_dc: dict[int, list[int]] = {}
+    for present in result.sizes:
+        for dc, size in present.items():
+            try:
+                counts = per_dc[dc]
+            except KeyError:
+                per_dc[dc] = [1, size]
+            else:
+                counts[0] += 1
+                counts[1] += size
+    if not per_dc:
         return SummaryStats(dc_count=0)
-    # Each DC's member-snapshots times its lifespan, summed snapshot by
-    # snapshot; in ints, so the sums are exact.
-    weighted = sum(
-        sum(map(mul, present.values(), map(lifespans.__getitem__, present)))
-        for present in sizes
-    )
-    member_snapshots = sum(sum(present.values()) for present in sizes)
+    lifespans, totals = zip(*per_dc.values())
     return SummaryStats(
-        dc_count=len(lifespans),
-        lifespan_histogram=dict(sorted(Counter(lifespans.values()).items())),
-        mean_lifespan=sum(map(len, sizes)) / len(lifespans),
-        weighted_mean_lifespan=weighted / member_snapshots,
+        dc_count=len(per_dc),
+        lifespan_histogram=dict(sorted(Counter(lifespans).items())),
+        mean_lifespan=sum(lifespans) / len(per_dc),
+        weighted_mean_lifespan=sum(map(mul, lifespans, totals)) / sum(totals),
     )

@@ -11,7 +11,9 @@ runs and implementations.
 from __future__ import annotations
 
 import json
-from typing import TYPE_CHECKING
+from itertools import accumulate, pairwise
+from json.encoder import encode_basestring
+from typing import TYPE_CHECKING, Iterator
 
 from .errors import SchemaError
 from .model import ClusteringSequence, sequence_from_lists
@@ -24,6 +26,7 @@ __all__ = [
     "canonical_labels",
     "build_document",
     "document_to_bytes",
+    "document_chunks",
     "load_document",
     "clustering_from_labels",
 ]
@@ -56,7 +59,8 @@ def build_document(
     """Result document (canonical ids) ready for serialisation. Its member
     and (snapshot, cluster) arrays are tuples, the members those of `seq`:
     the same JSON as lists, with fewer objects to build. A result of
-    another sequence than `seq` raises ValueError."""
+    another sequence than `seq` raises ValueError. `document_chunks`
+    writes the same bytes without building the document."""
     if result.seq is not None and result.seq is not seq:
         raise ValueError("the result was built for a different sequence")
     # Canonical ids are 0..k-1 in order of first appearance, and each
@@ -92,6 +96,73 @@ def document_to_bytes(doc: dict) -> bytes:
         json.dumps(doc, ensure_ascii=False, sort_keys=True, separators=(",", ":"))
         + "\n"
     ).encode("utf-8")
+
+
+def document_chunks(
+    seq: ClusteringSequence,
+    result: DynamicClustering,
+    tool_version: str,
+) -> Iterator[str]:
+    """`document_to_bytes(build_document(seq, result, tool_version))` as
+    text chunks, to be written UTF-8 encoded one after another: the `dcs`
+    registry with the scalar fields that sort before `snapshots`, one
+    chunk per snapshot, then `tool` and `version`. No chunk holds more
+    than the registry or one snapshot, and no member is copied into a
+    document first.
+
+    A result of another sequence than `seq` raises ValueError here, not
+    on the first chunk, so that a caller can check before it opens its
+    output.
+    """
+    if result.seq is not None and result.seq is not seq:
+        raise ValueError("the result was built for a different sequence")
+    return _document_chunks(
+        seq, canonical_labels(result.labels), result.x_used, tool_version
+    )
+
+
+def _dcs_json(columns: list[list[int]]) -> str:
+    """The `dcs` array of canonical label columns."""
+    # Canonical ids are 0..k-1 in order of first appearance, and each
+    # DC's clusters are met in ascending order.
+    refs: list[list[str]] = []
+    for t, col in enumerate(columns):
+        for a, dc in enumerate(col):
+            if dc == len(refs):
+                refs.append([])
+            refs[dc].append(f"[{t},{a}]")
+    dcs = ",".join(
+        f'{{"clusters":[{",".join(r)}],"id":{dc}}}' for dc, r in enumerate(refs)
+    )
+    return f"[{dcs}]"
+
+
+def _document_chunks(
+    seq: ClusteringSequence, columns: list[list[int]], history: int, version: str
+) -> Iterator[str]:
+    yield (
+        f'{{"dcs":{_dcs_json(columns)},"history":{history},'
+        f'"schema":{SCHEMA_VERSION},"snapshot_count":{len(columns)},"snapshots":['
+    )
+    sep = ""
+    for snap, label, col in zip(seq.snapshots, seq.labels, columns):
+        members = list(snap.column)
+        # `json.dumps` writes a string as `encode_basestring` does, which
+        # adds only the two quotes unless some character needs an escape.
+        text = "".join(members)
+        if len(encode_basestring(text)) == len(text) + 2:
+            quote, comma = '"', '","'
+        else:  # each member as `json.dumps` writes it, quotes included
+            members = list(map(encode_basestring, members))
+            quote, comma = "", ","
+        clusters = ",".join(
+            f'{{"dc":{dc},"members":[{quote}{comma.join(members[i:j])}{quote}]}}'
+            for dc, (i, j) in zip(col, pairwise(accumulate(snap.sizes, initial=0)))
+        )
+        tail = "" if label is None else f',"label":{encode_basestring(label)}'
+        yield f'{sep}{{"clusters":[{clusters}]{tail}}}'
+        sep = ","
+    yield f'],"tool":"dynatrack","version":{encode_basestring(version)}}}\n'
 
 
 def _int(value, what: str) -> int:

@@ -1,5 +1,6 @@
 """Alluvial layout geometry and SVG output."""
 
+import json
 import math
 import random
 import xml.etree.ElementTree as ET
@@ -7,7 +8,14 @@ import xml.etree.ElementTree as ET
 import pytest
 
 from dynatrack import build_layout, layout_to_svg, sequence_from_lists, track
-from dynatrack.alluvial import PALETTE, AlluvialLayout, Block, Flow
+from dynatrack.alluvial import (
+    PALETTE,
+    AlluvialLayout,
+    Block,
+    Flow,
+    layout_json_chunks,
+    svg_chunks,
+)
 from dynatrack.resultdoc import canonical_labels
 from helpers import random_sequence, reference_svg, snapshot_members
 
@@ -228,3 +236,61 @@ def test_layout_checks_the_column_shapes(labels, message):
     seq = sequence_from_lists([[["a"], ["b"]], [["a", "b"]]])
     with pytest.raises(ValueError, match=f"^{message}$"):
         build_layout(seq, labels)
+
+
+def test_svg_chunks_one_per_flow_time_and_column():
+    seq = sequence_from_lists(
+        [[["a", "b"], ["c"]], [["a", "b", "c"]], [["a"], ["b", "c"]], [["d"]]]
+    )
+    layout = layout_for(seq)
+    chunks = list(svg_chunks(layout, 7.3, 0.37))
+    assert "".join(chunks) == layout_to_svg(layout, 7.3, 0.37)
+    # the header, flows at times 0 and 1 (none leave snapshot 2), the
+    # blocks of 4 columns, and the closing tags
+    assert len(chunks) == 1 + 2 + 4 + 1
+    assert chunks[0].endswith('<g stroke="none">\n')
+    assert chunks[-1] == "</g>\n</svg>\n"
+
+
+def test_svg_chunks_check_their_arguments_on_the_call():
+    layout = layout_for(sequence_from_lists([[["a", "b"]], [["a"]]]))
+    with pytest.raises(OverflowError, match="overflows a float"):
+        svg_chunks(layout, block_width=1e308)
+    with pytest.raises(ValueError, match="unit must be"):
+        svg_chunks(layout, unit=0.0)
+
+
+def reference_layout_json(layout: AlluvialLayout) -> str:
+    """The layout JSON as `render --layout-json` wrote it before it was
+    streamed: one `json.dumps` over `to_json_dict`, plus a newline."""
+    payload = json.dumps(layout.to_json_dict(), sort_keys=True, separators=(",", ":"))
+    return payload + "\n"
+
+
+def test_layout_json_chunks_equal_json_dumps():
+    gaps = (0.0, 0.5, 1 / 3, 1.5, 2.0, 1e-7, 123456789.123, 3)
+    for seed in range(160):
+        seq = random_sequence(random.Random(1300 + seed))
+        layout = layout_for(seq, gap=gaps[seed % len(gaps)])
+        assert "".join(layout_json_chunks(layout)) == reference_layout_json(layout)
+    # -0.0, negatives, a flow out of the last column, no flows or blocks
+    for layout in (
+        hand_built_layout(),
+        hand_built_layout()._replace(gap=0.1 + 0.2),
+        AlluvialLayout(blocks=((),), flows=(), gap=2.0),
+        AlluvialLayout(blocks=(), flows=(), gap=0),
+    ):
+        assert "".join(layout_json_chunks(layout)) == reference_layout_json(layout)
+
+
+def test_layout_json_with_non_finite_numbers_equals_json_dumps():
+    # Stacked gaps of 1e308 overflow to inf, which `json` writes as
+    # Infinity; a hand-built NaN is written as NaN.
+    seq = sequence_from_lists([[["a"], ["b"], ["c"]], [["a", "b", "c"]]])
+    overflowing = layout_for(seq, gap=1e308)
+    assert math.isinf(overflowing.blocks[0][2].y)
+    nan_flow = hand_built_layout()._replace(flows=(Flow(0, 0, 0, 1, math.nan, 0.0),))
+    for layout in (overflowing, nan_flow):
+        text = "".join(layout_json_chunks(layout))
+        assert text == reference_layout_json(layout)
+        assert "Infinity" in text or "NaN" in text

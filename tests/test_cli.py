@@ -136,6 +136,16 @@ def test_track_stdout(identity_input, capsys):
     assert doc["schema"] == 1
 
 
+def test_track_writes_the_same_bytes_to_stdout_and_to_a_file(tmp_path, capsysbinary):
+    seq = tmp_path / "seq.json"
+    seq.write_bytes(sequence_bytes(churn_clusters(6, 400, 12, 0)))
+    out = tmp_path / "result.json"
+    argv = ["track", "--input", str(seq), "--history", "2", "--output"]
+    assert main(argv + [str(out)]) == 0
+    assert main(argv + ["-"]) == 0
+    assert capsysbinary.readouterr().out == out.read_bytes()
+
+
 def test_oracle_matches_track_byte_for_byte(identity_input, tmp_path):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"
@@ -239,14 +249,44 @@ def test_render_deterministic_bytes(identity_input, tmp_path):
         ("--gap=1e308", "overflows a float"),
     ],
 )
-def test_render_bad_geometry_exits_2(result_doc, tmp_path, capsys, option, message):
+@pytest.mark.parametrize("layout_json", [False, True], ids=["svg", "svg+layout"])
+def test_render_bad_geometry_exits_2(
+    result_doc, tmp_path, capsys, option, message, layout_json
+):
     svg = tmp_path / "diagram.svg"
-    code = main(["render", "--result", str(result_doc), "--output", str(svg), option])
+    layout = tmp_path / "layout.json"
+    argv = ["render", "--result", str(result_doc), "--output", str(svg), option]
+    if layout_json:
+        argv += ["--layout-json", str(layout)]
+    code = main(argv)
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
     assert err.count("\n") == 1
-    assert not svg.exists()
+    assert not svg.exists() and not layout.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["track", "--input", "SEQ", "--history", "1", "--output", "MISSING"],
+        ["render", "--result", "DOC", "--output", "MISSING"],
+        ["render", "--result", "DOC", "--output", "OUT", "--layout-json", "MISSING"],
+    ],
+    ids=["track", "render", "render-layout-json"],
+)
+def test_an_output_that_cannot_be_written_exits_1(result_doc, tmp_path, capsys, argv):
+    paths = {
+        "SEQ": str(tmp_path / "seq.json"),
+        "DOC": str(result_doc),
+        "OUT": str(tmp_path / "out.svg"),
+        "MISSING": str(tmp_path / "no-such-dir" / "out"),
+    }
+    capsys.readouterr()
+    assert main([paths.get(arg, arg) for arg in argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: [Errno 2] No such file or directory")
+    assert err.count("\n") == 1
 
 
 def test_render_zero_gap_and_thin_blocks(result_doc, tmp_path):

@@ -33,7 +33,12 @@ from dynatrack import (
 )
 from dynatrack.cli import cmd_events
 from dynatrack.model import ClusterRef
-from dynatrack.resultdoc import build_document, document_to_bytes, load_document
+from dynatrack.resultdoc import (
+    build_document,
+    document_chunks,
+    document_to_bytes,
+    load_document,
+)
 from helpers import (
     autocorrelation,
     churn_sequence,
@@ -540,6 +545,9 @@ class TestEvents:
         for other in (twin, longer):
             with pytest.raises(ValueError, match="different sequence"):
                 build_document(other, result, "0")
+            # on the call, before any chunk is asked for
+            with pytest.raises(ValueError, match="different sequence"):
+                document_chunks(other, result, "0")
 
 
 class TestSummaryStats:

@@ -109,9 +109,21 @@ def test_a_profiler_around_the_cli_still_prints_its_stats(files, tmp_path):
     assert out.read_bytes() == files["events"]
 
 
-def test_a_reader_that_goes_away_gives_the_broken_pipe_error(files):
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["events", "--result", "DOC"],
+        # written in chunks, as they are made
+        ["track", "--input", "SEQ", "--history", "1"],
+        ["render", "--result", "DOC"],
+    ],
+    ids=["events", "track", "render"],
+)
+def test_a_reader_that_goes_away_gives_the_broken_pipe_error(files, argv):
+    paths = {"SEQ": files["seq"], "DOC": files["doc"]}
+    argv = [paths.get(arg, arg) for arg in argv]
     proc = subprocess.Popen(
-        [sys.executable, "-m", "dynatrack", "events", "--result", files["doc"]],
+        [sys.executable, "-m", "dynatrack", *argv],
         env=ENV,
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
