@@ -42,7 +42,6 @@ _EXPORTS = {
     "parse_sequence": "model",
     "sequence_from_lists": "model",
     "sequence_to_json_bytes": "model",
-    "sequence_to_json_dict": "model",
     "brute_force_track": "oracle",
     "MajorityRelations": "relations",
     "RelationCache": "relations",

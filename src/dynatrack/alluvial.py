@@ -83,15 +83,8 @@ def layout_json_chunks(layout: AlluvialLayout) -> Iterator[str]:
         map(itemgetter(5), layout.flows),
     )
     if not all(map(math.isfinite, ys)):
-        return iter((_dumps(layout.to_json_dict()) + "\n",))
-    return _layout_json_chunks(layout)
-
-
-def _dumps(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
-def _layout_json_chunks(layout: AlluvialLayout) -> Iterator[str]:
+        yield _dumps(layout.to_json_dict()) + "\n"
+        return
     yield '{"blocks":['
     sep = ""
     for col in layout.blocks:
@@ -110,6 +103,10 @@ def _layout_json_chunks(layout: AlluvialLayout) -> Iterator[str]:
         )
         sep = ","
     yield f'],"gap":{_dumps(layout.gap)}}}\n'
+
+
+def _dumps(obj) -> str:
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
 def build_layout(
@@ -165,37 +162,26 @@ class _Formatted(dict):
         return s
 
 
-def layout_to_svg(
-    layout: AlluvialLayout,
-    block_width: float = 20.0,
-    unit: float = 1.0,
-) -> str:
-    """Standalone SVG 1.1 document for a layout.
+def layout_to_svg(layout: AlluvialLayout, block_width: float = 20.0) -> str:
+    """Standalone SVG 1.1 document for a layout: `svg_chunks` joined."""
+    return "".join(svg_chunks(layout, block_width))
 
-    Columns are `3 * block_width` apart; one member is `unit` pixels tall;
-    the diagram reaches down to the largest `y + size` of any block.
-    Raises ValueError unless `block_width` and `unit` are finite and > 0
-    and every block size is >= 0, and OverflowError when the diagram is
-    too large for float coordinates.
+
+def svg_chunks(layout: AlluvialLayout, block_width: float = 20.0) -> Iterator[str]:
+    """Standalone SVG 1.1 document for a layout, in chunks: the header, the
+    flows of each run of one flow time, the blocks of each column, and the
+    closing tags.
+
+    Columns are `3 * block_width` apart; one member is one pixel tall; the
+    diagram reaches down to the largest `y + size` of any block. Before
+    its first chunk, it raises ValueError unless `block_width` is finite
+    and > 0 and every block size is >= 0, and OverflowError when the
+    diagram is too large for float coordinates.
     """
-    return "".join(svg_chunks(layout, block_width, unit))
-
-
-def svg_chunks(
-    layout: AlluvialLayout,
-    block_width: float = 20.0,
-    unit: float = 1.0,
-) -> Iterator[str]:
-    """`layout_to_svg`'s document in chunks: the header, the flows of each
-    run of one flow time, the blocks of each column, and the closing tags.
-
-    The arguments are checked, and the errors of `layout_to_svg` raised,
-    here rather than on the first chunk, so that a caller can check before
-    it opens its output.
-    """
-    for name, value in (("block_width", block_width), ("unit", unit)):
-        if not (math.isfinite(value) and value > 0):
-            raise ValueError(f"{name} must be a finite number > 0, got {value!r}")
+    if not (math.isfinite(block_width) and block_width > 0):
+        raise ValueError(
+            f"block_width must be a finite number > 0, got {block_width!r}"
+        )
     n_cols = len(layout.blocks)
     height = 0.0
     for col in layout.blocks:
@@ -205,7 +191,7 @@ def svg_chunks(
                     f"block (t={b.time}, cluster={b.cluster}) has negative "
                     f"size {b.size}"
                 )
-            bottom = (b.y + b.size) * unit
+            bottom = b.y + b.size
             if bottom > height:
                 height = bottom
     span = 3.0 * block_width
@@ -216,17 +202,6 @@ def svg_chunks(
         raise OverflowError(
             f"the diagram's extent ({width!r} x {height!r}) overflows a float"
         )
-    return _svg_chunks(layout, block_width, span, unit, width, height)
-
-
-def _svg_chunks(
-    layout: AlluvialLayout,
-    block_width: float,
-    span: float,
-    unit: float,
-    width: float,
-    height: float,
-) -> Iterator[str]:
     yield (
         '<?xml version="1.0" encoding="UTF-8"?>\n'
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
@@ -243,11 +218,8 @@ def _svg_chunks(
         x0, xm, x1 = _fmt(x0), _fmt((x0 + x1) / 2.0), _fmt(x1)
         blocks = layout.blocks[t]
         paths = []
-        for _t, src, _dst, magnitude, src_y, dst_y in flows:
-            y0a = src_y * unit
-            y0b = (src_y + magnitude) * unit
-            y1a = dst_y * unit
-            y1b = (dst_y + magnitude) * unit
+        for _t, src, _dst, magnitude, y0a, y1a in flows:
+            y0b, y1b = y0a + magnitude, y1a + magnitude
             a0, b0, a1, b1 = fy[y0a], fy[y0b], fy[y1a], fy[y1b]
             am, bm = fy[(y0a + y1a) / 2.0], fy[(y0b + y1b) / 2.0]
             color = PALETTE[blocks[src].dc % len(PALETTE)]
@@ -263,8 +235,8 @@ def _svg_chunks(
     for i, col in enumerate(layout.blocks):
         x = _fmt(i * pitch)
         yield "".join(
-            f'<rect x="{x}" y="{fy[b.y * unit]}" '
-            f'width="{width_s}" height="{fy[b.size * unit]}" '
+            f'<rect x="{x}" y="{fy[b.y]}" '
+            f'width="{width_s}" height="{fy[b.size]}" '
             f'fill="{PALETTE[b.dc % len(PALETTE)]}">'
             f"<title>t={b.time} cluster={b.cluster} dc={b.dc} "
             f"size={b.size}</title></rect>\n"

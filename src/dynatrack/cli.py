@@ -43,12 +43,21 @@ def _read(path: str) -> bytes:
 
 def _write(path: str | None, chunks: Iterable[bytes]) -> None:
     """Write the chunks one after another to `path`, or to stdout when it
-    is None or "-"."""
+    is None or "-".
+
+    The first chunk is taken before the file is opened: a writer that
+    checks its input before its first chunk, and raises, leaves no file,
+    and an existing one as it was.
+    """
+    chunks = iter(chunks)
+    first = next(chunks, b"")
     if path is None or path == "-":
+        sys.stdout.buffer.write(first)
         sys.stdout.buffer.writelines(chunks)
         sys.stdout.buffer.flush()
     else:
         with open(path, "wb") as f:
+            f.write(first)
             f.writelines(chunks)
 
 
@@ -183,11 +192,11 @@ def cmd_render(args) -> int:
         return _usage_error("--gap must be a finite number >= 0")
     seq, labels, _x = load_document(_read(args.result))
     layout = build_layout(seq, labels, gap=args.gap)
-    try:  # checks the extent before the output is opened
-        svg = svg_chunks(layout, block_width=args.block_width)
+    svg = svg_chunks(layout, block_width=args.block_width)
+    try:
+        _write(args.output, map(str.encode, svg))
     except OverflowError as exc:
         return _usage_error(f"--gap or --block-width too large: {exc}")
-    _write(args.output, map(str.encode, svg))
     if args.layout_json:
         _write(args.layout_json, map(str.encode, layout_json_chunks(layout)))
     return 0

@@ -20,7 +20,6 @@ __all__ = [
     "ClusteringSequence",
     "sequence_from_lists",
     "parse_sequence",
-    "sequence_to_json_dict",
     "sequence_to_json_bytes",
 ]
 
@@ -294,7 +293,7 @@ def parse_sequence(source: bytes | str, fmt: str = "json") -> ClusteringSequence
     raise ValueError(f"unknown input format {fmt!r}")
 
 
-def sequence_to_json_dict(seq: ClusteringSequence) -> dict:
+def sequence_to_json_bytes(seq: ClusteringSequence) -> bytes:
     """Plain-JSON form of a sequence; inverse of parse_sequence for “json”.
 
     Cluster membership is order-free, so members are emitted sorted.
@@ -305,13 +304,8 @@ def sequence_to_json_dict(seq: ClusteringSequence) -> dict:
         if label is not None:
             entry["label"] = label
         snaps.append(entry)
-    return {"snapshots": snaps}
-
-
-def sequence_to_json_bytes(seq: ClusteringSequence) -> bytes:
-    doc = sequence_to_json_dict(seq)
+    doc = {"snapshots": snaps}
     return (
         json.dumps(doc, ensure_ascii=False, sort_keys=True, separators=(",", ":"))
         + "\n"
     ).encode("utf-8")
-

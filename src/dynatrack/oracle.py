@@ -25,24 +25,18 @@ MAX_SNAPSHOTS = 8
 MAX_TOTAL_CLUSTERS = 40
 
 
-def brute_force_track(
-    seq: ClusteringSequence,
-    x: int,
-    *,
-    check_minimality: bool = True,
-    max_snapshots: int = MAX_SNAPSHOTS,
-    max_total_clusters: int = MAX_TOTAL_CLUSTERS,
-) -> DynamicClustering:
+def brute_force_track(seq: ClusteringSequence, x: int) -> DynamicClustering:
     """Reference dynamic clustering for desk-scale instances.
 
-    Refuses sequences larger than the given limits; the defaults suit the
-    exhaustive recursion, raise them knowingly for bigger fixtures.
+    Refuses sequences of more than MAX_SNAPSHOTS snapshots or
+    MAX_TOTAL_CLUSTERS clusters in all (read on each call), which suit the
+    exhaustive recursion; raise them knowingly for bigger fixtures.
     """
     if x < 0:
         raise ValueError(f"history must be non-negative, got {x}")
     t_total = len(seq)
     total_clusters = sum(len(s) for s in seq.snapshots)
-    if t_total > max_snapshots or total_clusters > max_total_clusters:
+    if t_total > MAX_SNAPSHOTS or total_clusters > MAX_TOTAL_CLUSTERS:
         raise OracleSizeError(
             f"instance too large for the brute-force reference "
             f"(T={t_total}, clusters={total_clusters})"
@@ -190,8 +184,7 @@ def brute_force_track(
 
     columns = [[labels[r] for r in clusters_at(t)] for t in range(t_total)]
     result = clustering_from_labels(seq, columns, x)
-    if check_minimality:
-        _audit_minimality(columns, event_groups)
+    _audit_minimality(columns, event_groups)
     return result
 
 

@@ -98,29 +98,6 @@ def document_to_bytes(doc: dict) -> bytes:
     ).encode("utf-8")
 
 
-def document_chunks(
-    seq: ClusteringSequence,
-    result: DynamicClustering,
-    tool_version: str,
-) -> Iterator[str]:
-    """`document_to_bytes(build_document(seq, result, tool_version))` as
-    text chunks, to be written UTF-8 encoded one after another: the `dcs`
-    registry with the scalar fields that sort before `snapshots`, one
-    chunk per snapshot, then `tool` and `version`. No chunk holds more
-    than the registry or one snapshot, and no member is copied into a
-    document first.
-
-    A result of another sequence than `seq` raises ValueError here, not
-    on the first chunk, so that a caller can check before it opens its
-    output.
-    """
-    if result.seq is not None and result.seq is not seq:
-        raise ValueError("the result was built for a different sequence")
-    return _document_chunks(
-        seq, canonical_labels(result.labels), result.x_used, tool_version
-    )
-
-
 def _dcs_json(columns: list[list[int]]) -> str:
     """The `dcs` array of canonical label columns."""
     # Canonical ids are 0..k-1 in order of first appearance, and each
@@ -137,11 +114,26 @@ def _dcs_json(columns: list[list[int]]) -> str:
     return f"[{dcs}]"
 
 
-def _document_chunks(
-    seq: ClusteringSequence, columns: list[list[int]], history: int, version: str
+def document_chunks(
+    seq: ClusteringSequence,
+    result: DynamicClustering,
+    tool_version: str,
 ) -> Iterator[str]:
+    """`document_to_bytes(build_document(seq, result, tool_version))` as
+    text chunks, to be written UTF-8 encoded one after another: the `dcs`
+    registry with the scalar fields that sort before `snapshots`, one
+    chunk per snapshot, then `tool` and `version`. No chunk holds more
+    than the registry or one snapshot, and no member is copied into a
+    document first.
+
+    A result of another sequence than `seq` raises ValueError before the
+    first chunk.
+    """
+    if result.seq is not None and result.seq is not seq:
+        raise ValueError("the result was built for a different sequence")
+    columns = canonical_labels(result.labels)
     yield (
-        f'{{"dcs":{_dcs_json(columns)},"history":{history},'
+        f'{{"dcs":{_dcs_json(columns)},"history":{result.x_used},'
         f'"schema":{SCHEMA_VERSION},"snapshot_count":{len(columns)},"snapshots":['
     )
     sep = ""
@@ -162,7 +154,7 @@ def _document_chunks(
         tail = "" if label is None else f',"label":{encode_basestring(label)}'
         yield f'{sep}{{"clusters":[{clusters}]{tail}}}'
         sep = ","
-    yield f'],"tool":"dynatrack","version":{encode_basestring(version)}}}\n'
+    yield f'],"tool":"dynatrack","version":{encode_basestring(tool_version)}}}\n'
 
 
 def _int(value, what: str) -> int:

@@ -225,23 +225,14 @@ def _fmt(v: float) -> str:
     return s[:-3] if s.endswith(".00") else s
 
 
-def reference_svg(
-    layout: AlluvialLayout,
-    block_width: float = 20.0,
-    unit: float = 1.0,
-) -> str:
+def reference_svg(layout: AlluvialLayout, block_width: float = 20.0) -> str:
     """`layout_to_svg` as it was before it reused formatted coordinates:
     every number is formatted where it is written. The reference that the
     writer is compared against, byte for byte."""
     span = 3.0 * block_width
     n_cols = len(layout.blocks)
     height = max(
-        (
-            (col[-1].y + col[-1].size) * unit
-            for col in layout.blocks
-            if col
-        ),
-        default=0.0,
+        (col[-1].y + col[-1].size for col in layout.blocks if col), default=0.0
     )
     width = n_cols * block_width + max(n_cols - 1, 0) * span
     if not math.isfinite(2.0 * (width + height)):
@@ -265,10 +256,10 @@ def reference_svg(
         x0 = col_x(flow.time) + block_width
         x1 = col_x(flow.time + 1)
         xm = (x0 + x1) / 2.0
-        y0a = flow.src_y * unit
-        y0b = (flow.src_y + flow.magnitude) * unit
-        y1a = flow.dst_y * unit
-        y1b = (flow.dst_y + flow.magnitude) * unit
+        y0a = flow.src_y
+        y0b = flow.src_y + flow.magnitude
+        y1a = flow.dst_y
+        y1b = flow.dst_y + flow.magnitude
         src_dc = layout.blocks[flow.time][flow.src_cluster].dc
         color = PALETTE[src_dc % len(PALETTE)]
         d = (
@@ -286,8 +277,8 @@ def reference_svg(
         for b in col:
             color = PALETTE[b.dc % len(PALETTE)]
             parts.append(
-                f'<rect x="{_fmt(x)}" y="{_fmt(b.y * unit)}" '
-                f'width="{_fmt(block_width)}" height="{_fmt(b.size * unit)}" '
+                f'<rect x="{_fmt(x)}" y="{_fmt(b.y)}" '
+                f'width="{_fmt(block_width)}" height="{_fmt(b.size)}" '
                 f'fill="{color}">'
                 f"<title>t={b.time} cluster={b.cluster} dc={b.dc} "
                 f"size={b.size}</title></rect>"

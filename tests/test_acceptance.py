@@ -77,13 +77,14 @@ SPLINTER_TRANSITION_SPEC = ScenarioSpec(
 GOLDEN_DC_COUNT = {1: 5, 5: 1}
 
 
-def test_criterion_2_splinter_transition_reproduction(capfd):
+def test_criterion_2_splinter_transition_reproduction(capfd, monkeypatch):
+    monkeypatch.setattr("dynatrack.oracle.MAX_SNAPSHOTS", 12)
     seq, _ = generate(SPLINTER_TRANSITION_SPEC)
     assert len(seq) == 10
     for x, expected in GOLDEN_DC_COUNT.items():
         result = track(seq, x)
         assert len(result.dcs) == expected, (x, len(result.dcs))
-        reference = brute_force_track(seq, x, max_snapshots=12)
+        reference = brute_force_track(seq, x)
         assert same_partition(seq, result.labels, reference.labels)
     wide = track(seq, 5)
     (only,) = wide.dcs

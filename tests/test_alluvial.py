@@ -43,8 +43,7 @@ def test_single_snapshot_one_column_no_flows():
 def test_block_heights_proportional_to_sizes():
     seq = sequence_from_lists([[["a", "b", "c"], ["d"]], [["a", "b", "c", "d"]]])
     layout = layout_for(seq)
-    unit = 1.0
-    svg = layout_to_svg(layout, unit=unit)
+    svg = layout_to_svg(layout)
     root = ET.fromstring(svg)
     heights = sorted(float(r.get("height")) for r in root.findall(f".//{SVG_NS}rect"))
     assert heights == [1.0, 3.0, 4.0]
@@ -141,14 +140,13 @@ def test_layout_json_holds_every_field():
 
 def test_svg_equals_reference_on_random_instances():
     gaps = (0.0, 0.5, 1 / 3, 1.5, 2.0)
-    geometries = [(bw, unit) for bw in (20.0, 0.1, 7.3) for unit in (1.0, 0.37, 3.0)]
     for seed in range(225):
         seq = random_sequence(random.Random(900 + seed))
         layout = layout_for(seq, gap=gaps[seed % len(gaps)])
-        for block_width, unit in geometries:
-            assert layout_to_svg(layout, block_width, unit) == reference_svg(
-                layout, block_width, unit
-            ), (seed, block_width, unit)
+        for block_width in (20.0, 0.1, 7.3):
+            assert layout_to_svg(layout, block_width) == reference_svg(
+                layout, block_width
+            ), (seed, block_width)
 
 
 def hand_built_layout():
@@ -171,12 +169,11 @@ def hand_built_layout():
     return AlluvialLayout(blocks=blocks, flows=flows, gap=0.0)
 
 
-@pytest.mark.parametrize("unit", [1.0, 0.37, 3.0])
 @pytest.mark.parametrize("block_width", [20.0, 0.1, 7.3])
-def test_svg_equals_reference_on_hand_built_coordinates(block_width, unit):
+def test_svg_equals_reference_on_hand_built_coordinates(block_width):
     layout = hand_built_layout()
-    svg = layout_to_svg(layout, block_width, unit)
-    assert svg == reference_svg(layout, block_width, unit)
+    svg = layout_to_svg(layout, block_width)
+    assert svg == reference_svg(layout, block_width)
     assert ' y="-0"' in svg and ' y="0"' in svg
 
 
@@ -187,7 +184,8 @@ def test_svg_height_is_the_largest_block_bottom():
     )
     svg = layout_to_svg(layout)
     assert 'width="20" height="15" viewBox="0 0 20 15"' in svg
-    assert 'height="7.50" viewBox="0 0 20 7.50"' in layout_to_svg(layout, unit=0.5)
+    lower = AlluvialLayout(((Block(0, 0, 0, 5, 2.5),),), (), 0.0)
+    assert 'height="7.50" viewBox="0 0 20 7.50"' in layout_to_svg(lower)
 
 
 def test_svg_rejects_negative_block_size():
@@ -198,13 +196,6 @@ def test_svg_rejects_negative_block_size():
     )
     with pytest.raises(ValueError, match=r"block \(t=1, cluster=1\) has negative size -2"):
         layout_to_svg(layout)
-
-
-@pytest.mark.parametrize("value", [-1.0, 0.0, -math.inf, math.inf, math.nan])
-def test_svg_rejects_unit(value):
-    layout = layout_for(sequence_from_lists([[["a", "b"]], [["a"]]]))
-    with pytest.raises(ValueError, match="unit must be a finite number > 0"):
-        layout_to_svg(layout, unit=value)
 
 
 @pytest.mark.parametrize("value", [-5.0, 0.0, -math.inf, math.inf, math.nan])
@@ -243,8 +234,8 @@ def test_svg_chunks_one_per_flow_time_and_column():
         [[["a", "b"], ["c"]], [["a", "b", "c"]], [["a"], ["b", "c"]], [["d"]]]
     )
     layout = layout_for(seq)
-    chunks = list(svg_chunks(layout, 7.3, 0.37))
-    assert "".join(chunks) == layout_to_svg(layout, 7.3, 0.37)
+    chunks = list(svg_chunks(layout, 7.3))
+    assert "".join(chunks) == layout_to_svg(layout, 7.3)
     # the header, flows at times 0 and 1 (none leave snapshot 2), the
     # blocks of 4 columns, and the closing tags
     assert len(chunks) == 1 + 2 + 4 + 1
@@ -252,12 +243,24 @@ def test_svg_chunks_one_per_flow_time_and_column():
     assert chunks[-1] == "</g>\n</svg>\n"
 
 
-def test_svg_chunks_check_their_arguments_on_the_call():
+@pytest.mark.parametrize(
+    "blocks, block_width, error, message",
+    [
+        (None, 1e308, OverflowError, "overflows a float"),
+        (None, 0.0, ValueError, "block_width must be a finite number > 0"),
+        (((Block(0, 0, 0, -1, 0.0),),), 20.0, ValueError, "negative size -1"),
+    ],
+    ids=["overflow", "block-width", "negative-size"],
+)
+def test_svg_chunks_check_their_arguments_before_the_first_chunk(
+    blocks, block_width, error, message
+):
     layout = layout_for(sequence_from_lists([[["a", "b"]], [["a"]]]))
-    with pytest.raises(OverflowError, match="overflows a float"):
-        svg_chunks(layout, block_width=1e308)
-    with pytest.raises(ValueError, match="unit must be"):
-        svg_chunks(layout, unit=0.0)
+    if blocks is not None:
+        layout = layout._replace(blocks=blocks)
+    chunks = svg_chunks(layout, block_width)  # a generator: nothing runs yet
+    with pytest.raises(error, match=message):
+        next(chunks)
 
 
 def reference_layout_json(layout: AlluvialLayout) -> str:

@@ -289,6 +289,72 @@ def test_an_output_that_cannot_be_written_exits_1(result_doc, tmp_path, capsys, 
     assert err.count("\n") == 1
 
 
+def rejecting_writer():
+    raise ValueError("rejected input")
+    yield b"never"
+
+
+def test_write_opens_no_file_for_a_writer_that_raises_before_its_first_chunk(
+    tmp_path,
+):
+    new = tmp_path / "new.out"
+    kept = tmp_path / "kept.out"
+    kept.write_bytes(b"earlier bytes\n")
+    for path in (new, kept):
+        with pytest.raises(ValueError, match="rejected input"):
+            cli._write(str(path), rejecting_writer())
+    assert not new.exists()
+    assert kept.read_bytes() == b"earlier bytes\n"
+
+
+@pytest.mark.parametrize("chunks", [[], [b""], [b"one"], [b"a", b"", b"bc", b"d\n"]])
+def test_write_writes_every_chunk_in_order(tmp_path, capsysbinary, chunks):
+    out = tmp_path / "out"
+    cli._write(str(out), iter(chunks))
+    assert out.read_bytes() == b"".join(chunks)
+    for path in (None, "-"):
+        cli._write(path, (chunk for chunk in chunks))
+        assert capsysbinary.readouterr().out == b"".join(chunks)
+
+
+@pytest.mark.parametrize("option", ["--block-width=1e308", "--gap=1e308"])
+def test_render_overflow_leaves_existing_outputs_unchanged(
+    result_doc, tmp_path, capsys, option
+):
+    svg = tmp_path / "diagram.svg"
+    layout = tmp_path / "layout.json"
+    svg.write_bytes(b"old svg\n")
+    layout.write_bytes(b"old layout\n")
+    argv = ["render", "--result", str(result_doc), "--output", str(svg),
+            "--layout-json", str(layout), option]
+    assert main(argv) == 2
+    assert "overflows a float" in capsys.readouterr().err
+    assert svg.read_bytes() == b"old svg\n"
+    assert layout.read_bytes() == b"old layout\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["oracle", "--input", "SEQ", "--history", "1"],
+        ["events", "--result", "DOC"],
+        ["render", "--result", "DOC", "--block-width", "7.3"],
+    ],
+    ids=["oracle", "events", "render"],
+)
+def test_writes_the_same_bytes_to_stdout_and_to_a_file(
+    result_doc, tmp_path, capsysbinary, argv
+):
+    paths = {"SEQ": str(tmp_path / "seq.json"), "DOC": str(result_doc)}
+    argv = [paths.get(arg, arg) for arg in argv] + ["--output"]
+    out = tmp_path / "out"
+    assert main(argv + [str(out)]) == 0
+    capsysbinary.readouterr()
+    assert main(argv + ["-"]) == 0
+    assert capsysbinary.readouterr().out == out.read_bytes()
+    assert out.stat().st_size > 0
+
+
 def test_render_zero_gap_and_thin_blocks(result_doc, tmp_path):
     svg = tmp_path / "diagram.svg"
     assert main(["render", "--result", str(result_doc), "--output", str(svg),

@@ -184,10 +184,18 @@ def test_removed_tracker_walkers_are_gone(name):
     assert not hasattr(importlib.import_module("dynatrack.tracking"), name)
 
 
-@pytest.mark.parametrize("name, module", [("DcSeries", "metrics"), ("subsequence", "model")])
+@pytest.mark.parametrize(
+    "name, module",
+    [
+        ("DcSeries", "metrics"),
+        ("subsequence", "model"),
+        ("sequence_to_json_dict", "model"),
+    ],
+)
 def test_removed_registry_names_are_gone(name, module):
     # The label columns and `result.sizes` replace `DcSeries`; the prefix
-    # helper that only tests called lives in their helpers.
+    # helper that only tests called lives in their helpers; the JSON dict
+    # of a sequence is built inside `sequence_to_json_bytes`.
     with pytest.raises(AttributeError):
         getattr(dynatrack, name)
     assert not hasattr(importlib.import_module(f"dynatrack.{module}"), name)

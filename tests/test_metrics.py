@@ -545,9 +545,10 @@ class TestEvents:
         for other in (twin, longer):
             with pytest.raises(ValueError, match="different sequence"):
                 build_document(other, result, "0")
-            # on the call, before any chunk is asked for
+            # before the first chunk
+            chunks = document_chunks(other, result, "0")
             with pytest.raises(ValueError, match="different sequence"):
-                document_chunks(other, result, "0")
+                next(chunks)
 
 
 class TestSummaryStats:

@@ -24,11 +24,16 @@ def test_size_guard_refuses_large_instances():
         brute_force_track(seq, 1)
 
 
-def test_size_guard_override():
+def test_size_guard_override(monkeypatch):
+    # the limits are read on each call
+    monkeypatch.setattr("dynatrack.oracle.MAX_SNAPSHOTS", 9)
     seq = sequence_from_lists([[["a"]]] * 9)
-    result = brute_force_track(seq, 1, max_snapshots=9)
+    result = brute_force_track(seq, 1)
     assert result.dcs == (0,)
     assert result.sizes == [{0: 1}] * 9
+    monkeypatch.setattr("dynatrack.oracle.MAX_TOTAL_CLUSTERS", 8)
+    with pytest.raises(OracleSizeError):
+        brute_force_track(seq, 1)
 
 
 def test_negative_history_rejected():
@@ -50,12 +55,12 @@ def test_random_equivalence_campaign():
 
 
 def test_minimality_audit_runs_clean_on_random_instances():
-    # check_minimality=True raises if any group decomposes; a clean pass
-    # over varied instances is the assertion
+    # the audit raises if any group decomposes; a clean pass over varied
+    # instances is the assertion
     for seed in range(100):
         rng = random.Random(5000 + seed)
         seq = random_sequence(rng)
-        brute_force_track(seq, rng.randint(0, 4), check_minimality=True)
+        brute_force_track(seq, rng.randint(0, 4))
 
 
 def test_minimality_audit_reads_the_label_columns():
