@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import random
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 from .errors import GenerationError
@@ -198,6 +199,12 @@ class _GroupState:
     gone: bool = False  # merged away
 
 
+def _without(members: list[str], gone: list[str]) -> list[str]:
+    """`members` in order without the ones in `gone` (no member repeats)."""
+    gone = set(gone)
+    return [m for m in members if m not in gone]
+
+
 def generate(spec: ScenarioSpec) -> tuple[ClusteringSequence, list[list[int]]]:
     """Realise a scenario: (sequence, ground-truth group id per cluster).
 
@@ -257,8 +264,7 @@ def generate(spec: ScenarioSpec) -> tuple[ClusteringSequence, list[list[int]]]:
                             f"an empty cluster"
                         )
                     g.detached = rng.sample(sorted(g.members), k)
-                    for m in g.detached:
-                        g.members.remove(m)
+                    g.members = _without(g.members, g.detached)
                 elif t == ev.start + ev.duration:
                     g.members.extend(g.detached)
                     g.detached = []
@@ -276,10 +282,16 @@ def generate(spec: ScenarioSpec) -> tuple[ClusteringSequence, list[list[int]]]:
                             f"transition at t={t}: fraction {ev.fraction} "
                             f"leaves an empty cluster"
                         )
-                    while len(g.moved) < want and g.members:
-                        pick = rng.choice(sorted(g.members))
-                        g.members.remove(pick)
-                        g.moved.append(pick)
+                    # Each pick is drawn from the members left in sorted
+                    # order, which the fixtures' bytes depend on.
+                    pool = sorted(g.members)
+                    picks = []
+                    while len(g.moved) + len(picks) < want and pool:
+                        pick = rng.choice(pool)
+                        del pool[bisect_left(pool, pick)]
+                        picks.append(pick)
+                    g.members = _without(g.members, picks)
+                    g.moved += picks
                     if t == ev.start + ev.duration:
                         # everyone moved; the new cluster becomes the group
                         g.members, g.moved = g.moved, []
@@ -291,8 +303,7 @@ def generate(spec: ScenarioSpec) -> tuple[ClusteringSequence, list[list[int]]]:
                         f"empty cluster"
                     )
                 leaving = rng.sample(sorted(g.members), k)
-                for m in leaving:
-                    g.members.remove(m)
+                g.members = _without(g.members, leaving)
                 groups[next_gid] = _GroupState(
                     lifespan_end=g.lifespan_end,
                     truth=next_gid,

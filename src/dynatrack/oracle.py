@@ -2,8 +2,9 @@
 
 Replays the same snapshot-by-snapshot procedure as ``tracking`` but with
 naive evaluation straight from the member sets: majority sets are
-recomputed by scanning all clusters at every query, multi-step paths by
-literal recursion, and the enclosed-cluster walks by scanning as well. No
+recomputed by scanning all clusters at every query, one walker serving
+both directions of each relation, multi-step paths step by step from
+scratch, and the enclosed-cluster walks by scanning as well. No
 relation cache or incremental structure from the main implementation is
 used, so agreement between the two is meaningful evidence.
 
@@ -49,65 +50,34 @@ def brute_force_track(seq: ClusteringSequence, x: int) -> DynamicClustering:
     def clusters_at(t: int) -> list[ClusterRef]:
         return [ClusterRef(t, a) for a in range(len(members[t]))]
 
-    def trace_one(ref: ClusterRef) -> set[ClusterRef]:
-        if ref.time == 0:
+    def majority(ref: ClusterRef, step: int) -> set[ClusterRef]:
+        # the clusters one step back (-1, tracing) or forward (+1,
+        # mapping) that share the most members with ref; none if none do
+        t = ref.time + step
+        if not 0 <= t < t_total:
             return set()
         mine = members[ref.time][ref.cluster]
         scores = {
-            other: len(mine & members[other.time][other.cluster])
-            for other in clusters_at(ref.time - 1)
+            other: len(mine & members[t][other.cluster])
+            for other in clusters_at(t)
         }
         best = max(scores.values(), default=0)
         if best == 0:
             return set()
         return {o for o, s in scores.items() if s == best}
 
-    def map_one(ref: ClusterRef) -> set[ClusterRef]:
-        if ref.time + 1 >= t_total:
-            return set()
-        mine = members[ref.time][ref.cluster]
-        scores = {
-            other: len(mine & members[other.time][other.cluster])
-            for other in clusters_at(ref.time + 1)
-        }
-        best = max(scores.values(), default=0)
-        if best == 0:
-            return set()
-        return {o for o, s in scores.items() if s == best}
+    def path(refs: set[ClusterRef], n: int, step: int) -> set[ClusterRef]:
+        for _ in range(n):
+            refs = set().union(*(majority(r, step) for r in refs))
+        return set(refs)
 
-    def trace_path(refs: set[ClusterRef], n: int) -> set[ClusterRef]:
-        if n == 0:
-            return set(refs)
-        prev = trace_path(refs, n - 1)
-        out: set[ClusterRef] = set()
-        for r in prev:
-            out |= trace_one(r)
-        return out
-
-    def map_path(refs: set[ClusterRef], n: int) -> set[ClusterRef]:
-        if n == 0:
-            return set(refs)
-        prev = map_path(refs, n - 1)
-        out: set[ClusterRef] = set()
-        for r in prev:
-            out |= map_one(r)
-        return out
-
-    def mapper_of(refs: set[ClusterRef], t: int) -> set[ClusterRef]:
-        # clusters at t-1 whose mapping set is a singleton inside refs
+    def inverse(refs: set[ClusterRef], t: int, step: int) -> set[ClusterRef]:
+        # the clusters at t + step whose majority set back towards t is
+        # one cluster of refs: the mapper (step -1) or tracer (step +1)
         out = set()
-        for cand in clusters_at(t - 1):
-            m = map_one(cand)
-            if len(m) == 1 and next(iter(m)) in refs:
-                out.add(cand)
-        return out
-
-    def tracer_of(refs: set[ClusterRef], t: int) -> set[ClusterRef]:
-        # clusters at t+1 whose tracing set is a singleton inside refs
-        out = set()
-        for cand in clusters_at(t + 1):
-            ts = trace_one(cand)
-            if len(ts) == 1 and next(iter(ts)) in refs:
+        for cand in clusters_at(t + step):
+            back = majority(cand, -step)
+            if len(back) == 1 and back <= refs:
                 out.add(cand)
         return out
 
@@ -115,48 +85,39 @@ def brute_force_track(seq: ClusteringSequence, x: int) -> DynamicClustering:
     next_id = 0
     event_groups: list[set[ClusterRef]] = []
 
-    def assign(ref: ClusterRef, dc: int) -> None:
-        labels[ref] = dc
-
-    for alpha in range(len(members[0])):
-        assign(ClusterRef(0, alpha), next_id)
-        event_groups.append({ClusterRef(0, alpha)})
-        next_id += 1
-
-    for i in range(1, t_total):
+    for i in range(t_total):
         for alpha in range(len(members[i])):
             target = ClusterRef(i, alpha)
             # walk the tracing flow backwards, admitting a layer only while
-            # its forward mapping path re-enters the flow built so far
+            # its forward mapping path re-enters the flow built so far; at
+            # snapshot 0 there is nothing to walk and every cluster founds
             full_depths: list[int] = []
-            depth_reached = 0
             for k in range(1, min(i, x) + 1):
-                candidate = trace_path({target}, k)
+                candidate = path({target}, k, -1)
                 if not candidate:
                     break
                 admitted = False
                 full = False
                 for j in range(1, k + 1):
-                    forward = map_path(candidate, j)
+                    forward = path(candidate, j, +1)
                     if not forward:
                         break
-                    if forward <= trace_path({target}, k - j):
+                    if forward <= path({target}, k - j, -1):
                         admitted = True
                     if j == k and forward == {target}:
                         full = True
                 if not admitted:
                     break
-                depth_reached = k
                 if full:
                     full_depths.append(k)
             chosen = None
             for k in reversed(full_depths):
-                source = trace_path({target}, k)
+                source = path({target}, k, -1)
                 if len({labels[r] for r in source}) == 1:
                     chosen = (k, source)
                     break
             if chosen is None:
-                assign(target, next_id)
+                labels[target] = next_id
                 event_groups.append({target})
                 next_id += 1
                 continue
@@ -164,22 +125,22 @@ def brute_force_track(seq: ClusteringSequence, x: int) -> DynamicClustering:
             dc = labels[next(iter(source))]
             group: set[ClusterRef] = set()
             for k in range(n_star + 1):
-                group |= trace_path({target}, k)
-                group |= map_path(source, k)
+                group |= path({target}, k, -1)
+                group |= path(source, k, +1)
             flow = set(group)
             mapper_layer = {target}
             mapper_layers: dict[int, set[ClusterRef]] = {}
             for o in range(1, n_star):
-                mapper_layer = mapper_of(mapper_layer, i - o + 1)
+                mapper_layer = inverse(mapper_layer, i - o + 1, -1)
                 mapper_layers[o] = mapper_layer
             tracer_layer = set(source)
             for s in range(1, n_star):
-                tracer_layer = tracer_of(tracer_layer, i - n_star + s - 1)
+                tracer_layer = inverse(tracer_layer, i - n_star + s - 1, +1)
                 o = n_star - s
                 both = mapper_layers.get(o, set()) & tracer_layer
                 group |= both - flow
-            for r in sorted(group):
-                assign(r, dc)
+            for r in group:
+                labels[r] = dc
             event_groups.append(group)
 
     columns = [[labels[r] for r in clusters_at(t)] for t in range(t_total)]

@@ -76,7 +76,7 @@ class MajorityRelations:
     shared-member counts for every overlapping pair, as `pair_counts`
     returns them, and `counts` gives them as a dict. The relations are
     frozensets of cluster indices, one per cluster of their snapshot
-    (mapping and mapper by a cluster of snapshot i, tracing and tracer by
+    (mapping and tracer by a cluster of snapshot i, tracing and mapper by
     one of snapshot i+1), for `lift`; every one-cluster set among them is
     that cluster's entry of the cache's unit table, shared rather than
     copied. The inverse relations (tracer, mapper) are derived on first

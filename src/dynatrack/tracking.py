@@ -19,19 +19,19 @@ the labels current at processing time.
 A target is cluster a of snapshot t; every set the tracker walks holds
 cluster indices of one snapshot, whose time its user knows. Every search
 yields one record (`_Chain`), keyed by source time: the admitted layers,
-the forward walks of the full matches, and where the mapper walk from the
-target leaves the layers. The source is picked from the record
+the full matches, and where the mapper walk from the target leaves the
+layers; it keeps no walk. The source is picked from the record
 (`_source`), and the target labelled from it (`_label`). The identity
-flow of a match is read off the record as one list by offset from the
-target (`_chain_flow`): its layer o steps back is the tracing layer there
-plus the forward walk from the source at that step. The relabel writes,
-the marginal pass and the trace all read that list. Marginalised
-clusters are found in one pass per target: walk the mapper sets back from
-the target and the tracer sets forward from the source set; whatever
-lies in both walks but not on the identity flow takes the DC. The pass
-runs only when the record's mapper walk leaves the layers above the
-source, and takes the tracer walk only when a mapper layer leaves the
-flow, since nothing else can be marginal.
+flow of a match is one list by offset from the target (`_chain_flow`):
+its layer o steps back is the tracing layer there plus the mapping walk
+from the source set at that step, walked anew when the flow is needed.
+The relabel writes, the marginal pass and the trace all read that list.
+Marginalised clusters are found in one pass per target: walk the mapper
+sets back from the target and the tracer sets forward from the source
+set; whatever lies in both walks but not on the identity flow takes the
+DC. The pass runs only when the record's mapper walk leaves the layers
+above the source, and takes the tracer walk only when a mapper layer
+leaves the flow, since nothing else can be marginal.
 
 Along one-step-bijective chains the search is carried rather than
 repeated. A target is one-step bijective when its tracing set is one
@@ -39,12 +39,12 @@ cluster c whose mapping set is the target alone; most targets of
 persistent clusters are. Each frontier cluster keeps its record until the
 next snapshot is processed, and a one-step-bijective target derives its
 own from c's in O(1) (`_advance`): the same layers with the target on
-top, the same admitted layers, c's full matches plus c itself, and every
-walk one step longer. It then skips the relabel writes when no label has
-changed since c took the same DC and the flow runs along c's. The
-derivation falls back to the full search in four cases: the tracing set
-is not one cluster, c's mapping set or the target's mapper set holds
-another cluster, or the walk that stopped c's search reaches the target.
+top, the same admitted layers, and c's full matches plus c itself. It
+then skips the relabel writes when no label has changed since c took the
+same DC and the flow runs along c's. The derivation falls back to the
+full search in four cases: the tracing set is not one cluster, c's
+mapping set or the target's mapper set holds another cluster, or the
+walk that stopped c's search reaches the target.
 The labels are those of the full search at every history; the cost per
 carried target does not grow with it. At history 0 every target founds a
 DC and no record is kept.
@@ -147,12 +147,11 @@ class _Chain:
 
     * layer[s] is the admitted tracing layer at time s, for s in
       [bottom, top]; layer[top] is {target};
-    * full holds, ascending, the times below top whose forward walk ends
-      at exactly the target (full matches); walk[s] = (own, m) says that
-      the walk from layer[s] passes the sets `own` and then equals
-      layer[m], and a full-match time without an entry steps to
-      layer[s + 1] directly; bent is the highest time with an entry, -1
-      if there is none;
+    * full holds, ascending, the times below top whose forward mapping
+      walk ends at exactly the target (full matches); bent is the highest
+      of them whose walk does not step to layer[s + 1] directly, -1 (or,
+      once the bottom is cut, any time below it) if there is none; the
+      walks themselves are not kept;
     * leave is the highest time below top at which the mapper walk from
       the target is not inside the layer there, -1 if there is none; every
       marginal of a match lies at or below it;
@@ -164,16 +163,15 @@ class _Chain:
     """
 
     __slots__ = (
-        "top", "bottom", "layer", "walk", "bent", "full", "leave", "stop",
+        "top", "bottom", "layer", "bent", "full", "leave", "stop",
         "source", "changes",
     )
 
-    def __init__(self, top, bottom, layer, walk, full, leave, stop):
+    def __init__(self, top, bottom, layer, bent, full, leave, stop):
         self.top = top
         self.bottom = bottom
         self.layer = layer
-        self.walk = walk
-        self.bent = max(walk, default=-1)
+        self.bent = bent
         self.full = full
         self.leave = leave
         self.stop = stop
@@ -196,8 +194,8 @@ def _search_source(
     unit = rels.unit[a]
     layer = {t: unit}
     tables: dict[int, MajorityRelations] = {}
-    walk: dict[int, tuple[list[frozenset[int]], int]] = {}
     full: deque[int] = deque()
+    bent = -1
     # The times whose walk ends at exactly the target.
     ends = {t}
     stop = None
@@ -209,7 +207,6 @@ def _search_source(
         admitted = False
         meet = -1
         path = candidate
-        own: list[frozenset[int]] = []
         for u in range(s + 1, t + 1):
             path = lift(tables[u - 1].mapping, path)
             if not path:
@@ -222,7 +219,6 @@ def _search_source(
                     # here changes neither admission nor the full match.
                     meet = u
                     break
-            own.append(path)
         if not admitted:
             if path:
                 stop = path
@@ -231,8 +227,8 @@ def _search_source(
         if meet in ends:
             ends.add(s)
             full.appendleft(s)
-            if own or meet != s + 1:
-                walk[s] = (own, meet)
+            if meet != s + 1 and bent < 0:
+                bent = s
     bottom = t - len(layer) + 1
     leave = -1
     mapper = unit
@@ -243,7 +239,7 @@ def _search_source(
         if not mapper <= layer[s]:
             leave = s
             break
-    return _Chain(t, bottom, layer, walk, full, leave, stop)
+    return _Chain(t, bottom, layer, bent, full, leave, stop)
 
 
 def _source(state: TrackingState, chain: _Chain) -> int:
@@ -325,7 +321,7 @@ def _advance(
         return "mapper set holds another cluster"
     chains = state._chains
     if chains is None:
-        chain = _Chain(t - 1, t - 1, {t - 1: back}, {}, deque(), -1, None)
+        chain = _Chain(t - 1, t - 1, {t - 1: back}, -1, deque(), -1, None)
     else:
         chain = chains[c]
     low = t - state.history
@@ -343,7 +339,6 @@ def _advance(
     layer = chain.layer
     if bottom > chain.bottom:
         del layer[chain.bottom]
-        chain.walk.pop(chain.bottom, None)
         chain.bottom = bottom
     layer[t] = unit
     full = chain.full
@@ -355,26 +350,26 @@ def _advance(
     return chain
 
 
-def _chain_flow(chain: _Chain, s: int) -> list[frozenset[int]]:
+def _chain_flow(
+    rels: RelationCache, chain: _Chain, s: int
+) -> list[frozenset[int]]:
     """The flow of the match whose source is the full match at time s, in
     O(depth): flow[o] holds the clusters o steps back from the target, the
     tracing layer there and the mapping walk from the source set, so
-    flow[0] is {target} and flow[t - s] the source set."""
+    flow[0] is {target} and flow[t - s] the source set.
+
+    Once the walk equals a layer above bent, the rest of it steps from
+    layer to layer, adding nothing; it stops there, at the top at the
+    latest."""
     t = chain.top
     layer = chain.layer
-    walk = chain.walk
     flow = [layer[u] for u in range(t, s - 1, -1)]
-    # Where the walk from the source equals a layer, it adds nothing.
+    path = layer[s]
     u = s
-    while u < t:
-        step = walk.get(u)
-        if step is None:
-            u += 1
-        else:
-            own, m = step
-            for k, part in enumerate(own, u + 1):
-                flow[t - k] |= part
-            u = m
+    while u <= chain.bent or path != layer[u]:
+        u += 1
+        path = lift(rels.pair(u - 1).mapping, path)
+        flow[t - u] |= path
     return flow
 
 
@@ -425,10 +420,10 @@ def _label(
             and 0 <= chain.source <= s
             and (chain.source == s or chain.bent < s)
         ):
-            flow = _chain_flow(chain, s)
+            flow = _chain_flow(rels, chain, s)
             _relabel(state, dc, zip(range(t - 1, s, -1), flow[1:-1]))
         if chain.leave > s or trace is not None:
-            flow = flow or _chain_flow(chain, s)
+            flow = flow or _chain_flow(rels, chain, s)
             marginals = _marginals(rels, t, flow) if chain.leave > s else {}
             _relabel(state, dc, marginals.items())
             if trace is not None:
@@ -459,13 +454,10 @@ def process_snapshot(
     seq: ClusteringSequence,
     rels: RelationCache,
     i: int,
-    order: Sequence[int] | None = None,
 ) -> TrackingState:
-    """Label every cluster of snapshot i, correcting earlier associations.
+    """Label every cluster of snapshot i, in ascending order, correcting
+    earlier associations.
 
-    `order` overrides the canonical ascending processing order of the
-    snapshot's clusters; the output is invariant under permutations (a
-    property the test suite checks), so this exists for those tests.
     Every snapshot of a run is processed with the same relation cache of
     `seq`, which `finalize` takes its count tables from; a cache of
     another sequence, or another cache, raises ValueError.
@@ -477,10 +469,6 @@ def process_snapshot(
             f"cannot process snapshot {i} at frontier {state.frontier}"
         )
     m = len(seq.snapshots[i])
-    if order is None:
-        order = range(m)
-    elif sorted(order) != list(range(m)):
-        raise ValueError(f"order must be a permutation of range({m})")
     if state.relations is None:
         state.relations = rels
     elif state.relations is not rels:
@@ -489,7 +477,7 @@ def process_snapshot(
     # Without a history every cluster founds a DC, and no record is kept.
     keep = state.history > 0
     chains: list[_Chain | None] = [None] * m
-    for alpha in order:
+    for alpha in range(m):
         if not keep:
             _label(state, rels, i, alpha, None, -1)
             continue
@@ -512,14 +500,12 @@ def track(
     seq: ClusteringSequence,
     x: int,
     *,
-    orders: dict[int, Sequence[int]] | None = None,
     trace: list[TraceEvent] | None = None,
     relations: RelationCache | None = None,
 ) -> DynamicClustering:
     """Dynamic clusters of a whole sequence with an x-step history.
 
-    `orders` (per-snapshot processing permutations) and `trace` (audit
-    event sink) are test hooks; defaults give the canonical run.
+    `trace` is an audit event sink for tests; by default none is kept.
     `relations` is a prebuilt cache of `seq`, so that runs over several
     horizons build the relation tables once; by default a fresh one is
     built. A cache of another sequence raises ValueError.
@@ -529,9 +515,7 @@ def track(
         raise ValueError("relations were built for a different sequence")
     state = new_state(seq, x, trace=trace is not None)
     for i in range(1, len(seq)):
-        process_snapshot(
-            state, seq, rels, i, order=orders.get(i) if orders else None
-        )
+        process_snapshot(state, seq, rels, i)
     if trace is not None:
         trace.extend(state.trace)
     return finalize(state, seq)

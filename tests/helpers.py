@@ -12,6 +12,7 @@ from dynatrack import (
     DynamicClustering,
     LifecycleEvent,
     sequence_from_lists,
+    track,
 )
 from dynatrack.alluvial import PALETTE, AlluvialLayout
 from inputs import churn_clusters
@@ -194,6 +195,26 @@ def canonical(
     assert list(map(len, columns)) == [len(s) for s in seq.snapshots[:end]]
     mapping: dict[int, int] = {}
     return [[mapping.setdefault(dc, len(mapping)) for dc in col] for col in columns]
+
+
+def shuffled_labels(
+    seq: ClusteringSequence, x: int, rng: random.Random
+) -> list[list[int]]:
+    """The label columns of `track(seq, x)` run on a copy of `seq` whose
+    every snapshot lists its clusters in a random order, put back in
+    `seq`'s cluster order."""
+    perms = [rng.sample(range(len(snap)), len(snap)) for snap in seq.snapshots]
+    data = [
+        [snap.clusters[a] for a in perm] for snap, perm in zip(seq.snapshots, perms)
+    ]
+    labels = track(sequence_from_lists(data, seq.labels), x).labels
+    columns = []
+    for column, perm in zip(labels, perms):
+        back = [0] * len(perm)
+        for label, a in zip(column, perm):
+            back[a] = label
+        columns.append(back)
+    return columns
 
 
 def same_partition(

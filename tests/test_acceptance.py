@@ -36,6 +36,7 @@ from helpers import (
     presence,
     random_sequence,
     same_partition,
+    shuffled_labels,
     subsequence,
 )
 
@@ -113,12 +114,7 @@ def test_criterion_4_order_invariance(capfd):
         x = rng.randint(0, 4)
         base = canonical(seq, track(seq, x).labels)
         for _ in range(5):
-            orders = {}
-            for i in range(1, len(seq)):
-                perm = list(range(len(seq.snapshots[i])))
-                rng.shuffle(perm)
-                orders[i] = perm
-            got = canonical(seq, track(seq, x, orders=orders).labels)
+            got = canonical(seq, shuffled_labels(seq, x, rng))
             assert got == base, f"order changed labels at seed={seed}"
     report(capfd, 4, "order invariance, 200 instances x 5 permutations")
 
@@ -209,7 +205,8 @@ def best_time(seq, x, repeats=3):
 
 
 def scaling_ratios(x=1, g=10, rounds=8, batch=3):
-    """Wall-time growth when doubling T (200->400) and N (1000->2000).
+    """Wall-time growth when doubling T (200->400), and when doubling N
+    (1000->2000) with G (g->2g), so that every layer's input doubles.
 
     Per round, one batch of runs is timed for each size back to back; the
     order of sizes rotates between rounds and a warm-up pass precedes
@@ -224,7 +221,7 @@ def scaling_ratios(x=1, g=10, rounds=8, batch=3):
     sizes = [
         ("base", churn_sequence(200, 1000, g, seed=1)),
         ("double_t", churn_sequence(400, 1000, g, seed=1)),
-        ("double_n", churn_sequence(200, 2000, g, seed=1)),
+        ("double_n", churn_sequence(200, 2000, 2 * g, seed=1)),
     ]
     gc.collect()
     gc.freeze()

@@ -150,6 +150,26 @@ def test_tracer_iff_singleton_tracing():
                     assert (b in tr) == expected
 
 
+def test_mapper_iff_singleton_mapping():
+    # mapping and tracer are indexed by the clusters of snapshot i, tracing
+    # and mapper by those of snapshot i + 1; the fixed pair has 2 and 4
+    split = sequence_from_lists(
+        [[["1", "2"], ["3", "4"]], [["1"], ["2"], ["3"], ["4"]]]
+    )
+    seqs = [split] + [random_sequence(random.Random(seed)) for seed in range(20)]
+    for seq in seqs:
+        rels = RelationCache(seq)
+        for i in range(len(seq) - 1):
+            pair = rels.pair(i)
+            m_a, m_b = len(seq.snapshots[i]), len(seq.snapshots[i + 1])
+            assert (len(pair.mapping), len(pair.tracer)) == (m_a, m_a)
+            assert (len(pair.tracing), len(pair.mapper)) == (m_b, m_b)
+            for b in range(m_b):
+                for a in range(m_a):
+                    expected = pair.mapping[a] == frozenset((b,))
+                    assert (a in pair.mapper[b]) == expected
+
+
 def test_count_tables_equal_the_cache_and_share_only_when_complete():
     for seed in range(20):
         seq = random_sequence(random.Random(300 + seed), max_t=6)

@@ -2,6 +2,7 @@
 
 import collections
 import gc
+import inspect
 import os
 import random
 import subprocess
@@ -37,6 +38,7 @@ from helpers import (
     inject_one_shot_members,
     random_sequence,
     same_partition,
+    shuffled_labels,
     subsequence,
 )
 
@@ -363,12 +365,12 @@ class TestProcessSnapshot:
         with pytest.raises(SequencingError):
             process_snapshot(state, seq, rels, 2)
 
-    def test_bad_order_rejected(self):
-        seq = sequence_from_lists([[["1"]], [["1"]]])
-        rels = RelationCache(seq)
-        state = new_state(seq, 1)
-        with pytest.raises(ValueError):
-            process_snapshot(state, seq, rels, 1, order=[0, 0])
+    def test_no_processing_order_parameter(self):
+        # Clusters are processed in ascending order; invariance under other
+        # orders is tested by shuffling the input (`shuffled_labels`).
+        for func in (track, process_snapshot):
+            params = inspect.signature(func).parameters
+            assert not {"order", "orders"} & set(params), func.__name__
 
     def test_frontier_injectivity_checked_under_optimisation(self, tmp_path):
         # Every new cluster is forced into DC 0, so the frontier check must
@@ -430,12 +432,7 @@ class TestTrack:
             seq = random_sequence(rng)
             x = rng.randint(0, 4)
             base = canonical(seq, track(seq, x).labels)
-            orders = {}
-            for i in range(1, len(seq)):
-                perm = list(range(len(seq.snapshots[i])))
-                rng.shuffle(perm)
-                orders[i] = perm
-            permuted = canonical(seq, track(seq, x, orders=orders).labels)
+            permuted = canonical(seq, shuffled_labels(seq, x, rng))
             assert permuted == base
 
     def test_turnover_robustness(self):
@@ -610,7 +607,7 @@ def search_instances():
         yield generate(spec)[0]
 
 
-def record_search(state, chain):
+def record_search(state, rels, chain):
     """(depth, layers, flow) of a search record under the current labels,
     as `reference_record` gives them."""
     t = chain.top
@@ -619,7 +616,7 @@ def record_search(state, chain):
     s = tracking._source(state, chain)
     if s < 0:
         return 0, layers, None
-    return t - s, layers, tracking._chain_flow(chain, s)
+    return t - s, layers, tracking._chain_flow(rels, chain, s)
 
 
 def reference_record(state, rels, t, a):
@@ -640,7 +637,7 @@ def test_memoised_search_equals_reference(monkeypatch):
     def checked(state, rels, t, a):
         got = memoised(state, rels, t, a)
         assert got.top == t
-        assert record_search(state, got) == reference_record(
+        assert record_search(state, rels, got) == reference_record(
             state, rels, t, a
         ), (t, a)
         depths.append(got.top - got.bottom)
@@ -793,13 +790,16 @@ def checked_advance(outcomes):
         full = tracking._search_source(state, rels, t, a)
         assert got.top == full.top and got.layer == full.layer
         assert list(got.full) == list(full.full) and got.stop == full.stop
+        # A carried record keeps a bent time that fell below its bottom.
+        assert (got.bent if got.bent >= got.bottom else -1) == full.bent
         for s in full.full:
-            assert tracking._chain_flow(got, s) == tracking._chain_flow(full, s)
+            flow = tracking._chain_flow(rels, got, s)
+            assert flow == tracking._chain_flow(rels, full, s)
         s = tracking._source(state, got)
         assert s >= 0
         assert (got.leave > s) == (full.leave > s)
         if got.leave <= s:
-            flow = tracking._chain_flow(got, s)
+            flow = tracking._chain_flow(rels, got, s)
             assert tracking._marginals(rels, t, flow) == {}
         return got
 
