@@ -15,14 +15,7 @@ import sys
 from typing import Iterable
 
 from . import __version__
-from .errors import (
-    DynatrackError,
-    GenerationError,
-    OracleSizeError,
-    ParseError,
-    SchemaError,
-    SequenceValidationError,
-)
+from .errors import DynatrackError
 
 # Each subcommand imports the modules it runs, so that a process loads,
 # and compiles, only those: `--version` loads none of them, `events` no
@@ -83,7 +76,7 @@ def _labelled(args, labelling) -> int:
         return _usage_error("--history must be non-negative")
     seq = _load_input(args)
     result = labelling(seq, args.history)
-    _write(args.output, map(str.encode, document_chunks(seq, result, __version__)))
+    _write(args.output, map(str.encode, document_chunks(result, __version__)))
     return 0
 
 
@@ -168,7 +161,7 @@ def cmd_events(args) -> int:
     from .resultdoc import load_document
 
     seq, labels, x = load_document(_read(args.result))
-    rows = event_rows(clustering_from_labels(seq, labels, x), seq)
+    rows = event_rows(clustering_from_labels(seq, labels, x))
     # The compact, key-sorted JSON that `json.dumps` would write: every
     # field is an int or an ASCII kind word.
     events = ",".join(
@@ -327,18 +320,10 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser(argv).parse_args(argv)
     try:
         return args.func(args)
-    except (
-        ParseError,
-        SequenceValidationError,
-        SchemaError,
-        GenerationError,
-        OracleSizeError,
-    ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (OSError, DynatrackError) as exc:
+        # Bad input is a ValueError (see `errors`).
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, ValueError) else 1
 
 
 def run() -> None:

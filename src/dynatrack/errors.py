@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+The errors of bad input are the `ValueError`s among them, and the CLI
+exits with code 2 on those, with 1 on every other `DynatrackError`.
+"""
 
 
 class DynatrackError(Exception):

@@ -35,8 +35,11 @@ def classify_events(
 ) -> list[LifecycleEvent]:
     """All life-cycle events of a tracking result, as records: the rows
     of `metrics.event_rows`, in their order (by time, then DC, then
-    kind), with the same definitions and errors."""
+    kind), with the same definitions. A result of another sequence than
+    `seq` raises ValueError."""
+    if result.seq is not seq:
+        raise ValueError("the result was built for a different sequence")
     return [
         LifecycleEvent(kind, time, dc, related, delta)
-        for time, dc, kind, related, delta in event_rows(result, seq)
+        for time, dc, kind, related, delta in event_rows(result)
     ]

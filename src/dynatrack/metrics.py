@@ -49,10 +49,10 @@ class DynamicClustering(_Record):
     of its clusters there, and `dcs` is the ascending tuple of all DC ids.
     `seq` is the labelled sequence. `pair_triples[i]` holds the
     shared-member count triples between snapshot i and i+1, as
-    `relations.pair_counts` returns them, or the whole list is None when
-    no tables were handed on; a tracked result shares the tables its
-    relation cache built. `sizes` and `dcs` derive from the labels, so
-    only `labels` and `x_used` take part in comparisons and the repr.
+    `relations.pair_counts` returns them, or the whole list is None until
+    a table is needed; a tracked result shares the tables its relation
+    cache built. `sizes` and `dcs` derive from the labels, so only
+    `labels` and `x_used` take part in comparisons and the repr.
     """
 
     __slots__ = ("labels", "sizes", "dcs", "x_used", "seq", "pair_triples")
@@ -60,7 +60,7 @@ class DynamicClustering(_Record):
 
     def __init__(
         self, labels: list[list[int]], sizes: list[dict[int, int]], x_used: int,
-        seq: ClusteringSequence | None = None,
+        seq: ClusteringSequence,
         pair_triples: list[list[tuple[int, int, int]]] | None = None,
     ) -> None:
         self.labels = labels
@@ -78,8 +78,6 @@ class DynamicClustering(_Record):
         """
         tables = self.pair_triples
         if tables is None:
-            if self.seq is None:
-                raise ValueError("the result does not carry its sequence")
             tables = self.pair_triples = relations.count_tables(self.seq)
         return tables[i]
 
@@ -111,7 +109,7 @@ def clustering_from_labels(
 
 
 def event_rows(
-    result: DynamicClustering, seq: ClusteringSequence
+    result: DynamicClustering,
 ) -> list[tuple[int, int, str, tuple[int, ...], int]]:
     """All life-cycle events of a tracking result as rows (time, dc,
     kind, related, delta), sorted; no two share (time, dc, kind).
@@ -128,13 +126,8 @@ def event_rows(
     least two distinct DCs; `related` lists those other DCs ascending.
     Growth and shrinkage are reported per consecutive presence pair with
     non-zero size change, `delta` being the signed member-count change
-    (0 for every other kind). Events are not mutually exclusive. A
-    result of another sequence than `seq` raises ValueError, and so does
-    one that carries neither its sequence nor its tables when a table is
-    needed.
+    (0 for every other kind). Events are not mutually exclusive.
     """
-    if result.seq is not None and result.seq is not seq:
-        raise ValueError("the result was built for a different sequence")
     labels = result.labels
     sizes = result.sizes
     # Each DC's last snapshot, and the DCs met before the current pair's
@@ -143,7 +136,7 @@ def event_rows(
     seen = set(sizes[0])
     rows: list = []
     add = rows.append
-    for i in range(len(seq) - 1):
+    for i in range(len(labels) - 1):
         t = i + 1
         la, lb = labels[i], labels[t]
         # A cluster each DC at i reaches at t and each DC at t reaches
@@ -207,8 +200,8 @@ def consistencies(result: DynamicClustering) -> tuple[float | None, float | None
     cells leaving A and those entering B; since A holds only members
     present at i and B only members present at i+1, the resident union
     is leaving + entering - |A∩B|. Terms are summed by ascending DC id,
-    then time. The result must label every cluster and carry its sequence
-    or tables, as those of `clustering_from_labels` do, or ValueError.
+    then time. The result must label every cluster, as those of
+    `clustering_from_labels` do.
     """
     labels = result.labels
     sizes = result.sizes

@@ -157,15 +157,14 @@ class RelationCache:
 
     def __init__(self, seq: ClusteringSequence):
         self.seq = seq
-        self.t_total = len(seq)
         m = max(map(len, seq.snapshots), default=0)
         self.unit = tuple(frozenset((a,)) for a in range(m))
         self._pairs: list[MajorityRelations | None] = [None] * (len(seq) - 1)
 
     def pair(self, i: int) -> MajorityRelations:
         """Relations between snapshot i and snapshot i+1."""
-        if not (0 <= i < self.t_total - 1):
-            raise IndexError(f"pair index out of range (T={self.t_total}, got {i})")
+        if not (0 <= i < len(self._pairs)):
+            raise IndexError(f"pair index out of range (T={len(self.seq)}, got {i})")
         rel = self._pairs[i]
         if rel is None:
             a, b = self.seq.snapshots[i : i + 2]

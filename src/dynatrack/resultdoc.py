@@ -61,7 +61,7 @@ def build_document(
     the same JSON as lists, with fewer objects to build. A result of
     another sequence than `seq` raises ValueError. `document_chunks`
     writes the same bytes without building the document."""
-    if result.seq is not None and result.seq is not seq:
+    if result.seq is not seq:
         raise ValueError("the result was built for a different sequence")
     # Canonical ids are 0..k-1 in order of first appearance, and each
     # DC's clusters are met in ascending order.
@@ -114,23 +114,15 @@ def _dcs_json(columns: list[list[int]]) -> str:
     return f"[{dcs}]"
 
 
-def document_chunks(
-    seq: ClusteringSequence,
-    result: DynamicClustering,
-    tool_version: str,
-) -> Iterator[str]:
-    """`document_to_bytes(build_document(seq, result, tool_version))` as
-    text chunks, to be written UTF-8 encoded one after another: the `dcs`
-    registry with the scalar fields that sort before `snapshots`, one
-    chunk per snapshot, then `tool` and `version`. No chunk holds more
+def document_chunks(result: DynamicClustering, tool_version: str) -> Iterator[str]:
+    """`document_to_bytes(build_document(result.seq, result, tool_version))`
+    as text chunks, to be written UTF-8 encoded one after another: the
+    `dcs` registry with the scalar fields that sort before `snapshots`,
+    one chunk per snapshot, then `tool` and `version`. No chunk holds more
     than the registry or one snapshot, and no member is copied into a
     document first.
-
-    A result of another sequence than `seq` raises ValueError before the
-    first chunk.
     """
-    if result.seq is not None and result.seq is not seq:
-        raise ValueError("the result was built for a different sequence")
+    seq = result.seq
     columns = canonical_labels(result.labels)
     yield (
         f'{{"dcs":{_dcs_json(columns)},"history":{result.x_used},'

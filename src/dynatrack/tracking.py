@@ -52,7 +52,7 @@ DC and no record is kept.
 
 from __future__ import annotations
 
-from collections import defaultdict, deque
+from collections import deque
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import SequencingError, TrackingInvariantError
@@ -74,20 +74,22 @@ class TraceEvent(NamedTuple):
     """Audit record of one target-cluster association.
 
     The target took `dc` from `source_set`, n_star steps back (a new DC:
-    0 and {target}). flow[o] holds the flow clusters o steps before the
-    target, the tracing layer there and the mapping walk from the source
-    set, so flow[0] == {target} and source_set <= flow[n_star]. marginals
-    are the clusters off the flow that the target's mapper walk and the
-    source set's tracer walk both reach; they took the DC too. A traced
-    run builds one ClusterRef set per time and set of clusters, which its
-    events share; the tracker builds ClusterRefs nowhere else.
+    0 and {target.cluster}). flow[o] holds the indices of the flow
+    clusters of snapshot target.time - o, the tracing layer there and the
+    mapping walk from the source set, so flow[0] == {target.cluster} and
+    source_set is flow[n_star]. These are the tracker's own index sets,
+    shared between events. marginals are the clusters off the flow that
+    the target's mapper walk and the source set's tracer walk both reach;
+    they took the DC too, and span several snapshots, so they are named
+    by ClusterRef, as the target is. The tracker builds ClusterRefs
+    nowhere else.
     """
 
     target: ClusterRef
     n_star: int
     dc: int
-    source_set: frozenset[ClusterRef]
-    flow: tuple[frozenset[ClusterRef], ...]
+    source_set: frozenset[int]
+    flow: tuple[frozenset[int], ...]
     marginals: frozenset[ClusterRef]
 
 
@@ -96,22 +98,22 @@ class TrackingState:
 
     A new state has processed snapshot 0: its m clusters found DCs 0..m-1.
     labels holds one column per processed snapshot: labels[t][a] is the
-    DC id of cluster a of snapshot t. A DC whose clusters have all been
-    relabelled no longer appears in it, and `finalize` drops it.
-    relations is the cache every snapshot was processed with. Mutated
-    strictly sequentially, one snapshot and one target at a time.
+    DC id of cluster a of snapshot t, and the last column is the
+    frontier. A DC whose clusters have all been relabelled no longer
+    appears in it, and `finalize` drops it. relations is the cache every
+    snapshot was processed with. Mutated strictly sequentially, one
+    snapshot and one target at a time.
     """
 
     __slots__ = (
-        "history", "labels", "next_dc_id", "frontier", "trace", "relations",
-        "_chains", "_changes", "_names",
+        "history", "labels", "next_dc_id", "trace", "relations",
+        "_chains", "_changes",
     )
 
     def __init__(self, history: int, m: int, trace: list[TraceEvent] | None) -> None:
         self.history = history
         self.labels = [list(range(m))]
         self.next_dc_id = m
-        self.frontier = 0
         self.trace = trace
         self.relations: RelationCache | None = None
         # The search record of every frontier cluster, by cluster index
@@ -119,8 +121,6 @@ class TrackingState:
         # many relabel writes have changed an existing label so far.
         self._chains: list[_Chain] | None = None
         self._changes = 0
-        # A traced run's ClusterRef sets, by time and cluster indices.
-        self._names: defaultdict = defaultdict(dict)
 
     def _new_dc(self, t: int, a: int) -> int:
         dc = self.next_dc_id
@@ -409,7 +409,7 @@ def _label(
     if s < 0:
         dc = state._new_dc(t, a)
         if trace is not None:
-            _trace(state, t, dc, [rels.unit[a]], {})
+            _trace(state, t, a, dc, [rels.unit[a]], {})
     else:
         labels = state.labels
         dc = labels[s][next(iter(chain.layer[s]))]
@@ -427,26 +427,19 @@ def _label(
             marginals = _marginals(rels, t, flow) if chain.leave > s else {}
             _relabel(state, dc, marginals.items())
             if trace is not None:
-                _trace(state, t, dc, flow, marginals)
+                _trace(state, t, a, dc, flow, marginals)
     if chain is not None:
         chain.source = s
         chain.changes = state._changes
 
 
-def _trace(state: TrackingState, t: int, dc: int, flow, marginals) -> None:
-    """Record the TraceEvent of a target at time t that took dc over
+def _trace(state: TrackingState, t: int, a: int, dc: int, flow, marginals) -> None:
+    """Record the TraceEvent of target a at time t that took dc over
     `flow`, whose source set is flow[-1], with `marginals` by time."""
-    layers = []
-    for u, clusters in zip(range(t, t - len(flow), -1), flow):
-        names = state._names[u]
-        refs = names.get(clusters)
-        if refs is None:
-            refs = names[clusters] = frozenset([ClusterRef(u, a) for a in clusters])
-        layers.append(refs)
-    enclosed = frozenset(ClusterRef(u, a) for u, c in marginals.items() for a in c)
-    target = next(iter(layers[0]))
-    event = TraceEvent(target, len(flow) - 1, dc, layers[-1], tuple(layers), enclosed)
-    state.trace.append(event)
+    enclosed = frozenset(ClusterRef(u, b) for u, c in marginals.items() for b in c)
+    state.trace.append(
+        TraceEvent(ClusterRef(t, a), len(flow) - 1, dc, flow[-1], tuple(flow), enclosed)
+    )
 
 
 def process_snapshot(
@@ -464,10 +457,9 @@ def process_snapshot(
     """
     if rels.seq is not seq:
         raise ValueError("relations were built for a different sequence")
-    if state.frontier != i - 1:
-        raise SequencingError(
-            f"cannot process snapshot {i} at frontier {state.frontier}"
-        )
+    frontier = len(state.labels) - 1
+    if frontier != i - 1:
+        raise SequencingError(f"cannot process snapshot {i} at frontier {frontier}")
     m = len(seq.snapshots[i])
     if state.relations is None:
         state.relations = rels
@@ -486,7 +478,6 @@ def process_snapshot(
             chain = _search_source(state, rels, i, alpha)
         _label(state, rels, i, alpha, chain, _source(state, chain))
         chains[alpha] = chain
-    state.frontier = i
     state._chains = chains if keep else None
     frontier_dcs = state.labels[i]
     if len(set(frontier_dcs)) != m:

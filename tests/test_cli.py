@@ -8,6 +8,7 @@ import pytest
 from dataclasses import asdict
 
 from dynatrack import classify_events, cli, clustering_from_labels, relations, tracking
+from dynatrack import errors
 from dynatrack.cli import SWEEP_HEADER, main
 from dynatrack.errors import SchemaError
 from dynatrack.resultdoc import load_document
@@ -166,6 +167,32 @@ def test_oracle_size_guard_exit_code(tmp_path, capsys):
     path.write_text(json.dumps(doc))
     code = main(["oracle", "--input", str(path), "--history", "1"])
     assert code == 2
+
+
+# The package errors that report bad input, and exit 2.
+BAD_INPUT_ERRORS = {
+    "ParseError", "SequenceValidationError", "SchemaError", "GenerationError",
+    "OracleSizeError",
+}
+
+
+def test_the_exit_code_follows_the_error_class(identity_input, monkeypatch, capsys):
+    # Bad input is exactly the package's ValueErrors: exit 2. Every other
+    # package error exits 1. Either way the message is one `error:` line.
+    classes = [
+        c for c in vars(errors).values()
+        if isinstance(c, type) and issubclass(c, errors.DynatrackError)
+    ]
+    bad_input = {c.__name__ for c in classes if issubclass(c, ValueError)}
+    assert bad_input == BAD_INPUT_ERRORS and len(classes) == 9
+    for cls in classes:
+        def fail(args, cls=cls):
+            raise cls(f"{cls.__name__} raised")
+
+        monkeypatch.setattr(cli, "_load_input", fail)
+        code = main(["track", "--input", str(identity_input), "--history", "1"])
+        assert code == (2 if cls.__name__ in BAD_INPUT_ERRORS else 1), cls
+        assert capsys.readouterr() == ("", f"error: {cls.__name__} raised\n")
 
 
 def test_events_roundtrip(identity_input, tmp_path):

@@ -35,7 +35,6 @@ from dynatrack.cli import cmd_events
 from dynatrack.model import ClusterRef
 from dynatrack.resultdoc import (
     build_document,
-    document_chunks,
     document_to_bytes,
     load_document,
 )
@@ -480,7 +479,7 @@ class TestEvents:
                 expected = reference_events(result, seq)
                 assert classify_events(result, seq) == expected
                 # the rows are the records' fields, row by row
-                assert event_rows(result, seq) == [
+                assert event_rows(result) == [
                     (ev.time, ev.dc, ev.kind, ev.related, ev.delta) for ev in expected
                 ]
                 # a result without the tracker's tables computes its own
@@ -494,7 +493,7 @@ class TestEvents:
         gap = dc_with_a_gap()
         expected = reference_events(gap, gap.seq)
         assert classify_events(gap, gap.seq) == expected
-        assert event_rows(gap, gap.seq) == [
+        assert event_rows(gap) == [
             (ev.time, ev.dc, ev.kind, ev.related, ev.delta) for ev in expected
         ] == [(1, 1, "growth", (), 1), (2, 1, "shrinkage", (), -1)]
 
@@ -533,11 +532,8 @@ class TestEvents:
         twin = sequence_from_lists([[["a", "b"]], [["a"], ["b"]]])
         result = track(seq, 1)
         assert classify_events(result, seq)
-        assert event_rows(result, seq)
         with pytest.raises(ValueError, match="different sequence"):
             classify_events(result, twin)
-        with pytest.raises(ValueError, match="different sequence"):
-            event_rows(result, twin)
         # zip truncated a longer sequence into a document whose
         # snapshot_count disagrees with its snapshots
         longer = sequence_from_lists([[["a", "b"]], [["a"], ["b"]], [["a"]]])
@@ -545,10 +541,6 @@ class TestEvents:
         for other in (twin, longer):
             with pytest.raises(ValueError, match="different sequence"):
                 build_document(other, result, "0")
-            # before the first chunk
-            chunks = document_chunks(other, result, "0")
-            with pytest.raises(ValueError, match="different sequence"):
-                next(chunks)
 
 
 class TestSummaryStats:
@@ -643,16 +635,19 @@ class TestReplayContract:
         seq = sequence_from_lists([[["a", "b"]], [["a", "b", "c"]]])
         tracked = track(seq, 1)
         rebuilt = clustering_from_labels(seq, tracked.labels, 1)
-        bare = DynamicClustering(tracked.labels, tracked.sizes, 1)
+        bare = DynamicClustering(tracked.labels, tracked.sizes, 1, seq)
         assert tracked.sizes == bare.sizes == [{0: 2}, {0: 3}]
         assert tracked.dcs == rebuilt.dcs == bare.dcs == (0,)
         assert rebuilt.pair_triples is None
         assert rebuilt.counts_between(0) == [(0, 0, 2)]
         assert rebuilt.pair_triples == relations.count_tables(seq)
         assert tracked == rebuilt == bare
-        assert tracked != DynamicClustering(tracked.labels, tracked.sizes, 2)
+        assert tracked != DynamicClustering(tracked.labels, tracked.sizes, 2, seq)
         # the size tables and DC ids derive from the labels
-        assert tracked == DynamicClustering(tracked.labels, [{}, {}], 1)
+        assert tracked == DynamicClustering(tracked.labels, [{}, {}], 1, seq)
+        # a result always carries its sequence
+        with pytest.raises(TypeError):
+            DynamicClustering(tracked.labels, tracked.sizes, 1)
         assert repr(tracked) == repr(rebuilt) == repr(bare) == (
             "DynamicClustering(labels=[[0], [0]], x_used=1)"
         )

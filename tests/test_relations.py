@@ -183,3 +183,14 @@ def test_count_tables_equal_the_cache_and_share_only_when_complete():
         assert len(tables) == pairs
         assert tables == [rels.pair(i).triples for i in range(pairs)]
         assert rels.pair_triples() == tables
+
+
+def test_pair_index_out_of_range():
+    # T snapshots have T - 1 pairs, 0 .. T - 2; a negative index would wrap
+    seq = sequence_from_lists([[["1"]], [["1"]], [["1"]]])
+    rels = RelationCache(seq)
+    assert rels.pair(1).mapping == (frozenset({0}),)
+    for i in (2, -1):
+        message = rf"^pair index out of range \(T=3, got {i}\)$"
+        with pytest.raises(IndexError, match=message):
+            rels.pair(i)

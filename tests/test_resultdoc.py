@@ -29,7 +29,8 @@ def reference(seq, result, version=__version__) -> bytes:
 
 
 def streamed(seq, result, version=__version__) -> bytes:
-    return b"".join(map(str.encode, document_chunks(seq, result, version)))
+    assert result.seq is seq
+    return b"".join(map(str.encode, document_chunks(result, version)))
 
 
 def renamed(seq, rng: random.Random, labelled: bool):
@@ -91,7 +92,7 @@ def test_oracle_documents_equal_the_reference():
 
 def test_one_chunk_per_snapshot_after_the_registry():
     seq = sequence_from_lists([[["a", "b"]], [["a"], ["b"]], [["a", "b"]]])
-    chunks = list(document_chunks(seq, track(seq, 1), __version__))
+    chunks = list(document_chunks(track(seq, 1), __version__))
     assert len(chunks) == len(seq) + 2
     assert chunks[0].startswith('{"dcs":[') and chunks[0].endswith('"snapshots":[')
     assert chunks[-1] == f'],"tool":"dynatrack","version":"{__version__}"}}\n'

@@ -30,6 +30,7 @@ from dynatrack import relations, tracking
 from dynatrack.errors import SequencingError, TrackingInvariantError
 from dynatrack.oracle import MAX_SNAPSHOTS, MAX_TOTAL_CLUSTERS
 from dynatrack.relations import lift
+from inputs import planted_spec
 from helpers import (
     canonical,
     churn_sequence,
@@ -115,6 +116,18 @@ def refs(time, *clusters):
     return frozenset(ClusterRef(time, c) for c in clusters)
 
 
+def idx(*clusters):
+    """An index set of clusters of one snapshot, as the tracker holds it."""
+    return frozenset(clusters)
+
+
+def named(event):
+    """The flow of a TraceEvent with each index set named by ClusterRef, as
+    `reference_flow` gives it."""
+    t = event.target.time
+    return tuple(refs(t - o, *layer) for o, layer in enumerate(event.flow))
+
+
 def traced(seq, x):
     """The TraceEvent of every target of a traced run, by target."""
     events = []
@@ -124,20 +137,16 @@ def traced(seq, x):
 
 def search_at(seq, x, ref):
     """`reference_search_source` for ref, with every snapshot before it
-    processed and its index sets named by ClusterRef, and the TraceEvent
-    of ref when its snapshot is processed."""
+    processed, and the TraceEvent of ref when its snapshot is processed."""
     rels = RelationCache(seq)
     state = new_state(seq, x, trace=True)
     t = ref.time
     for i in range(1, t):
         process_snapshot(state, seq, rels, i)
-    n, layers, forward = reference_search_source(state, rels, t, ref.cluster)
-    layers = [refs(t - k, *layer) for k, layer in enumerate(layers)]
-    if forward is not None:
-        forward = [refs(t - n + j + 1, *path) for j, path in enumerate(forward)]
+    found = reference_search_source(state, rels, t, ref.cluster)
     process_snapshot(state, seq, rels, t)
     (event,) = [ev for ev in state.trace if ev.target == ref]
-    return (n, layers, forward), event
+    return found, event
 
 
 class TestPaths:
@@ -147,8 +156,8 @@ class TestPaths:
         assert enum_trace_path(seq, g, 0) == frozenset((g,))
         assert enum_map_path(seq, frozenset((g,)), 0) == frozenset((g,))
         (_, layers, _), event = search_at(seq, 0, g)
-        assert layers == [frozenset((g,))]
-        assert event.flow == (frozenset((g,)),)
+        assert layers == [idx(0)]
+        assert event.flow == (idx(0),)
 
     def test_chain_of_unique_majorities(self):
         seq = sequence_from_lists([[["1", "2"]], [["1", "2"]], [["1", "2"]]])
@@ -156,9 +165,9 @@ class TestPaths:
         assert enum_trace_path(seq, g, 2) == refs(0, 0)
         assert enum_map_path(seq, refs(0, 0), 2) == refs(2, 0)
         (n, layers, forward), event = search_at(seq, 2, g)
-        assert layers == [refs(2, 0), refs(1, 0), refs(0, 0)]
-        assert n == 2 and forward == [refs(1, 0), refs(2, 0)]
-        assert event.flow == (refs(2, 0), refs(1, 0), refs(0, 0))
+        assert layers == [idx(0), idx(0), idx(0)]
+        assert n == 2 and forward == [idx(0), idx(0)]
+        assert event.flow == (idx(0), idx(0), idx(0))
 
     def test_splinter_layers_recombine(self):
         # C at t2 traces to both A and B; both trace to Z
@@ -169,7 +178,7 @@ class TestPaths:
         assert enum_trace_path(seq, c, 1) == refs(1, 0, 1)
         assert enum_trace_path(seq, c, 2) == refs(0, 0)
         (n, layers, _), event = search_at(seq, 2, c)
-        assert layers == [refs(2, 0), refs(1, 0, 1), refs(0, 0)]
+        assert layers == [idx(0), idx(0, 1), idx(0)]
         assert n == event.n_star == 2
         assert event.flow == tuple(layers)
 
@@ -179,7 +188,7 @@ class TestPaths:
         assert enum_trace_path(seq, g, 2) == frozenset()
         # the search stops where the tracing path dies
         (n, layers, _), event = search_at(seq, 2, g)
-        assert layers == [refs(2, 0), refs(1, 0)]
+        assert layers == [idx(0), idx(0)]
         assert n == event.n_star == 1
 
 
@@ -190,7 +199,7 @@ class TestBijectiveMatch:
             assert enum_is_bijective(seq, g, 0)
         # at history 0 every target is its own depth-0 match
         event = traced(seq, 0)[ClusterRef(1, 0)]
-        assert event.n_star == 0 and event.source_set == refs(1, 0)
+        assert event.n_star == 0 and event.source_set == idx(0)
 
     def test_period_two_swap(self):
         # two clusters swapping their member sets every step
@@ -205,7 +214,7 @@ class TestBijectiveMatch:
         assert enum_is_bijective(seq, g, 1)
         assert enum_is_bijective(seq, g, 2)
         # the tracker takes the deepest match within the horizon
-        for x, source in ((1, refs(1, 1)), (2, refs(0, 0))):
+        for x, source in ((1, idx(1)), (2, idx(0))):
             (n, layers, _), event = search_at(seq, x, g)
             assert n == event.n_star == x
             assert layers[x] == event.source_set == source
@@ -215,7 +224,7 @@ class TestBijectiveMatch:
         g = ClusterRef(1, 0)
         assert not enum_is_bijective(seq, g, 1)
         (n, layers, _), event = search_at(seq, 1, g)
-        assert layers == [refs(1, 0)]
+        assert layers == [idx(0)]
         assert n == event.n_star == 0
 
 
@@ -240,7 +249,7 @@ class TestFindSourceSet:
         seq = sequence_from_lists([[["1"]], [["2", "3"]]])
         (n, _, _), event = search_at(seq, 3, ClusterRef(1, 0))
         assert n == event.n_star == 0
-        assert event.source_set == refs(1, 0)
+        assert event.source_set == idx(0)
 
     def test_single_cluster_source_two_steps_back(self):
         seq = fig_style_fixture()
@@ -251,7 +260,7 @@ class TestFindSourceSet:
         assert enum_trace_path(seq, g, 3) == refs(0, 0, 1)
         (n, layers, _), event = search_at(seq, 3, g)
         assert n == event.n_star == 2
-        assert layers[2] == event.source_set == refs(1, 0)
+        assert layers[2] == event.source_set == idx(0)
 
     def test_two_group_ancestry_blocks_depth_one(self):
         seq = fig_style_fixture()
@@ -270,7 +279,7 @@ class TestFindSourceSet:
         )
         (n, layers, _), event = search_at(seq, 5, ClusterRef(2, 0))
         assert n == event.n_star == 1
-        assert layers[1] == event.source_set == refs(1, 0)
+        assert layers[1] == event.source_set == idx(0)
 
     def test_history_zero_never_matches(self):
         seq = sequence_from_lists([[["1", "2"]], [["1", "2"]]])
@@ -294,7 +303,7 @@ class TestFindSourceSet:
         assert enum_is_bijective(seq, g, 2)
         (n, _, _), event = search_at(seq, 4, g)
         assert n == event.n_star == 0
-        assert event.source_set == frozenset((g,))
+        assert event.source_set == idx(g.cluster)
 
 
 class TestIdentityFlow:
@@ -305,22 +314,22 @@ class TestIdentityFlow:
         assert flow == (frozenset((g,)),)
         assert marginals == frozenset()
         event = traced(seq, 0)[g]
-        assert (event.flow, event.marginals) == (flow, marginals)
+        assert (named(event), event.marginals) == (flow, marginals)
 
     def test_one_step_splinter_is_marginal(self):
         seq = fig_style_fixture()
         g = ClusterRef(3, 0)
         res = traced(seq, 3)[g]
-        assert (res.n_star, res.source_set) == (2, refs(1, 0))
-        assert res.flow[0] == refs(3, 0)
-        assert res.flow[1] == refs(2, 0)  # majority line only
-        assert res.flow[2] == refs(1, 0)
+        assert (res.n_star, res.source_set) == (2, idx(0))
+        assert res.flow[0] == idx(0)
+        assert res.flow[1] == idx(0)  # majority line only
+        assert res.flow[2] is res.source_set
         assert res.marginals == refs(2, 1)  # the splinter cluster
-        assert (res.flow, res.marginals) == reference_flow(seq, g, 2, refs(1, 0))
+        assert (named(res), res.marginals) == reference_flow(seq, g, 2, refs(1, 0))
         # marginals sit strictly between source and target times
         assert all(1 < r.time < 3 for r in res.marginals)
         # and never overlap the flow
-        assert not res.marginals & frozenset().union(*res.flow)
+        assert not res.marginals & frozenset().union(*named(res))
 
 
 class TestProcessSnapshot:
@@ -471,8 +480,10 @@ class TestTrack:
             track(seq, x, trace=events)
             for ev in events:
                 assert ev.n_star <= x  # flow spans <= x+1 snapshots
-                assert (ev.flow, ev.marginals) == reference_flow(
-                    seq, ev.target, ev.n_star, ev.source_set
+                flow = named(ev)
+                assert ev.source_set is ev.flow[-1]
+                assert (flow, ev.marginals) == reference_flow(
+                    seq, ev.target, ev.n_star, flow[-1]
                 )
                 if ev.marginals:
                     times = sorted(r.time for r in ev.marginals)
@@ -980,14 +991,90 @@ def test_an_untraced_run_builds_no_cluster_ref(monkeypatch):
             assert finalize(state, seq).labels == labels
 
 
-def test_a_traced_run_shares_its_cluster_ref_sets():
+def test_a_traced_run_shares_the_trackers_index_sets():
     # Persistent five-member clusters: their layers recur in the events of
-    # every later target within the horizon. Each time and set of clusters
-    # has one ClusterRef set, however many events name it.
+    # every later target within the horizon. The events hold the tracker's
+    # own index sets, so no (time, index set) value has two objects.
     seq = churn_sequence(40, 500, 100, seed=0)
     events = []
     track(seq, 12, trace=events)
     sets = [s for ev in events for s in (ev.source_set, *ev.flow)]
-    values = {(next(iter(s)).time, s) for s in sets}
-    assert len({id(s) for s in sets}) == len(values)
-    assert len(sets) > 5 * len(values)
+    values = {(ev.target.time - o, s) for ev in events for o, s in enumerate(ev.flow)}
+    uses = collections.Counter(map(id, sets))
+    assert len(uses) <= len(values)
+    assert min(uses.values()) > 5
+
+
+def test_a_traced_run_names_only_its_targets_and_marginals(monkeypatch):
+    built = []
+
+    def counting(*args):
+        built.append(args)
+        return ClusterRef(*args)
+
+    monkeypatch.setattr(tracking, "ClusterRef", counting)
+    marginals = 0
+    for seq in (churn_sequence(40, 500, 100, seed=0), *list(search_instances())[-6:]):
+        for x in (1, 5, 12):
+            built.clear()
+            events = []
+            track(seq, x, trace=events)
+            enclosed = sum(len(ev.marginals) for ev in events)
+            assert len(built) == len(events) + enclosed
+            marginals += enclosed
+    assert marginals > 0
+
+
+def planted_input():
+    """The benchmark's planted-sweep input: 30 planted groups of 30-119
+    members over 40 snapshots, one disturbance each, 5% turnover."""
+    return generate(planted_spec(0, 30, 40, (30, 119), 0.05))[0]
+
+
+def test_untraced_runs_walk_flows_only_where_labels_can_change(monkeypatch):
+    # An untraced run walks a match's flow only when the carried record
+    # cannot stand for it, and looks for marginals only below the time the
+    # mapper walk leaves the layers. Neither skip changes the labels, so
+    # only these counts show them.
+    calls = collections.Counter()
+    for name in ("_chain_flow", "_marginals"):
+        func = getattr(tracking, name)
+
+        def counting(*args, func=func, name=name):
+            calls[name] += 1
+            return func(*args)
+
+        monkeypatch.setattr(tracking, name, counting)
+    cases = [
+        (churn_sequence(40, 500, 100, seed=0), 12, (122, 11)),
+        (planted_input(), 5, (383, 70)),
+    ]
+    for seq, x, expected in cases:
+        calls.clear()
+        track(seq, x)
+        assert (calls["_chain_flow"], calls["_marginals"]) == expected
+
+
+def test_labels_are_final_once_x_snapshots_behind_the_frontier():
+    # Processing snapshot t reads labels at times >= t - x and writes
+    # them only at times > t - x, so no column <= t - x changes after
+    # snapshot t is processed. Processing t does write column t - x + 1,
+    # so the bound is tight.
+    checks = violations = edge = 0
+    sequences = [*search_instances(), churn_sequence(40, 500, 100, seed=0)]
+    sequences.append(planted_input())
+    for seq in sequences:
+        rels = RelationCache(seq)
+        for x in (1, 2, 3, 5, 12):
+            state = new_state(seq, x)
+            for t in range(1, len(seq)):
+                before = [column[:] for column in state.labels]
+                process_snapshot(state, seq, rels, t)
+                # snapshot t - 1 was processed: columns <= t - 1 - x are final
+                for s in range(t - x):
+                    checks += 1
+                    violations += before[s] != state.labels[s]
+                if 0 <= t - x + 1 < t:
+                    edge += before[t - x + 1] != state.labels[t - x + 1]
+    assert (checks, violations) == (8335, 0)
+    assert edge > 0
