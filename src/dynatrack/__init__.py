@@ -18,6 +18,9 @@ __version__ = "0.1.0"
 # and reports that record it.
 BACKEND = "python"
 
+# The result-document schema that `resultdoc` reads and `docwriter` writes.
+SCHEMA_VERSION = 1
+
 # Exported name -> the submodule that defines it.
 _EXPORTS = {
     "AlluvialLayout": "alluvial",
@@ -45,8 +48,8 @@ _EXPORTS = {
     "brute_force_track": "oracle",
     "MajorityRelations": "relations",
     "RelationCache": "relations",
-    "build_document": "resultdoc",
-    "canonical_labels": "resultdoc",
+    "build_document": "docwriter",
+    "canonical_labels": "docwriter",
     "load_document": "resultdoc",
     "TrackingState": "tracking",
     "new_state": "tracking",

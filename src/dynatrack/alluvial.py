@@ -16,16 +16,17 @@ import json
 import math
 from itertools import accumulate, chain, groupby, repeat
 from operator import itemgetter
-from typing import Iterator, NamedTuple
+from typing import TYPE_CHECKING, Iterator, NamedTuple
 
-from .model import ClusteringSequence
-from .relations import count_tables
+if TYPE_CHECKING:
+    from .model import ClusteringSequence
 
 __all__ = [
     "Block",
     "Flow",
     "AlluvialLayout",
     "build_layout",
+    "layout_from_tables",
     "layout_to_svg",
     "svg_chunks",
     "layout_json_chunks",
@@ -115,7 +116,8 @@ def build_layout(
     gap: float = 2.0,
 ) -> AlluvialLayout:
     """Geometry of the diagram in member-count units, from the DC label
-    columns (labels[t][a] for cluster a of snapshot t).
+    columns (labels[t][a] for cluster a of snapshot t): `layout_from_tables`
+    on the cluster sizes and count tables of `seq`.
 
     `gap` is the vertical spacing between blocks of one column. Raises
     ValueError unless it is finite and >= 0, or unless there is one
@@ -124,17 +126,37 @@ def build_layout(
     if not (math.isfinite(gap) and gap >= 0):
         raise ValueError(f"gap must be a finite number >= 0, got {gap!r}")
     seq.check_label_columns(labels)
+    from .relations import count_tables
+
+    sizes = [snap.sizes for snap in seq.snapshots]
+    return layout_from_tables(labels, sizes, count_tables(seq), gap)
+
+
+def layout_from_tables(
+    labels: list[list[int]],
+    sizes: list[tuple[int, ...]],
+    tables: list[list[tuple[int, int, int]]],
+    gap: float = 2.0,
+) -> AlluvialLayout:
+    """Geometry of the diagram from the label columns, the cluster sizes
+    (sizes[t][a] for cluster a of snapshot t) and the count tables
+    (tables[i] between snapshots i and i+1, as `relations.pair_counts`
+    gives them), which `resultdoc.read_tables` reads from a document.
+
+    Nothing is checked here: `labels` and `sizes` must hold one entry per
+    cluster, and `gap` must be finite and >= 0 (see `build_layout`).
+    """
     columns: list[tuple[Block, ...]] = []
     tops: list[list[float]] = []
-    for t, (snap, col) in enumerate(zip(seq.snapshots, labels)):
+    for t, (counts, col) in enumerate(zip(sizes, labels)):
         # Each block's top is the sum of the heights and gaps above it.
-        col_tops = list(accumulate([s + gap for s in snap.sizes], initial=0.0))[:-1]
-        blocks = map(Block, repeat(t), range(len(snap)), col, snap.sizes, col_tops)
+        col_tops = list(accumulate([s + gap for s in counts], initial=0.0))[:-1]
+        blocks = map(Block, repeat(t), range(len(counts)), col, counts, col_tops)
         columns.append(tuple(blocks))
         tops.append(col_tops)
 
     flows: list[Flow] = []
-    for i, table in enumerate(count_tables(seq)):
+    for i, table in enumerate(tables):
         out_used = [0.0] * len(tops[i])
         in_used = [0.0] * len(tops[i + 1])
         for a, b, magnitude in table:

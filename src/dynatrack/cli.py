@@ -18,8 +18,9 @@ from . import __version__
 from .errors import DynatrackError
 
 # Each subcommand imports the modules it runs, so that a process loads,
-# and compiles, only those: `--version` loads none of them, `events` no
-# tracker and `render` neither the tracker nor the metrics.
+# and compiles, only those: `--version` loads none of them, and `events`
+# and `render` load the document reader but not the parser, the relation
+# tables, the tracker or the writers (and `render` not the metrics).
 
 SWEEP_HEADER = (
     "x,dc_count,mean_lifespan,weighted_mean_lifespan,"
@@ -70,7 +71,7 @@ def _load_input(args):
 
 def _labelled(args, labelling) -> int:
     """Write the result document of `labelling(seq, x)` on the input."""
-    from .resultdoc import document_chunks
+    from .docwriter import document_chunks
 
     if args.history < 0:
         return _usage_error("--history must be non-negative")
@@ -157,11 +158,11 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_events(args) -> int:
-    from .metrics import clustering_from_labels, event_rows
-    from .resultdoc import load_document
+    from .metrics import dc_sizes, event_rows
+    from .resultdoc import read_tables
 
-    seq, labels, x = load_document(_read(args.result))
-    rows = event_rows(clustering_from_labels(seq, labels, x))
+    labels, sizes, tables, _x = read_tables(_read(args.result))
+    rows = event_rows(labels, dc_sizes(labels, sizes), tables)
     # The compact, key-sorted JSON that `json.dumps` would write: every
     # field is an int or an ASCII kind word.
     events = ",".join(
@@ -176,15 +177,15 @@ def cmd_events(args) -> int:
 def cmd_render(args) -> int:
     import math
 
-    from .alluvial import build_layout, layout_json_chunks, svg_chunks
-    from .resultdoc import load_document
+    from .alluvial import layout_from_tables, layout_json_chunks, svg_chunks
+    from .resultdoc import read_tables
 
     if not (math.isfinite(args.block_width) and args.block_width > 0):
         return _usage_error("--block-width must be a finite number > 0")
     if not (math.isfinite(args.gap) and args.gap >= 0):
         return _usage_error("--gap must be a finite number >= 0")
-    seq, labels, _x = load_document(_read(args.result))
-    layout = build_layout(seq, labels, gap=args.gap)
+    labels, sizes, tables, _x = read_tables(_read(args.result))
+    layout = layout_from_tables(labels, sizes, tables, args.gap)
     svg = svg_chunks(layout, block_width=args.block_width)
     try:
         _write(args.output, map(str.encode, svg))

@@ -41,5 +41,7 @@ def classify_events(
         raise ValueError("the result was built for a different sequence")
     return [
         LifecycleEvent(kind, time, dc, related, delta)
-        for time, dc, kind, related, delta in event_rows(result)
+        for time, dc, kind, related, delta in event_rows(
+            result.labels, result.sizes, result.tables()
+        )
     ]

@@ -14,13 +14,17 @@ from __future__ import annotations
 
 from collections import Counter
 from operator import mul
+from typing import TYPE_CHECKING
 
-from . import relations
-from .model import ClusteringSequence, _Record
+from .kernel import _Record
+
+if TYPE_CHECKING:
+    from .model import ClusteringSequence
 
 __all__ = [
     "DynamicClustering",
     "clustering_from_labels",
+    "dc_sizes",
     "event_rows",
     "LifecycleEvent",
     "classify_events",
@@ -50,7 +54,7 @@ class DynamicClustering(_Record):
     `seq` is the labelled sequence. `pair_triples[i]` holds the
     shared-member count triples between snapshot i and i+1, as
     `relations.pair_counts` returns them, or the whole list is None until
-    a table is needed; a tracked result shares the tables its relation
+    `tables` is called; a tracked result shares the tables its relation
     cache built. `sizes` and `dcs` derive from the labels, so only
     `labels` and `x_used` take part in comparisons and the repr.
     """
@@ -70,16 +74,18 @@ class DynamicClustering(_Record):
         self.seq = seq
         self.pair_triples = pair_triples
 
-    def counts_between(self, i: int) -> list[tuple[int, int, int]]:
-        """Count triples between snapshot i and i+1.
+    def tables(self) -> list[list[tuple[int, int, int]]]:
+        """The count triples of every neighbouring snapshot pair, the
+        list at i for snapshots i and i+1.
 
         Without `pair_triples`, every table is computed from `seq` on
         first use and kept on the result.
         """
-        tables = self.pair_triples
-        if tables is None:
-            tables = self.pair_triples = relations.count_tables(self.seq)
-        return tables[i]
+        if self.pair_triples is None:
+            from .relations import count_tables
+
+            self.pair_triples = count_tables(self.seq)
+        return self.pair_triples
 
 
 def clustering_from_labels(
@@ -96,31 +102,46 @@ def clustering_from_labels(
     `DynamicClustering`).
     """
     seq.check_label_columns(labels)
-    sizes: list[dict[int, int]] = []
-    for column, snap in zip(labels, seq.snapshots):
-        found = dict(zip(column, snap.sizes))
-        if len(found) != len(column):
-            # A DC on several clusters of the snapshot: add their sizes.
-            found = dict.fromkeys(column, 0)
-            for dc, n in zip(column, snap.sizes):
-                found[dc] += n
-        sizes.append(found)
+    sizes = dc_sizes(labels, [snap.sizes for snap in seq.snapshots])
     return DynamicClustering([col[:] for col in labels], sizes, x, seq, pair_triples)
 
 
+def dc_sizes(
+    labels: list[list[int]], cluster_sizes: list[tuple[int, ...]]
+) -> list[dict[int, int]]:
+    """Per snapshot, each DC's member count: the summed sizes of the
+    clusters it labels (labels[t][a] and cluster_sizes[t][a] for cluster a
+    of snapshot t). The columns must match, as nothing here checks."""
+    sizes: list[dict[int, int]] = []
+    for column, counts in zip(labels, cluster_sizes):
+        found = dict(zip(column, counts))
+        if len(found) != len(column):
+            # A DC on several clusters of the snapshot: add their sizes.
+            found = dict.fromkeys(column, 0)
+            for dc, n in zip(column, counts):
+                found[dc] += n
+        sizes.append(found)
+    return sizes
+
+
 def event_rows(
-    result: DynamicClustering,
+    labels: list[list[int]],
+    sizes: list[dict[int, int]],
+    tables: list[list[tuple[int, int, int]]],
 ) -> list[tuple[int, int, str, tuple[int, ...], int]]:
-    """All life-cycle events of a tracking result as rows (time, dc,
-    kind, related, delta), sorted; no two share (time, dc, kind).
+    """All life-cycle events of a labelling as rows (time, dc, kind,
+    related, delta), sorted; no two share (time, dc, kind). For a result,
+    pass `result.labels`, `result.sizes` and `result.tables()`; for a
+    document, `resultdoc.read_tables` gives the labels and tables, and
+    `dc_sizes` the sizes.
 
     kind is one of birth, death, growth, shrinkage, split, merge. Events
-    are read from the result's count tables, size tables and labels,
-    one snapshot pair i → i+1 at a time; each has time i+1. Birth
-    requires that no member of the DC's first clusters was present at
-    the previous snapshot, that is no count cell enters them; death that
-    no cell leaves its last clusters. Both are therefore optional, and
-    undefined at the sequence boundaries. Split (merge) fires when the
+    are read from the count tables (tables[i] between snapshots i and
+    i+1), the DC size tables and the labels, one snapshot pair i → i+1 at
+    a time; each has time i+1. Birth requires that no member of the DC's
+    first clusters was present at the previous snapshot, that is no
+    count cell enters them; death that no cell leaves its last clusters.
+    Both are therefore optional, and undefined at the sequence boundaries. Split (merge) fires when the
     cells leaving (entering) a DC's clusters reach several clusters at
     the next (previous) snapshot that, with the DC itself, belong to at
     least two distinct DCs; `related` lists those other DCs ascending.
@@ -128,8 +149,6 @@ def event_rows(
     non-zero size change, `delta` being the signed member-count change
     (0 for every other kind). Events are not mutually exclusive.
     """
-    labels = result.labels
-    sizes = result.sizes
     # Each DC's last snapshot, and the DCs met before the current pair's
     # later snapshot: one container for all DCs, none per DC.
     last = {dc: t for t, present in enumerate(sizes) for dc in present}
@@ -147,7 +166,7 @@ def event_rows(
         splitting: set[int] = set()
         merging: set[int] = set()
         cross: set[tuple[int, int]] = set()
-        for ca, cb, _n in result.counts_between(i):
+        for ca, cb, _n in tables[i]:
             a = la[ca]
             b = lb[cb]
             if fwd.setdefault(a, cb) != cb:
@@ -215,7 +234,7 @@ def consistencies(result: DynamicClustering) -> tuple[float | None, float | None
             continue
         leave: dict[int, int] = {}
         enter: dict[int, int] = {}
-        for ca, cb, n in result.counts_between(i):
+        for ca, cb, n in result.tables()[i]:
             a = la[ca]
             b = lb[cb]
             if a == b:

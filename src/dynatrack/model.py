@@ -9,10 +9,11 @@ labels are carried along but never used for ordering.
 from __future__ import annotations
 
 import json
-from itertools import accumulate, chain, pairwise, repeat
+from itertools import accumulate, pairwise
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import ParseError, SequenceValidationError
+from .kernel import NO_SNAPSHOTS, _Record, member_index
 
 __all__ = [
     "ClusterRef",
@@ -29,28 +30,6 @@ class ClusterRef(NamedTuple):
 
     time: int
     cluster: int
-
-
-class _Record:
-    """Equality, hashing and repr over `_fields`, as a frozen dataclass
-    gives them; any other slot takes no part."""
-
-    __slots__ = ()
-    _fields: tuple[str, ...] = ()
-
-    def _key(self) -> tuple:
-        return tuple(getattr(self, f) for f in self._fields)
-
-    def __eq__(self, other):
-        same = other.__class__ is self.__class__
-        return self._key() == other._key() if same else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __repr__(self) -> str:
-        args = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
-        return f"{type(self).__name__}({args})"
 
 
 class Snapshot(_Record):
@@ -82,7 +61,7 @@ class ClusteringSequence(_Record):
         self, snapshots: tuple[Snapshot, ...], labels: tuple[str | None, ...] = ()
     ) -> None:
         if not snapshots:
-            raise SequenceValidationError("a sequence needs at least one snapshot")
+            raise SequenceValidationError(NO_SNAPSHOTS)
         if not labels:
             labels = (None,) * len(snapshots)
         elif len(labels) != len(snapshots):
@@ -116,45 +95,14 @@ def sequence_from_lists(
     Raises SequenceValidationError for empty clusters, empty or non-string
     member IDs, and members repeated within a snapshot.
     """
-    snapshots = []
-    for t, raw_clusters in enumerate(data):
-        raw = list(map(list, raw_clusters))
-        sizes = tuple(map(len, raw))
-        # The checks run in C (the join raises TypeError on a non-string
-        # ID); only a snapshot that fails one is scanned member by member,
-        # in input order, to name the first offending cluster and member.
-        try:
-            "".join(chain.from_iterable(raw))
-        except TypeError:
-            _reject(t, raw)
-        where = chain.from_iterable(map(repeat, range(len(raw)), sizes))
-        column = dict(zip(chain.from_iterable(map(sorted, raw)), where))
-        if not all(raw) or len(column) != sum(sizes) or "" in column:
-            _reject(t, raw)
-        snapshots.append(Snapshot(column, sizes))
+    snapshots = [
+        Snapshot(*member_index(t, list(map(list, clusters)), True))
+        for t, clusters in enumerate(data)
+    ]
     return ClusteringSequence(
         snapshots=tuple(snapshots),
         labels=tuple(labels) if labels is not None else (),
     )
-
-
-def _reject(t: int, clusters: list[list]) -> None:
-    """Raise the error for the first invalid cluster or member of snapshot t."""
-    seen: set[str] = set()
-    for alpha, members in enumerate(clusters):
-        if not members:
-            raise SequenceValidationError(f"snapshot {t}: cluster {alpha} is empty")
-        for m in members:
-            if not isinstance(m, str) or not m:
-                raise SequenceValidationError(
-                    f"snapshot {t}: cluster {alpha} has a non-string or "
-                    f"empty member ID ({m!r})"
-                )
-            if m in seen:
-                raise SequenceValidationError(
-                    f"snapshot {t}: member {m!r} appears in more than one cluster"
-                )
-            seen.add(m)
 
 
 def _parse_json(text: str) -> ClusteringSequence:

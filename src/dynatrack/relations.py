@@ -21,10 +21,9 @@ unaffected by members that appear in a single snapshot.
 
 from __future__ import annotations
 
-from collections import Counter
-from itertools import accumulate
 from typing import Collection, Sequence
 
+from .kernel import count_runs
 from .model import ClusteringSequence, Snapshot
 
 __all__ = [
@@ -36,31 +35,14 @@ __all__ = [
 
 
 def pair_counts(a: Snapshot, b: Snapshot) -> list[tuple[int, int, int]]:
-    """Shared-member counts between the clusters of two snapshots.
+    """Shared-member counts between the clusters of two snapshots:
+    `kernel.count_runs` on their member indexes.
 
     Returns (cluster_a, cluster_b, count) triples sorted lexicographically,
     non-zero counts only. Members present in one snapshot only never
     produce a triple, which is what makes the relations turnover-robust.
-
-    Counts by cluster run, in O(members of `a`): `a.column` lists the
-    members in cluster order, so the partners in `b` of cluster `ca` are
-    one slice of the partner list. A cluster whose members all share one
-    partner (or all leave) takes one `count` over its slice; any other is
-    counted with a `Counter`.
     """
-    partners = list(map(b.column.get, a.column))
-    out = []
-    for ca, (start, n) in enumerate(zip(accumulate(a.sizes, initial=0), a.sizes)):
-        run = partners[start : start + n]
-        first = run[0]
-        if run.count(first) == n:
-            if first is not None:
-                out.append((ca, first, n))
-        else:
-            counts = Counter(run)
-            counts.pop(None, None)
-            out += [(ca, cb, k) for cb, k in sorted(counts.items())]
-    return out
+    return count_runs(a.column, a.sizes, b.column)
 
 
 def count_tables(seq: ClusteringSequence) -> list[list[tuple[int, int, int]]]:

@@ -1,42 +1,48 @@
-"""Versioned result documents for tracking runs.
+"""Reading versioned result documents (the writers are in `docwriter`).
 
 A result document carries everything downstream consumers (event listing,
 rendering) need: per snapshot the clusters with their members and dynamic
-cluster id, the DC registry, and run metadata. DC ids are canonicalised
-by first appearance (snapshot order, then cluster order) and the JSON
-encoding is byte-deterministic, so outputs are directly comparable across
-runs and implementations.
+cluster id, the DC registry, and run metadata. `read_tables` turns one
+into the label columns, cluster sizes and shared-member count tables that
+`events` and `render` read, in one pass over the snapshots;
+`load_document` gives the labelled `ClusteringSequence` instead. Both run
+the same checks, in the same order.
 """
 
 from __future__ import annotations
 
 import json
-from itertools import accumulate, pairwise
-from json.encoder import encode_basestring
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING, Callable
 
-from .errors import SchemaError
-from .model import ClusteringSequence, sequence_from_lists
+from . import SCHEMA_VERSION
+from .errors import SchemaError, SequenceValidationError
+from .kernel import NO_SNAPSHOTS, count_runs, member_index
 
 if TYPE_CHECKING:
-    from .metrics import DynamicClustering
+    from .model import ClusteringSequence
 
 __all__ = [
     "SCHEMA_VERSION",
+    "read_tables",
+    "load_document",
     "canonical_labels",
     "build_document",
     "document_to_bytes",
     "document_chunks",
-    "load_document",
     "clustering_from_labels",
 ]
 
-SCHEMA_VERSION = 1
+_WRITERS = ("canonical_labels", "build_document", "document_to_bytes", "document_chunks")
 
 
 def __getattr__(name: str):
-    # The re-export of `clustering_from_labels` loads `metrics` on first
-    # use, so that loading a document (as `render` does) does not.
+    # The writers and `clustering_from_labels` are re-exported from their
+    # modules on first use, so that reading a document (as `events` and
+    # `render` do) loads neither.
+    if name in _WRITERS:
+        from . import docwriter
+
+        return getattr(docwriter, name)
     if name == "clustering_from_labels":
         from .metrics import clustering_from_labels
 
@@ -44,115 +50,40 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-def canonical_labels(labels: list[list[int]]) -> list[list[int]]:
-    """DC label columns renumbered by first appearance in
-    snapshot-then-cluster order."""
-    mapping: dict[int, int] = {}
-    return [[mapping.setdefault(dc, len(mapping)) for dc in col] for col in labels]
-
-
-def build_document(
-    seq: ClusteringSequence,
-    result: DynamicClustering,
-    tool_version: str,
-) -> dict:
-    """Result document (canonical ids) ready for serialisation. Its member
-    and (snapshot, cluster) arrays are tuples, the members those of `seq`:
-    the same JSON as lists, with fewer objects to build. A result of
-    another sequence than `seq` raises ValueError. `document_chunks`
-    writes the same bytes without building the document."""
-    if result.seq is not seq:
-        raise ValueError("the result was built for a different sequence")
-    # Canonical ids are 0..k-1 in order of first appearance, and each
-    # DC's clusters are met in ascending order.
-    registry: list[list[tuple[int, int]]] = []
-    snapshots = []
-    for t, (snap, label, col) in enumerate(
-        zip(seq.snapshots, seq.labels, canonical_labels(result.labels))
-    ):
-        clusters = []
-        for a, (members, dc) in enumerate(zip(snap.clusters, col)):
-            if dc == len(registry):
-                registry.append([])
-            registry[dc].append((t, a))
-            clusters.append({"members": members, "dc": dc})
-        entry: dict = {"clusters": clusters}
-        if label is not None:
-            entry["label"] = label
-        snapshots.append(entry)
-    return {
-        "schema": SCHEMA_VERSION,
-        "tool": "dynatrack",
-        "version": tool_version,
-        "history": result.x_used,
-        "snapshot_count": len(seq),
-        "snapshots": snapshots,
-        "dcs": [{"id": dc, "clusters": refs} for dc, refs in enumerate(registry)],
-    }
-
-
-def document_to_bytes(doc: dict) -> bytes:
-    return (
-        json.dumps(doc, ensure_ascii=False, sort_keys=True, separators=(",", ":"))
-        + "\n"
-    ).encode("utf-8")
-
-
-def _dcs_json(columns: list[list[int]]) -> str:
-    """The `dcs` array of canonical label columns."""
-    # Canonical ids are 0..k-1 in order of first appearance, and each
-    # DC's clusters are met in ascending order.
-    refs: list[list[str]] = []
-    for t, col in enumerate(columns):
-        for a, dc in enumerate(col):
-            if dc == len(refs):
-                refs.append([])
-            refs[dc].append(f"[{t},{a}]")
-    dcs = ",".join(
-        f'{{"clusters":[{",".join(r)}],"id":{dc}}}' for dc, r in enumerate(refs)
-    )
-    return f"[{dcs}]"
-
-
-def document_chunks(result: DynamicClustering, tool_version: str) -> Iterator[str]:
-    """`document_to_bytes(build_document(result.seq, result, tool_version))`
-    as text chunks, to be written UTF-8 encoded one after another: the
-    `dcs` registry with the scalar fields that sort before `snapshots`,
-    one chunk per snapshot, then `tool` and `version`. No chunk holds more
-    than the registry or one snapshot, and no member is copied into a
-    document first.
-    """
-    seq = result.seq
-    columns = canonical_labels(result.labels)
-    yield (
-        f'{{"dcs":{_dcs_json(columns)},"history":{result.x_used},'
-        f'"schema":{SCHEMA_VERSION},"snapshot_count":{len(columns)},"snapshots":['
-    )
-    sep = ""
-    for snap, label, col in zip(seq.snapshots, seq.labels, columns):
-        members = list(snap.column)
-        # `json.dumps` writes a string as `encode_basestring` does, which
-        # adds only the two quotes unless some character needs an escape.
-        text = "".join(members)
-        if len(encode_basestring(text)) == len(text) + 2:
-            quote, comma = '"', '","'
-        else:  # each member as `json.dumps` writes it, quotes included
-            members = list(map(encode_basestring, members))
-            quote, comma = "", ","
-        clusters = ",".join(
-            f'{{"dc":{dc},"members":[{quote}{comma.join(members[i:j])}{quote}]}}'
-            for dc, (i, j) in zip(col, pairwise(accumulate(snap.sizes, initial=0)))
-        )
-        tail = "" if label is None else f',"label":{encode_basestring(label)}'
-        yield f'{sep}{{"clusters":[{clusters}]{tail}}}'
-        sep = ","
-    yield f'],"tool":"dynatrack","version":{encode_basestring(tool_version)}}}\n'
-
-
 def _int(value, what: str) -> int:
     if type(value) is not int:
         raise SchemaError(f"{what} must be an integer, got {value!r}")
     return value
+
+
+def read_tables(
+    raw: bytes | str,
+) -> tuple[
+    list[list[int]], list[tuple[int, ...]], list[list[tuple[int, int, int]]], int
+]:
+    """Read a result document into (label columns, cluster sizes, count
+    tables, history): columns[t][a] is the `dc` of cluster a of snapshot
+    t, sizes[t][a] its member count, and tables[i] the shared-member
+    count triples between snapshots i and i+1, as
+    `relations.pair_counts` gives them.
+
+    One pass over the snapshots counts each pair as its later snapshot
+    arrives, holding two member indexes at a time. The checks, their
+    order and their errors are those of `load_document`.
+    """
+    sizes: list[tuple[int, ...]] = []
+    tables: list[list[tuple[int, int, int]]] = []
+    last: dict[str, int] = {}
+
+    def count(column: dict[str, int], counts: tuple[int, ...]) -> None:
+        nonlocal last
+        if sizes:
+            tables.append(count_runs(last, sizes[-1], column))
+        last = column
+        sizes.append(counts)
+
+    columns, _labels, history = _read(raw, False, count)
+    return columns, sizes, tables, history
 
 
 def load_document(
@@ -166,7 +97,32 @@ def load_document(
     in one entry with at least one cluster,
     `snapshot_count` must match the snapshots, and the clusters of the
     last snapshot must carry distinct ids (any tracking run gives them
-    distinct ids).
+    distinct ids). Invalid snapshots (an empty cluster, a bad or repeated
+    member) raise SequenceValidationError, as `sequence_from_lists`
+    does, once every other check has passed.
+    """
+    from .model import ClusteringSequence, Snapshot
+
+    snapshots: list[Snapshot] = []
+    columns, labels, history = _read(
+        raw, True, lambda column, sizes: snapshots.append(Snapshot(column, sizes))
+    )
+    return ClusteringSequence(tuple(snapshots), tuple(labels)), columns, history
+
+
+def _read(
+    raw: bytes | str,
+    sort: bool,
+    keep: Callable[[dict[str, int], tuple[int, ...]], None],
+) -> tuple[list[list[int]], list[str | None], int]:
+    """Decode and check a result document; return its label columns,
+    snapshot labels and history.
+
+    Each snapshot's member index, built by `kernel.member_index` (members
+    sorted within each cluster if `sort`), goes to `keep` in snapshot
+    order. The first invalid snapshot's SequenceValidationError is held
+    until every document check has passed, and no index is built after
+    it.
     """
     try:
         doc = json.loads(raw)
@@ -192,9 +148,9 @@ def load_document(
     history = _int(doc["history"], "history")
     if history < 0:
         raise SchemaError(f"history must be non-negative, got {history}")
-    data = []
     labels_meta: list[str | None] = []
     columns: list[list[int]] = []
+    invalid: SequenceValidationError | None = None
     try:
         for t, entry in enumerate(doc["snapshots"]):
             clusters = entry["clusters"]
@@ -211,8 +167,12 @@ def load_document(
                             f"snapshot {t}: cluster {a}: members must be an array"
                         )
                     _int(cluster["dc"], f"snapshot {t}: cluster {a}: dc")
-            data.append(row)
             columns.append(col)
+            if invalid is None:
+                try:
+                    keep(*member_index(t, row, sort))
+                except SequenceValidationError as exc:
+                    invalid = exc
             label = entry.get("label")
             if label is not None and not isinstance(label, str):
                 raise SchemaError(f"snapshot {t}: label must be a string")
@@ -241,10 +201,10 @@ def load_document(
         raise SchemaError(f"malformed result document: {exc!r}") from exc
     if stray or listed != columns:
         raise SchemaError("dcs registry does not match the clusters' dc values")
-    if _int(doc["snapshot_count"], "snapshot_count") != len(data):
+    if _int(doc["snapshot_count"], "snapshot_count") != len(columns):
         raise SchemaError(
             f"snapshot_count is {doc['snapshot_count']} "
-            f"but the document has {len(data)} snapshots"
+            f"but the document has {len(columns)} snapshots"
         )
     if columns and len(set(columns[-1])) != len(columns[-1]):
         raise SchemaError(
@@ -255,5 +215,8 @@ def load_document(
     # match; checked last, so that the checks above name their faults first.
     if len({e["id"] for e in doc["dcs"] if e["clusters"]}) != len(doc["dcs"]):
         raise SchemaError("dcs registry does not match the clusters' dc values")
-    seq = sequence_from_lists(data, labels_meta)
-    return seq, columns, history
+    if invalid is not None:
+        raise invalid
+    if not columns:
+        raise SequenceValidationError(NO_SNAPSHOTS)
+    return columns, labels_meta, history

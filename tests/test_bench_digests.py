@@ -1,10 +1,12 @@
 """The benchmark's recorded output digests, checked in process.
 
 `perfbench/run.py` compares every output it writes with the SHA-256
-digests in `perfbench/digests.json`. This test builds each workload's
-seed-0 input with the benchmark's own builders and checks the `track`
-document and the `render` SVG against those digests, so that a byte
-change to either output fails here before it reaches the benchmark.
+digests in `perfbench/digests.json`. These tests build each workload's
+seed-0 input with the benchmark's own builders and check against those
+digests the `track` document and the `render` SVG of the reference
+writers, and the `track`, `events`, `render` and `sweep` outputs of the
+command line itself, so that a byte change to any of them fails here
+before it reaches the benchmark.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from pathlib import Path
 import pytest
 
 from dynatrack import __version__, build_layout, layout_to_svg, track
+from dynatrack.cli import main
 from dynatrack.model import parse_sequence
 from dynatrack.resultdoc import build_document, document_to_bytes, load_document
 
@@ -46,3 +49,25 @@ def test_track_and_render_match_recorded_digests(name):
     seq, labels, _x = load_document(doc)
     svg = layout_to_svg(build_layout(seq, labels, gap=2.0), block_width=20.0)
     assert sha256(svg.encode("utf-8")) == DIGESTS[name]["render"]
+
+
+@pytest.mark.parametrize("name", sorted(bench.WORKLOADS))
+def test_cli_outputs_match_recorded_digests(name, tmp_path):
+    workload = bench.WORKLOADS[name]
+    inp = tmp_path / "input.json"
+    inp.write_bytes(
+        sequence_bytes(workload.build(bench.DEFAULT_SEED, False, Spans(name)))
+    )
+    out = {cmd: tmp_path / f"{cmd}.out" for cmd in ("track", "events", "render", "sweep")}
+    x_min, x_max = workload.sweep
+    # the arguments of the benchmark's timed commands
+    for argv in (
+        ["track", "--input", inp, "--history", workload.history, "--output", out["track"]],
+        ["events", "--result", out["track"], "--output", out["events"]],
+        ["render", "--result", out["track"], "--output", out["render"]],
+        ["sweep", "--input", inp, "--history-min", x_min, "--history-max", x_max,
+         "--output", out["sweep"]],
+    ):
+        assert main(list(map(str, argv))) == 0
+    digests = {cmd: sha256(path.read_bytes()) for cmd, path in out.items()}
+    assert digests == DIGESTS[name]

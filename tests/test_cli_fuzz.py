@@ -5,6 +5,8 @@ document (`--result`) or a scenario spec (`--spec`). The inputs are raw
 bytes, JSON of the right keys with values of any type, and valid files
 with one part replaced. `cli.main` must return 0 or 2 and never raise.
 Any text as the value of an option exits 0, or 2 with one stderr line.
+On every result document, the one-pass reader that `events` and `render`
+run and the whole loaded sequence give the same tables or the same error.
 """
 
 import contextlib
@@ -16,6 +18,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from dynatrack.cli import main
+from dynatrack.errors import DynatrackError, SchemaError, SequenceValidationError
+from dynatrack.metrics import clustering_from_labels, dc_sizes
+from dynatrack.relations import count_tables
+from dynatrack.resultdoc import load_document, read_tables
 
 KEYS = (
     "snapshots", "clusters", "label", "schema", "history", "snapshot_count",
@@ -199,6 +205,68 @@ def test_any_result_document(workdir, document, data):
     raw = data.draw(any_bytes(encoded(mutated(document))))
     run(workdir, raw, ["events", "--result", "{in}", "--output", "{out}"])
     run(workdir, raw, ["render", "--result", "{in}", "--output", "{out}"])
+
+
+def one_pass(raw: bytes):
+    """What `events` and `render` read: the labels, DC sizes, count
+    tables and history, or the error as (class, message)."""
+    try:
+        labels, sizes, tables, x = read_tables(raw)
+    except DynatrackError as exc:
+        return type(exc), str(exc)
+    return labels, dc_sizes(labels, sizes), tables, x
+
+
+def loaded(raw: bytes):
+    """The same through the whole sequence: `load_document`, then
+    `clustering_from_labels` and `count_tables`."""
+    try:
+        seq, labels, x = load_document(raw)
+        result = clustering_from_labels(seq, labels, x)
+    except DynatrackError as exc:
+        return type(exc), str(exc)
+    return result.labels, result.sizes, count_tables(seq), x
+
+
+@fuzz
+@given(data=st.data())
+def test_one_pass_reader_agrees_with_the_loaded_sequence(document, data):
+    raw = data.draw(any_bytes(encoded(mutated(document))))
+    assert one_pass(raw) == loaded(raw)
+
+
+def test_one_pass_reader_holds_the_member_error_behind_the_document_checks(document):
+    def raw(doc) -> bytes:
+        return json.dumps(doc).encode()
+
+    repeated = json.loads(json.dumps(document))
+    members = repeated["snapshots"][0]["clusters"][1]["members"]
+    members.append(repeated["snapshots"][0]["clusters"][0]["members"][0])
+    cases = {"repeated": repeated}
+    # the same repeated member, and a registry entry dropped
+    cases["repeated and unlisted"] = json.loads(json.dumps(repeated))
+    cases["repeated and unlisted"]["dcs"].pop()
+    # the same, and the snapshot count off by one
+    cases["repeated and miscounted"] = json.loads(json.dumps(repeated))
+    cases["repeated and miscounted"]["snapshot_count"] += 1
+    cases["no snapshots"] = dict(document, snapshots=[], snapshot_count=0, dcs=[])
+    outcomes = {name: one_pass(raw(doc)) for name, doc in cases.items()}
+    assert outcomes == {name: loaded(raw(doc)) for name, doc in cases.items()}
+    assert outcomes == {
+        "repeated": (
+            SequenceValidationError,
+            "snapshot 0: member 'a' appears in more than one cluster",
+        ),
+        "repeated and unlisted": (
+            SchemaError, "dcs registry does not match the clusters' dc values"
+        ),
+        "repeated and miscounted": (
+            SchemaError, "snapshot_count is 4 but the document has 3 snapshots"
+        ),
+        "no snapshots": (
+            SequenceValidationError, "a sequence needs at least one snapshot"
+        ),
+    }
 
 
 @fuzz

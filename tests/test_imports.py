@@ -45,13 +45,18 @@ print(json.dumps([code, loaded]))
 """ + WATCHED_PROBE
 
 BASE = {"dynatrack", "dynatrack.cli", "dynatrack.errors"}
-CORE = {"dynatrack.model", "dynatrack.relations"}
+# What tracking runs on: the parser, the member index and overlap kernel,
+# and the relation tables.
+CORE = {"dynatrack.model", "dynatrack.kernel", "dynatrack.relations"}
+# The document reader needs the member index and the kernel, but not the
+# parser, the relation tables, the tracker or the writer (`docwriter`).
+READER = {"dynatrack.resultdoc", "dynatrack.kernel"}
 LOADED = {
     "version": BASE,
-    "track": BASE | CORE | {"dynatrack.metrics", "dynatrack.tracking", "dynatrack.resultdoc"},
+    "track": BASE | CORE | {"dynatrack.metrics", "dynatrack.tracking", "dynatrack.docwriter"},
     "sweep": BASE | CORE | {"dynatrack.metrics", "dynatrack.tracking"},
-    "events": BASE | CORE | {"dynatrack.metrics", "dynatrack.resultdoc"},
-    "render": BASE | CORE | {"dynatrack.resultdoc", "dynatrack.alluvial"},
+    "events": BASE | READER | {"dynatrack.metrics"},
+    "render": BASE | READER | {"dynatrack.alluvial"},
 }
 
 
@@ -217,3 +222,30 @@ def test_resultdoc_reexports_clustering_from_labels():
     assert resultdoc.clustering_from_labels is metrics.clustering_from_labels
     with pytest.raises(AttributeError, match="no_such_name"):
         resultdoc.no_such_name
+
+
+@pytest.mark.parametrize(
+    "name", ["canonical_labels", "build_document", "document_to_bytes", "document_chunks"]
+)
+def test_resultdoc_reexports_the_writers(name):
+    from dynatrack import docwriter, resultdoc
+
+    assert getattr(resultdoc, name) is getattr(docwriter, name)
+    namespace: dict = {}
+    exec(f"from dynatrack.resultdoc import {name}", namespace)
+    assert namespace[name] is getattr(docwriter, name)
+
+
+def test_the_reader_loads_no_writer_and_the_writer_no_reader():
+    # `load_document` loads `model` only when it runs.
+    probe = """
+import json, sys
+def loaded():
+    return sorted(m for m in sys.modules if m.startswith("dynatrack."))
+import dynatrack.{}
+print(json.dumps(loaded()))
+"""
+    reader = json.loads(fresh_python(probe.format("resultdoc")))
+    writer = json.loads(fresh_python(probe.format("docwriter")))
+    assert reader == ["dynatrack.errors", "dynatrack.kernel", "dynatrack.resultdoc"]
+    assert writer == ["dynatrack.docwriter"]

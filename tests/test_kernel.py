@@ -5,6 +5,7 @@ import random
 import pytest
 
 from dynatrack import sequence_from_lists
+from dynatrack.kernel import FEW_PARTNERS
 from dynatrack.relations import pair_counts
 
 
@@ -76,6 +77,17 @@ RUN_CASES = {
         [[f"m{i}" for i in range(40)]],
         [[f"m{i}" for i in range(j, 40, 7)] for j in range(7)],
     ],
+    # the widest run counted partner by partner
+    "spread over as many partners as counted one by one": [
+        [[f"m{i}" for i in range(40)]],
+        [[f"m{i}" for i in range(j, 40, FEW_PARTNERS)] for j in range(FEW_PARTNERS)],
+    ],
+    # the narrowest run counted with a Counter, m0 leaving
+    "one member leaves, the rest spread over one partner more": [
+        [[f"m{i}" for i in range(40)]],
+        [[f"m{i}" for i in range(j, 40, FEW_PARTNERS + 1) if i]
+         for j in range(FEW_PARTNERS + 1)],
+    ],
 }
 
 
@@ -96,4 +108,11 @@ def test_run_paths_give_the_expected_triples():
     assert counts["first member leaves, rest spread"] == [(0, 1, 1), (0, 2, 2)]
     assert counts["spread over many partners"] == [
         (0, j, len(range(j, 40, 7))) for j in range(7)
+    ]
+    assert counts["spread over as many partners as counted one by one"] == [
+        (0, j, len(range(j, 40, FEW_PARTNERS))) for j in range(FEW_PARTNERS)
+    ]
+    assert counts["one member leaves, the rest spread over one partner more"] == [
+        (0, j, len(range(j, 40, FEW_PARTNERS + 1)) - (j == 0))
+        for j in range(FEW_PARTNERS + 1)
     ]

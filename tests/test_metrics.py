@@ -479,7 +479,7 @@ class TestEvents:
                 expected = reference_events(result, seq)
                 assert classify_events(result, seq) == expected
                 # the rows are the records' fields, row by row
-                assert event_rows(result) == [
+                assert event_rows(result.labels, result.sizes, result.tables()) == [
                     (ev.time, ev.dc, ev.kind, ev.related, ev.delta) for ev in expected
                 ]
                 # a result without the tracker's tables computes its own
@@ -493,7 +493,7 @@ class TestEvents:
         gap = dc_with_a_gap()
         expected = reference_events(gap, gap.seq)
         assert classify_events(gap, gap.seq) == expected
-        assert event_rows(gap) == [
+        assert event_rows(gap.labels, gap.sizes, gap.tables()) == [
             (ev.time, ev.dc, ev.kind, ev.related, ev.delta) for ev in expected
         ] == [(1, 1, "growth", (), 1), (2, 1, "shrinkage", (), -1)]
 
@@ -639,7 +639,7 @@ class TestReplayContract:
         assert tracked.sizes == bare.sizes == [{0: 2}, {0: 3}]
         assert tracked.dcs == rebuilt.dcs == bare.dcs == (0,)
         assert rebuilt.pair_triples is None
-        assert rebuilt.counts_between(0) == [(0, 0, 2)]
+        assert rebuilt.tables() == [[(0, 0, 2)]]
         assert rebuilt.pair_triples == relations.count_tables(seq)
         assert tracked == rebuilt == bare
         assert tracked != DynamicClustering(tracked.labels, tracked.sizes, 2, seq)
