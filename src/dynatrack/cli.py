@@ -22,10 +22,13 @@ from .errors import DynatrackError
 # and `render` load the document reader but not the parser, the relation
 # tables, the tracker or the writers (and `render` not the metrics).
 
-SWEEP_HEADER = (
-    "x,dc_count,mean_lifespan,weighted_mean_lifespan,"
-    "consistency_all,consistency_resident"
-)
+# The columns of a sweep CSV row: keys of that x's record, each with the
+# format of its value (`_cell`).
+SWEEP_COLUMNS = {
+    "x": "", "dc_count": "", "mean_lifespan": "", "weighted_mean_lifespan": "",
+    "consistency_all": ".6f", "consistency_resident": ".6f",
+}
+SWEEP_HEADER = ",".join(SWEEP_COLUMNS)
 
 
 def _read(path: str) -> bytes:
@@ -93,8 +96,9 @@ def cmd_oracle(args) -> int:
     return _labelled(args, brute_force_track)
 
 
-def _fmt_ratio(v: float | None) -> str:
-    return "" if v is None else f"{v:.6f}"
+def _cell(value, spec: str) -> str:
+    """`value` in the format `spec`; None is an empty cell."""
+    return "" if value is None else format(value, spec)
 
 
 def cmd_sweep(args) -> int:
@@ -108,7 +112,6 @@ def cmd_sweep(args) -> int:
         return _usage_error("--history-min must not exceed --history-max")
     seq = _load_input(args)
     rels = RelationCache(seq)
-    rows = []
     records = []
     # The search depth of a target at snapshot t is min(t, x) <= T - 1, so
     # every x >= T - 1 gives the labels, and the numbers, of x = T - 1.
@@ -118,12 +121,6 @@ def cmd_sweep(args) -> int:
         result = track(seq, x, relations=rels)
         stats = summary_stats(result)
         cons_all, cons_res = consistencies(result)
-        rows.append(
-            f"{x},{stats.dc_count},"
-            f"{stats.mean_lifespan if stats.mean_lifespan is not None else ''},"
-            f"{stats.weighted_mean_lifespan if stats.weighted_mean_lifespan is not None else ''},"
-            f"{_fmt_ratio(cons_all)},{_fmt_ratio(cons_res)}"
-        )
         records.append(
             {
                 "x": x,
@@ -135,6 +132,10 @@ def cmd_sweep(args) -> int:
                 "consistency_resident": cons_res,
             }
         )
+    rows = [
+        ",".join(_cell(r[key], spec) for key, spec in SWEEP_COLUMNS.items())
+        for r in records
+    ]
     csv_text = SWEEP_HEADER + "\n" + "\n".join(rows) + "\n"
     _write(args.output, [csv_text.encode("utf-8")])
     if args.json:

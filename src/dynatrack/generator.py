@@ -9,19 +9,22 @@ cluster.
 
 Generation is deterministic for a given spec: a single ``random.Random``
 seeded from the spec drives all choices in a documented order (per
-snapshot: group births, then turnover per group in declaration order,
-then events in declaration order, then emission). CPython's generator is
-stable across platforms, so fixtures are byte-reproducible.
+snapshot: group births, then turnover per group in birth order, then
+events in declaration order, then emission, again per group in birth
+order). Birth order is not declaration order: a planted group born at a
+snapshot comes after every group born earlier, split offspring
+included. CPython's generator is stable across platforms, so fixtures
+are byte-reproducible.
 """
 
 from __future__ import annotations
 
-import json
 import random
 from bisect import bisect_left
 from dataclasses import dataclass, field
 
 from .errors import GenerationError
+from .kernel import check_int, load_json
 from .model import ClusteringSequence, sequence_from_lists
 
 __all__ = ["PlantedDc", "PlannedEvent", "ScenarioSpec", "generate"]
@@ -34,12 +37,6 @@ EVENT_KINDS = ("splinter", "transition", "split", "merge")
 # snapshots, has 2.5 million).
 MAX_SNAPSHOTS = 10_000
 MAX_MEMBER_SNAPSHOTS = 10_000_000
-
-
-def _int(value, what: str) -> int:
-    if type(value) is not int:
-        raise GenerationError(f"{what} must be an integer, got {value!r}")
-    return value
 
 
 def _number(value, what: str) -> float:
@@ -144,29 +141,33 @@ class ScenarioSpec:
         try:
             dcs = tuple(
                 PlantedDc(
-                    size=_int(d["size"], "size"),
-                    start=_int(d["start"], "start"),
-                    end=_int(d["end"], "end"),
+                    size=check_int(d["size"], "size", GenerationError),
+                    start=check_int(d["start"], "start", GenerationError),
+                    end=check_int(d["end"], "end", GenerationError),
                 )
                 for d in doc["dcs"]
             )
             events = tuple(
                 PlannedEvent(
                     kind=e["kind"],
-                    dc=_int(e["dc"], "dc"),
-                    start=_int(e["start"], "start"),
-                    duration=_int(e.get("duration", 1), "duration"),
+                    dc=check_int(e["dc"], "dc", GenerationError),
+                    start=check_int(e["start"], "start", GenerationError),
+                    duration=check_int(
+                        e.get("duration", 1), "duration", GenerationError
+                    ),
                     fraction=_number(e.get("fraction", 0.5), "fraction"),
-                    into=None if e.get("into") is None else _int(e["into"], "into"),
+                    into=None
+                    if e.get("into") is None
+                    else check_int(e["into"], "into", GenerationError),
                 )
                 for e in doc.get("events", [])
             )
             spec = cls(
-                snapshots=_int(doc["snapshots"], "snapshots"),
+                snapshots=check_int(doc["snapshots"], "snapshots", GenerationError),
                 dcs=dcs,
                 events=events,
                 turnover=_number(doc.get("turnover", 0.0), "turnover"),
-                seed=_int(doc.get("seed", 0), "seed"),
+                seed=check_int(doc.get("seed", 0), "seed", GenerationError),
             )
         except (KeyError, TypeError) as exc:
             raise GenerationError(f"bad scenario document: {exc}") from exc
@@ -175,28 +176,16 @@ class ScenarioSpec:
 
     @classmethod
     def from_json(cls, text: str | bytes) -> "ScenarioSpec":
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise GenerationError(f"scenario is not valid JSON: {exc.msg}") from exc
-        except UnicodeDecodeError as exc:
-            raise GenerationError(f"scenario is not valid text: {exc}") from exc
-        except RecursionError:
-            raise GenerationError("scenario is nested too deeply") from None
-        except ValueError:  # an integer literal too long to convert
-            raise GenerationError("scenario has an integer too long to read") from None
-        return cls.from_json_dict(doc)
+        return cls.from_json_dict(load_json(text, GenerationError, "scenario"))
 
 
 @dataclass
 class _GroupState:
-    lifespan_end: int
-    truth: int
-    members: list[str] = field(default_factory=list)
+    born: int
+    lifespan_end: int  # the snapshot before the merge, for a merged group
+    members: list[str]
     detached: list[str] = field(default_factory=list)  # splinter side cluster
     moved: list[str] = field(default_factory=list)  # transition target cluster
-    born: int = 0
-    gone: bool = False  # merged away
 
 
 def _without(members: list[str], gone: list[str]) -> list[str]:
@@ -221,8 +210,8 @@ def generate(spec: ScenarioSpec) -> tuple[ClusteringSequence, list[list[int]]]:
         counter += n
         return out
 
+    # Every group born so far, by ground-truth id, in birth order.
     groups: dict[int, _GroupState] = {}
-    order: list[int] = []  # emission order: planted first, split offspring after
     next_gid = len(spec.dcs)
 
     data: list[list[list[str]]] = []
@@ -230,22 +219,16 @@ def generate(spec: ScenarioSpec) -> tuple[ClusteringSequence, list[list[int]]]:
 
     def alive(gid: int, t: int) -> bool:
         g = groups.get(gid)
-        return (
-            g is not None and not g.gone and g.born <= t <= g.lifespan_end
-        )
+        return g is not None and t <= g.lifespan_end
 
     for t in range(spec.snapshots):
         for gid, dc in enumerate(spec.dcs):
             if dc.start == t:
-                groups[gid] = _GroupState(
-                    lifespan_end=dc.end, truth=gid, members=fresh(dc.size), born=t
-                )
-                order.append(gid)
+                groups[gid] = _GroupState(t, dc.end, fresh(dc.size))
 
         if spec.turnover > 0.0:
-            for gid in order:
-                g = groups[gid]
-                if alive(gid, t) and t > g.born:
+            for g in groups.values():
+                if g.born < t <= g.lifespan_end:
                     for pool in (g.members, g.detached, g.moved):
                         for k in range(len(pool)):
                             if rng.random() < spec.turnover:
@@ -304,34 +287,26 @@ def generate(spec: ScenarioSpec) -> tuple[ClusteringSequence, list[list[int]]]:
                     )
                 leaving = rng.sample(sorted(g.members), k)
                 g.members = _without(g.members, leaving)
-                groups[next_gid] = _GroupState(
-                    lifespan_end=g.lifespan_end,
-                    truth=next_gid,
-                    members=leaving,
-                    born=t,
-                )
-                order.append(next_gid)
+                groups[next_gid] = _GroupState(t, g.lifespan_end, leaving)
                 next_gid += 1
             elif ev.kind == "merge" and t == ev.start:
-                target = groups.get(ev.into)
-                if target is None or target.gone:
+                if not alive(ev.into, t):
                     raise GenerationError(
                         f"merge at t={t}: target group {ev.into} is not alive"
                     )
-                target.members.extend(g.members + g.detached + g.moved)
+                groups[ev.into].members.extend(g.members + g.detached + g.moved)
                 g.members, g.detached, g.moved = [], [], []
-                g.gone = True
+                g.lifespan_end = t - 1
 
         clusters: list[list[str]] = []
         gt_row: list[int] = []
-        for gid in order:
-            if not alive(gid, t):
+        for gid, g in groups.items():
+            if t > g.lifespan_end:
                 continue
-            g = groups[gid]
             for pool in (g.members, g.moved, g.detached):
                 if pool:
                     clusters.append(list(pool))
-                    gt_row.append(g.truth)
+                    gt_row.append(gid)
         data.append(clusters)
         truth.append(gt_row)
 

@@ -1,15 +1,18 @@
-"""Per-snapshot member indexes and the overlap kernel.
+"""Per-snapshot member indexes, the overlap kernel and the outside-JSON guard.
 
 Both the sequence parser (`model`) and the result-document reader
 (`resultdoc`) turn one snapshot's member lists into a member index with
 `member_index`, and count the members two snapshots share with
-`count_runs`. They live here, with the `_Record` base of the package's
-`__slots__` records, so that a program that only reads documents loads
-neither the parser nor the relation tables.
+`count_runs`. The reader and the scenario reader (`generator`) decode
+their input with `load_json` and check its integers with `check_int`.
+They live here, with the `_Record` base of the package's `__slots__`
+records, so that a program that only reads documents loads neither the
+parser nor the relation tables.
 """
 
 from __future__ import annotations
 
+import json
 from collections import Counter
 from itertools import accumulate, chain, repeat
 
@@ -21,6 +24,28 @@ from .errors import SequenceValidationError
 FEW_PARTNERS = 8
 
 NO_SNAPSHOTS = "a sequence needs at least one snapshot"
+
+
+def load_json(raw: bytes | str, error: type[Exception], subject: str):
+    """Decode the JSON document `raw`; every way it can fail to decode
+    raises `error` with a message that starts with `subject`."""
+    try:
+        return json.loads(raw)
+    except json.JSONDecodeError as exc:
+        raise error(f"{subject} is not valid JSON: {exc.msg}") from exc
+    except UnicodeDecodeError as exc:
+        raise error(f"{subject} is not valid text: {exc}") from exc
+    except RecursionError:
+        raise error(f"{subject} is nested too deeply") from None
+    except ValueError:  # an integer literal too long to convert
+        raise error(f"{subject} has an integer too long to read") from None
+
+
+def check_int(value, what: str, error: type[Exception]) -> int:
+    """`value` if it is an int (not a bool), else raise `error` naming `what`."""
+    if type(value) is not int:
+        raise error(f"{what} must be an integer, got {value!r}")
+    return value
 
 
 class _Record:
@@ -54,7 +79,8 @@ def member_index(
     tuple of cluster sizes.
 
     Raises SequenceValidationError for an empty cluster, an empty or
-    non-string member ID, or a member in several clusters.
+    non-string member ID, or a member listed twice, in one cluster or in
+    two.
     """
     sizes = tuple(map(len, clusters))
     # The checks run in C (the join raises TypeError on a non-string ID);
@@ -74,7 +100,7 @@ def member_index(
 
 def _reject(t: int, clusters: list[list]) -> None:
     """Raise the error for the first invalid cluster or member of snapshot t."""
-    seen: set[str] = set()
+    seen: dict[str, int] = {}  # each member so far, to its cluster
     for alpha, members in enumerate(clusters):
         if not members:
             raise SequenceValidationError(f"snapshot {t}: cluster {alpha} is empty")
@@ -86,9 +112,11 @@ def _reject(t: int, clusters: list[list]) -> None:
                 )
             if m in seen:
                 raise SequenceValidationError(
-                    f"snapshot {t}: member {m!r} appears in more than one cluster"
+                    f"snapshot {t}: cluster {alpha} lists member {m!r} twice"
+                    if seen[m] == alpha
+                    else f"snapshot {t}: member {m!r} appears in more than one cluster"
                 )
-            seen.add(m)
+            seen[m] = alpha
 
 
 def count_runs(

@@ -61,11 +61,13 @@ class MajorityRelations:
     (mapping and tracer by a cluster of snapshot i, tracing and mapper by
     one of snapshot i+1), for `lift`; every one-cluster set among them is
     that cluster's entry of the cache's unit table, shared rather than
-    copied. The inverse relations (tracer, mapper) are derived on first
-    use; only multi-step matches ever need them.
+    copied. `mapper`, the inverse of mapping, is built with the other
+    two: every tracking run reads it on every pair it builds. `tracer`,
+    the inverse of tracing, is derived on first use, since only the
+    marginal search of a multi-step match reads it.
     """
 
-    __slots__ = ("unit", "triples", "mapping", "tracing", "_tracer", "_mapper")
+    __slots__ = ("unit", "triples", "mapping", "tracing", "mapper", "_tracer")
 
     def __init__(self, triples, unit, m_a, m_b):
         # unit[c] is the set {c}; the snapshots hold m_a and m_b clusters.
@@ -92,8 +94,8 @@ class MajorityRelations:
         self.triples = triples
         self.mapping = tuple(map(_union, mapping))
         self.tracing = tuple(map(_union, tracing))
+        self.mapper = _inverse(self.mapping, unit, m_b)
         self._tracer = None
-        self._mapper = None
 
     @property
     def counts(self) -> dict[tuple[int, int], int]:
@@ -104,12 +106,6 @@ class MajorityRelations:
         if self._tracer is None:
             self._tracer = _inverse(self.tracing, self.unit, len(self.mapping))
         return self._tracer
-
-    @property
-    def mapper(self) -> tuple[frozenset[int], ...]:
-        if self._mapper is None:
-            self._mapper = _inverse(self.mapping, self.unit, len(self.tracing))
-        return self._mapper
 
 
 def _inverse(table, unit, n):

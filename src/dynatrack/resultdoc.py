@@ -11,12 +11,11 @@ the same checks, in the same order.
 
 from __future__ import annotations
 
-import json
 from typing import TYPE_CHECKING, Callable
 
 from . import SCHEMA_VERSION
 from .errors import SchemaError, SequenceValidationError
-from .kernel import NO_SNAPSHOTS, count_runs, member_index
+from .kernel import NO_SNAPSHOTS, check_int, count_runs, load_json, member_index
 
 if TYPE_CHECKING:
     from .model import ClusteringSequence
@@ -48,12 +47,6 @@ def __getattr__(name: str):
 
         return clustering_from_labels
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def _int(value, what: str) -> int:
-    if type(value) is not int:
-        raise SchemaError(f"{what} must be an integer, got {value!r}")
-    return value
 
 
 def read_tables(
@@ -124,16 +117,7 @@ def _read(
     until every document check has passed, and no index is built after
     it.
     """
-    try:
-        doc = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"result document is not valid JSON: {exc.msg}") from exc
-    except UnicodeDecodeError as exc:
-        raise SchemaError(f"result document is not valid text: {exc}") from exc
-    except RecursionError:
-        raise SchemaError("result document is nested too deeply") from None
-    except ValueError:  # an integer literal too long to convert
-        raise SchemaError("result document has an integer too long to read") from None
+    doc = load_json(raw, SchemaError, "result document")
     if not isinstance(doc, dict):
         raise SchemaError("result document must be a JSON object")
     schema = doc.get("schema")
@@ -145,7 +129,7 @@ def _read(
     for key in ("history", "snapshot_count", "snapshots", "dcs"):
         if key not in doc:
             raise SchemaError(f"result document is missing {key!r}")
-    history = _int(doc["history"], "history")
+    history = check_int(doc["history"], "history", SchemaError)
     if history < 0:
         raise SchemaError(f"history must be non-negative, got {history}")
     labels_meta: list[str | None] = []
@@ -166,7 +150,8 @@ def _read(
                         raise SchemaError(
                             f"snapshot {t}: cluster {a}: members must be an array"
                         )
-                    _int(cluster["dc"], f"snapshot {t}: cluster {a}: dc")
+                    what = f"snapshot {t}: cluster {a}: dc"
+                    check_int(cluster["dc"], what, SchemaError)
             columns.append(col)
             if invalid is None:
                 try:
@@ -182,11 +167,11 @@ def _read(
         listed: list[list[int | None]] = [[None] * len(col) for col in columns]
         stray: set[tuple[int, int]] = set()
         for entry in doc["dcs"]:
-            dc = _int(entry["id"], "dcs: id")
+            dc = check_int(entry["id"], "dcs: id", SchemaError)
             for t, a in entry["clusters"]:
                 if type(t) is not int or type(a) is not int:
-                    _int(t, "dcs: snapshot index")
-                    _int(a, "dcs: cluster index")
+                    check_int(t, "dcs: snapshot index", SchemaError)
+                    check_int(a, "dcs: cluster index", SchemaError)
                 if 0 <= t < len(listed) and 0 <= a < len(listed[t]):
                     if listed[t][a] is None:
                         listed[t][a] = dc
@@ -201,7 +186,7 @@ def _read(
         raise SchemaError(f"malformed result document: {exc!r}") from exc
     if stray or listed != columns:
         raise SchemaError("dcs registry does not match the clusters' dc values")
-    if _int(doc["snapshot_count"], "snapshot_count") != len(columns):
+    if check_int(doc["snapshot_count"], "snapshot_count", SchemaError) != len(columns):
         raise SchemaError(
             f"snapshot_count is {doc['snapshot_count']} "
             f"but the document has {len(columns)} snapshots"

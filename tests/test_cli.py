@@ -471,6 +471,16 @@ def test_generate_spec_caps_exit_2(tmp_path, capsys, bad, message):
         (["events", "--result"], b"\x80", "result document is not valid text"),
         (["render", "--result"], b"\x80", "result document is not valid text"),
         (["generate", "--spec"], b"\x80", "scenario is not valid text"),
+        (["events", "--result"], b'{"schema":1,',
+         "result document is not valid JSON: Expecting property name enclosed "
+         "in double quotes"),
+        (["render", "--result"], b'{"schema":1,"history":',
+         "result document is not valid JSON: Expecting value"),
+        (["generate", "--spec"], b'{"snapshots":3',
+         "scenario is not valid JSON: Expecting ',' delimiter"),
+        (["track", "--history", "1", "--format", "csv", "--input"],
+         b"t,member,cluster\n0,a,0\n0,a,0\n",
+         "snapshot 0: cluster 0 lists member 'a' twice"),
         (["track", "--history", "1", "--format", "csv", "--input"], b"\r0",
          "CSV line 1: new-line character"),
         # the first missing index is reported without counting up to 10**12
@@ -479,7 +489,11 @@ def test_generate_spec_caps_exit_2(tmp_path, capsys, bad, message):
         (["track", "--history", "1", "--format", "csv", "--input"],
          b"t,member,cluster\n0,a,1000000000000\n", "missing cluster=0"),
     ],
-    ids=["events", "render", "generate", "csv-newline", "csv-time", "csv-cluster"],
+    ids=[
+        "events", "render", "generate", "events-truncated", "render-truncated",
+        "generate-truncated", "csv-repeated-member", "csv-newline", "csv-time",
+        "csv-cluster",
+    ],
 )
 def test_odd_input_bytes_exit_2(tmp_path, capsys, argv, data, message):
     path = tmp_path / "input"
@@ -530,48 +544,50 @@ DEEP = "[" * 100_000 + "]" * 100_000
 
 
 @pytest.mark.parametrize(
-    "argv, text",
+    "argv, text, subject",
     [
-        (["track", "--history", "1", "--input"], '{"snapshots":' + DEEP + "}"),
-        (["oracle", "--history", "1", "--input"], '{"snapshots":' + DEEP + "}"),
+        (["track", "--history", "1", "--input"], '{"snapshots":' + DEEP + "}",
+         "JSON input"),
+        (["oracle", "--history", "1", "--input"], '{"snapshots":' + DEEP + "}",
+         "JSON input"),
         (["sweep", "--history-min", "0", "--history-max", "1", "--input"],
-         '{"snapshots":' + DEEP + "}"),
-        (["events", "--result"], DEEP),
-        (["render", "--result"], DEEP),
-        (["generate", "--spec"], DEEP),
+         '{"snapshots":' + DEEP + "}", "JSON input"),
+        (["events", "--result"], DEEP, "result document"),
+        (["render", "--result"], DEEP, "result document"),
+        (["generate", "--spec"], DEEP, "scenario"),
     ],
     ids=["track", "oracle", "sweep", "events", "render", "generate"],
 )
-def test_deeply_nested_json_exits_2(tmp_path, capsys, argv, text):
+def test_deeply_nested_json_exits_2(tmp_path, capsys, argv, text, subject):
     path = tmp_path / "deep.json"
     path.write_text(text)
     assert main(argv + [str(path)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "nested too deeply" in err
-    assert err.count("\n") == 1
+    assert capsys.readouterr().err == f"error: {subject} is nested too deeply\n"
 
 
 LONG = "1" + "0" * 5000
 
 
 @pytest.mark.parametrize(
-    "argv, text",
+    "argv, text, message",
     [
         (["track", "--history", "1", "--input"],
-         '{"snapshots":[{"clusters":[[' + LONG + "]]}]}"),
-        (["events", "--result"], '{"schema":1,"history":' + LONG + "}"),
-        (["render", "--result"], '{"schema":1,"history":' + LONG + "}"),
-        (["generate", "--spec"], '{"snapshots":' + LONG + "}"),
+         '{"snapshots":[{"clusters":[[' + LONG + "]]}]}",
+         "JSON input holds an integer too long to read"),
+        (["events", "--result"], '{"schema":1,"history":' + LONG + "}",
+         "result document has an integer too long to read"),
+        (["render", "--result"], '{"schema":1,"history":' + LONG + "}",
+         "result document has an integer too long to read"),
+        (["generate", "--spec"], '{"snapshots":' + LONG + "}",
+         "scenario has an integer too long to read"),
     ],
     ids=["track", "events", "render", "generate"],
 )
-def test_long_integer_exits_2(tmp_path, capsys, argv, text):
+def test_long_integer_exits_2(tmp_path, capsys, argv, text, message):
     path = tmp_path / "long.json"
     path.write_text(text)
     assert main(argv + [str(path)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "integer too long" in err
-    assert err.count("\n") == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_sweep_csv_and_flags(tmp_path, capsys):

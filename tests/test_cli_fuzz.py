@@ -243,6 +243,11 @@ def test_one_pass_reader_holds_the_member_error_behind_the_document_checks(docum
     members = repeated["snapshots"][0]["clusters"][1]["members"]
     members.append(repeated["snapshots"][0]["clusters"][0]["members"][0])
     cases = {"repeated": repeated}
+    # a member listed twice in its own cluster
+    within = json.loads(json.dumps(document))
+    members = within["snapshots"][0]["clusters"][0]["members"]
+    members.append(members[0])
+    cases["repeated within a cluster"] = within
     # the same repeated member, and a registry entry dropped
     cases["repeated and unlisted"] = json.loads(json.dumps(repeated))
     cases["repeated and unlisted"]["dcs"].pop()
@@ -256,6 +261,9 @@ def test_one_pass_reader_holds_the_member_error_behind_the_document_checks(docum
         "repeated": (
             SequenceValidationError,
             "snapshot 0: member 'a' appears in more than one cluster",
+        ),
+        "repeated within a cluster": (
+            SequenceValidationError, "snapshot 0: cluster 0 lists member 'a' twice"
         ),
         "repeated and unlisted": (
             SchemaError, "dcs registry does not match the clusters' dc values"

@@ -1,5 +1,8 @@
 """Synthetic scenario generation and planted-structure recovery."""
 
+import hashlib
+import json
+
 import pytest
 
 from dynatrack import (
@@ -11,8 +14,10 @@ from dynatrack import (
     track,
 )
 from dynatrack.errors import GenerationError
-from dynatrack.generator import MAX_MEMBER_SNAPSHOTS, MAX_SNAPSHOTS
+from dynatrack.generator import EVENT_KINDS, MAX_MEMBER_SNAPSHOTS, MAX_SNAPSHOTS
+from dynatrack.model import sequence_to_json_bytes
 from helpers import canonical, snapshot_members
+from inputs import planted_spec
 
 
 def simple_spec(**overrides):
@@ -209,3 +214,68 @@ def test_ground_truth_aligns_with_clusters():
     )
     seq, truth = generate(spec)
     assert [len(s.clusters) for s in seq.snapshots] == [len(r) for r in truth]
+
+
+# The digest of `generate` over PINNED_SPECS: each spec's sequence bytes
+# and ground-truth columns, or its GenerationError message.
+GENERATE_DIGEST = "556d648f5d0b40e0b608ceedb74b544ae8590a1fa938d854a7fe76ca6d6fc18c"
+
+
+def _pinned_specs():
+    """360 seeded `planted_spec` scenarios at three turnover rates, and a
+    few that `generate` or the spec reader rejects."""
+    specs = [
+        planted_spec(seed, 3 + seed % 6, 8 + seed % 9, (4, 8 + seed % 10), turnover)
+        for seed in range(120)
+        for turnover in (0.0, 0.05, 0.2)
+    ]
+    specs += [
+        # splinter and split fractions that leave an empty cluster
+        simple_spec(events=(PlannedEvent("splinter", 0, 2, 1, 0.01),)),
+        simple_spec(events=(PlannedEvent("split", 0, 2, fraction=0.99),)),
+        # transition whose first step moves everyone
+        simple_spec(events=(PlannedEvent("transition", 0, 2, 2, 0.99),)),
+        # merge into a group that merged away at the same snapshot
+        simple_spec(
+            dcs=(PlantedDc(4, 0, 5), PlantedDc(4, 0, 5), PlantedDc(4, 0, 5)),
+            events=(
+                PlannedEvent("merge", 1, 2, into=2),
+                PlannedEvent("merge", 0, 2, into=1),
+            ),
+        ),
+        # validation failures
+        simple_spec(turnover=1.0),
+        simple_spec(dcs=(PlantedDc(0, 0, 5),)),
+        simple_spec(events=(PlannedEvent("merge", 0, 2, into=0),)),
+    ]
+    return specs
+
+
+def test_generate_output_is_pinned():
+    digest = hashlib.sha256()
+    kinds = set()
+    errors = 0
+    for spec in _pinned_specs():
+        kinds.update(ev.kind for ev in spec.events)
+        try:
+            seq, truth = generate(spec)
+        except GenerationError as exc:
+            errors += 1
+            digest.update(f"error: {exc}\n".encode())
+            continue
+        digest.update(sequence_to_json_bytes(seq))
+        digest.update(json.dumps(truth, separators=(",", ":")).encode() + b"\n")
+    assert kinds == set(EVENT_KINDS)
+    assert errors >= 7
+    assert digest.hexdigest() == GENERATE_DIGEST
+
+
+def test_groups_are_emitted_in_birth_order():
+    # dc 1 splits at t=1, before dc 0 is born at t=3: the split's offspring
+    # (ground truth 2) comes before dc 0 in every later snapshot
+    spec = simple_spec(
+        dcs=(PlantedDc(4, 3, 5), PlantedDc(6, 0, 5)),
+        events=(PlannedEvent("split", 1, 1, fraction=0.5),),
+    )
+    _seq, truth = generate(spec)
+    assert truth == [[1], [1, 2], [1, 2], [1, 2, 0], [1, 2, 0], [1, 2, 0]]

@@ -160,10 +160,11 @@ INVALID_SNAPSHOTS = [
         [["c"], [2, 1]],
         "snapshot 1: cluster 1 has a non-string or empty member ID (2)",
     ),
+    ([["c"], ["a", "b", "a"]], "snapshot 1: cluster 1 lists member 'a' twice"),
 ]
 INVALID_IDS = [
     "empty-cluster", "non-string", "empty-id", "two-clusters", "first-wins",
-    "unsorted-duplicate", "unsorted-non-string",
+    "unsorted-duplicate", "unsorted-non-string", "one-cluster",
 ]
 
 
