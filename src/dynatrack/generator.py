@@ -45,6 +45,25 @@ def _number(value, what: str) -> float:
     return value
 
 
+def _field(obj: dict, key: str, at: str):
+    """obj[key]; raises GenerationError naming `at` and the key if absent."""
+    if key not in obj:
+        raise GenerationError(f'bad scenario document: {at} has no "{key}"')
+    return obj[key]
+
+
+def _objects(items, key: str):
+    """Each entry of the array `items` (the value of `key`) with its place,
+    such as "dcs[0]"; raises GenerationError on an array that is not one,
+    or on an entry that is not an object, when it reaches it."""
+    if type(items) is not list:
+        raise GenerationError(f'bad scenario document: "{key}" must be an array')
+    for i, item in enumerate(items):
+        if type(item) is not dict:
+            raise GenerationError(f"bad scenario document: {key}[{i}] must be an object")
+        yield f"{key}[{i}]", item
+
+
 @dataclass(frozen=True)
 class PlantedDc:
     """A planted group: initial size and inclusive lifespan interval."""
@@ -137,40 +156,39 @@ class ScenarioSpec:
                     )
 
     @classmethod
-    def from_json_dict(cls, doc: dict) -> "ScenarioSpec":
-        try:
-            dcs = tuple(
-                PlantedDc(
-                    size=check_int(d["size"], "size", GenerationError),
-                    start=check_int(d["start"], "start", GenerationError),
-                    end=check_int(d["end"], "end", GenerationError),
-                )
-                for d in doc["dcs"]
+    def from_json_dict(cls, doc) -> "ScenarioSpec":
+        if not isinstance(doc, dict):
+            raise GenerationError("scenario must be a JSON object")
+        dcs = tuple(
+            PlantedDc(
+                size=check_int(_field(d, "size", at), "size", GenerationError),
+                start=check_int(_field(d, "start", at), "start", GenerationError),
+                end=check_int(_field(d, "end", at), "end", GenerationError),
             )
-            events = tuple(
-                PlannedEvent(
-                    kind=e["kind"],
-                    dc=check_int(e["dc"], "dc", GenerationError),
-                    start=check_int(e["start"], "start", GenerationError),
-                    duration=check_int(
-                        e.get("duration", 1), "duration", GenerationError
-                    ),
-                    fraction=_number(e.get("fraction", 0.5), "fraction"),
-                    into=None
-                    if e.get("into") is None
-                    else check_int(e["into"], "into", GenerationError),
-                )
-                for e in doc.get("events", [])
+            for at, d in _objects(_field(doc, "dcs", "the scenario"), "dcs")
+        )
+        events = tuple(
+            PlannedEvent(
+                kind=_field(e, "kind", at),
+                dc=check_int(_field(e, "dc", at), "dc", GenerationError),
+                start=check_int(_field(e, "start", at), "start", GenerationError),
+                duration=check_int(e.get("duration", 1), "duration", GenerationError),
+                fraction=_number(e.get("fraction", 0.5), "fraction"),
+                into=None
+                if e.get("into") is None
+                else check_int(e["into"], "into", GenerationError),
             )
-            spec = cls(
-                snapshots=check_int(doc["snapshots"], "snapshots", GenerationError),
-                dcs=dcs,
-                events=events,
-                turnover=_number(doc.get("turnover", 0.0), "turnover"),
-                seed=check_int(doc.get("seed", 0), "seed", GenerationError),
-            )
-        except (KeyError, TypeError) as exc:
-            raise GenerationError(f"bad scenario document: {exc}") from exc
+            for at, e in _objects(doc.get("events", []), "events")
+        )
+        spec = cls(
+            snapshots=check_int(
+                _field(doc, "snapshots", "the scenario"), "snapshots", GenerationError
+            ),
+            dcs=dcs,
+            events=events,
+            turnover=_number(doc.get("turnover", 0.0), "turnover"),
+            seed=check_int(doc.get("seed", 0), "seed", GenerationError),
+        )
         spec.validate()
         return spec
 

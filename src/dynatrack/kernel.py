@@ -3,8 +3,9 @@
 Both the sequence parser (`model`) and the result-document reader
 (`resultdoc`) turn one snapshot's member lists into a member index with
 `member_index`, and count the members two snapshots share with
-`count_runs`. The reader and the scenario reader (`generator`) decode
-their input with `load_json` and check its integers with `check_int`.
+`count_runs`. The scenario reader (`generator`) decodes its input with
+`load_json`, and the document reader names its decode errors with it;
+both check integers with `check_int`.
 They live here, with the `_Record` base of the package's `__slots__`
 records, so that a program that only reads documents loads neither the
 parser nor the relation tables.

@@ -7,6 +7,7 @@ import math
 import random
 
 from dynatrack import (
+    SCHEMA_VERSION,
     ClusteringSequence,
     ClusterRef,
     DynamicClustering,
@@ -15,6 +16,9 @@ from dynatrack import (
     track,
 )
 from dynatrack.alluvial import PALETTE, AlluvialLayout
+from dynatrack.errors import DynatrackError, SchemaError, SequenceValidationError
+from dynatrack.kernel import NO_SNAPSHOTS, check_int, count_runs, load_json, member_index
+from dynatrack.resultdoc import load_document, read_tables
 from inputs import churn_clusters
 
 
@@ -307,3 +311,156 @@ def reference_svg(layout: AlluvialLayout, block_width: float = 20.0) -> str:
     parts.append("</g>")
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
+
+
+def streamed_tables(raw):
+    """`read_tables`, or its error as (class, message)."""
+    try:
+        return read_tables(raw)
+    except DynatrackError as exc:
+        return type(exc), str(exc)
+
+
+def streamed_load(raw):
+    """`load_document` in the shape of `reference_load`."""
+    try:
+        seq, columns, history = load_document(raw)
+    except DynatrackError as exc:
+        return type(exc), str(exc)
+    indexes = [(snap.column, snap.sizes) for snap in seq.snapshots]
+    return indexes, list(seq.labels), columns, history
+
+
+def assert_reads_as_reference(raw):
+    """`read_tables` and `load_document` agree with the whole-tree reference
+    on `raw`; returns what `read_tables` gave."""
+    tables = streamed_tables(raw)
+    assert tables == reference_tables(raw), raw
+    loaded, expected = streamed_load(raw), reference_load(raw)
+    assert loaded == expected, raw
+    if not isinstance(expected[0], type):  # the member order counts too
+        assert [list(c) for c, _ in loaded[0]] == [list(c) for c, _ in expected[0]]
+    return tables
+
+
+def reference_tables(raw: bytes | str):
+    """`resultdoc.read_tables` over one `json.loads` tree: (label columns,
+    sizes, count tables, history), or the error as (class, message)."""
+    sizes: list[tuple[int, ...]] = []
+    tables: list[list[tuple[int, int, int]]] = []
+    last: list[dict[str, int]] = []
+
+    def count(column, counts):
+        if sizes:
+            tables.append(count_runs(last[-1], sizes[-1], column))
+        last[:] = [column]
+        sizes.append(counts)
+
+    try:
+        columns, _labels, history = _reference_read(raw, False, count)
+    except DynatrackError as exc:
+        return type(exc), str(exc)
+    return columns, sizes, tables, history
+
+
+def reference_load(raw: bytes | str):
+    """`resultdoc.load_document` over one `json.loads` tree: (each
+    snapshot's member index and sizes, snapshot labels, label columns,
+    history), or the error as (class, message)."""
+    indexes = []
+    try:
+        columns, labels, history = _reference_read(
+            raw, True, lambda column, sizes: indexes.append((column, sizes))
+        )
+    except DynatrackError as exc:
+        return type(exc), str(exc)
+    return indexes, labels, columns, history
+
+
+def _reference_read(raw, sort, keep):
+    """The document reader as it was when it decoded the whole document
+    with `json.loads` and then checked the tree: the reference whose
+    results and errors, in their order, the streamed reader must give."""
+    doc = load_json(raw, SchemaError, "result document")
+    if not isinstance(doc, dict):
+        raise SchemaError("result document must be a JSON object")
+    schema = doc.get("schema")
+    if type(schema) is not int or schema != SCHEMA_VERSION:
+        raise SchemaError(
+            f"unsupported schema version {schema!r} "
+            f"(expected {SCHEMA_VERSION})"
+        )
+    for key in ("history", "snapshot_count", "snapshots", "dcs"):
+        if key not in doc:
+            raise SchemaError(f"result document is missing {key!r}")
+    history = check_int(doc["history"], "history", SchemaError)
+    if history < 0:
+        raise SchemaError(f"history must be non-negative, got {history}")
+    labels_meta: list[str | None] = []
+    columns: list[list[int]] = []
+    invalid: SequenceValidationError | None = None
+    try:
+        for t, entry in enumerate(doc["snapshots"]):
+            clusters = entry["clusters"]
+            try:
+                row = [cluster["members"] for cluster in clusters]
+                col = [cluster["dc"] for cluster in clusters]
+            except (KeyError, TypeError):
+                row = col = [None]  # fails the type check below
+            if not (set(map(type, row)) <= {list} and set(map(type, col)) <= {int}):
+                for a, cluster in enumerate(clusters):
+                    if not isinstance(cluster["members"], list):
+                        raise SchemaError(
+                            f"snapshot {t}: cluster {a}: members must be an array"
+                        )
+                    what = f"snapshot {t}: cluster {a}: dc"
+                    check_int(cluster["dc"], what, SchemaError)
+            columns.append(col)
+            if invalid is None:
+                try:
+                    keep(*member_index(t, row, sort))
+                except SequenceValidationError as exc:
+                    invalid = exc
+            label = entry.get("label")
+            if label is not None and not isinstance(label, str):
+                raise SchemaError(f"snapshot {t}: label must be a string")
+            labels_meta.append(label)
+        listed: list[list[int | None]] = [[None] * len(col) for col in columns]
+        stray: set[tuple[int, int]] = set()
+        for entry in doc["dcs"]:
+            dc = check_int(entry["id"], "dcs: id", SchemaError)
+            for t, a in entry["clusters"]:
+                if type(t) is not int or type(a) is not int:
+                    check_int(t, "dcs: snapshot index", SchemaError)
+                    check_int(a, "dcs: cluster index", SchemaError)
+                if 0 <= t < len(listed) and 0 <= a < len(listed[t]):
+                    if listed[t][a] is None:
+                        listed[t][a] = dc
+                        continue
+                elif (t, a) not in stray:
+                    stray.add((t, a))
+                    continue
+                raise SchemaError(f"dcs: cluster ({t}, {a}) is listed twice")
+    except SchemaError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        raise SchemaError(f"malformed result document: {exc!r}") from exc
+    if stray or listed != columns:
+        raise SchemaError("dcs registry does not match the clusters' dc values")
+    if check_int(doc["snapshot_count"], "snapshot_count", SchemaError) != len(columns):
+        raise SchemaError(
+            f"snapshot_count is {doc['snapshot_count']} "
+            f"but the document has {len(columns)} snapshots"
+        )
+    if columns and len(set(columns[-1])) != len(columns[-1]):
+        raise SchemaError(
+            f"snapshot {len(columns) - 1}: several clusters of the last "
+            f"snapshot share one dc id"
+        )
+    if len({e["id"] for e in doc["dcs"] if e["clusters"]}) != len(doc["dcs"]):
+        raise SchemaError("dcs registry does not match the clusters' dc values")
+    if invalid is not None:
+        raise invalid
+    if not columns:
+        raise SequenceValidationError(NO_SNAPSHOTS)
+    return columns, labels_meta, history

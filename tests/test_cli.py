@@ -444,6 +444,34 @@ def test_generate_spec_number_types_exit_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "spec, message",
+    [
+        ({"snapshots": 3, "dcs": [{"start": 0, "end": 2}]},
+         'bad scenario document: dcs[0] has no "size"'),
+        ({"dcs": []}, 'bad scenario document: the scenario has no "snapshots"'),
+        ({"snapshots": 3}, 'bad scenario document: the scenario has no "dcs"'),
+        ({"snapshots": 3, "dcs": {"size": 1}},
+         'bad scenario document: "dcs" must be an array'),
+        (SCENARIO | {"dcs": [SCENARIO["dcs"][0], 7]},
+         "bad scenario document: dcs[1] must be an object"),
+        (SCENARIO | {"events": [{"kind": "split", "start": 1}]},
+         'bad scenario document: events[0] has no "dc"'),
+        (SCENARIO | {"events": "split"},
+         'bad scenario document: "events" must be an array'),
+        ([], "scenario must be a JSON object"),
+        ("scenario", "scenario must be a JSON object"),
+    ],
+    ids=["no-size", "no-snapshots", "no-dcs", "dcs-object", "dc-number", "no-dc",
+         "events-string", "array", "string"],
+)
+def test_generate_spec_shape_names_the_place(tmp_path, capsys, spec, message):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(spec))
+    assert main(["generate", "--spec", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
     "bad, message",
     [
         ({"snapshots": 10**9}, "at most 10000 snapshots, got 1000000000"),

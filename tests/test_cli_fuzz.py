@@ -6,7 +6,8 @@ bytes, JSON of the right keys with values of any type, and valid files
 with one part replaced. `cli.main` must return 0 or 2 and never raise.
 Any text as the value of an option exits 0, or 2 with one stderr line.
 On every result document, the one-pass reader that `events` and `render`
-run and the whole loaded sequence give the same tables or the same error.
+run and the whole loaded sequence give the same tables or the same error,
+and both agree with the whole-tree reference reader of `helpers`.
 """
 
 import contextlib
@@ -22,6 +23,7 @@ from dynatrack.errors import DynatrackError, SchemaError, SequenceValidationErro
 from dynatrack.metrics import clustering_from_labels, dc_sizes
 from dynatrack.relations import count_tables
 from dynatrack.resultdoc import load_document, read_tables
+from helpers import assert_reads_as_reference
 
 KEYS = (
     "snapshots", "clusters", "label", "schema", "history", "snapshot_count",
@@ -233,6 +235,14 @@ def loaded(raw: bytes):
 def test_one_pass_reader_agrees_with_the_loaded_sequence(document, data):
     raw = data.draw(any_bytes(encoded(mutated(document))))
     assert one_pass(raw) == loaded(raw)
+
+
+@fuzz
+@given(data=st.data())
+def test_streamed_reader_agrees_with_the_whole_tree_reference(document, data):
+    # Both readers above share one streamed decoder; the reference checks
+    # one `json.loads` tree, so that a drifted message shows here.
+    assert_reads_as_reference(data.draw(any_bytes(encoded(mutated(document)))))
 
 
 def test_one_pass_reader_holds_the_member_error_behind_the_document_checks(document):
