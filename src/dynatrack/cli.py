@@ -2,25 +2,22 @@
 
 Subcommands: track, sweep, events, render, generate, oracle. File-format
 details live in the README; exit codes are 0 (success), 2 (bad input or
-usage), 1 (anything else).
+usage), 1 (anything else). Each subcommand imports the modules it runs,
+so that a process loads, and compiles, only those; a plain command line
+is read without importing argparse (`main`).
 """
 
 from __future__ import annotations
 
-import argparse
 import atexit
 import gc
 import os
 import sys
+from types import SimpleNamespace
 from typing import Iterable
 
 from . import __version__
 from .errors import DynatrackError
-
-# Each subcommand imports the modules it runs, so that a process loads,
-# and compiles, only those: `--version` loads none of them, and `events`
-# and `render` load the document reader but not the parser, the relation
-# tables, the tracker or the writers (and `render` not the metrics).
 
 # The columns of a sweep CSV row: keys of that x's record, each with the
 # format of its value (`_cell`).
@@ -214,112 +211,115 @@ def _usage_error(msg: str) -> int:
     return 2
 
 
-class _Parser(argparse.ArgumentParser):
-    """Argument parser whose usage errors are one `error:` line, exit 2.
+# Each subcommand's handler, help and options. An option is the keyword
+# arguments of argparse's `add_argument` (type, default, required, choices,
+# help) under its dest; its flag is "--" + dest, "_" written "-".
+_INPUT = dict(input=dict(required=True, help="input sequence file"), format=dict(
+    choices=("json", "csv"), default="json", help="input format (default: json)"))
+_RESULT = dict(result=dict(required=True, help="document written by `track`"))
+_DOC = dict(help="result document path (default: stdout)")
+_X = dict(type=int, required=True)
+COMMANDS = {
+    "track": (cmd_track, "detect dynamic clusters", dict(
+        **_INPUT, history=dict(_X, help="history horizon (x >= 0)"), output=_DOC)),
+    "oracle": (cmd_oracle, "brute-force reference labelling (small inputs)",
+               dict(**_INPUT, history=_X, output=_DOC)),
+    "sweep": (cmd_sweep, "scan a range of history values", dict(
+        **_INPUT, history_min=_X, history_max=_X,
+        output=dict(help="CSV path (default: stdout)"),
+        json=dict(help="also write full records (incl. histograms) as JSON"))),
+    "events": (cmd_events, "life-cycle events of a tracking result",
+               dict(**_RESULT, output=dict(help="events JSON path (default: stdout)"))),
+    "render": (cmd_render, "alluvial SVG of a tracking result", dict(
+        **_RESULT, output=dict(help="SVG path (default: stdout)"),
+        layout_json=dict(help="also write the layout as JSON"),
+        block_width=dict(type=float, default=20.0, help="block width in px (> 0)"),
+        gap=dict(type=float, default=2.0, help="vertical gap between blocks (>= 0)"))),
+    "generate": (cmd_generate, "synthesise a scenario fixture", dict(
+        spec=dict(required=True, help="scenario JSON path"),
+        output=dict(help="sequence JSON path (default: stdout)"),
+        labels=dict(help="ground-truth labels JSON path"))),
+}
 
-    The subcommand parsers are of this class too (argparse makes them of
-    their parent's class). An unrecognised argument is quoted as given,
-    so line breaks in the message become spaces.
-    """
 
-    def error(self, message: str):
-        self.exit(2, f"error: {' '.join(message.splitlines())}\n")
+def _version() -> None:
+    """Print the version line, never wrapped, and exit 0."""
+    try:
+        sys.stdout.write(f"dynatrack {__version__}\n")
+    except (AttributeError, OSError):  # no stdout, as argparse allows
+        pass
+    sys.exit(0)
 
-    def parse_known_args(self, args=None, namespace=None):
-        namespace, extras = super().parse_known_args(args, namespace)
-        # argparse drops the value "--" of `--option=--` and stores an
-        # empty list for an option that takes one value.
-        for action in self._actions:
-            if action.nargs is None and isinstance(
-                getattr(namespace, action.dest, None), list
-            ):
-                name = "/".join(action.option_strings) or action.dest
-                self.error(f"argument {name}: expected one argument")
-        return namespace, extras
+
+def _plain(argv: list[str]) -> SimpleNamespace | None:
+    """What argparse reads from `argv` if it is plain: a subcommand, then
+    `--option value` pairs of distinct, exact options whose values do not
+    start with "-", convert with their type and meet their choices, the
+    required options among them. Else None, for argparse to read it."""
+    if not argv or argv[0] not in COMMANDS or len(argv) % 2 == 0:
+        return None
+    func, _help, options = COMMANDS[argv[0]]
+    flags = {"--" + dest.replace("_", "-"): (dest, o) for dest, o in options.items()}
+    values = {dest: option.get("default") for dest, option in options.items()}
+    try:
+        for flag, text in zip(argv[1::2], argv[2::2]):
+            dest, option = flags.pop(flag)  # KeyError: unknown or repeated
+            value = values[dest] = option.get("type", str)(text)
+            if text.startswith("-") or value not in option.get("choices", [value]):
+                return None
+    except (KeyError, ValueError):
+        return None
+    missing = any(option.get("required") for _, option in flags.values())
+    return None if missing else SimpleNamespace(command=argv[0], func=func, **values)
 
 
 def build_parser(argv: list[str]) -> argparse.ArgumentParser:
-    """The parser for `argv`: it lists every subcommand, but adds arguments
-    only to the one that argv names. No top-level option takes a value, so
-    that is the first token that does not start with "-"."""
-    parser = _Parser(
-        prog="dynatrack",
-        description=(
-            "Track dynamic clusters through a sequence of snapshot "
-            "clusterings, classify their life-cycle events, score "
-            "parametrisations, and render alluvial diagrams."
-        ),
-    )
-    parser.add_argument(
-        "--version", action="version", version=f"%(prog)s {__version__}"
-    )
+    """The argparse parser of `COMMANDS`, with options only on the subcommand
+    argv names: its first token without a leading "-" (none takes a value)."""
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        """Argument parser (subcommand parsers too) whose usage errors are
+        one `error:` line, exit 2: line breaks in a message become spaces."""
+
+        def error(self, message: str):
+            self.exit(2, f"error: {' '.join(message.splitlines())}\n")
+
+        def parse_known_args(self, args=None, namespace=None):
+            namespace, extras = super().parse_known_args(args, namespace)
+            # argparse drops the value "--" of `--option=--` and stores an
+            # empty list for an option that takes one value.
+            for action in self._actions:
+                value = getattr(namespace, action.dest, None)
+                if action.nargs is None and isinstance(value, list):
+                    name = "/".join(action.option_strings) or action.dest
+                    self.error(f"argument {name}: expected one argument")
+            return namespace, extras
+
+    class _Version(argparse._VersionAction):
+        __call__ = staticmethod(lambda *args: _version())  # never wrapped
+
+    parser = _Parser(prog="dynatrack", description="Track dynamic clusters through "
+        "a sequence of snapshot clusterings, classify their life-cycle events, "
+        "score parametrisations, and render alluvial diagrams.")
+    parser.add_argument("--version", action=_Version)
     sub = parser.add_subparsers(dest="command", required=True)
     command = next((a for a in argv if not a.startswith("-")), None)
-
-    def add_parser(name, help, func):
-        """The subparser of `name` if argv names it, else None."""
+    for name, (func, help, options) in COMMANDS.items():
         p = sub.add_parser(name, help=help)
         p.set_defaults(func=func)
-        return p if name == command else None
-
-    def add_input(p):
-        p.add_argument("--input", required=True, help="input sequence file")
-        p.add_argument(
-            "--format",
-            choices=("json", "csv"),
-            default="json",
-            help="input format (default: json)",
-        )
-
-    if p := add_parser("track", "detect dynamic clusters", cmd_track):
-        add_input(p)
-        p.add_argument(
-            "--history", type=int, required=True, help="history horizon (x >= 0)"
-        )
-        p.add_argument("--output", help="result document path (default: stdout)")
-
-    if p := add_parser(
-        "oracle", "brute-force reference labelling (small inputs)", cmd_oracle
-    ):
-        add_input(p)
-        p.add_argument("--history", type=int, required=True)
-        p.add_argument("--output", help="result document path (default: stdout)")
-
-    if p := add_parser("sweep", "scan a range of history values", cmd_sweep):
-        add_input(p)
-        p.add_argument("--history-min", type=int, required=True)
-        p.add_argument("--history-max", type=int, required=True)
-        p.add_argument("--output", help="CSV path (default: stdout)")
-        p.add_argument(
-            "--json", help="also write full records (incl. histograms) as JSON"
-        )
-
-    if p := add_parser("events", "life-cycle events of a tracking result", cmd_events):
-        p.add_argument("--result", required=True, help="document written by `track`")
-        p.add_argument("--output", help="events JSON path (default: stdout)")
-
-    if p := add_parser("render", "alluvial SVG of a tracking result", cmd_render):
-        p.add_argument("--result", required=True, help="document written by `track`")
-        p.add_argument("--output", help="SVG path (default: stdout)")
-        p.add_argument("--layout-json", help="also write the layout as JSON")
-        p.add_argument(
-            "--block-width", type=float, default=20.0, help="block width in px (> 0)"
-        )
-        p.add_argument(
-            "--gap", type=float, default=2.0, help="vertical gap between blocks (>= 0)"
-        )
-
-    if p := add_parser("generate", "synthesise a scenario fixture", cmd_generate):
-        p.add_argument("--spec", required=True, help="scenario JSON path")
-        p.add_argument("--output", help="sequence JSON path (default: stdout)")
-        p.add_argument("--labels", help="ground-truth labels JSON path")
+        for dest, option in options.items() if name == command else ():
+            p.add_argument("--" + dest.replace("_", "-"), **option)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    args = build_parser(argv).parse_args(argv)
+    """Run the command of `argv` (default: the process's arguments); only an
+    argv that is neither a lone `--version` nor plain (`_plain`) builds argparse."""
+    argv = sys.argv[1:] if argv is None else argv
+    if argv == ["--version"]:
+        _version()
+    args = _plain(argv) or build_parser(argv).parse_args(argv)
     try:
         return args.func(args)
     except (OSError, DynatrackError) as exc:
@@ -336,7 +336,7 @@ def run() -> None:
     subcommands build millions of containers on large inputs, none of them
     cyclic garbage, and collections over them took a fifth to a half of
     each command's time on 400k clusters. The cycles a subcommand does
-    leave (argparse's parser, about 200 objects) do not grow with the
+    leave (argparse's parser, if argv needs one) do not grow with the
     input. `main` leaves the collector as it finds it, for in-process
     callers.
 

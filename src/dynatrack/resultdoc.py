@@ -66,9 +66,11 @@ def read_tables(
     One pass over the text decodes one snapshot at a time and counts each
     pair as its later snapshot arrives, so that at most two member
     indexes and one snapshot's JSON are held, beside the text, the
-    results and the `dcs` refs as one flat list of ints. The checks, their
-    order and their errors are those of `load_document`.
+    results and the `dcs` refs as one flat list of ints; bytes are
+    decoded first and not kept. The checks, their order and their errors
+    are those of `load_document`.
     """
+    raw = _text(raw)  # drops the bytes
     sizes: list[tuple[int, ...]] = []
     tables: list[list[tuple[int, int, int]]] = []
     last: dict[str, int] = {}
@@ -104,6 +106,7 @@ def load_document(
     """
     from .model import ClusteringSequence, Snapshot
 
+    raw = _text(raw)  # drops the bytes
     snapshots: list[Snapshot] = []
 
     def keep(t: int, column: dict[str, int], sizes: tuple[int, ...]) -> None:
@@ -113,8 +116,24 @@ def load_document(
     return ClusteringSequence(tuple(snapshots), tuple(labels)), columns, history
 
 
+def _text(raw: bytes | str) -> str:
+    """`raw` as text, bytes decoded as `json.loads` decodes them. Bytes that
+    do not decode raise `json.loads`'s error (`kernel.load_json`), and so
+    do bytes whose text starts with a BOM: `json.loads` finds no value
+    there, while it calls a str that starts with a BOM a BOM error."""
+    if isinstance(raw, str):
+        return raw
+    try:
+        text = raw.decode(json.detect_encoding(raw), "surrogatepass")
+    except UnicodeDecodeError:
+        text = None
+    if text is None or text.startswith("\ufeff"):
+        load_json(raw, SchemaError, "result document")
+    return text
+
+
 def _read(
-    raw: bytes | str,
+    raw: str,
     sort: bool,
     keep: Callable[[int, dict[str, int], tuple[int, ...]], None],
 ) -> tuple[list[list[int]], list[str | None], int]:
@@ -183,14 +202,12 @@ _KEY = json.decoder.scanstring
 _SPACE = json.decoder.WHITESPACE.match
 
 
-def _decode(raw: bytes | str, sort: bool, keep: Callable) -> dict:
+def _decode(raw: str, sort: bool, keep: Callable) -> dict:
     """The fields of the JSON object `raw` as `json.loads` decodes them
     (the last of a repeated key wins), but with `snapshots` and `dcs` as
     streams fed their values, element by element if they are arrays.
     Raises where `json.loads` raises, and on a top level that is no object.
     """
-    if not isinstance(raw, str):
-        raw = raw.decode(json.detect_encoding(raw), "surrogatepass")
     fields: dict = {}
 
     def field(end):

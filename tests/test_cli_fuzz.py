@@ -7,7 +7,8 @@ with one part replaced. `cli.main` must return 0 or 2 and never raise.
 Any text as the value of an option exits 0, or 2 with one stderr line.
 On every result document, the one-pass reader that `events` and `render`
 run and the whole loaded sequence give the same tables or the same error,
-and both agree with the whole-tree reference reader of `helpers`.
+and both agree with the whole-tree reference reader of `helpers`. Any
+command line that the CLI reads without argparse, argparse reads the same.
 """
 
 import contextlib
@@ -15,9 +16,10 @@ import io
 import json
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from dynatrack import cli
 from dynatrack.cli import main
 from dynatrack.errors import DynatrackError, SchemaError, SequenceValidationError
 from dynatrack.metrics import clustering_from_labels, dc_sizes
@@ -354,3 +356,67 @@ def test_any_option_value(workdir, document, case, value, joined):
         text = err.getvalue()
         assert text.startswith("error: ") and text.count("\n") == 1, text
         assert text.endswith("\n")
+
+
+# The tokens of command lines: subcommands, every option, abbreviations,
+# help, and values that argparse reads as options, as numbers or as text.
+FLAGS = sorted(
+    {"--" + dest.replace("_", "-") for _, _, options in cli.COMMANDS.values()
+     for dest in options}
+)
+ABBREVIATIONS = ["--hist", "--history-m", "--in", "--f", "--out", "--res", "--g",
+                 "--block", "--lay", "--j", "--sp", "--lab", "--vers"]
+VALUES = ["-", "-1", "-inf", "--", "", "nan", " 3", "\u0663", "3.0", "3", "0", "2.5",
+          "json", "csv", "doc.json", "track", "x\ny"]
+TOKENS = [*cli.COMMANDS, *FLAGS, *ABBREVIATIONS, *VALUES, "-h", "--help", "--version"]
+
+
+@st.composite
+def command_lines(draw):
+    """A subcommand with its options in any order, each with a value that
+    fits it; now and then an option left out, repeated or joined to its
+    value with "=", a value of VALUES instead, or a token inserted."""
+
+    def rarely() -> bool:
+        return draw(st.integers(0, 5)) == 0
+
+    name = draw(st.sampled_from(list(cli.COMMANDS)))
+    options = cli.COMMANDS[name][2]
+    dests = draw(st.permutations(list(options)))
+    if rarely():
+        dests = dests[: draw(st.integers(0, len(dests)))]
+    if rarely():
+        dests.append(draw(st.sampled_from(dests or list(options))))
+    argv = [name]
+    for dest in dests:
+        option = options[dest]
+        fits = {
+            int: st.integers().map(str) | st.sampled_from([" 3", "\u0663", "1_0"]),
+            float: st.floats().map(repr) | st.integers().map(str),
+            str: st.text(max_size=4) | st.just("doc.json"),
+        }[option.get("type", str)]
+        if "choices" in option:
+            fits = st.sampled_from(option["choices"])
+        flag, value = "--" + dest.replace("_", "-"), draw(fits)
+        if rarely():
+            value = draw(st.sampled_from(VALUES))
+        argv += [f"{flag}={value}"] if rarely() else [flag, value]
+    if rarely():
+        argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(TOKENS)))
+    return argv
+
+
+@settings(fuzz, max_examples=300)
+@given(argv=command_lines() | st.lists(st.sampled_from(TOKENS), max_size=7))
+@example(argv=["track", "--input", "doc.json", "--history", " 3"])
+@example(argv=["render", "--result", "doc.json", "--gap", "nan", "--output", "x\ny"])
+@example(argv=["sweep", "--history-max", "\u0663", "--input", "", "--history-min", "0"])
+# values that argparse takes for options, though they convert
+@example(argv=["render", "--result", "doc.json", "--block-width", "-1e5"])
+@example(argv=["track", "--input", "--", "--history", "1"])
+def test_the_table_reader_agrees_with_argparse(argv):
+    plain = cli._plain(argv)
+    if plain is not None:
+        # by repr, so that nan equals nan and -0.0 differs from 0.0
+        parsed = cli.build_parser(argv).parse_args(argv)
+        assert repr(sorted(vars(plain).items())) == repr(sorted(vars(parsed).items()))

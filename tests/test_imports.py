@@ -22,8 +22,12 @@ from dynatrack.cli import main
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 # Standard-library modules that some subcommands should not load: each
-# costs milliseconds of start-up.
-WATCHED = ("dataclasses", "inspect", "statistics")
+# costs milliseconds of start-up. A well-formed command line is read
+# without argparse, which would load `gettext` and `locale` for its
+# messages and `textwrap` for its help.
+WATCHED = (
+    "dataclasses", "inspect", "statistics", "argparse", "gettext", "locale", "textwrap"
+)
 
 # Prints, as its last stdout line, which WATCHED modules are loaded.
 WATCHED_PROBE = f"""
@@ -127,8 +131,10 @@ def test_tracking_loads_statistics_only_if_a_bare_interpreter_does(command, file
     assert "statistics" not in loaded or "statistics" in bare
 
 
-@pytest.mark.parametrize("command", ["track", "sweep", "events", "render"])
-@pytest.mark.parametrize("module", ["dataclasses", "inspect"])
+@pytest.mark.parametrize("command", ["version", "track", "sweep", "events", "render"])
+@pytest.mark.parametrize(
+    "module", ["dataclasses", "inspect", "argparse", "gettext", "locale", "textwrap"]
+)
 def test_subcommand_loads_module_only_if_a_bare_interpreter_does(
     command, module, files
 ):

@@ -27,11 +27,11 @@ ENV = dict(os.environ, PYTHONPATH=str(SRC))
 PIPE_BUFFER = 65536
 
 
-def dynatrack(*args, python=(), **kwargs):
+def dynatrack(*args, python=(), env=ENV, **kwargs):
     """`python [python] -m dynatrack args` with only this checkout on the path."""
     return subprocess.run(
         [sys.executable, *python, "-m", "dynatrack", *args],
-        env=ENV,
+        env=env,
         capture_output=True,
         timeout=60,
         **kwargs,
@@ -98,6 +98,25 @@ def test_version():
     proc = dynatrack("--version")
     assert (proc.returncode, proc.stdout, proc.stderr) == (
         0, f"dynatrack {__version__}\n".encode(), b"")
+
+
+@pytest.mark.parametrize("columns", ["10", "80"])
+@pytest.mark.parametrize(
+    "argv", [["--version"], ["--vers"], ["--version", "track"]],
+    ids=["alone", "abbreviated", "before-a-command"],
+)
+def test_the_version_line_never_wraps(monkeypatch, capsys, argv, columns):
+    # A lone `--version` is answered without argparse; the other two go
+    # through argparse, whose own version action would wrap the line to
+    # the terminal width.
+    line = f"dynatrack {__version__}\n"
+    monkeypatch.setenv("COLUMNS", columns)
+    with pytest.raises(SystemExit) as stop:
+        main(argv)
+    assert stop.value.code == 0
+    assert capsys.readouterr() == (line, "")
+    proc = dynatrack(*argv, env=dict(ENV, COLUMNS=columns))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, line.encode(), b"")
 
 
 def test_a_profiler_around_the_cli_still_prints_its_stats(files, tmp_path):
