@@ -8,6 +8,11 @@ out-flows) is exactly the number of members introduced (or removed).
 Output is plain SVG 1.1, byte-identical for identical inputs: every
 number is written in fixed point with two decimals, and a ".00" ending
 is dropped ("12", "12.50", "-0").
+
+`layout_from_tables` lays a diagram out from the tables that
+`resultdoc.read_tables` reads, and `svg_chunks` and `layout_json_chunks`
+write it; `cmd_render` is the `render` command that runs them. The
+whole-value forms `build_layout` and `layout_to_svg` are in `reference`.
 """
 
 from __future__ import annotations
@@ -16,10 +21,9 @@ import json
 import math
 from itertools import accumulate, chain, groupby, repeat
 from operator import itemgetter
-from typing import TYPE_CHECKING, Iterator, NamedTuple
+from typing import Iterator, NamedTuple
 
-if TYPE_CHECKING:
-    from .model import ClusteringSequence
+from . import _lazy
 
 __all__ = [
     "Block",
@@ -31,6 +35,8 @@ __all__ = [
     "svg_chunks",
     "layout_json_chunks",
 ]
+
+__getattr__ = _lazy(__name__, {"build_layout": "reference", "layout_to_svg": "reference"})
 
 # 12 fixed colours cycled by canonical DC id.
 PALETTE = (
@@ -110,28 +116,6 @@ def _dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def build_layout(
-    seq: ClusteringSequence,
-    labels: list[list[int]],
-    gap: float = 2.0,
-) -> AlluvialLayout:
-    """Geometry of the diagram in member-count units, from the DC label
-    columns (labels[t][a] for cluster a of snapshot t): `layout_from_tables`
-    on the cluster sizes and count tables of `seq`.
-
-    `gap` is the vertical spacing between blocks of one column. Raises
-    ValueError unless it is finite and >= 0, or unless there is one
-    column per snapshot and one label per cluster.
-    """
-    if not (math.isfinite(gap) and gap >= 0):
-        raise ValueError(f"gap must be a finite number >= 0, got {gap!r}")
-    seq.check_label_columns(labels)
-    from .relations import count_tables
-
-    sizes = [snap.sizes for snap in seq.snapshots]
-    return layout_from_tables(labels, sizes, count_tables(seq), gap)
-
-
 def layout_from_tables(
     labels: list[list[int]],
     sizes: list[tuple[int, ...]],
@@ -144,7 +128,7 @@ def layout_from_tables(
     gives them), which `resultdoc.read_tables` reads from a document.
 
     Nothing is checked here: `labels` and `sizes` must hold one entry per
-    cluster, and `gap` must be finite and >= 0 (see `build_layout`).
+    cluster, and `gap` must be finite and >= 0 (see `reference.build_layout`).
     """
     columns: list[tuple[Block, ...]] = []
     tops: list[list[float]] = []
@@ -182,11 +166,6 @@ class _Formatted(dict):
         if v:
             self[v] = s
         return s
-
-
-def layout_to_svg(layout: AlluvialLayout, block_width: float = 20.0) -> str:
-    """Standalone SVG 1.1 document for a layout: `svg_chunks` joined."""
-    return "".join(svg_chunks(layout, block_width))
 
 
 def svg_chunks(layout: AlluvialLayout, block_width: float = 20.0) -> Iterator[str]:
@@ -265,3 +244,25 @@ def svg_chunks(layout: AlluvialLayout, block_width: float = 20.0) -> Iterator[st
             for b in col
         )
     yield "</g>\n</svg>\n"
+
+
+def cmd_render(args) -> int:
+    """The `render` command: the SVG, and if asked the layout JSON, of the
+    result document `args.result`."""
+    from . import cli
+    from .resultdoc import read_tables
+
+    if not (math.isfinite(args.block_width) and args.block_width > 0):
+        return cli._usage_error("--block-width must be a finite number > 0")
+    if not (math.isfinite(args.gap) and args.gap >= 0):
+        return cli._usage_error("--gap must be a finite number >= 0")
+    labels, sizes, tables, _x = read_tables(cli._read(args.result))
+    layout = layout_from_tables(labels, sizes, tables, args.gap)
+    svg = svg_chunks(layout, block_width=args.block_width)
+    try:
+        cli._write(args.output, map(str.encode, svg))
+    except OverflowError as exc:
+        return cli._usage_error(f"--gap or --block-width too large: {exc}")
+    if args.layout_json:
+        cli._write(args.layout_json, map(str.encode, layout_json_chunks(layout)))
+    return 0

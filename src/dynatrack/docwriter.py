@@ -1,25 +1,24 @@
 """Writers of result documents (the reader is `resultdoc`).
 
-`document_chunks` writes the document that `track` and `oracle` output,
-chunk by chunk; `build_document` and `document_to_bytes` build and encode
-the same document whole, as the reference that the chunks must equal. DC
-ids are canonicalised by first appearance (snapshot order, then cluster
-order) and the JSON encoding is byte-deterministic, so outputs are
-directly comparable across runs and implementations.
+`document_chunks` writes the document chunk by chunk; `build_document`
+and `document_to_bytes` in `reference` build and encode the same
+document whole, as the reference that the chunks must equal. DC ids are
+canonicalised by first appearance (snapshot order, then cluster order)
+and the JSON encoding is byte-deterministic, so outputs are directly
+comparable across runs and implementations. `_write_labelling` writes
+the document of the `track` and `oracle` commands.
 """
 
 from __future__ import annotations
 
-import json
 from itertools import accumulate, pairwise
 from json.encoder import encode_basestring
 from typing import TYPE_CHECKING, Iterator
 
-from . import SCHEMA_VERSION
+from . import SCHEMA_VERSION, _lazy
 
 if TYPE_CHECKING:
-    from .metrics import DynamicClustering
-    from .model import ClusteringSequence
+    from .result import DynamicClustering
 
 __all__ = [
     "canonical_labels",
@@ -28,59 +27,16 @@ __all__ = [
     "document_chunks",
 ]
 
+__getattr__ = _lazy(
+    __name__, {"build_document": "reference", "document_to_bytes": "reference"}
+)
+
 
 def canonical_labels(labels: list[list[int]]) -> list[list[int]]:
     """DC label columns renumbered by first appearance in
     snapshot-then-cluster order."""
     mapping: dict[int, int] = {}
     return [[mapping.setdefault(dc, len(mapping)) for dc in col] for col in labels]
-
-
-def build_document(
-    seq: ClusteringSequence,
-    result: DynamicClustering,
-    tool_version: str,
-) -> dict:
-    """Result document (canonical ids) ready for serialisation. Its member
-    and (snapshot, cluster) arrays are tuples, the members those of `seq`:
-    the same JSON as lists, with fewer objects to build. A result of
-    another sequence than `seq` raises ValueError. `document_chunks`
-    writes the same bytes without building the document."""
-    if result.seq is not seq:
-        raise ValueError("the result was built for a different sequence")
-    # Canonical ids are 0..k-1 in order of first appearance, and each
-    # DC's clusters are met in ascending order.
-    registry: list[list[tuple[int, int]]] = []
-    snapshots = []
-    for t, (snap, label, col) in enumerate(
-        zip(seq.snapshots, seq.labels, canonical_labels(result.labels))
-    ):
-        clusters = []
-        for a, (members, dc) in enumerate(zip(snap.clusters, col)):
-            if dc == len(registry):
-                registry.append([])
-            registry[dc].append((t, a))
-            clusters.append({"members": members, "dc": dc})
-        entry: dict = {"clusters": clusters}
-        if label is not None:
-            entry["label"] = label
-        snapshots.append(entry)
-    return {
-        "schema": SCHEMA_VERSION,
-        "tool": "dynatrack",
-        "version": tool_version,
-        "history": result.x_used,
-        "snapshot_count": len(seq),
-        "snapshots": snapshots,
-        "dcs": [{"id": dc, "clusters": refs} for dc, refs in enumerate(registry)],
-    }
-
-
-def document_to_bytes(doc: dict) -> bytes:
-    return (
-        json.dumps(doc, ensure_ascii=False, sort_keys=True, separators=(",", ":"))
-        + "\n"
-    ).encode("utf-8")
 
 
 def _dcs_json(columns: list[list[int]]) -> str:
@@ -132,3 +88,16 @@ def document_chunks(result: DynamicClustering, tool_version: str) -> Iterator[st
         yield f'{sep}{{"clusters":[{clusters}]{tail}}}'
         sep = ","
     yield f'],"tool":"dynatrack","version":{encode_basestring(tool_version)}}}\n'
+
+
+def _write_labelling(args, labelling) -> int:
+    """What the `track` and `oracle` commands run: write the result document
+    of `labelling(seq, x)` on the input."""
+    from . import __version__, cli
+
+    if args.history < 0:
+        return cli._usage_error("--history must be non-negative")
+    seq = cli._load_input(args)
+    result = labelling(seq, args.history)
+    cli._write(args.output, map(str.encode, document_chunks(result, __version__)))
+    return 0

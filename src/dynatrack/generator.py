@@ -15,10 +15,14 @@ order). Birth order is not declaration order: a planted group born at a
 snapshot comes after every group born earlier, split offspring
 included. CPython's generator is stable across platforms, so fixtures
 are byte-reproducible.
+
+`sequence_to_json_bytes` writes a sequence in the JSON input layout, as
+the `generate` command (`cmd_generate`) writes its fixture.
 """
 
 from __future__ import annotations
 
+import json
 import random
 from bisect import bisect_left
 from dataclasses import dataclass, field
@@ -27,7 +31,9 @@ from .errors import GenerationError
 from .kernel import check_int, load_json
 from .model import ClusteringSequence, sequence_from_lists
 
-__all__ = ["PlantedDc", "PlannedEvent", "ScenarioSpec", "generate"]
+__all__ = [
+    "PlantedDc", "PlannedEvent", "ScenarioSpec", "generate", "sequence_to_json_bytes"
+]
 
 EVENT_KINDS = ("splinter", "transition", "split", "merge")
 
@@ -330,3 +336,34 @@ def generate(spec: ScenarioSpec) -> tuple[ClusteringSequence, list[list[int]]]:
 
     seq = sequence_from_lists(data)
     return seq, truth
+
+
+def sequence_to_json_bytes(seq: ClusteringSequence) -> bytes:
+    """Plain-JSON form of a sequence; inverse of parse_sequence for “json”.
+
+    Cluster membership is order-free, so members are emitted sorted.
+    """
+    snaps = []
+    for snap, label in zip(seq.snapshots, seq.labels):
+        entry: dict = {"clusters": list(map(list, snap.clusters))}
+        if label is not None:
+            entry["label"] = label
+        snaps.append(entry)
+    doc = {"snapshots": snaps}
+    return (
+        json.dumps(doc, ensure_ascii=False, sort_keys=True, separators=(",", ":"))
+        + "\n"
+    ).encode("utf-8")
+
+
+def cmd_generate(args) -> int:
+    """The `generate` command: the sequence of the scenario `args.spec`, and
+    if asked its ground-truth labels."""
+    from . import cli
+
+    spec = ScenarioSpec.from_json(cli._read(args.spec))
+    seq, truth = generate(spec)
+    cli._write(args.output, [sequence_to_json_bytes(seq)])
+    if args.labels:
+        cli._write_json(args.labels, {"schema": 1, "ground_truth": truth})
+    return 0

@@ -1,25 +1,29 @@
-"""Persistent-group results and their analysis.
+"""Scores of a tracking result, and the `sweep` command.
 
-Holds the final outcome of a tracking run (every cluster mapped to a
-dynamic-cluster id, plus each DC's member count per snapshot) and the
-read-only analyses on top of it: life-cycle events as plain rows, total
-membership consistency in both modes and summary statistics (the event
-records are in `events`). Events and consistency each make one pass per
-pair of neighbouring snapshots over its shared-member count table, against
-the label columns and the size tables, never the member strings. All
-functions here are pure; results are treated as immutable.
+`consistencies` gives the total membership consistency of a result in
+both modes, from one pass per pair of neighbouring snapshots over its
+shared-member count table, against the label columns and the size
+tables, never the member strings; `summary_stats` counts its DCs and
+their lifespans. `cmd_sweep` tracks the input at each history of a range
+and writes both for each. Only the `sweep` command loads this module.
+All functions here are pure; results are treated as immutable.
+
+The result itself is in `result`, the life-cycle events in `events`, and
+`total_consistency` in `reference`; each stays importable from here.
 """
 
 from __future__ import annotations
 
+import sys
 from collections import Counter
 from operator import mul
 from typing import TYPE_CHECKING
 
+from . import _lazy
 from .kernel import _Record
 
 if TYPE_CHECKING:
-    from .model import ClusteringSequence
+    from .result import DynamicClustering
 
 __all__ = [
     "DynamicClustering",
@@ -34,175 +38,19 @@ __all__ = [
     "summary_stats",
 ]
 
+__getattr__ = _lazy(__name__, {
+    "DynamicClustering": "result", "clustering_from_labels": "result",
+    "dc_sizes": "result", "event_rows": "events", "LifecycleEvent": "reference",
+    "classify_events": "reference", "total_consistency": "reference",
+})
 
-def __getattr__(name: str):
-    # Loads `events`, and the `dataclasses` it needs, only on first use.
-    if name in ("LifecycleEvent", "classify_events"):
-        from . import events
-
-        return getattr(events, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-class DynamicClustering(_Record):
-    """Final association of every cluster to a dynamic-cluster id.
-
-    `labels` holds one column per snapshot: labels[t][a] is the DC id of
-    cluster a of snapshot t. A DC is the set of clusters that carry its
-    id. `sizes[t]` maps each DC present at snapshot t to the member count
-    of its clusters there, and `dcs` is the ascending tuple of all DC ids.
-    `seq` is the labelled sequence. `pair_triples[i]` holds the
-    shared-member count triples between snapshot i and i+1, as
-    `relations.pair_counts` returns them, or the whole list is None until
-    `tables` is called; a tracked result shares the tables its relation
-    cache built. `sizes` and `dcs` derive from the labels, so only
-    `labels` and `x_used` take part in comparisons and the repr.
-    """
-
-    __slots__ = ("labels", "sizes", "dcs", "x_used", "seq", "pair_triples")
-    _fields = ("labels", "x_used")
-
-    def __init__(
-        self, labels: list[list[int]], sizes: list[dict[int, int]], x_used: int,
-        seq: ClusteringSequence,
-        pair_triples: list[list[tuple[int, int, int]]] | None = None,
-    ) -> None:
-        self.labels = labels
-        self.sizes = sizes
-        self.dcs = tuple(sorted(set().union(*sizes)))
-        self.x_used = x_used
-        self.seq = seq
-        self.pair_triples = pair_triples
-
-    def tables(self) -> list[list[tuple[int, int, int]]]:
-        """The count triples of every neighbouring snapshot pair, the
-        list at i for snapshots i and i+1.
-
-        Without `pair_triples`, every table is computed from `seq` on
-        first use and kept on the result.
-        """
-        if self.pair_triples is None:
-            from .relations import count_tables
-
-            self.pair_triples = count_tables(self.seq)
-        return self.pair_triples
-
-
-def clustering_from_labels(
-    seq: ClusteringSequence,
-    labels: list[list[int]],
-    x: int,
-    pair_triples: list[list[tuple[int, int, int]]] | None = None,
-) -> DynamicClustering:
-    """Full result from DC label columns, labels[t][a] for cluster a of
-    snapshot t; ValueError unless there is one column per snapshot and
-    one label per cluster.
-
-    `pair_triples` hands on count tables already built for `seq` (see
-    `DynamicClustering`).
-    """
-    seq.check_label_columns(labels)
-    sizes = dc_sizes(labels, [snap.sizes for snap in seq.snapshots])
-    return DynamicClustering([col[:] for col in labels], sizes, x, seq, pair_triples)
-
-
-def dc_sizes(
-    labels: list[list[int]], cluster_sizes: list[tuple[int, ...]]
-) -> list[dict[int, int]]:
-    """Per snapshot, each DC's member count: the summed sizes of the
-    clusters it labels (labels[t][a] and cluster_sizes[t][a] for cluster a
-    of snapshot t). The columns must match, as nothing here checks."""
-    sizes: list[dict[int, int]] = []
-    for column, counts in zip(labels, cluster_sizes):
-        found = dict(zip(column, counts))
-        if len(found) != len(column):
-            # A DC on several clusters of the snapshot: add their sizes.
-            found = dict.fromkeys(column, 0)
-            for dc, n in zip(column, counts):
-                found[dc] += n
-        sizes.append(found)
-    return sizes
-
-
-def event_rows(
-    labels: list[list[int]],
-    sizes: list[dict[int, int]],
-    tables: list[list[tuple[int, int, int]]],
-) -> list[tuple[int, int, str, tuple[int, ...], int]]:
-    """All life-cycle events of a labelling as rows (time, dc, kind,
-    related, delta), sorted; no two share (time, dc, kind). For a result,
-    pass `result.labels`, `result.sizes` and `result.tables()`; for a
-    document, `resultdoc.read_tables` gives the labels and tables, and
-    `dc_sizes` the sizes.
-
-    kind is one of birth, death, growth, shrinkage, split, merge. Events
-    are read from the count tables (tables[i] between snapshots i and
-    i+1), the DC size tables and the labels, one snapshot pair i → i+1 at
-    a time; each has time i+1. Birth requires that no member of the DC's
-    first clusters was present at the previous snapshot, that is no
-    count cell enters them; death that no cell leaves its last clusters.
-    Both are therefore optional, and undefined at the sequence boundaries. Split (merge) fires when the
-    cells leaving (entering) a DC's clusters reach several clusters at
-    the next (previous) snapshot that, with the DC itself, belong to at
-    least two distinct DCs; `related` lists those other DCs ascending.
-    Growth and shrinkage are reported per consecutive presence pair with
-    non-zero size change, `delta` being the signed member-count change
-    (0 for every other kind). Events are not mutually exclusive.
-    """
-    # Each DC's last snapshot, and the DCs met before the current pair's
-    # later snapshot: one container for all DCs, none per DC.
-    last = {dc: t for t, present in enumerate(sizes) for dc in present}
-    seen = set(sizes[0])
-    rows: list = []
-    add = rows.append
-    for i in range(len(labels) - 1):
-        t = i + 1
-        la, lb = labels[i], labels[t]
-        # A cluster each DC at i reaches at t and each DC at t reaches
-        # back to at i; the DCs that reach more than one; the DC pairs
-        # that cells join.
-        fwd: dict[int, int] = {}
-        back: dict[int, int] = {}
-        splitting: set[int] = set()
-        merging: set[int] = set()
-        cross: set[tuple[int, int]] = set()
-        for ca, cb, _n in tables[i]:
-            a = la[ca]
-            b = lb[cb]
-            if fwd.setdefault(a, cb) != cb:
-                splitting.add(a)
-            if back.setdefault(b, ca) != ca:
-                merging.add(b)
-            if a != b:
-                cross.add((a, b))
-        # In (a, b) order both lists come out ascending.
-        splits: dict[int, list[int]] = {}
-        merges: dict[int, list[int]] = {}
-        for a, b in sorted(cross):
-            if a in splitting:
-                splits.setdefault(a, []).append(b)
-            if b in merging:
-                merges.setdefault(b, []).append(a)
-        for dc, related in splits.items():
-            add((t, dc, "split", tuple(related), 0))
-        for dc, related in merges.items():
-            add((t, dc, "merge", tuple(related), 0))
-        before, after = sizes[i], sizes[t]
-        for dc in before.keys() - fwd:
-            if last[dc] == i:
-                add((t, dc, "death", (), 0))
-        for dc in after.keys() - back:
-            if dc not in seen:
-                add((t, dc, "birth", (), 0))
-        seen.update(after)
-        for dc in before.keys() & after.keys():
-            delta = after[dc] - before[dc]
-            if delta > 0:
-                add((t, dc, "growth", (), delta))
-            elif delta < 0:
-                add((t, dc, "shrinkage", (), delta))
-    rows.sort()
-    return rows
+# The columns of a sweep CSV row: keys of that x's record, each with the
+# format of its value (`_cell`).
+SWEEP_COLUMNS = {
+    "x": "", "dc_count": "", "mean_lifespan": "", "weighted_mean_lifespan": "",
+    "consistency_all": ".6f", "consistency_resident": ".6f",
+}
+SWEEP_HEADER = ",".join(SWEEP_COLUMNS)
 
 
 def consistencies(result: DynamicClustering) -> tuple[float | None, float | None]:
@@ -220,7 +68,7 @@ def consistencies(result: DynamicClustering) -> tuple[float | None, float | None
     present at i and B only members present at i+1, the resident union
     is leaving + entering - |A∩B|. Terms are summed by ascending DC id,
     then time. The result must label every cluster, as those of
-    `clustering_from_labels` do.
+    `result.clustering_from_labels` do.
     """
     labels = result.labels
     sizes = result.sizes
@@ -255,15 +103,6 @@ def consistencies(result: DynamicClustering) -> tuple[float | None, float | None
         if resident:
             total_res += kept / resident
     return total / len(terms), total_res / len(terms)
-
-
-def total_consistency(
-    result: DynamicClustering, mode: str = "all_members"
-) -> float | None:
-    """One mode of `consistencies`, "all_members" or "residents_only"."""
-    if mode not in ("all_members", "residents_only"):
-        raise ValueError(f"unknown consistency mode {mode!r}")
-    return consistencies(result)[mode == "residents_only"]
 
 
 class SummaryStats(_Record):
@@ -315,3 +154,67 @@ def summary_stats(result: DynamicClustering) -> SummaryStats:
         mean_lifespan=sum(lifespans) / len(per_dc),
         weighted_mean_lifespan=sum(map(mul, lifespans, totals)) / sum(totals),
     )
+
+
+def _cell(value, spec: str) -> str:
+    """`value` in the format `spec`; None is an empty cell."""
+    return "" if value is None else format(value, spec)
+
+
+def cmd_sweep(args) -> int:
+    """The `sweep` command: one row of scores per history in the range, as
+    CSV and if asked JSON, and the best x of each consistency on stderr."""
+    from . import cli
+    from .relations import RelationCache
+    from .tracking import track
+
+    if args.history_min < 0:
+        return cli._usage_error("--history-min must be non-negative")
+    if args.history_min > args.history_max:
+        return cli._usage_error("--history-min must not exceed --history-max")
+    seq = cli._load_input(args)
+    rels = RelationCache(seq)
+    records = []
+    # The search depth of a target at snapshot t is min(t, x) <= T - 1, so
+    # every x >= T - 1 gives the labels, and the numbers, of x = T - 1.
+    # The rows stop at the first x where that holds.
+    last = min(args.history_max, max(args.history_min, len(seq) - 1))
+    for x in range(args.history_min, last + 1):
+        result = track(seq, x, relations=rels)
+        stats = summary_stats(result)
+        cons_all, cons_res = consistencies(result)
+        records.append(
+            {
+                "x": x,
+                "dc_count": stats.dc_count,
+                "lifespan_histogram": stats.lifespan_histogram,
+                "mean_lifespan": stats.mean_lifespan,
+                "weighted_mean_lifespan": stats.weighted_mean_lifespan,
+                "consistency_all": cons_all,
+                "consistency_resident": cons_res,
+            }
+        )
+    rows = [
+        ",".join(_cell(r[key], spec) for key, spec in SWEEP_COLUMNS.items())
+        for r in records
+    ]
+    csv_text = SWEEP_HEADER + "\n" + "\n".join(rows) + "\n"
+    cli._write(args.output, [csv_text.encode("utf-8")])
+    if args.json:
+        cli._write_json(args.json, {"schema": 1, "sweep": records})
+    if args.history_max > last:
+        print(
+            f"every x > {last} gives the row of x = {last} "
+            f"(the search depth is at most T - 1 = {len(seq) - 1})",
+            file=sys.stderr,
+        )
+    for key in ("consistency_all", "consistency_resident"):
+        defined = [r for r in records if r[key] is not None]
+        if defined:
+            best = max(r[key] for r in defined)
+            xs = [str(r["x"]) for r in defined if r[key] == best]
+            print(
+                f"best {key}: {best:.6f} at x = {', '.join(xs)}",
+                file=sys.stderr,
+            )
+    return 0

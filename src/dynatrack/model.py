@@ -4,6 +4,11 @@ A clustering sequence is an ordered list of snapshots; each snapshot is a
 disjoint family of non-empty member-ID sets. Member IDs are opaque UTF-8
 strings compared by exact equality. Snapshot order is file order; optional
 labels are carried along but never used for ordering.
+
+`parse_sequence` reads the JSON layout here; the CSV reader is in
+`csvinput`, loaded only for CSV input, and the writer of the JSON layout,
+`sequence_to_json_bytes`, is in `generator`, whose fixtures it writes. It
+stays importable from here.
 """
 
 from __future__ import annotations
@@ -12,6 +17,7 @@ import json
 from itertools import accumulate, pairwise
 from typing import Iterable, NamedTuple, Sequence
 
+from . import _lazy
 from .errors import ParseError, SequenceValidationError
 from .kernel import NO_SNAPSHOTS, _Record, member_index
 
@@ -23,6 +29,8 @@ __all__ = [
     "parse_sequence",
     "sequence_to_json_bytes",
 ]
+
+__getattr__ = _lazy(__name__, {"sequence_to_json_bytes": "generator"})
 
 
 class ClusterRef(NamedTuple):
@@ -151,71 +159,6 @@ def _parse_json(text: str) -> ClusteringSequence:
     return sequence_from_lists(data, labels)
 
 
-def _csv_rows(text: str) -> Iterable[list[str]]:
-    import csv
-    import io
-
-    reader = csv.reader(io.StringIO(text))
-    try:
-        yield from reader
-    except csv.Error as exc:
-        raise ParseError(f"CSV line {reader.line_num}: {exc}") from None
-
-
-def _parse_csv(text: str) -> ClusteringSequence:
-    reader = _csv_rows(text)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise ParseError("empty CSV input") from None
-    if [h.strip() for h in header] != ["t", "member", "cluster"]:
-        raise ParseError('CSV header must be "t,member,cluster"')
-    by_time: dict[int, dict[int, list[str]]] = {}
-    for lineno, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != 3:
-            raise ParseError(f"line {lineno}: expected 3 fields, got {len(row)}")
-        t_raw, member, cluster_raw = row
-        try:
-            t = int(t_raw)
-            cluster = int(cluster_raw)
-        except ValueError:
-            raise ParseError(
-                f"line {lineno}: t and cluster must be integers"
-            ) from None
-        if t < 0 or cluster < 0:
-            raise ParseError(f"line {lineno}: t and cluster must be non-negative")
-        by_time.setdefault(t, {}).setdefault(cluster, []).append(member)
-    if not by_time:
-        raise ParseError("CSV contains no data rows")
-    missing = _first_gap(by_time)
-    if missing is not None:
-        raise SequenceValidationError(
-            f"snapshot indices have gaps: missing t={missing}"
-        )
-    data = []
-    for t in range(len(by_time)):
-        clusters_for_t = by_time[t]
-        gap = _first_gap(clusters_for_t)
-        if gap is not None:
-            raise SequenceValidationError(
-                f"snapshot {t}: cluster indices have gaps: missing cluster={gap}"
-            )
-        data.append([clusters_for_t[c] for c in range(len(clusters_for_t))])
-    return sequence_from_lists(data)
-
-
-def _first_gap(keys: dict[int, object]) -> int | None:
-    """The smallest index missing from non-negative `keys`, if one is.
-
-    It is at most len(keys), so a huge index in the input costs nothing.
-    """
-    if max(keys) == len(keys) - 1:
-        return None
-    return next(i for i in range(len(keys) + 1) if i not in keys)
-
-
 def parse_sequence(source: bytes | str, fmt: str = "json") -> ClusteringSequence:
     """Parse a clustering sequence from raw file content.
 
@@ -237,23 +180,7 @@ def parse_sequence(source: bytes | str, fmt: str = "json") -> ClusteringSequence
     if fmt == "json":
         return _parse_json(text)
     if fmt == "csv":
-        return _parse_csv(text)
+        from .csvinput import parse_csv
+
+        return parse_csv(text)
     raise ValueError(f"unknown input format {fmt!r}")
-
-
-def sequence_to_json_bytes(seq: ClusteringSequence) -> bytes:
-    """Plain-JSON form of a sequence; inverse of parse_sequence for “json”.
-
-    Cluster membership is order-free, so members are emitted sorted.
-    """
-    snaps = []
-    for snap, label in zip(seq.snapshots, seq.labels):
-        entry: dict = {"clusters": list(map(list, snap.clusters))}
-        if label is not None:
-            entry["label"] = label
-        snaps.append(entry)
-    doc = {"snapshots": snaps}
-    return (
-        json.dumps(doc, ensure_ascii=False, sort_keys=True, separators=(",", ":"))
-        + "\n"
-    ).encode("utf-8")

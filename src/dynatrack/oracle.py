@@ -17,8 +17,8 @@ minimal. A violation raises OracleInvariantError.
 from __future__ import annotations
 
 from .errors import OracleInvariantError, OracleSizeError
-from .metrics import DynamicClustering, clustering_from_labels
 from .model import ClusterRef, ClusteringSequence
+from .result import DynamicClustering, clustering_from_labels
 
 __all__ = ["brute_force_track", "MAX_SNAPSHOTS", "MAX_TOTAL_CLUSTERS"]
 
@@ -178,3 +178,11 @@ def _audit_minimality(columns, event_groups) -> None:
                 f"dynamic cluster {dc_id} decomposes into {len(roots)} "
                 f"independent groups; grouping is not minimal"
             )
+
+
+def cmd_oracle(args) -> int:
+    """The `oracle` command: the result document of `brute_force_track` on
+    the input."""
+    from .docwriter import _write_labelling
+
+    return _write_labelling(args, brute_force_track)

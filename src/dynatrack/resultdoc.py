@@ -4,24 +4,22 @@ A result document carries everything downstream consumers (event listing,
 rendering) need: per snapshot the clusters with their members and dynamic
 cluster id, the DC registry, and run metadata. `read_tables` turns one
 into the label columns, cluster sizes and shared-member count tables that
-`events` and `render` read; `load_document` gives the labelled
-`ClusteringSequence` instead. Both decode the text one snapshot at a time,
-with the C scanner that `json.loads` uses, and run the same checks, in the
-same order, with the same errors as checking one `json.loads` tree.
+`events` and `render` read; `reference.load_document` gives the labelled
+`ClusteringSequence` instead. Both decode the text one snapshot at a time
+with `_read`, which uses the C scanner of `json.loads`, and run the same
+checks, in the same order, with the same errors as checking one
+`json.loads` tree.
 """
 
 from __future__ import annotations
 
 import json
 from itertools import chain, islice
-from typing import TYPE_CHECKING, Callable
+from typing import Callable
 
-from . import SCHEMA_VERSION
+from . import SCHEMA_VERSION, _lazy
 from .errors import SchemaError, SequenceValidationError
 from .kernel import NO_SNAPSHOTS, check_int, count_runs, load_json, member_index
-
-if TYPE_CHECKING:
-    from .model import ClusteringSequence
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -34,22 +32,14 @@ __all__ = [
     "clustering_from_labels",
 ]
 
-_WRITERS = ("canonical_labels", "build_document", "document_to_bytes", "document_chunks")
-
-
-def __getattr__(name: str):
-    # The writers and `clustering_from_labels` are re-exported from their
-    # modules on first use, so that reading a document (as `events` and
-    # `render` do) loads neither.
-    if name in _WRITERS:
-        from . import docwriter
-
-        return getattr(docwriter, name)
-    if name == "clustering_from_labels":
-        from .metrics import clustering_from_labels
-
-        return clustering_from_labels
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+# The writers, the whole-value reference reader and `clustering_from_labels`
+# are re-exported from their modules on first use, so that reading a
+# document's tables (as `events` and `render` do) loads none of them.
+__getattr__ = _lazy(__name__, {
+    "canonical_labels": "docwriter", "document_chunks": "docwriter",
+    "build_document": "reference", "document_to_bytes": "reference",
+    "load_document": "reference", "clustering_from_labels": "result",
+})
 
 
 def read_tables(
@@ -86,34 +76,6 @@ def read_tables(
 
     columns, _labels, history = _read(raw, False, count)
     return columns, sizes, tables, history
-
-
-def load_document(
-    raw: bytes | str,
-) -> tuple[ClusteringSequence, list[list[int]], int]:
-    """Parse a result document back into (sequence, label columns, history);
-    columns[t][a] is the `dc` of cluster a of snapshot t.
-
-    Besides field types, the document is checked against itself: the
-    `dcs` registry must list exactly the per-cluster `dc` values, each id
-    in one entry with at least one cluster,
-    `snapshot_count` must match the snapshots, and the clusters of the
-    last snapshot must carry distinct ids (any tracking run gives them
-    distinct ids). Invalid snapshots (an empty cluster, a bad or repeated
-    member) raise SequenceValidationError, as `sequence_from_lists`
-    does, once every other check has passed. The text is decoded one
-    snapshot at a time, as `read_tables` does.
-    """
-    from .model import ClusteringSequence, Snapshot
-
-    raw = _text(raw)  # drops the bytes
-    snapshots: list[Snapshot] = []
-
-    def keep(t: int, column: dict[str, int], sizes: tuple[int, ...]) -> None:
-        snapshots[t:] = [Snapshot(column, sizes)]  # t = 0 starts again
-
-    columns, labels, history = _read(raw, True, keep)
-    return ClusteringSequence(tuple(snapshots), tuple(labels)), columns, history
 
 
 def _text(raw: bytes | str) -> str:

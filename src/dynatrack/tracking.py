@@ -56,9 +56,9 @@ from collections import deque
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import SequencingError, TrackingInvariantError
-from .metrics import DynamicClustering, clustering_from_labels
 from .model import ClusterRef, ClusteringSequence
 from .relations import MajorityRelations, RelationCache, lift
+from .result import DynamicClustering, clustering_from_labels
 
 __all__ = [
     "TrackingState",
@@ -528,3 +528,10 @@ def finalize(state: TrackingState, seq: ClusteringSequence) -> DynamicClustering
         state.history,
         None if rels is None else rels.pair_triples(),
     )
+
+
+def cmd_track(args) -> int:
+    """The `track` command: the result document of `track` on the input."""
+    from .docwriter import _write_labelling
+
+    return _write_labelling(args, track)

@@ -247,10 +247,12 @@ def test_svg_chunks_one_per_flow_time_and_column():
     "blocks, block_width, error, message",
     [
         (None, 1e308, OverflowError, "overflows a float"),
+        # each extent is finite, and so is their difference, but not the sum
+        (((Block(0, 0, 0, 1, 8e307),),), 5e307, OverflowError, "overflows a float"),
         (None, 0.0, ValueError, "block_width must be a finite number > 0"),
         (((Block(0, 0, 0, -1, 0.0),),), 20.0, ValueError, "negative size -1"),
     ],
-    ids=["overflow", "block-width", "negative-size"],
+    ids=["overflow", "overflow-of-the-sum", "block-width", "negative-size"],
 )
 def test_svg_chunks_check_their_arguments_before_the_first_chunk(
     blocks, block_width, error, message

@@ -642,6 +642,23 @@ def test_sweep_csv_and_flags(tmp_path, capsys):
     assert all("lifespan_histogram" in r for r in records)
 
 
+@pytest.mark.parametrize("x_max", [3, 5])
+def test_sweep_stderr_names_the_last_row_and_the_best_x(tmp_path, capsys, x_max):
+    # T = 4: the rows stop at x = 3, said only when --history-max is past it;
+    # both consistencies peak at x = 2 and 3, not at 0 or 1
+    seq = tmp_path / "seq.json"
+    seq.write_text(json.dumps(FIG_SPLINTER))
+    assert main(["sweep", "--input", str(seq), "--history-min", "0",
+                 "--history-max", str(x_max), "--output", str(tmp_path / "out")]) == 0
+    saturated = [
+        "every x > 3 gives the row of x = 3 (the search depth is at most T - 1 = 3)"
+    ]
+    assert capsys.readouterr().err.splitlines() == saturated * (x_max > 3) + [
+        "best consistency_all: 0.888889 at x = 2, 3",
+        "best consistency_resident: 0.888889 at x = 2, 3",
+    ]
+
+
 def test_sweep_single_point(tmp_path):
     seq = tmp_path / "seq.json"
     seq.write_text(json.dumps({"snapshots": [{"clusters": [["a"]]}] * 2}))
@@ -966,6 +983,19 @@ def _break_registry_empty_entry(doc):
     doc["dcs"].append({"id": 99999, "clusters": []})
 
 
+def _break_registry_cluster_index_type(doc):
+    # [0, 0.0] == [0, 0], so only a type check tells them apart
+    doc["dcs"][0]["clusters"][0] = [0, 0.0]
+
+
+def _break_registry_bare_int_refs(doc):
+    doc["dcs"][0]["clusters"] = [0, 1]
+
+
+def _break_registry_three_element_ref(doc):
+    doc["dcs"][0]["clusters"][0] = [0, 0, 0]
+
+
 def _break_registry_id_split(doc):
     # DC 1's cluster joins DC 0, and DC 1's entry is renamed to 0: the
     # refs add up, but two entries list one id
@@ -973,26 +1003,37 @@ def _break_registry_id_split(doc):
     next(e for e in doc["dcs"] if e["id"] == 1)["id"] = 0
 
 
+# The message of every document that no registry check accepts.
+_UNMATCHED = "dcs registry does not match the clusters' dc values"
+
+
 @pytest.mark.parametrize("command", ["events", "render"])
 @pytest.mark.parametrize(
     "breaker, message",
     [
-        (_break_history, "history must be an integer"),
-        (_break_schema_type, "unsupported schema version True"),
-        (_break_dc_type, "dc must be an integer"),
-        (_break_last_labels, "dcs registry does not match"),
-        (_break_last_injectivity, "share one dc id"),
-        (_break_registry, "dcs registry does not match"),
-        (_break_snapshot_count, "snapshot_count is 4"),
-        (_break_members, "members must be an array"),
+        (_break_history, "history must be an integer, got 'abc'"),
+        (_break_schema_type, "unsupported schema version True (expected 1)"),
+        (_break_dc_type, "snapshot 0: cluster 0: dc must be an integer, got 'x'"),
+        (_break_last_labels, _UNMATCHED),
+        (_break_last_injectivity,
+         "snapshot 2: several clusters of the last snapshot share one dc id"),
+        (_break_registry, _UNMATCHED),
+        (_break_snapshot_count, "snapshot_count is 4 but the document has 3 snapshots"),
+        (_break_members, "snapshot 0: cluster 0: members must be an array"),
         (_break_registry_id_type, "dcs: id must be an integer, got True"),
         (_break_registry_coordinate_type,
          "dcs: snapshot index must be an integer, got 0.0"),
-        (_break_registry_negative_ref, "dcs registry does not match"),
-        (_break_registry_ref_past_last_snapshot, "dcs registry does not match"),
+        (_break_registry_cluster_index_type,
+         "dcs: cluster index must be an integer, got 0.0"),
+        (_break_registry_bare_int_refs, "malformed result document: "
+         "TypeError('cannot unpack non-iterable int object')"),
+        (_break_registry_three_element_ref, "malformed result document: "
+         "ValueError('too many values to unpack (expected 2)')"),
+        (_break_registry_negative_ref, _UNMATCHED),
+        (_break_registry_ref_past_last_snapshot, _UNMATCHED),
         (_break_registry_stray_ref_twice, "dcs: cluster (9, 9) is listed twice"),
-        (_break_registry_empty_entry, "dcs registry does not match"),
-        (_break_registry_id_split, "dcs registry does not match"),
+        (_break_registry_empty_entry, _UNMATCHED),
+        (_break_registry_id_split, _UNMATCHED),
     ],
 )
 def test_inconsistent_result_document_exits_2(
@@ -1004,9 +1045,7 @@ def test_inconsistent_result_document_exits_2(
     breaker(doc)
     result_doc.write_text(json.dumps(doc))
     assert main([command, "--result", str(result_doc)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and message in err
-    assert err.count("\n") == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_earlier_snapshot_may_repeat_a_dc(result_doc, tmp_path):

@@ -6,6 +6,7 @@ interpreter and list the `dynatrack` modules it leaves in `sys.modules`;
 a new top-level import on a start-up path fails here.
 """
 
+import ast
 import importlib
 import json
 import os
@@ -17,6 +18,7 @@ from pathlib import Path
 import pytest
 
 import dynatrack
+from dynatrack import cli
 from dynatrack.cli import main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -50,17 +52,41 @@ print(json.dumps([code, loaded]))
 
 BASE = {"dynatrack", "dynatrack.cli", "dynatrack.errors"}
 # What tracking runs on: the parser, the member index and overlap kernel,
-# and the relation tables.
-CORE = {"dynatrack.model", "dynatrack.kernel", "dynatrack.relations"}
+# the relation tables and the result record.
+CORE = {"dynatrack.model", "dynatrack.kernel", "dynatrack.relations", "dynatrack.result"}
 # The document reader needs the member index and the kernel, but not the
 # parser, the relation tables, the tracker or the writer (`docwriter`).
 READER = {"dynatrack.resultdoc", "dynatrack.kernel"}
+# Each subcommand loads the module of its handler and what that runs; none
+# loads the reference forms (`reference`), the CSV reader (`csvinput`,
+# only for `--format csv`) or argparse's fallback (`usage`).
 LOADED = {
     "version": BASE,
-    "track": BASE | CORE | {"dynatrack.metrics", "dynatrack.tracking", "dynatrack.docwriter"},
+    "track": BASE | CORE | {"dynatrack.tracking", "dynatrack.docwriter"},
+    "track-csv": BASE | CORE | {
+        "dynatrack.tracking", "dynatrack.docwriter", "dynatrack.csvinput"},
     "sweep": BASE | CORE | {"dynatrack.metrics", "dynatrack.tracking"},
-    "events": BASE | READER | {"dynatrack.metrics"},
+    "events": BASE | READER | {"dynatrack.events", "dynatrack.result"},
     "render": BASE | READER | {"dynatrack.alluvial"},
+    "oracle": BASE | {
+        "dynatrack.model", "dynatrack.kernel", "dynatrack.result", "dynatrack.oracle",
+        "dynatrack.docwriter"},
+    "generate": BASE | {"dynatrack.model", "dynatrack.kernel", "dynatrack.generator"},
+    "help": BASE | {"dynatrack.usage"},
+}
+
+# The most AST nodes that the `dynatrack` modules of each subcommand's
+# process may hold: each module is compiled from source on every run, at
+# about 1 µs per node, so every node a command's closure gains is start-up
+# time that each run of it pays.
+COMPILE_BUDGET = {
+    "version": 1_350,
+    "track": 7_800,
+    "sweep": 8_600,
+    "events": 5_800,
+    "render": 6_250,
+    "oracle": 5_700,
+    "generate": 5_850,
 }
 
 
@@ -87,6 +113,9 @@ def files(tmp_path_factory):
         {"clusters": [["a", "b", "c"]]},
         {"clusters": [["a", "b"], ["c"]]},
     ]}))
+    (tmp / "seq.csv").write_text("t,member,cluster\n0,a,0\n0,b,1\n1,a,0\n")
+    (tmp / "spec.json").write_text(json.dumps({
+        "snapshots": 3, "seed": 1, "dcs": [{"size": 4, "start": 0, "end": 2}]}))
     result = tmp / "result.json"
     assert main(["track", "--input", str(seq), "--history", "1",
                  "--output", str(result)]) == 0
@@ -98,7 +127,12 @@ def argv_of(command: str, files) -> list[str]:
     out = str(tmp / f"{command}.out")
     return {
         "version": ["--version"],
+        "help": ["track", "--help"],
         "track": ["track", "--input", str(seq), "--history", "1", "--output", out],
+        "track-csv": ["track", "--input", str(tmp / "seq.csv"), "--format", "csv",
+                      "--history", "1", "--output", out],
+        "oracle": ["oracle", "--input", str(seq), "--history", "1", "--output", out],
+        "generate": ["generate", "--spec", str(tmp / "spec.json"), "--output", out],
         "sweep": ["sweep", "--input", str(seq), "--history-min", "0",
                   "--history-max", "2", "--output", out],
         "events": ["events", "--result", str(result), "--output", out],
@@ -113,6 +147,18 @@ def test_subcommand_loads_only_the_modules_it_runs(command, files):
     )
     assert code == 0
     assert set(loaded) == LOADED[command]
+
+
+def ast_nodes(module: str) -> int:
+    """The AST nodes of the source of the `dynatrack` module `module`."""
+    path = SRC.joinpath(*module.split("."))
+    path = path / "__init__.py" if path.is_dir() else path.with_suffix(".py")
+    return sum(1 for _ in ast.walk(ast.parse(path.read_text(encoding="utf-8"))))
+
+
+@pytest.mark.parametrize("command", sorted(COMPILE_BUDGET))
+def test_subcommand_compiles_within_its_budget(command):
+    assert sum(map(ast_nodes, LOADED[command])) <= COMPILE_BUDGET[command]
 
 
 def watched_modules(command: str, files) -> tuple[list[str], list[str]]:
@@ -222,24 +268,52 @@ def test_readme_library_section_names_every_export():
     assert missing == []
 
 
-def test_resultdoc_reexports_clustering_from_labels():
-    from dynatrack import metrics, resultdoc
+# Each name that left the module it is imported from, with its new home:
+# the handlers and argparse's fallback left `cli`, the result record
+# `metrics`, the fixture writer `model`, and the reference forms every
+# module that a subcommand loads.
+MOVED = [
+    *[("cli", f"cmd_{name}", home) for name, (home, _, _) in cli.COMMANDS.items()],
+    ("cli", "build_parser", "usage"),
+    ("cli", "SWEEP_COLUMNS", "metrics"),
+    ("cli", "SWEEP_HEADER", "metrics"),
+    ("metrics", "DynamicClustering", "result"),
+    ("metrics", "clustering_from_labels", "result"),
+    ("metrics", "dc_sizes", "result"),
+    ("metrics", "event_rows", "events"),
+    ("metrics", "LifecycleEvent", "reference"),
+    ("metrics", "classify_events", "reference"),
+    ("metrics", "total_consistency", "reference"),
+    ("events", "LifecycleEvent", "reference"),
+    ("events", "classify_events", "reference"),
+    ("model", "sequence_to_json_bytes", "generator"),
+    ("resultdoc", "clustering_from_labels", "result"),
+    ("resultdoc", "load_document", "reference"),
+    ("resultdoc", "build_document", "reference"),
+    ("resultdoc", "document_to_bytes", "reference"),
+    ("resultdoc", "canonical_labels", "docwriter"),
+    ("resultdoc", "document_chunks", "docwriter"),
+    ("docwriter", "build_document", "reference"),
+    ("docwriter", "document_to_bytes", "reference"),
+    ("alluvial", "build_layout", "reference"),
+    ("alluvial", "layout_to_svg", "reference"),
+]
 
-    assert resultdoc.clustering_from_labels is metrics.clustering_from_labels
-    with pytest.raises(AttributeError, match="no_such_name"):
-        resultdoc.no_such_name
 
-
-@pytest.mark.parametrize(
-    "name", ["canonical_labels", "build_document", "document_to_bytes", "document_chunks"]
-)
-def test_resultdoc_reexports_the_writers(name):
-    from dynatrack import docwriter, resultdoc
-
-    assert getattr(resultdoc, name) is getattr(docwriter, name)
+@pytest.mark.parametrize("old, name, new", MOVED)
+def test_a_moved_name_imports_from_its_old_module(old, name, new):
+    home = importlib.import_module(f"dynatrack.{new}")
+    assert name in vars(home)  # defined there
     namespace: dict = {}
-    exec(f"from dynatrack.resultdoc import {name}", namespace)
-    assert namespace[name] is getattr(docwriter, name)
+    exec(f"from dynatrack.{old} import {name}", namespace)
+    assert namespace[name] is vars(home)[name]
+    assert getattr(importlib.import_module(f"dynatrack.{old}"), name) is vars(home)[name]
+
+
+@pytest.mark.parametrize("module", sorted({old for old, _, _ in MOVED}))
+def test_unknown_name_of_a_module_raises_attribute_error(module):
+    with pytest.raises(AttributeError, match="no_such_name"):
+        getattr(importlib.import_module(f"dynatrack.{module}"), "no_such_name")
 
 
 def test_the_reader_loads_no_writer_and_the_writer_no_reader():

@@ -242,6 +242,22 @@ def test_parse_csv_bad_header():
         parse_sequence("time,member,cluster\n0,a,0\n", "csv")
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("t,member,cluster\n0,a,0\n\n0,b\n", "line 4: expected 3 fields, got 2"),
+        ("t,member,cluster\n0,a,0\n1,b,x\n", "line 3: t and cluster must be integers"),
+        ("t,member,cluster\n0,a,0\n0,b,-1\n",
+         "line 3: t and cluster must be non-negative"),
+    ],
+)
+def test_parse_csv_names_the_line(text, message):
+    # the header is line 1, and a blank line counts
+    with pytest.raises(ParseError) as info:
+        parse_sequence(text, "csv")
+    assert str(info.value) == message
+
+
 def test_parse_csv_duplicate_member():
     with pytest.raises(SequenceValidationError, match="'a'"):
         parse_sequence("t,member,cluster\n0,a,0\n0,a,1\n", "csv")

@@ -15,6 +15,7 @@ import pytest
 
 from dynatrack import sequence_from_lists, track
 from dynatrack.docwriter import document_chunks
+from dynatrack.errors import SchemaError
 from dynatrack.resultdoc import read_tables
 from helpers import assert_reads_as_reference, random_sequence, streamed_tables
 from inputs import churn_clusters
@@ -119,6 +120,33 @@ def test_encodings(encoding):
         assert_reads_as_reference(text.encode(encoding))
     lone = SMALL.replace('"a"', '"\\ud800"')
     assert_reads_as_reference(lone.encode(encoding, "surrogatepass"))
+
+
+@pytest.mark.parametrize(
+    "refs, message",
+    [
+        ([[0, 0.0]], "dcs: cluster index must be an integer, got 0.0"),
+        ([[0.0, 0]], "dcs: snapshot index must be an integer, got 0.0"),
+        ([0, 1], "malformed result document: "
+         "TypeError('cannot unpack non-iterable int object')"),
+        ([[0, 0, 0]], "malformed result document: "
+         "ValueError('too many values to unpack (expected 2)')"),
+    ],
+)
+def test_registry_refs_that_are_no_pair_of_ints(refs, message):
+    tree = json.loads(SMALL)
+    tree["dcs"][0]["clusters"] = refs
+    assert assert_reads_as_reference(json.dumps(tree)) == (SchemaError, message)
+
+
+def test_the_last_snapshot_named_when_two_of_its_clusters_share_a_dc():
+    tree = json.loads(SMALL)
+    t = len(tree["snapshots"]) - 1
+    dc = tree["snapshots"][t]["clusters"][0]["dc"]
+    tree["snapshots"][t]["clusters"].append({"dc": dc, "members": ["z"]})
+    next(e for e in tree["dcs"] if e["id"] == dc)["clusters"].append([t, 1])
+    message = f"snapshot {t}: several clusters of the last snapshot share one dc id"
+    assert assert_reads_as_reference(json.dumps(tree)) == (SchemaError, message)
 
 
 def test_odd_text():
